@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,10 @@ from .states import (PartyStructure, PureState, check_subset,
 # Singular values below SVD_TOL times the largest count as zero when deciding
 # the rank of the assembled phase system.
 SVD_TOL = 1e-9
+# Smallest Gram eigenvalue ratio lambda_min / lambda_max that decides a trivial
+# null space without the SVD (a singular-value ratio of 1e-4); see
+# `decide_null_space`.
+GRAM_MIN_RATIO = 1e-8
 DECK_TOL = 1e-9
 # A candidate second state must have fidelity-up-to-phase below 1 - DISTINCT_TOL
 # with the input to count as a genuine counterexample.
@@ -193,18 +199,48 @@ def build_cross_matrices(dec: SchmidtDecomposition,
     return CrossCutMatrices(spec, dec.rank, q, p, l, m)
 
 
+class SourceFactors(NamedTuple):
+    """Khatri-Rao factors of one source's coefficients, U = O_u (.) I_u and
+    V = O_v (.) I_v, one column per Schmidt index pair.
+
+    Row (a, b), a < b, of an outer factor holds that entry of the outer
+    overlap operator; row (c, e) of an inner factor holds that entry of the
+    inner operator, for every (c, e) except the last diagonal one.  Row
+    (a, b, c, e) of U is then O_u[ab] * I_u[ce], and likewise for V.
+    """
+
+    outer_u: np.ndarray
+    inner_u: np.ndarray
+    outer_v: np.ndarray
+    inner_v: np.ndarray
+
+    @property
+    def num_equations(self) -> int:
+        return self.outer_u.shape[0] * self.inner_u.shape[0]
+
+
+def _khatri_rao(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product: row (r, s) is outer[r] * inner[s]."""
+    return (outer[:, None, :] * inner[None, :, :]).reshape(
+        outer.shape[0] * inner.shape[0], outer.shape[1])
+
+
 @dataclass(frozen=True)
 class GammaSystem:
     """Real homogeneous system over (Re gamma_ij, Im gamma_ij), i < j.
 
-    Column 2t holds Re gamma for pair `pairs[t]`, column 2t+1 holds Im gamma.
-    gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally, so
-    only the i < j entries appear.  The zero vector always solves the system.
+    Complex equation r reads sum_t gamma_t U[r, t] + conj(gamma_t) V[r, t] = 0,
+    where U and V stack the Khatri-Rao products of `factors` (the ac source,
+    then bd).  Row 2r of the real `matrix` is its real part, row 2r+1 its
+    imaginary part; column 2t holds Re gamma for pair `pairs[t]`, column 2t+1
+    holds Im gamma.  gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated
+    structurally, so only the i < j entries appear.  The zero vector always
+    solves the system.
     """
 
     rank_r: int
     pairs: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
+    factors: tuple[SourceFactors, ...]
     equation_counts: dict
 
     @property
@@ -217,7 +253,54 @@ class GammaSystem:
 
     @property
     def num_complex_equations(self) -> int:
-        return self.matrix.shape[0] // 2
+        return sum(f.num_equations for f in self.factors)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense real system, built from the factors on first access.
+
+        With gamma = x + iy, equation r is x (U + V) + i y (U - V) = 0.
+        """
+        u = np.concatenate([_khatri_rao(f.outer_u, f.inner_u)
+                            for f in self.factors])
+        v = np.concatenate([_khatri_rao(f.outer_v, f.inner_v)
+                            for f in self.factors])
+        a, b = u + v, u - v
+        matrix = np.stack([np.stack([a.real, -b.imag], axis=-1),
+                           np.stack([a.imag, b.real], axis=-1)], axis=1
+                          ).reshape(2 * u.shape[0], 2 * u.shape[1])
+        matrix.setflags(write=False)
+        return matrix
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The real Gram matrix.T @ matrix, computed without the matrix.
+
+        With A = U + V and B = i(U - V) it is [[Re A^H A, Re A^H B],
+        [Re B^H A, Re B^H B]] in the interleaved column order, summed over
+        both sources.  Every block is a combination of U^H U, U^H V and
+        V^H V, and each of those is a Hadamard product of small factor
+        Grams, (O^H O') * (I^H I') (Kolda & Bader, SIAM Review 51, 2009).
+        """
+        n = len(self.pairs)
+        uu = np.zeros((n, n), dtype=complex)
+        uv = np.zeros((n, n), dtype=complex)
+        vv = np.zeros((n, n), dtype=complex)
+        for o_u, i_u, o_v, i_v in self.factors:
+            uu += (o_u.conj().T @ o_u) * (i_u.conj().T @ i_u)
+            uv += (o_u.conj().T @ o_v) * (i_u.conj().T @ i_v)
+            vv += (o_v.conj().T @ o_v) * (i_v.conj().T @ i_v)
+        # Re and Im parts of U^H V +- V^H U, using V^H U = (U^H V)^H
+        uv_sym = uv.real + uv.real.T
+        uv_skew = uv.imag + uv.imag.T
+        diag = uu.real + vv.real
+        gram = np.empty((2 * n, 2 * n))
+        gram[0::2, 0::2] = diag + uv_sym         # Re A^H A
+        gram[1::2, 1::2] = diag - uv_sym         # Re B^H B
+        cross = vv.imag - uu.imag + uv_skew      # Re A^H B
+        gram[0::2, 1::2] = cross
+        gram[1::2, 0::2] = cross.T
+        return gram
 
 
 def expected_equation_counts(structure: PartyStructure,
@@ -230,19 +313,27 @@ def expected_equation_counts(structure: PartyStructure,
     }
 
 
-def _real_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Two real rows for the complex equation sum gamma*u + conj(gamma)*v = 0.
+def _source_factors(outer: np.ndarray, inner: np.ndarray,
+                    ii: np.ndarray, jj: np.ndarray) -> SourceFactors:
+    """Factors of the equations from the (outer (x) inner) Kronecker blocks.
 
-    `u` and `v` have shape (n_equations, n_pairs); the result interleaves
-    (Re gamma, Im gamma) coefficient columns and stacks (Re, Im) equation rows.
+    For a < b the (a, b) block of outer[i, j] (x) inner[i, j] gives U, and
+    the (b, a) block of its adjoint gives V; the last diagonal entry of each
+    inner block is dropped (see `assemble_gamma_system`).
     """
-    n_eq, n_pairs = u.shape
-    rows = np.empty((2 * n_eq, 2 * n_pairs), dtype=float)
-    rows[0::2, 0::2] = (u + v).real
-    rows[0::2, 1::2] = (v - u).imag
-    rows[1::2, 0::2] = (u + v).imag
-    rows[1::2, 1::2] = (u - v).real
-    return rows
+    n_pairs = len(ii)
+    d_in = inner.shape[-1]
+    outer_ij = outer[ii, jj]
+    inner_ij = inner[ii, jj]
+    a, b = np.triu_indices(outer.shape[-1], 1)
+    factors = SourceFactors(
+        outer_ij[:, a, b].T,
+        inner_ij.reshape(n_pairs, d_in * d_in)[:, :-1].T,
+        outer_ij[:, b, a].conj().T,
+        inner_ij.transpose(0, 2, 1).conj().reshape(n_pairs, d_in * d_in)[:, :-1].T)
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
 
 
 def assemble_gamma_system(matrices: CrossCutMatrices,
@@ -252,76 +343,43 @@ def assemble_gamma_system(matrices: CrossCutMatrices,
     For each off-diagonal block (a, b), a < b, of the Kronecker products
     Q (x) P and L (x) M, all entries are kept except one diagonal entry per
     block: the block's diagonal entries sum to zero because the off-diagonal
-    overlap operators are traceless, so one of them is redundant.
+    overlap operators are traceless, so one of them is redundant.  A block
+    of dimension one has no entry left and contributes no equation.
     """
     if spec is None:
         spec = matrices.spec
     elif spec != matrices.spec:
         raise ValueError("spec does not match the one the matrices were built for")
-    rank = matrices.rank
-    pairs = tuple(combinations(range(rank), 2))
-    n_pairs = len(pairs)
-    blocks = []  # (outer, inner) matrix grids per source
-    counts = {}
-    for label, outer, inner in (("ac", matrices.q, matrices.p),
-                                ("bd", matrices.l, matrices.m)):
-        d_out = outer.shape[-1]
-        d_in = inner.shape[-1]
-        rows_u = []
-        rows_v = []
-        if n_pairs:
-            ii = np.array([i for i, _ in pairs])
-            jj = np.array([j for _, j in pairs])
-            outer_ij = outer[ii, jj]          # (n_pairs, d_out, d_out)
-            outer_ji_conj = outer[ii, jj].transpose(0, 2, 1).conj()
-            inner_ij = inner[ii, jj]          # (n_pairs, d_in, d_in)
-            inner_swap_conj = inner[ii, jj].transpose(0, 2, 1).conj()
-        for a, b in combinations(range(d_out), 2):
-            # keep all (c, e) entries of this block except the last diagonal one
-            keep = [(c, e) for c in range(d_in) for e in range(d_in)
-                    if (c, e) != (d_in - 1, d_in - 1)]
-            if not n_pairs:
-                rows_u.append(np.zeros((len(keep), 0)))
-                rows_v.append(np.zeros((len(keep), 0)))
-                continue
-            u_block = outer_ij[:, a, b][None, :] * np.stack(
-                [inner_ij[:, c, e] for c, e in keep])
-            v_block = outer_ji_conj[:, a, b][None, :] * np.stack(
-                [inner_swap_conj[:, c, e] for c, e in keep])
-            rows_u.append(u_block)
-            rows_v.append(v_block)
-        if rows_u:
-            u_all = np.concatenate(rows_u, axis=0)
-            v_all = np.concatenate(rows_v, axis=0)
-        else:
-            u_all = np.zeros((0, n_pairs), dtype=complex)
-            v_all = np.zeros((0, n_pairs), dtype=complex)
-        counts[label] = u_all.shape[0]
-        blocks.append((u_all, v_all))
-    u_total = np.concatenate([b[0] for b in blocks], axis=0)
-    v_total = np.concatenate([b[1] for b in blocks], axis=0)
-    matrix = _real_rows(u_total, v_total)
-    matrix.setflags(write=False)
-    return GammaSystem(rank, pairs, matrix, counts)
+    pairs = tuple(combinations(range(matrices.rank), 2))
+    ii, jj = np.triu_indices(matrices.rank, 1)
+    factors = (_source_factors(matrices.q, matrices.p, ii, jj),
+               _source_factors(matrices.l, matrices.m, ii, jj))
+    counts = {"ac": factors[0].num_equations, "bd": factors[1].num_equations}
+    return GammaSystem(matrices.rank, pairs, factors, counts)
 
 
 @dataclass(frozen=True)
 class NullSpaceResult:
+    """Numerical null space of a phase system.
+
+    `singular_values` are in descending order.  When the Gram decides the
+    rank (a trivial null space with a wide margin) they are the square roots
+    of the Gram's eigenvalues, not the output of an SVD.
+    """
+
     null_dim: int
     basis: np.ndarray | None          # (num_real_variables, null_dim), orthonormal
     singular_values: np.ndarray
 
 
-def decide_null_space(system: GammaSystem, *,
-                      svd_tol: float = SVD_TOL) -> NullSpaceResult:
-    """Numerical null space of the assembled system by SVD thresholding."""
-    mat = system.matrix
-    n_cols = mat.shape[1]
-    if n_cols == 0:
-        return NullSpaceResult(0, None, np.zeros(0))
-    if mat.shape[0] == 0:
-        return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
+    """Exact decision: threshold the singular values of the dense system.
+
+    A tall system takes the thin SVD, whose V^T is already square; only a
+    wide one needs the full V^T for its complete null basis.
+    """
+    n_rows, n_cols = matrix.shape
+    _, s, vt = np.linalg.svd(matrix, full_matrices=n_rows < n_cols)
     if s[0] == 0.0:
         rank = 0
     else:
@@ -331,6 +389,41 @@ def decide_null_space(system: GammaSystem, *,
     if basis is not None:
         basis.setflags(write=False)
     return NullSpaceResult(null_dim, basis, s)
+
+
+def decide_null_space(system: GammaSystem, *,
+                      svd_tol: float = SVD_TOL) -> NullSpaceResult:
+    """Numerical null space of the phase system by singular-value thresholding.
+
+    Fast path: the eigenvalues lambda of the Gram `system.gram` are the
+    squared singular values sigma^2 of `system.matrix`.  The null space is
+    declared trivial from them alone when lambda_min > tau * lambda_max with
+    tau = max(4 svd_tol^2, GRAM_MIN_RATIO), i.e. when the sigma ratio is at
+    least max(2 svd_tol, 1e-4).  Otherwise, for a wide system, or for a
+    non-finite `svd_tol`, the exact SVD of the dense matrix decides.
+
+    Why the fast path can only agree with the exact one: the factor Gram is
+    a sum of products accurate to about 1e-15 relative to lambda_max, and
+    eigvalsh is backward stable, so each computed eigenvalue is within
+    delta ~ 1e-13 lambda_max of the true sigma^2.  A fast-path decision thus
+    implies sigma_min^2 >= (tau - delta) sigma_max^2 > svd_tol^2 sigma_max^2
+    with a wide gap (tau >= 1e-8 >> delta, and tau >= 4 svd_tol^2), so the
+    exact SVD, itself accurate to about 1e-16 sigma_max, keeps every
+    singular value too.  Squaring the condition number is why the ratio
+    never goes below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
+    """
+    n_cols = system.num_real_variables
+    n_rows = 2 * system.num_complex_equations
+    if n_cols == 0:
+        return NullSpaceResult(0, None, np.zeros(0))
+    if n_rows == 0:
+        return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
+    if n_rows >= n_cols and math.isfinite(svd_tol):
+        lam = np.linalg.eigvalsh(system.gram)
+        tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
+        if lam[-1] > 0.0 and lam[0] > tau * lam[-1]:
+            return NullSpaceResult(0, None, np.sqrt(np.clip(lam[::-1], 0.0, None)))
+    return _svd_null_space(system.matrix, svd_tol)
 
 
 class UdpStatus(str, Enum):

@@ -34,13 +34,15 @@ def _emit(data: dict, as_json: bool, human: str | None = None) -> None:
 
 
 def _cmd_certify(args) -> int:
+    tol = Tolerances(gap_tol=args.gap_tol, svd_tol=args.svd_tol,
+                     deck_tol=args.deck_tol)
     state = load_state(args.state)
     spec = CrossCutSpec.parse(args.blocks, state.structure.num_parties)
     family = None
     if args.family:
         family = MarginalFamily.parse(state.structure.num_parties, args.family)
-    verdict = certify_udp(state, spec, family, svd_tol=args.svd_tol,
-                          deck_tol=args.deck_tol, gap_tol=args.gap_tol,
+    verdict = certify_udp(state, spec, family, svd_tol=tol.svd_tol,
+                          deck_tol=tol.deck_tol, gap_tol=tol.gap_tol,
                           seed=args.seed)
     data = {
         "status": verdict.status.value,

@@ -1,21 +1,79 @@
 """Tests for the cross-cut phase-system certifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from puredeck import (CrossCutSpec, GammaSystem, MarginalFamily,
-                      PartyStructure, PureState, UdpStatus, UdpVerdict,
+import puredeck.certify as certify_module
+from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
+                      UdpStatus, UdpVerdict,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
                       compute_deck, deck_distance, decide_null_space,
                       expected_equation_counts, fidelity_up_to_phase,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences)
-from puredeck.certify import _haar_orthonormal_pair
+from puredeck.certify import SVD_TOL, _haar_orthonormal_pair, _svd_null_space
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
+
+COUNTING_LAW_CASES = [
+    (4, 2, "A=1;B=2;C=3;D=4"),
+    (4, 3, "A=1;B=2;C=3;D=4"),
+    (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+    (6, 2, "A=1;B=2,3;C=4,5;D=6"),
+    (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
+]
+
+
+def haar_system(n, d, blocks, seed):
+    spec = CrossCutSpec.parse(blocks, n)
+    psi = sample_haar_state(PartyStructure.uniform(n, d), seed)
+    dec = schmidt_decompose(psi, spec.ab)
+    return assemble_gamma_system(build_cross_matrices(dec, spec))
+
+
+def reference_matrix(matrices):
+    """Entry-by-entry assembly of the real system, for comparison.
+
+    Row pair (a, b, c, e), a < b and (c, e) not the last diagonal entry,
+    holds gamma * Out[a, b] In[c, e] + conj(gamma) * conj(Out[b, a] In[e, c])
+    for each pair, split into (Re, Im) rows and (Re gamma, Im gamma) columns.
+    """
+    rank = matrices.rank
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    rows = []
+    for outer, inner in ((matrices.q, matrices.p), (matrices.l, matrices.m)):
+        d_out, d_in = outer.shape[-1], inner.shape[-1]
+        for a in range(d_out):
+            for b in range(a + 1, d_out):
+                for c in range(d_in):
+                    for e in range(d_in):
+                        if (c, e) == (d_in - 1, d_in - 1):
+                            continue
+                        re_row, im_row = [], []
+                        for i, j in pairs:
+                            u = outer[i, j, a, b] * inner[i, j, c, e]
+                            v = (outer[i, j, b, a].conjugate()
+                                 * inner[i, j, e, c].conjugate())
+                            re_row += [(u + v).real, (v - u).imag]
+                            im_row += [(u + v).imag, (u - v).real]
+                        rows += [re_row, im_row]
+    return np.array(rows, dtype=float).reshape(len(rows), 2 * len(pairs))
+
+
+def spy_on_exact_path(monkeypatch):
+    """Record the svd_tol of every call `decide_null_space` makes to the SVD."""
+    calls = []
+
+    def spy(matrix, svd_tol):
+        calls.append(svd_tol)
+        return _svd_null_space(matrix, svd_tol)
+
+    monkeypatch.setattr(certify_module, "_svd_null_space", spy)
+    return calls
 
 
 class TestCrossCutSpec:
@@ -99,13 +157,7 @@ class TestGammaSystem:
         assert system.equation_counts == {"ac": 18, "bd": 15}
         assert system.matrix.shape == (66, 56)
 
-    @pytest.mark.parametrize("n, d, blocks", [
-        (4, 2, "A=1;B=2;C=3;D=4"),
-        (4, 3, "A=1;B=2;C=3;D=4"),
-        (6, 2, "A=1,2;B=3;C=4;D=5,6"),
-        (6, 2, "A=1;B=2,3;C=4,5;D=6"),
-        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
-    ])
+    @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
     def test_counting_law(self, n, d, blocks):
         structure = PartyStructure.uniform(n, d)
         spec = CrossCutSpec.parse(blocks, n)
@@ -126,6 +178,42 @@ class TestGammaSystem:
         assert system.equation_counts["bd"] == 0
         assert system.equation_counts["ac"] == \
             expected_equation_counts(structure, spec)["ac"]
+
+    @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES[:4] + [
+        (4, 2, "A=1;B=2;C=;D=3,4"),
+        (4, 2, "A=1,2;B=3;C=4;D="),
+    ])
+    def test_matrix_matches_entrywise_assembly(self, n, d, blocks):
+        spec = CrossCutSpec.parse(blocks, n)
+        psi = sample_haar_state(PartyStructure.uniform(n, d), 7)
+        matrices = build_cross_matrices(schmidt_decompose(psi, spec.ab), spec)
+        system = assemble_gamma_system(matrices)
+        reference = reference_matrix(matrices)
+        # the same products, rounded by Python's complex arithmetic: one ulp
+        np.testing.assert_allclose(
+            system.matrix, reference, rtol=0,
+            atol=4 * np.finfo(float).eps * np.max(np.abs(reference)))
+
+    @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
+    def test_gram_matches_dense_system(self, n, d, blocks):
+        system = haar_system(n, d, blocks, 7)
+        dense = system.matrix.T @ system.matrix
+        np.testing.assert_allclose(system.gram, dense,
+                                   atol=1e-12 * np.max(np.abs(dense)), rtol=0)
+
+    @pytest.mark.parametrize("blocks, counts", [
+        ("A=1;B=2;C=;D=3,4", {"ac": 0, "bd": 15}),
+        ("A=1,2;B=3;C=4;D=", {"ac": 18, "bd": 0}),
+        ("A=1;B=;C=;D=2,3,4", {"ac": 0, "bd": 0}),
+    ])
+    def test_empty_inner_block_gives_verdict(self, blocks, counts):
+        # an inner block of dimension one keeps no entry: zero-row factors
+        structure = PartyStructure.uniform(4, 2)
+        spec = CrossCutSpec.parse(blocks, 4)
+        verdict = certify_udp(sample_haar_state(structure, 11), spec)
+        assert verdict.status in tuple(UdpStatus)
+        assert expected_equation_counts(structure, spec) == counts
+        assert {k: verdict.equation_counts[k] for k in counts} == counts
 
 
 class TestNullSpace:
@@ -148,8 +236,10 @@ class TestNullSpace:
         assert null.null_dim >= 1  # ...so the system must be singular
 
     def test_zero_row_system_is_unconstrained(self):
-        pairs = ((0, 1), (0, 2), (1, 2))
-        system = GammaSystem(3, pairs, np.zeros((0, 6)), {"ac": 0, "bd": 0})
+        # qutrits, C and B empty: 3 pairs, 6 real variables and no equations
+        system = haar_system(3, 3, "A=1;B=;C=;D=2,3", 5)
+        assert system.pairs == ((0, 1), (0, 2), (1, 2))
+        assert system.num_complex_equations == 0
         result = decide_null_space(system)
         assert result.null_dim == 6
         np.testing.assert_array_equal(result.basis, np.eye(6))
@@ -163,6 +253,113 @@ class TestNullSpace:
         basis = null.basis
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         assert np.linalg.norm(system.matrix @ basis) <= 1e-12
+
+
+class TestGramFastPath:
+    DIFFERENTIAL_HAAR = [
+        (4, 2, "A=1;B=2;C=3;D=4"),
+        (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
+        (4, 3, "A=1;B=2;C=3;D=4"),
+    ]
+
+    @staticmethod
+    def _both_verdicts(monkeypatch, psi, spec):
+        """The verdict as decided, the verdict from the exact SVD alone, and
+        how many times the first fell back to the SVD."""
+        with monkeypatch.context() as patch:
+            calls = spy_on_exact_path(patch)
+            fast = certify_udp(psi, spec)
+        with monkeypatch.context() as patch:
+            # lambda_min never exceeds lambda_max: always the exact SVD
+            patch.setattr(certify_module, "GRAM_MIN_RATIO", 1.0)
+            exact = certify_udp(psi, spec)
+        return fast, exact, len(calls)
+
+    @pytest.mark.parametrize("n, d, blocks", DIFFERENTIAL_HAAR)
+    def test_haar_fast_and_exact_agree(self, monkeypatch, n, d, blocks):
+        spec = CrossCutSpec.parse(blocks, n)
+        structure = PartyStructure.uniform(n, d)
+        for seed in range(200, 206):
+            psi = sample_haar_state(structure, seed)
+            fast, exact, fallbacks = self._both_verdicts(monkeypatch, psi, spec)
+            assert (fast.status, fast.null_dim) == (exact.status, exact.null_dim)
+            assert fallbacks == 0  # generic margins are wide
+
+    @pytest.mark.parametrize("make_state", [
+        lambda: ghz_state(6),
+        lambda: ghz_state(6, 2, 0.6, 0.8),
+        lambda: PureState.basis_state(SIX_QUBIT_STRUCTURE, (0,) * 6),
+        # maximally entangled across AB|CD: fully degenerate spectrum
+        lambda: PureState(SIX_QUBIT_STRUCTURE,
+                          np.eye(8).ravel().astype(complex) / math.sqrt(8)),
+    ], ids=["ghz", "lopsided-ghz", "product", "degenerate"])
+    def test_special_states_fast_and_exact_agree(self, monkeypatch, make_state):
+        fast, exact, _ = self._both_verdicts(monkeypatch, make_state(),
+                                             SIX_QUBIT_SPEC)
+        assert (fast.status, fast.null_dim) == (exact.status, exact.null_dim)
+
+    def test_ghz_gram_vanishes_and_takes_exact_path(self, monkeypatch):
+        psi = ghz_state(6, 2, 0.6, 0.8)
+        dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
+        system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
+        assert np.all(system.gram == 0.0)
+        calls = spy_on_exact_path(monkeypatch)
+        assert decide_null_space(system).null_dim == 2
+        assert calls == [SVD_TOL]
+
+    def test_fast_path_singular_values_match_svd(self):
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 13)
+        fast = decide_null_space(system)
+        exact = _svd_null_space(system.matrix, SVD_TOL)
+        assert fast.basis is None and fast.null_dim == 0
+        np.testing.assert_allclose(fast.singular_values, exact.singular_values,
+                                   atol=1e-7 * exact.singular_values[0])
+
+    def test_margin_straddle_falls_back_to_exact(self, monkeypatch):
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 17)
+        s = np.linalg.svd(system.matrix, compute_uv=False)
+        ratio = s[-1] / s[0]
+        calls = spy_on_exact_path(monkeypatch)
+        results = {}
+        for factor in (0.9, 1.1):
+            tol = factor * ratio
+            results[factor] = decide_null_space(system, svd_tol=tol)
+            assert results[factor].null_dim == \
+                _svd_null_space(system.matrix, tol).null_dim
+        assert calls == [0.9 * ratio, 1.1 * ratio]
+        assert results[0.9].null_dim == 0
+        assert results[1.1].null_dim >= 1
+
+    @pytest.mark.parametrize("svd_tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_takes_exact_path(self, monkeypatch, svd_tol):
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 19)
+        calls = spy_on_exact_path(monkeypatch)
+        decide_null_space(system, svd_tol=svd_tol)
+        assert len(calls) == 1
+
+    def test_wide_exact_path_returns_complete_null_basis(self):
+        # 4 real equations in 12 unknowns: the thin SVD would miss null vectors
+        system = haar_system(4, 2, "A=1;B=2;C=3;D=4", 23)
+        rows = system.matrix[:4]
+        result = _svd_null_space(rows, SVD_TOL)
+        assert result.null_dim == 12 - np.linalg.matrix_rank(rows)
+        assert result.basis.shape == (12, result.null_dim)
+        np.testing.assert_allclose(result.basis.T @ result.basis,
+                                   np.eye(result.null_dim), atol=1e-12)
+        assert np.linalg.norm(rows @ result.basis) <= 1e-12
+
+    def test_ten_qubit_verdict_memory_bound(self):
+        spec = CrossCutSpec.parse("A=1,2;B=3,4,5;C=6,7;D=8,9,10", 10)
+        psi = sample_haar_state(PartyStructure.uniform(10, 2), 3)
+        tracemalloc.start()
+        try:
+            verdict = certify_udp(psi, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
+        assert peak < 72e6
 
 
 class TestCertify:

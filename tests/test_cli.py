@@ -84,6 +84,26 @@ class TestCertifyCommand:
                                "--blocks", "A=1;B=1;C=2;D=3,4,5,6")
         assert code == 1 and "disjoint" in err
 
+    @pytest.mark.parametrize("flag", ["--svd-tol", "--deck-tol", "--gap-tol"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_invalid_tolerance_is_domain_error(self, capsys, haar6_file,
+                                               flag, value):
+        code, out, err = run_cli(capsys, "certify", haar6_file,
+                                 "--blocks", "A=1,2;B=3;C=4;D=5,6",
+                                 f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert "outside (0, 1e-2)" in err
+
+    def test_empty_inner_block_spec(self, capsys, tmp_path):
+        path = tmp_path / "haar4.json"
+        save_state(sample_haar_state(PartyStructure.uniform(4, 2), 3), path)
+        code, out, _ = run_cli(capsys, "certify", str(path),
+                               "--blocks", "A=1;B=2;C=;D=3,4", "--json")
+        assert code == 0
+        counts = json.loads(out)["equation_counts"]
+        assert (counts["ac"], counts["bd"]) == (0, 15)
+
 
 class TestDeckCommand:
     def test_diff_identical_states(self, capsys, ghz6_file):
