@@ -23,14 +23,15 @@ from .schmidt import (GenericityReport, SchmidtDecomposition,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .certify import (CrossCutMatrices, CrossCutSpec, GammaSystem,
                       NullSpaceResult, OverlapDependenceReport, UdpStatus,
-                      UdpVerdict, assemble_gamma_system, build_cross_matrices,
-                      certify_udp, decide_null_space, expected_equation_counts,
-                      verify_overlap_dependences)
+                      UdpVerdict, WitnessCheck, assemble_gamma_system,
+                      build_cross_matrices, certify_udp, decide_null_space,
+                      expected_equation_counts, verify_overlap_dependences,
+                      verify_twin)
 from .hypergraph import (DeckHypergraph, NecessaryCheck, UnionFind,
                          counterexample_from_disconnection, is_connected,
                          marginal_number_lower_bound, udp_necessary_check)
 from .arrays import (OA_9_4_3_2, GeneralizedQoaState, OaCheck, OrthogonalArray,
-                     PackingArray, WitnessCheck, format_array_text,
+                     PackingArray, format_array_text,
                      greedy_packing_array, non_udp_witness, parse_array_text,
                      qoa_state, verify_oa, verify_pa)
 from .experiments import (CountingTable, ExperimentConfig, ExperimentReport,

@@ -15,11 +15,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .marginals import MarginalFamily, compute_deck, deck_distance
-from .states import PartyStructure, PureState, fidelity_up_to_phase
+from .certify import WitnessCheck, verify_twin
+from .marginals import DECK_TOL, MarginalFamily, compute_deck
+from .states import PartyStructure, PureState
 
-DECK_TOL = 1e-10
-DISTINCT_TOL = 1e-6
 # Amplitudes this small (after normalization) void the all-nonzero hypothesis.
 AMP_FLOOR = 1e-12
 
@@ -88,7 +87,7 @@ def verify_pa(rows, levels: int, strength: int) -> bool:
 @dataclass(frozen=True)
 class OrthogonalArray:
     """r x N array over {0..d-1}: every strength-subset of columns sees each
-    tuple exactly index_lambda times.  Verified on construction by default."""
+    tuple exactly index_lambda times.  Verified by `from_rows`."""
 
     rows: np.ndarray
     levels: int
@@ -101,19 +100,14 @@ class OrthogonalArray:
         object.__setattr__(self, "rows", mat)
 
     @classmethod
-    def from_rows(cls, rows, levels: int, strength: int,
-                  *, verify: bool = True) -> "OrthogonalArray":
+    def from_rows(cls, rows, levels: int, strength: int) -> "OrthogonalArray":
         mat = _as_row_matrix(rows, levels)
-        if verify:
-            check = verify_oa(mat, levels, strength)
-            if not check.is_oa:
-                raise ValueError(
-                    f"rows do not form an orthogonal array of strength {strength}"
-                )
-            lam = check.index_lambda
-        else:
-            lam = mat.shape[0] // levels ** strength
-        return cls(mat, levels, strength, lam)
+        check = verify_oa(mat, levels, strength)
+        if not check.is_oa:
+            raise ValueError(
+                f"rows do not form an orthogonal array of strength {strength}"
+            )
+        return cls(mat, levels, strength, check.index_lambda)
 
     @property
     def num_rows(self) -> int:
@@ -143,15 +137,14 @@ class PackingArray:
         object.__setattr__(self, "rows", mat)
 
     @classmethod
-    def from_rows(cls, rows, levels: int, strength: int,
-                  *, verify: bool = True) -> "PackingArray":
+    def from_rows(cls, rows, levels: int, strength: int) -> "PackingArray":
         mat = _as_row_matrix(rows, levels)
         r = mat.shape[0]
         if r < 2 or r > levels ** strength:
             raise ValueError(
                 f"packing array needs 2 <= r <= {levels ** strength}, got r={r}"
             )
-        if verify and not verify_pa(mat, levels, strength):
+        if not verify_pa(mat, levels, strength):
             raise ValueError(
                 f"rows do not form a packing array of strength {strength}"
             )
@@ -214,8 +207,7 @@ def _rows_to_state(array, amplitudes: np.ndarray) -> PureState:
     return PureState.from_amplitudes(structure, vec, normalize=True)
 
 
-def qoa_state(array, amplitudes=None, *,
-              amp_floor: float = AMP_FLOOR) -> GeneralizedQoaState:
+def qoa_state(array, amplitudes=None) -> GeneralizedQoaState:
     """State sum_i a_i |row_i> from an array; uniform amplitudes by default.
 
     For an index-1 orthogonal array with uniform amplitudes, every
@@ -234,25 +226,16 @@ def qoa_state(array, amplitudes=None, *,
     if nrm == 0.0:
         raise ValueError("amplitude vector is zero")
     amps = amps / nrm
-    if np.min(np.abs(amps)) <= amp_floor:
+    if np.min(np.abs(amps)) <= AMP_FLOOR:
         raise ValueError(
-            f"all amplitudes must exceed {amp_floor} in modulus after normalization"
+            f"all amplitudes must exceed {AMP_FLOOR} in modulus after normalization"
         )
     amps.setflags(write=False)
     return GeneralizedQoaState(array, amps, _rows_to_state(array, amps))
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
-    witness: PureState
-    verified: bool
-    deck_distance: float
-    fidelity: float
-
-
 def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
                     deck_tol: float = DECK_TOL,
-                    distinct_tol: float = DISTINCT_TOL,
                     allow_large_strength: bool = False) -> WitnessCheck:
     """Phase-twist the row amplitudes and verify the complete (N-k)-deck match.
 
@@ -286,11 +269,8 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
     # k == n leaves nothing to trace onto: the 0-deck is empty and trivially shared
     family = (MarginalFamily(n, ()) if k == n
               else MarginalFamily.complete(n, n - k))
-    dist = deck_distance(compute_deck(gstate.state, family),
-                         compute_deck(twisted, family))
-    fid = fidelity_up_to_phase(gstate.state, twisted)
-    verified = dist <= deck_tol and fid < 1.0 - distinct_tol
-    return WitnessCheck(twisted, verified, dist, fid)
+    return verify_twin(compute_deck(gstate.state, family), gstate.state,
+                       twisted, deck_tol=deck_tol)
 
 
 def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
@@ -309,8 +289,7 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
         raise ValueError("candidate space too large for the greedy builder")
     order = np.arange(total)
     if seed is not None:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        order = rng.permutation(total)
+        order = np.random.default_rng(seed).permutation(total)
     col_subsets = list(combinations(range(num_cols), strength))
     used = {cols: set() for cols in col_subsets}
     structure = PartyStructure.uniform(num_cols, levels)
@@ -333,7 +312,7 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
 # written either as contiguous digits (levels <= 10) or whitespace separated.
 # ---------------------------------------------------------------------------
 
-def parse_array_text(text: str, *, verify: bool = True):
+def parse_array_text(text: str):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()
              and not ln.strip().startswith("#")]
     if not lines:
@@ -357,8 +336,8 @@ def parse_array_text(text: str, *, verify: bool = True):
         rows.append(row)
     mat = np.array(rows, dtype=int)
     if kind == "OA":
-        return OrthogonalArray.from_rows(mat, levels, strength, verify=verify)
-    return PackingArray.from_rows(mat, levels, strength, verify=verify)
+        return OrthogonalArray.from_rows(mat, levels, strength)
+    return PackingArray.from_rows(mat, levels, strength)
 
 
 def format_array_text(array) -> str:

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .marginals import MarginalFamily, compute_deck, deck_distance
-from .schmidt import (GAP_TOL, RANK_TOL, GenericityReport, SchmidtDecomposition,
+from .marginals import DECK_TOL, Deck, MarginalFamily, compute_deck, deck_distance
+from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .states import (PartyStructure, PureState, check_subset,
                      fidelity_up_to_phase)
@@ -36,7 +36,6 @@ SVD_TOL = 1e-9
 # null space without the SVD (a singular-value ratio of 1e-4); see
 # `decide_null_space`.
 GRAM_MIN_RATIO = 1e-8
-DECK_TOL = 1e-9
 # A candidate second state must have fidelity-up-to-phase below 1 - DISTINCT_TOL
 # with the input to count as a genuine counterexample.
 DISTINCT_TOL = 1e-6
@@ -336,8 +335,7 @@ def _source_factors(outer: np.ndarray, inner: np.ndarray,
     return factors
 
 
-def assemble_gamma_system(matrices: CrossCutMatrices,
-                          spec: CrossCutSpec | None = None) -> GammaSystem:
+def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
     """Harvest the entry equations of the two secondary-cut marginal matches.
 
     For each off-diagonal block (a, b), a < b, of the Kronecker products
@@ -346,10 +344,6 @@ def assemble_gamma_system(matrices: CrossCutMatrices,
     overlap operators are traceless, so one of them is redundant.  A block
     of dimension one has no entry left and contributes no equation.
     """
-    if spec is None:
-        spec = matrices.spec
-    elif spec != matrices.spec:
-        raise ValueError("spec does not match the one the matrices were built for")
     pairs = tuple(combinations(range(matrices.rank), 2))
     ii, jj = np.triu_indices(matrices.rank, 1)
     factors = (_source_factors(matrices.q, matrices.p, ii, jj),
@@ -470,26 +464,55 @@ def _gamma_vector(phases: np.ndarray, lambdas: np.ndarray,
     return gamma
 
 
-def _phase_candidates(rank: int, rng: np.random.Generator,
-                      *, max_enumerated: int = 12, n_random: int = 64):
-    """Sign patterns first (phases in {0, pi}), then random phase vectors."""
-    if rank <= max_enumerated:
+def _phase_candidates(rank: int, rng: np.random.Generator):
+    """Sign patterns (phases in {0, pi}) up to rank 12, then 64 random
+    phase vectors."""
+    if rank <= 12:
         for bits in product((0.0, math.pi), repeat=rank - 1):
             phases = np.array((0.0,) + bits)
             if not np.any(phases):
                 continue
             yield phases
-    for _ in range(n_random):
+    for _ in range(64):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=rank)
         phases[0] = 0.0
         yield phases
 
 
+@dataclass(frozen=True)
+class WitnessCheck:
+    """A candidate second state and the evidence for or against it."""
+
+    witness: PureState
+    verified: bool
+    deck_distance: float
+    fidelity: float
+
+
+def verify_twin(reference: Deck, state: PureState, twin: PureState, *,
+                deck_tol: float = DECK_TOL) -> WitnessCheck:
+    """Check `twin` as a second pure state sharing the deck of `state`.
+
+    `reference` is the deck of `state`; the twin's deck is taken over the
+    same family.  The twin is verified exactly when its deck distance to
+    `reference` is at most `deck_tol` and its fidelity up to phase with
+    `state` is below 1 - DISTINCT_TOL, i.e. it shares the deck and differs
+    from `state` beyond a global phase.
+    """
+    dist = deck_distance(reference, compute_deck(twin, reference.family))
+    fid = fidelity_up_to_phase(state, twin)
+    return WitnessCheck(twin, dist <= deck_tol and fid < 1.0 - DISTINCT_TOL,
+                        dist, fid)
+
+
 def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
-                          distinct_tol, seed, residual_tol=1e-7,
-                          max_verifications=16):
+                          seed) -> WitnessCheck | None:
     """Look for phases whose gamma image lies in the null space and whose
-    twisted state verifiably shares the requested deck."""
+    twisted state verifiably shares the requested deck.
+
+    Candidates off the null space by a relative residual above 1e-7 are
+    dropped; at most 16 of the rest are verified, closest first.
+    """
     lambdas = dec.lambdas
     rng = np.random.default_rng(seed)
     basis = null.basis
@@ -506,27 +529,24 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
             continue
         else:
             residual = float(np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
-        if residual > residual_tol:
+        if residual > 1e-7:
             continue
         predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
         candidates.append((residual, predicted_fid, phases))
     candidates.sort(key=lambda item: (item[0], item[1]))
     reference = compute_deck(state, family)
-    for residual, _, phases in candidates[:max_verifications]:
-        twisted = phase_twist(dec, phases)
-        dist = deck_distance(reference, compute_deck(twisted, family))
-        fid = fidelity_up_to_phase(state, twisted)
-        if dist <= deck_tol and fid < 1.0 - distinct_tol:
-            return twisted, dist, fid
+    for _, _, phases in candidates[:16]:
+        check = verify_twin(reference, state, phase_twist(dec, phases),
+                            deck_tol=deck_tol)
+        if check.verified:
+            return check
     return None
 
 
 def certify_udp(state: PureState, spec: CrossCutSpec,
                 family: MarginalFamily | None = None, *,
                 svd_tol: float = SVD_TOL, deck_tol: float = DECK_TOL,
-                gap_tol: float = GAP_TOL, rank_tol: float = RANK_TOL,
-                distinct_tol: float = DISTINCT_TOL,
-                seed: int = 0) -> UdpVerdict:
+                gap_tol: float = GAP_TOL, seed: int = 0) -> UdpVerdict:
     """Three-valued uniqueness verdict for `state` under a cross-cut spec.
 
     `family` is the marginal family any emitted witness is verified against;
@@ -536,7 +556,7 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
         raise ValueError("spec covers a different number of parties")
     if family is None:
         family = spec.verification_family()
-    dec = schmidt_decompose(state, spec.ab, rank_tol=rank_tol)
+    dec = schmidt_decompose(state, spec.ab)
     genericity = classify_genericity(dec, gap_tol=gap_tol)
     matrices = build_cross_matrices(dec, spec)
     system = assemble_gamma_system(matrices)
@@ -563,16 +583,15 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
         return UdpVerdict(status, null.null_dim, genericity, counts,
                           notes=tuple(notes))
     found = _search_phase_witness(state, dec, system, null, family,
-                                  deck_tol=deck_tol, distinct_tol=distinct_tol,
-                                  seed=seed)
+                                  deck_tol=deck_tol, seed=seed)
     if found is None:
         notes.append("nontrivial null space but no verified phase witness found")
         return UdpVerdict(UdpStatus.INCONCLUSIVE, null.null_dim, genericity,
                           counts, notes=tuple(notes))
-    witness, dist, fid = found
     return UdpVerdict(UdpStatus.NOT_UDP_WITNESSED, null.null_dim, genericity,
-                      counts, witness=witness, witness_deck_distance=dist,
-                      witness_fidelity=fid, notes=tuple(notes))
+                      counts, witness=found.witness,
+                      witness_deck_distance=found.deck_distance,
+                      witness_fidelity=found.fidelity, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +634,7 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
     entry_count = da * da + db * db + dc * dc + dd * dd
     if trials < entry_count:
         raise ValueError(f"need at least {entry_count} trials, got {trials}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     rows = np.empty((trials, entry_count), dtype=complex)
     for t in range(trials):
         u1, u2 = _haar_orthonormal_pair(da * db, rng)

@@ -100,6 +100,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_deck(args) -> int:
+    tol = Tolerances(deck_tol=args.tol).deck_tol
     state_a = load_state(args.state_a)
     if args.action == "export":
         family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
@@ -114,18 +115,19 @@ def _cmd_deck(args) -> int:
     family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
     dist = deck_distance(compute_deck(state_a, family),
                          compute_deck(state_b, family))
-    equal = dist <= args.tol
-    _emit({"distance": dist, "equal": equal, "tol": args.tol}, args.json,
+    equal = dist <= tol
+    _emit({"distance": dist, "equal": equal, "tol": tol}, args.json,
           human=f"deck distance {dist:.3e} "
-                f"({'equal' if equal else 'different'} at tol {args.tol:g})")
+                f"({'equal' if equal else 'different'} at tol {tol:g})")
     return 0
 
 
 def _cmd_schmidt(args) -> int:
+    tol = Tolerances(gap_tol=args.gap_tol)
     state = load_state(args.state)
     cut = tuple(int(p) for p in args.cut.split(","))
     dec = schmidt_decompose(state, cut)
-    report = classify_genericity(dec, gap_tol=args.gap_tol)
+    report = classify_genericity(dec, gap_tol=tol.gap_tol)
     data = {
         "cut": list(dec.left_parties),
         "complement": list(dec.right_parties),
@@ -159,6 +161,7 @@ def _cmd_hypergraph(args) -> int:
 
 
 def _cmd_oa(args) -> int:
+    tol = Tolerances(deck_tol=args.deck_tol)
     text = Path(args.file).read_text()
     if args.action == "verify":
         array = parse_array_text(text)  # raises on violated properties
@@ -194,7 +197,7 @@ def _cmd_oa(args) -> int:
         json.loads(args.phases) if args.phases else None
     if phases is None:
         raise ValueError("pass --flip ROW (1-based) or --phases '[...]'")
-    result = non_udp_witness(gstate, phases, deck_tol=args.deck_tol)
+    result = non_udp_witness(gstate, phases, deck_tol=tol.deck_tol)
     data = {"verified": result.verified, "deck_distance": result.deck_distance,
             "fidelity": result.fidelity,
             "witness": state_to_json_dict(result.witness)}
@@ -237,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether pure states are uniquely determined by "
                     "families of their reduced density matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = Tolerances()
 
     def add_common(p):
         p.add_argument("--json", action="store_true",
@@ -248,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="block spec, e.g. 'A=1,2;B=3;C=4;D=5,6'")
     p.add_argument("--family", default=None,
                    help="witness verification family: 'k=<int>' or '1,2;3,4;...'")
-    p.add_argument("--svd-tol", type=float, default=1e-9)
-    p.add_argument("--deck-tol", type=float, default=1e-9)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
+    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
+    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write any witness state here")
     add_common(p)
@@ -265,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config file mirroring the experiment settings; "
                         "--trials/--seed/--out override it")
-    p.add_argument("--svd-tol", type=float, default=1e-9)
-    p.add_argument("--deck-tol", type=float, default=1e-9)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
+    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
+    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
     p.add_argument("--out", default=None, help="write the JSON report here")
     add_common(p)
     p.set_defaults(func=_cmd_experiment)
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_b", nargs="?", default=None)
     p.add_argument("--family", required=True,
                    help="'k=<int>' for the complete k-deck or '1,2,3;4,5,6'")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=defaults.deck_tol)
     p.add_argument("--out", default=None)
     add_common(p)
     p.set_defaults(func=_cmd_deck)
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schmidt", help="spectrum and genericity along a cut")
     p.add_argument("state")
     p.add_argument("--cut", required=True, help="left side, e.g. '1,2,3'")
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
     p.set_defaults(func=_cmd_schmidt)
 
     p = sub.add_parser("hypergraph",
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip", type=int, default=None,
                    help="1-based row whose amplitude is negated")
     p.add_argument("--phases", default=None, help="JSON list of row phases")
-    p.add_argument("--deck-tol", type=float, default=1e-10)
+    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
     p.add_argument("--out", default=None)
     add_common(p)
     p.set_defaults(func=_cmd_oa)

@@ -5,31 +5,33 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .certify import CrossCutSpec, UdpStatus, certify_udp, expected_equation_counts
+from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, certify_udp,
+                      expected_equation_counts)
+from .marginals import DECK_TOL
+from .schmidt import GAP_TOL
 from .states import PartyStructure, sample_haar_state
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm_tol: float = 1e-12
-    gap_tol: float = 1e-8
-    svd_tol: float = 1e-9
-    deck_tol: float = 1e-9
+    """The settable tolerances of a certification, each in (0, 1e-2)."""
+
+    gap_tol: float = GAP_TOL
+    svd_tol: float = SVD_TOL
+    deck_tol: float = DECK_TOL
 
     def __post_init__(self):
-        for name in ("norm_tol", "gap_tol", "svd_tol", "deck_tol"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if not 0.0 < value < 1e-2:
                 raise ValueError(f"{name}={value} outside (0, 1e-2)")
 
     def to_dict(self) -> dict:
-        return {"norm_tol": self.norm_tol, "gap_tol": self.gap_tol,
-                "svd_tol": self.svd_tol, "deck_tol": self.deck_tol}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import MarginalFamily, compute_deck, deck_distance
+from .certify import verify_twin
+from .marginals import MarginalFamily, compute_deck
 from .schmidt import schmidt_decompose, phase_twist
-from .states import PureState, fidelity_up_to_phase
-
-DECK_TOL = 1e-9
-DISTINCT_TOL = 1e-6
+from .states import PureState
 
 
 class UnionFind:
@@ -144,10 +142,7 @@ def _balanced_sign_phases(lambdas: np.ndarray) -> np.ndarray:
 
 
 def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
-                                      *, deck_tol: float = DECK_TOL,
-                                      distinct_tol: float = DISTINCT_TOL,
-                                      rank_tol: float = 1e-10,
-                                      seed: int = 0) -> PureState | None:
+                                      *, seed: int = 0) -> PureState | None:
     """A distinct state with the same deck, built from a separating cut.
 
     Requires a disconnected family.  Every edge lies inside one connected
@@ -171,7 +166,7 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
         for b in range(1, len(parts)):
             if mask & (1 << (b - 1)):
                 left.extend(parts[b])
-        dec = schmidt_decompose(state, sorted(left), rank_tol=rank_tol)
+        dec = schmidt_decompose(state, sorted(left))
         if dec.rank < 2:
             continue
         attempts = [_balanced_sign_phases(dec.lambdas)]
@@ -180,9 +175,7 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
             phases[0] = 0.0
             attempts.append(phases)
         for phases in attempts:
-            twisted = phase_twist(dec, phases)
-            dist = deck_distance(reference, compute_deck(twisted, family))
-            if dist <= deck_tol and \
-                    fidelity_up_to_phase(state, twisted) < 1.0 - distinct_tol:
-                return twisted
+            check = verify_twin(reference, state, phase_twist(dec, phases))
+            if check.verified:
+                return check.witness
     return None

@@ -144,22 +144,19 @@ class GenericityReport:
         return self.full_rank and self.distinct_spectrum
 
 
-def classify_genericity(dec: SchmidtDecomposition, ambient_rank: int | None = None,
-                        *, gap_tol: float = GAP_TOL) -> GenericityReport:
+def classify_genericity(dec: SchmidtDecomposition, *,
+                        gap_tol: float = GAP_TOL) -> GenericityReport:
     """Full-rank / distinct-spectrum report for a decomposition.
 
-    `ambient_rank` defaults to min(dim_left, dim_right), the largest rank the
-    cut admits.
+    Full rank means min(dim_left, dim_right), the largest rank the cut admits.
     """
-    if ambient_rank is None:
-        ambient_rank = min(dec.dim_left, dec.dim_right)
     lambdas = dec.lambdas
     if dec.rank >= 2:
         min_gap = float(np.min(np.abs(np.diff(lambdas))))
     else:
         min_gap = math.inf
     return GenericityReport(
-        full_rank=dec.rank == ambient_rank,
+        full_rank=dec.rank == min(dec.dim_left, dec.dim_right),
         distinct_spectrum=min_gap > gap_tol,
         min_gap=min_gap,
         rank=dec.rank,

@@ -204,7 +204,7 @@ def sample_haar_state(structure: PartyStructure, seed) -> PureState:
     `seed` may be an integer or a numpy Generator; a fixed integer seed gives
     a reproducible state.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dim = structure.total_dim
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.from_amplitudes(structure, vec, normalize=True)
@@ -267,10 +267,10 @@ class Marginal:
 # Basis strings not listed carry amplitude zero.
 # ---------------------------------------------------------------------------
 
-def state_to_json_dict(state: PureState, *, drop_zeros: bool = True) -> dict:
+def state_to_json_dict(state: PureState) -> dict:
     entries = []
     for idx, amp in enumerate(state.amplitudes):
-        if drop_zeros and amp == 0:
+        if amp == 0:
             continue
         entries.append({
             "basis": state.structure.basis_label(idx),
@@ -329,6 +329,6 @@ def load_state(source, *, normalize: bool | None = None) -> PureState:
     return state_from_json_dict(data, normalize=normalize)
 
 
-def save_state(state: PureState, path, *, drop_zeros: bool = True) -> None:
-    Path(path).write_text(json.dumps(state_to_json_dict(state, drop_zeros=drop_zeros),
-                                     indent=2, sort_keys=True))
+def save_state(state: PureState, path) -> None:
+    Path(path).write_text(json.dumps(state_to_json_dict(state), indent=2,
+                                     sort_keys=True))

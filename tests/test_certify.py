@@ -13,8 +13,9 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       compute_deck, deck_distance, decide_null_space,
                       expected_equation_counts, fidelity_up_to_phase,
                       ghz_state, sample_haar_state, schmidt_decompose,
-                      verify_overlap_dependences)
-from puredeck.certify import SVD_TOL, _haar_orthonormal_pair, _svd_null_space
+                      verify_overlap_dependences, verify_twin)
+from puredeck.certify import (DISTINCT_TOL, SVD_TOL, _haar_orthonormal_pair,
+                              _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -439,6 +440,44 @@ class TestCertify:
             UdpVerdict(UdpStatus.CERTIFIED_UDP, 0, degenerate, {})
         with pytest.raises(ValueError):
             UdpVerdict(UdpStatus.NOT_UDP_WITNESSED, 1, generic, {})
+
+
+class TestVerifyTwin:
+    FAMILY = MarginalFamily.complete(6, 3)
+    PSI = ghz_state(6, 2, 0.6, 0.8)
+
+    def check(self, twin):
+        return verify_twin(compute_deck(self.PSI, self.FAMILY), self.PSI, twin)
+
+    def test_accepts_lopsided_ghz_phase_twin(self):
+        check = self.check(ghz_state(6, 2, 0.6, -0.8))
+        assert check.verified
+        assert check.deck_distance <= 1e-9
+        assert check.fidelity == pytest.approx(0.28, abs=1e-12)
+
+    def test_rejects_global_phase(self):
+        twin = PureState(self.PSI.structure, np.exp(0.3j) * self.PSI.amplitudes)
+        check = self.check(twin)
+        assert check.deck_distance <= 1e-9
+        assert check.fidelity >= 1 - DISTINCT_TOL
+        assert not check.verified
+
+    def test_rejects_deck_mismatch(self):
+        check = self.check(sample_haar_state(SIX_QUBIT_STRUCTURE, 4))
+        assert check.deck_distance > 1e-3
+        assert check.fidelity < 1 - DISTINCT_TOL
+        assert not check.verified
+
+    @pytest.mark.parametrize("twin", [
+        ghz_state(6, 2, 0.6, -0.8),
+        sample_haar_state(SIX_QUBIT_STRUCTURE, 4),
+    ], ids=["twin", "haar"])
+    def test_evidence_matches_direct_computation(self, twin):
+        check = self.check(twin)
+        assert check.witness is twin
+        assert check.deck_distance == deck_distance(
+            compute_deck(self.PSI, self.FAMILY), compute_deck(twin, self.FAMILY))
+        assert check.fidelity == fidelity_up_to_phase(self.PSI, twin)
 
 
 class TestOverlapDependences:

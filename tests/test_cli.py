@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from puredeck import ghz_state, sample_haar_state, save_state
-from puredeck.cli import main
+from puredeck.certify import SVD_TOL
+from puredeck.cli import build_parser, main
+from puredeck.experiments import Tolerances
+from puredeck.marginals import DECK_TOL
+from puredeck.schmidt import GAP_TOL
 from puredeck.states import PartyStructure
 
 OA_TEXT = "OA 9 4 3 2\n0000\n0111\n0222\n1021\n1102\n1210\n2012\n2120\n2201\n"
@@ -84,16 +89,47 @@ class TestCertifyCommand:
                                "--blocks", "A=1;B=1;C=2;D=3,4,5,6")
         assert code == 1 and "disjoint" in err
 
-    @pytest.mark.parametrize("flag", ["--svd-tol", "--deck-tol", "--gap-tol"])
+    @pytest.mark.parametrize("command,flag", [
+        ("certify", "--svd-tol"), ("certify", "--deck-tol"),
+        ("certify", "--gap-tol"), ("schmidt", "--gap-tol"),
+        ("deck", "--tol"), ("oa", "--deck-tol"),
+    ], ids=["--svd-tol", "--deck-tol", "--gap-tol", "schmidt--gap-tol",
+            "deck--tol", "oa--deck-tol"])
     @pytest.mark.parametrize("value", ["nan", "-1", "0"])
     def test_invalid_tolerance_is_domain_error(self, capsys, haar6_file,
-                                               flag, value):
-        code, out, err = run_cli(capsys, "certify", haar6_file,
-                                 "--blocks", "A=1,2;B=3;C=4;D=5,6",
-                                 f"{flag}={value}")
+                                               oa_file, command, flag, value):
+        argv = {
+            "certify": ["certify", haar6_file, "--blocks", "A=1,2;B=3;C=4;D=5,6"],
+            "schmidt": ["schmidt", haar6_file, "--cut", "1,2"],
+            "deck": ["deck", "diff", haar6_file, haar6_file, "--family", "k=2"],
+            "oa": ["oa", "witness", oa_file, "--flip", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
         assert code == 1
         assert out == ""
         assert "outside (0, 1e-2)" in err
+
+    def test_tolerance_defaults_come_from_constants(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        defaults = Tolerances()
+        expected = {"svd_tol": SVD_TOL, "deck_tol": DECK_TOL,
+                    "gap_tol": GAP_TOL, "tol": DECK_TOL}
+        seen = set()
+        for command, sub in subparsers.items():
+            for action in sub._actions:
+                if action.dest in expected:
+                    assert action.default == expected[action.dest], (command,
+                                                                     action.dest)
+                    field = "deck_tol" if action.dest == "tol" else action.dest
+                    assert action.default == getattr(defaults, field)
+                    seen.add((command, action.dest))
+        assert seen == {("certify", "svd_tol"), ("certify", "deck_tol"),
+                        ("certify", "gap_tol"), ("experiment", "svd_tol"),
+                        ("experiment", "deck_tol"), ("experiment", "gap_tol"),
+                        ("deck", "tol"), ("schmidt", "gap_tol"),
+                        ("oa", "deck_tol")}
 
     def test_empty_inner_block_spec(self, capsys, tmp_path):
         path = tmp_path / "haar4.json"

@@ -9,6 +9,9 @@ import pytest
 from puredeck import (CrossCutSpec, ExperimentConfig, Tolerances,
                       check_counting_table, equations_for_split,
                       run_experiment, worst_case_surplus_closed_form)
+from puredeck.certify import SVD_TOL
+from puredeck.marginals import DECK_TOL
+from puredeck.schmidt import GAP_TOL
 
 
 def direct_equation_count(n, d, a_size):
@@ -138,10 +141,20 @@ class TestExperiments:
 class TestTolerances:
     def test_defaults_valid(self):
         tol = Tolerances()
-        assert tol.svd_tol == 1e-9
+        assert (tol.svd_tol, tol.deck_tol, tol.gap_tol) == (SVD_TOL, DECK_TOL,
+                                                            GAP_TOL)
+        assert set(tol.to_dict()) == {"gap_tol", "svd_tol", "deck_tol"}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Tolerances(svd_tol=0.0)
         with pytest.raises(ValueError):
             Tolerances(deck_tol=0.5)
+
+    def test_unapplied_norm_tol_refused(self):
+        # the norm check is fixed (states.NORM_TOL); a config may not claim one
+        data = {"num_parties": 4, "local_dim": 2, "trials": 1,
+                "blocks": {"A": [1], "B": [2], "C": [3], "D": [4]},
+                "tolerances": {"norm_tol": 1e-12}}
+        with pytest.raises(ValueError, match="malformed"):
+            ExperimentConfig.from_dict(data)
