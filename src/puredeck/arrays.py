@@ -87,7 +87,7 @@ def verify_pa(rows, levels: int, strength: int) -> bool:
 @dataclass(frozen=True)
 class OrthogonalArray:
     """r x N array over {0..d-1}: every strength-subset of columns sees each
-    tuple exactly index_lambda times.  Verified by `from_rows`."""
+    tuple exactly index_lambda times.  Verified on construction."""
 
     rows: np.ndarray
     levels: int
@@ -96,18 +96,22 @@ class OrthogonalArray:
 
     def __post_init__(self):
         mat = _as_row_matrix(self.rows, self.levels)
+        check = verify_oa(mat, self.levels, self.strength)
+        if not check.is_oa:
+            raise ValueError(
+                f"rows do not form an orthogonal array of strength {self.strength}"
+            )
+        if check.index_lambda != self.index_lambda:
+            raise ValueError(f"rows form an orthogonal array of index "
+                             f"{check.index_lambda}, not {self.index_lambda}")
         mat.setflags(write=False)
         object.__setattr__(self, "rows", mat)
 
     @classmethod
     def from_rows(cls, rows, levels: int, strength: int) -> "OrthogonalArray":
+        """The array on `rows`, its index taken from the row count."""
         mat = _as_row_matrix(rows, levels)
-        check = verify_oa(mat, levels, strength)
-        if not check.is_oa:
-            raise ValueError(
-                f"rows do not form an orthogonal array of strength {strength}"
-            )
-        return cls(mat, levels, strength, check.index_lambda)
+        return cls(mat, levels, strength, mat.shape[0] // levels ** strength)
 
     @property
     def num_rows(self) -> int:
@@ -125,7 +129,8 @@ class OrthogonalArray:
 @dataclass(frozen=True)
 class PackingArray:
     """r x N array over {0..d-1} where every strength-subset of columns sees
-    each tuple at most once; 2 <= r <= d^strength."""
+    each tuple at most once; 2 <= r <= d^strength.  Verified on
+    construction."""
 
     rows: np.ndarray
     levels: int
@@ -133,22 +138,20 @@ class PackingArray:
 
     def __post_init__(self):
         mat = _as_row_matrix(self.rows, self.levels)
+        r = mat.shape[0]
+        if r < 2 or r > self.levels ** self.strength:
+            raise ValueError(f"packing array needs 2 <= r <= "
+                             f"{self.levels ** self.strength}, got r={r}")
+        if not verify_pa(mat, self.levels, self.strength):
+            raise ValueError(
+                f"rows do not form a packing array of strength {self.strength}"
+            )
         mat.setflags(write=False)
         object.__setattr__(self, "rows", mat)
 
     @classmethod
     def from_rows(cls, rows, levels: int, strength: int) -> "PackingArray":
-        mat = _as_row_matrix(rows, levels)
-        r = mat.shape[0]
-        if r < 2 or r > levels ** strength:
-            raise ValueError(
-                f"packing array needs 2 <= r <= {levels ** strength}, got r={r}"
-            )
-        if not verify_pa(mat, levels, strength):
-            raise ValueError(
-                f"rows do not form a packing array of strength {strength}"
-            )
-        return cls(mat, levels, strength)
+        return cls(rows, levels, strength)
 
     @property
     def num_rows(self) -> int:

@@ -32,9 +32,9 @@ from .states import (PartyStructure, PureState, check_subset,
 # Singular values below SVD_TOL times the largest count as zero when deciding
 # the rank of the assembled phase system.
 SVD_TOL = 1e-9
-# Smallest Gram eigenvalue ratio lambda_min / lambda_max that decides a trivial
-# null space without the SVD (a singular-value ratio of 1e-4); see
-# `decide_null_space`.
+# Smallest Gram eigenvalue ratio lambda_min / lambda_max that the shifted
+# Cholesky certifies to decide a trivial null space without the SVD (a
+# singular-value ratio of 1e-4); see `decide_null_space`.
 GRAM_MIN_RATIO = 1e-8
 # A candidate second state must have fidelity-up-to-phase below 1 - DISTINCT_TOL
 # with the input to count as a genuine counterexample.
@@ -291,12 +291,12 @@ class GammaSystem:
             vv += (o_v.conj().T @ o_v) * (i_v.conj().T @ i_v)
         # Re and Im parts of U^H V +- V^H U, using V^H U = (U^H V)^H
         uv_sym = uv.real + uv.real.T
-        uv_skew = uv.imag + uv.imag.T
         diag = uu.real + vv.real
+        cross = vv.imag - uu.imag + (uv.imag + uv.imag.T)  # Re A^H B
+        del uu, uv, vv  # freed before the Gram is allocated: they set the peak
         gram = np.empty((2 * n, 2 * n))
         gram[0::2, 0::2] = diag + uv_sym         # Re A^H A
         gram[1::2, 1::2] = diag - uv_sym         # Re B^H B
-        cross = vv.imag - uu.imag + uv_skew      # Re A^H B
         gram[0::2, 1::2] = cross
         gram[1::2, 0::2] = cross.T
         return gram
@@ -356,9 +356,10 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
 class NullSpaceResult:
     """Numerical null space of a phase system.
 
-    `singular_values` are in descending order.  When the Gram decides the
-    rank (a trivial null space with a wide margin) they are the square roots
-    of the Gram's eigenvalues, not the output of an SVD.
+    `singular_values` are the exact SVD's, in descending order.  When the
+    shifted Cholesky of the Gram decides the rank (a trivial null space
+    with sigma_min / sigma_max >= max(2 svd_tol, 1e-4), see
+    `decide_null_space`) no spectrum is computed and the array is empty.
     """
 
     null_dim: int
@@ -389,22 +390,26 @@ def decide_null_space(system: GammaSystem, *,
                       svd_tol: float = SVD_TOL) -> NullSpaceResult:
     """Numerical null space of the phase system by singular-value thresholding.
 
-    Fast path: the eigenvalues lambda of the Gram `system.gram` are the
-    squared singular values sigma^2 of `system.matrix`.  The null space is
-    declared trivial from them alone when lambda_min > tau * lambda_max with
-    tau = max(4 svd_tol^2, GRAM_MIN_RATIO), i.e. when the sigma ratio is at
-    least max(2 svd_tol, 1e-4).  Otherwise, for a wide system, or for a
-    non-finite `svd_tol`, the exact SVD of the dense matrix decides.
+    Fast path: one Cholesky factorization of the shifted Gram G - s I, with
+    G = `system.gram`, s = (tau + (n+1)^2 eps) ||G||_F, n the number of real
+    variables, eps the float64 machine epsilon and
+    tau = max(4 svd_tol^2, GRAM_MIN_RATIO).  If it succeeds the null space is
+    trivial; otherwise, for a zero Gram, a wide system, or a non-finite
+    `svd_tol`, the exact SVD of the dense matrix decides.
 
-    Why the fast path can only agree with the exact one: the factor Gram is
-    a sum of products accurate to about 1e-15 relative to lambda_max, and
-    eigvalsh is backward stable, so each computed eigenvalue is within
-    delta ~ 1e-13 lambda_max of the true sigma^2.  A fast-path decision thus
-    implies sigma_min^2 >= (tau - delta) sigma_max^2 > svd_tol^2 sigma_max^2
-    with a wide gap (tau >= 1e-8 >> delta, and tau >= 4 svd_tol^2), so the
-    exact SVD, itself accurate to about 1e-16 sigma_max, keeps every
-    singular value too.  Squaring the condition number is why the ratio
-    never goes below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
+    Why success certifies what the exact SVD would decide: by the backward
+    error of Cholesky (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), a factorization that completes is exact for
+    H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I;
+    so H + E is positive definite and lambda_min(G) > s - ||E||_2.  With
+    ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
+    with (n+1) eps ||G||_F to spare, more than the factor Gram's own
+    rounding (about 1e-15 ||G||).  As lambda_max <= ||G||_F, success proves
+    lambda_min > tau lambda_max, i.e. sigma_min >= sqrt(tau) sigma_max with
+    sqrt(tau) >= max(2 svd_tol, 1e-4), so the exact SVD, accurate to about
+    1e-16 sigma_max, keeps every singular value too.  Squaring the
+    condition number is why the ratio never goes below 1e-8: the Gram
+    cannot resolve svd_tol = 1e-9 itself.
     """
     n_cols = system.num_real_variables
     n_rows = 2 * system.num_complex_equations
@@ -413,10 +418,19 @@ def decide_null_space(system: GammaSystem, *,
     if n_rows == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
     if n_rows >= n_cols and math.isfinite(svd_tol):
-        lam = np.linalg.eigvalsh(system.gram)
-        tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
-        if lam[-1] > 0.0 and lam[0] > tau * lam[-1]:
-            return NullSpaceResult(0, None, np.sqrt(np.clip(lam[::-1], 0.0, None)))
+        gram = system.gram
+        norm = np.linalg.norm(gram)
+        if norm > 0.0:
+            tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
+            eps = np.finfo(float).eps
+            gram.flat[::n_cols + 1] -= (tau + (n_cols + 1) ** 2 * eps) * norm
+            try:
+                np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                return NullSpaceResult(0, None, np.zeros(0))
+        del gram  # not held through the dense SVD
     return _svd_null_space(system.matrix, svd_tol)
 
 

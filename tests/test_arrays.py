@@ -79,6 +79,15 @@ class TestVerifyOa:
         with pytest.raises(ValueError, match="orthogonal array"):
             OrthogonalArray.from_rows([(0, 0), (0, 1), (1, 0), (1, 0)], 2, 2)
 
+    def test_constructor_checks_stated_index(self):
+        with pytest.raises(ValueError, match="index 1, not 5"):
+            OrthogonalArray(OA_9_4_3_2, 3, 2, 5)
+        assert OrthogonalArray(OA_9_4_3_2, 3, 2, 1).index_lambda == 1
+
+    def test_constructor_checks_counting_property(self):
+        with pytest.raises(ValueError, match="orthogonal array"):
+            OrthogonalArray(((0, 0), (0, 0)), 2, 2, 1)
+
 
 class TestVerifyPa:
     def test_subset_of_index_one_rows(self):
@@ -96,6 +105,13 @@ class TestVerifyPa:
         with pytest.raises(ValueError, match="2 <= r"):
             PackingArray.from_rows([(i, j) for i in range(2) for j in range(2)]
                                    + [(0, 1)], 2, 2)
+
+    def test_constructor_checks_packing_property(self):
+        with pytest.raises(ValueError, match="packing array"):
+            PackingArray(((0, 0), (0, 0)), 2, 2)
+        with pytest.raises(ValueError, match="2 <= r"):
+            PackingArray(((0, 0),), 2, 2)
+        assert PackingArray(((0, 0), (0, 1)), 2, 2).num_rows == 2
 
 
 class TestQoaState:

@@ -14,8 +14,8 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       expected_equation_counts, fidelity_up_to_phase,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
-from puredeck.certify import (DISTINCT_TOL, SVD_TOL, _haar_orthonormal_pair,
-                              _svd_null_space)
+from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
+                              _haar_orthonormal_pair, _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -287,6 +287,14 @@ class TestGramFastPath:
             assert (fast.status, fast.null_dim) == (exact.status, exact.null_dim)
             assert fallbacks == 0  # generic margins are wide
 
+    def test_six_qutrit_fast_and_exact_agree(self, monkeypatch):
+        spec = CrossCutSpec.parse("A=1;B=2,3;C=4;D=5,6", 6)
+        psi = sample_haar_state(PartyStructure.uniform(6, 3), 207)
+        fast, exact, fallbacks = self._both_verdicts(monkeypatch, psi, spec)
+        assert (fast.status, fast.null_dim) == (exact.status, exact.null_dim)
+        assert fast.status == UdpStatus.CERTIFIED_UDP
+        assert fallbacks == 0
+
     @pytest.mark.parametrize("make_state", [
         lambda: ghz_state(6),
         lambda: ghz_state(6, 2, 0.6, 0.8),
@@ -310,12 +318,36 @@ class TestGramFastPath:
         assert calls == [SVD_TOL]
 
     def test_fast_path_singular_values_match_svd(self):
+        # the Cholesky path computes no spectrum; the exact SVD of the same
+        # system must bear out the ratio the fast path certified
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 13)
         fast = decide_null_space(system)
         exact = _svd_null_space(system.matrix, SVD_TOL)
-        assert fast.basis is None and fast.null_dim == 0
-        np.testing.assert_allclose(fast.singular_values, exact.singular_values,
-                                   atol=1e-7 * exact.singular_values[0])
+        assert (fast.null_dim, fast.basis) == (0, None)
+        assert fast.singular_values.size == 0
+        s = exact.singular_values
+        assert s[-1] / s[0] >= math.sqrt(GRAM_MIN_RATIO)
+
+    @pytest.mark.parametrize("case", ["above-shift", "below-tau", "singular"])
+    def test_certificate_direction_on_synthetic_grams(self, monkeypatch, case):
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
+        n = system.num_real_variables
+        # the shift for lambda_max = 1, where ||G||_F is sqrt(n) at most
+        shift = (GRAM_MIN_RATIO + (n + 1) ** 2 * np.finfo(float).eps) * math.sqrt(n)
+        lam = np.ones(n)
+        lam[-1] = {"above-shift": 10 * shift, "below-tau": GRAM_MIN_RATIO / 10,
+                   "singular": 0.0}[case]
+        q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
+        gram = (q * lam) @ q.T  # Q diag(lam) Q^T
+        monkeypatch.setattr(certify_module.GammaSystem, "gram",
+                            property(lambda self: gram.copy()))
+        calls = spy_on_exact_path(monkeypatch)
+        result = decide_null_space(system)
+        if case == "above-shift":
+            assert calls == []
+            assert (result.null_dim, result.basis) == (0, None)
+        else:
+            assert calls == [SVD_TOL]  # never certified from the Gram
 
     def test_margin_straddle_falls_back_to_exact(self, monkeypatch):
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 17)
