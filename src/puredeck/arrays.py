@@ -194,10 +194,6 @@ class GeneralizedQoaState:
         return self.array.strength
 
     @property
-    def levels(self) -> int:
-        return self.array.levels
-
-    @property
     def num_rows(self) -> int:
         return self.array.num_rows
 
@@ -238,21 +234,19 @@ def qoa_state(array, amplitudes=None) -> GeneralizedQoaState:
 
 
 def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
-                    deck_tol: float = DECK_TOL,
-                    allow_large_strength: bool = False) -> WitnessCheck:
+                    deck_tol: float = DECK_TOL) -> WitnessCheck:
     """Phase-twist the row amplitudes and verify the complete (N-k)-deck match.
 
     `phases` is either a single row index (that row's amplitude is negated) or
     a full phase vector.  The construction refutes uniqueness only for
-    strength k <= floor(N/2); larger strengths are refused unless explicitly
-    allowed.
+    strength k <= floor(N/2); larger strengths are refused.
     """
     n = gstate.num_parties
     k = gstate.strength
-    if k > n // 2 and not allow_large_strength:
+    if k > n // 2:
         raise ValueError(
             f"strength {k} exceeds floor(N/2) = {n // 2}; the deck match is "
-            "only guaranteed below that (pass allow_large_strength to override)"
+            "only guaranteed below that"
         )
     r = gstate.num_rows
     if isinstance(phases, (int, np.integer)):

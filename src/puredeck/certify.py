@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,9 @@ GRAM_MIN_RATIO = 1e-8
 DISTINCT_TOL = 1e-6
 
 TRACE_IDENTITY_TOL = 1e-10
+# Singular values below OVERLAP_RANK_TOL times the largest count as zero in
+# the sampled overlap-entry rank of `verify_overlap_dependences`.
+OVERLAP_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,6 @@ class CrossCutSpec:
                             (self.ac, "AC"), (self.bd, "BD")):
             if not pair:
                 raise ValueError(f"union {label} must be nonempty")
-
-    @classmethod
-    def from_blocks(cls, a, b, c, d) -> "CrossCutSpec":
-        flat = list(a) + list(b) + list(c) + list(d)
-        return cls(tuple(a), tuple(b), tuple(c), tuple(d), len(flat))
 
     @classmethod
     def parse(cls, text: str, num_parties: int | None = None) -> "CrossCutSpec":
@@ -156,17 +154,14 @@ class CrossCutMatrices:
     p[i, j] = Tr_D |i><j|_CD   (dim d_C), m[i, j] = Tr_C |i><j|_CD (dim d_D).
     """
 
-    spec: CrossCutSpec
-    rank: int
     q: np.ndarray
     p: np.ndarray
     l: np.ndarray
     m: np.ndarray
 
     @property
-    def block_dims(self) -> tuple[int, int, int, int]:
-        return (self.q.shape[-1], self.l.shape[-1],
-                self.p.shape[-1], self.m.shape[-1])
+    def rank(self) -> int:
+        return self.q.shape[0]
 
 
 def build_cross_matrices(dec: SchmidtDecomposition,
@@ -195,7 +190,7 @@ def build_cross_matrices(dec: SchmidtDecomposition,
             raise ValueError(f"adjoint identity violated for {name} blocks")
     for arr in (q, l, p, m):
         arr.setflags(write=False)
-    return CrossCutMatrices(spec, dec.rank, q, p, l, m)
+    return CrossCutMatrices(q, p, l, m)
 
 
 class SourceFactors(NamedTuple):
@@ -231,24 +226,28 @@ class GammaSystem:
     Complex equation r reads sum_t gamma_t U[r, t] + conj(gamma_t) V[r, t] = 0,
     where U and V stack the Khatri-Rao products of `factors` (the ac source,
     then bd).  Row 2r of the real `matrix` is its real part, row 2r+1 its
-    imaginary part; column 2t holds Re gamma for pair `pairs[t]`, column 2t+1
-    holds Im gamma.  gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated
-    structurally, so only the i < j entries appear.  The zero vector always
-    solves the system.
+    imaginary part; column 2t holds Re gamma for the t-th pair (i, j), i < j,
+    in row-major order (`np.triu_indices`), column 2t+1 holds Im gamma.
+    gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
+    so only the i < j entries appear.  The zero vector always solves the
+    system.
     """
 
-    rank_r: int
-    pairs: tuple[tuple[int, int], ...]
     factors: tuple[SourceFactors, ...]
-    equation_counts: dict
+
+    @property
+    def equation_counts(self) -> dict:
+        """Complex equations per source: {"ac": ..., "bd": ...}."""
+        ac, bd = self.factors
+        return {"ac": ac.num_equations, "bd": bd.num_equations}
 
     @property
     def num_complex_variables(self) -> int:
-        return len(self.pairs)
+        return self.factors[0].outer_u.shape[1]
 
     @property
     def num_real_variables(self) -> int:
-        return 2 * len(self.pairs)
+        return 2 * self.num_complex_variables
 
     @property
     def num_complex_equations(self) -> int:
@@ -281,7 +280,7 @@ class GammaSystem:
         V^H V, and each of those is a Hadamard product of small factor
         Grams, (O^H O') * (I^H I') (Kolda & Bader, SIAM Review 51, 2009).
         """
-        n = len(self.pairs)
+        n = self.num_complex_variables
         uu = np.zeros((n, n), dtype=complex)
         uv = np.zeros((n, n), dtype=complex)
         vv = np.zeros((n, n), dtype=complex)
@@ -302,14 +301,19 @@ class GammaSystem:
         return gram
 
 
-def expected_equation_counts(structure: PartyStructure,
-                             spec: CrossCutSpec) -> dict:
-    """Closed-form complex-equation counts for a cross-cut specification."""
-    da, db, dc, dd = spec.block_dims(structure)
+def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
+    """Closed-form complex-equation counts for blocks of dimensions
+    d_A, d_B, d_C, d_D: C(d_A, 2)(d_C^2 - 1) and C(d_B, 2)(d_D^2 - 1)."""
     return {
         "ac": math.comb(da, 2) * (dc * dc - 1),
         "bd": math.comb(db, 2) * (dd * dd - 1),
     }
+
+
+def expected_equation_counts(structure: PartyStructure,
+                             spec: CrossCutSpec) -> dict:
+    """Closed-form complex-equation counts for a cross-cut specification."""
+    return block_equation_counts(*spec.block_dims(structure))
 
 
 def _source_factors(outer: np.ndarray, inner: np.ndarray,
@@ -344,12 +348,9 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
     overlap operators are traceless, so one of them is redundant.  A block
     of dimension one has no entry left and contributes no equation.
     """
-    pairs = tuple(combinations(range(matrices.rank), 2))
     ii, jj = np.triu_indices(matrices.rank, 1)
-    factors = (_source_factors(matrices.q, matrices.p, ii, jj),
-               _source_factors(matrices.l, matrices.m, ii, jj))
-    counts = {"ac": factors[0].num_equations, "bd": factors[1].num_equations}
-    return GammaSystem(matrices.rank, pairs, factors, counts)
+    return GammaSystem((_source_factors(matrices.q, matrices.p, ii, jj),
+                        _source_factors(matrices.l, matrices.m, ii, jj)))
 
 
 @dataclass(frozen=True)
@@ -466,16 +467,13 @@ class UdpVerdict:
             raise ValueError("witnessed verdict requires a witness state")
 
 
-def _gamma_vector(phases: np.ndarray, lambdas: np.ndarray,
-                  pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Interleaved (Re, Im) gamma vector for a phase assignment."""
+def _gamma_vector(phases: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """Interleaved (Re, Im) gamma vector for a phase assignment, in the
+    column order of `GammaSystem`."""
     coeff = np.sqrt(lambdas)
-    gamma = np.empty(2 * len(pairs))
-    for t, (i, j) in enumerate(pairs):
-        g = (1.0 - np.exp(1j * (phases[i] - phases[j]))) * coeff[i] * coeff[j]
-        gamma[2 * t] = g.real
-        gamma[2 * t + 1] = g.imag
-    return gamma
+    ii, jj = np.triu_indices(len(lambdas), 1)
+    g = (1.0 - np.exp(1j * (phases[ii] - phases[jj]))) * coeff[ii] * coeff[jj]
+    return np.stack([g.real, g.imag], axis=-1).ravel()
 
 
 def _phase_candidates(rank: int, rng: np.random.Generator):
@@ -533,7 +531,7 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
     full_null = null.null_dim == system.num_real_variables
     candidates = []
     for phases in _phase_candidates(dec.rank, rng):
-        gamma = _gamma_vector(phases, lambdas, system.pairs)
+        gamma = _gamma_vector(phases, lambdas)
         norm = np.linalg.norm(gamma)
         if norm < 1e-14:
             continue
@@ -575,7 +573,7 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     matrices = build_cross_matrices(dec, spec)
     system = assemble_gamma_system(matrices)
     null = decide_null_space(system, svd_tol=svd_tol)
-    counts = dict(system.equation_counts)
+    counts = system.equation_counts
     counts["complex_variables"] = system.num_complex_variables
     counts["complex_equations"] = system.num_complex_equations
     notes = []
@@ -626,17 +624,10 @@ class OverlapDependenceReport:
     entry_count: int
     measured_rank: int
     predicted_rank: int
-    trials: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.measured_rank == self.predicted_rank
 
 
 def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
-                               trials: int, seed,
-                               *, rank_threshold: float = 1e-8
-                               ) -> OverlapDependenceReport:
+                               trials: int, seed) -> OverlapDependenceReport:
     """Sample random orthonormal basis pairs and measure the rank of the
     stacked (Q, L, P, M) entry tuples.
 
@@ -663,5 +654,5 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
         m = v1.T @ v2.conj()
         rows[t] = np.concatenate([q.ravel(), l.ravel(), p.ravel(), m.ravel()])
     s = np.linalg.svd(rows, compute_uv=False)
-    measured = int(np.sum(s > rank_threshold * s[0]))
-    return OverlapDependenceReport(entry_count, measured, entry_count - 4, trials)
+    measured = int(np.sum(s > OVERLAP_RANK_TOL * s[0]))
+    return OverlapDependenceReport(entry_count, measured, entry_count - 4)

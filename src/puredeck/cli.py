@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,12 +26,24 @@ from .schmidt import classify_genericity, schmidt_decompose
 from .states import load_state, save_state, state_to_json_dict
 
 
+def _dumps(data: dict) -> str:
+    """Strict JSON: a non-finite float raises ValueError (exit 1) instead of
+    leaving as the invalid tokens NaN or Infinity."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _emit(data: dict, as_json: bool, human: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(human if human is not None
-              else json.dumps(data, indent=2, sort_keys=True))
+    print(_dumps(data) if as_json or human is None else human)
+
+
+def _genericity_json(report) -> dict:
+    """A `GenericityReport` as JSON; an infinite `min_gap` (rank 1) is null."""
+    return {
+        "full_rank": report.full_rank,
+        "distinct_spectrum": report.distinct_spectrum,
+        "min_gap": report.min_gap if math.isfinite(report.min_gap) else None,
+        "rank": report.rank,
+    }
 
 
 def _cmd_certify(args) -> int:
@@ -47,12 +60,7 @@ def _cmd_certify(args) -> int:
     data = {
         "status": verdict.status.value,
         "null_dim": verdict.null_dim,
-        "genericity": {
-            "full_rank": verdict.genericity.full_rank,
-            "distinct_spectrum": verdict.genericity.distinct_spectrum,
-            "min_gap": verdict.genericity.min_gap,
-            "rank": verdict.genericity.rank,
-        },
+        "genericity": _genericity_json(verdict.genericity),
         "equation_counts": verdict.equation_counts,
         "notes": list(verdict.notes),
     }
@@ -95,7 +103,7 @@ def _cmd_experiment(args) -> int:
                                   output_path=args.out)
     report = run_experiment(config, verbose=not args.json)
     if args.json:
-        print(report.to_json())
+        print(_dumps(report.to_json_dict()))
     return 0
 
 
@@ -105,7 +113,7 @@ def _cmd_deck(args) -> int:
     if args.action == "export":
         family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
         deck = compute_deck(state_a, family)
-        text = json.dumps(deck.to_json_dict(), indent=2, sort_keys=True)
+        text = _dumps(deck.to_json_dict())
         if args.out:
             Path(args.out).write_text(text)
         else:
@@ -133,14 +141,9 @@ def _cmd_schmidt(args) -> int:
         "complement": list(dec.right_parties),
         "rank": dec.rank,
         "lambdas": [float(x) for x in dec.lambdas],
-        "genericity": {
-            "full_rank": report.full_rank,
-            "distinct_spectrum": report.distinct_spectrum,
-            "min_gap": None if report.min_gap == float("inf") else report.min_gap,
-            "rank": report.rank,
-        },
+        "genericity": _genericity_json(report),
     }
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(_dumps(data))
     return 0
 
 
@@ -189,8 +192,7 @@ def _cmd_oa(args) -> int:
         if args.out:
             save_state(gstate.state, args.out)
         else:
-            print(json.dumps(state_to_json_dict(gstate.state), indent=2,
-                             sort_keys=True))
+            print(_dumps(state_to_json_dict(gstate.state)))
         return 0
     # witness
     phases = args.flip - 1 if args.flip is not None else \
@@ -214,7 +216,7 @@ def _cmd_oa(args) -> int:
 def _cmd_counting_table(args) -> int:
     table = check_counting_table(args.max_n, args.max_d)
     if args.json:
-        print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
+        print(_dumps(table.to_json_dict()))
         return 0
     print(f"{'n':>3} {'d':>3} {'|A|':>4} {'variables':>10} {'equations':>10} "
           f"{'surplus':>9} {'closed_form':>11} {'flag':>5}")

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, certify_udp,
-                      expected_equation_counts)
+from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, block_equation_counts,
+                      certify_udp, expected_equation_counts)
 from .marginals import DECK_TOL
 from .schmidt import GAP_TOL
 from .states import PartyStructure, sample_haar_state
@@ -189,9 +189,8 @@ def equations_for_split(n: int, d: int, a_size: int) -> int:
     """Complex equations for half-body blocks |A|=a, |B|=|C|=n-a, |D|=a."""
     if not 1 <= a_size <= n - 1:
         raise ValueError("block size must satisfy 1 <= |A| <= n-1")
-    c_size = n - a_size
-    return (math.comb(d ** a_size, 2) * (d ** (2 * c_size) - 1)
-            + math.comb(d ** c_size, 2) * (d ** (2 * a_size) - 1))
+    d_a, d_c = d ** a_size, d ** (n - a_size)
+    return sum(block_equation_counts(d_a, d_c, d_c, d_a).values())
 
 
 def worst_case_surplus_closed_form(n: int, d: int) -> int:

@@ -23,32 +23,6 @@ from .schmidt import schmidt_decompose, phase_twist
 from .states import PureState
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
 @dataclass(frozen=True)
 class DeckHypergraph:
     """Vertices 1..N, one (hyper)edge per subset in a marginal family."""
@@ -76,17 +50,15 @@ class DeckHypergraph:
         return tuple(e for e in self.edges if len(e) == 1)
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components; vertices in no edge form singleton components."""
-        uf = UnionFind(self.num_vertices)
+        """Connected components, listed by smallest vertex, members ascending;
+        vertices in no edge form singleton components."""
+        parts = [{v} for v in range(1, self.num_vertices + 1)]
         for edge in self.edges:
-            for v in edge[1:]:
-                uf.union(edge[0] - 1, v - 1)
-        covered = {v for edge in self.edges for v in edge}
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.num_vertices + 1):
-            key = uf.find(v - 1) if v in covered else -v
-            groups.setdefault(key, []).append(v)
-        return [tuple(g) for g in groups.values()]
+            joined = [p for p in parts if not p.isdisjoint(edge)]
+            if joined:
+                parts = ([p for p in parts if p.isdisjoint(edge)]
+                         + [set().union(*joined)])
+        return sorted(tuple(sorted(p)) for p in parts)
 
 
 def is_connected(graph: DeckHypergraph) -> bool:

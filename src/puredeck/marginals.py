@@ -103,32 +103,20 @@ def compute_deck(state: PureState, family: MarginalFamily) -> Deck:
     return Deck(family, tuple(partial_trace(state, s) for s in family.subsets))
 
 
-def deck_distance(a: Deck, b: Deck, *, unordered: bool = False) -> float:
-    """Maximum Frobenius distance across aligned marginals.
-
-    With `unordered=True` the decks are aligned by subset identity instead of
-    by position; both families must then contain the same subsets.
-    """
+def deck_distance(a: Deck, b: Deck) -> float:
+    """Maximum Frobenius distance across marginals aligned by position."""
     if a.family.num_parties != b.family.num_parties:
         raise ValueError("decks defined over different party counts")
-    if unordered:
-        lookup = {m.parties: m for m in b.marginals}
-        if set(a.family.subsets) != set(lookup):
-            raise ValueError("decks cover different subset families")
-        pairs = [(m, lookup[m.parties]) for m in a.marginals]
-    else:
-        if a.family.subsets != b.family.subsets:
-            raise ValueError("decks have different (ordered) families")
-        pairs = list(zip(a.marginals, b.marginals))
+    if a.family.subsets != b.family.subsets:
+        raise ValueError("decks have different (ordered) families")
     dist = 0.0
-    for ma, mb in pairs:
+    for ma, mb in zip(a.marginals, b.marginals):
         dist = max(dist, float(np.linalg.norm(ma.matrix - mb.matrix)))
     return dist
 
 
-def decks_equal(a: Deck, b: Deck, tol: float = DECK_TOL, *,
-                unordered: bool = False) -> bool:
-    return deck_distance(a, b, unordered=unordered) <= tol
+def decks_equal(a: Deck, b: Deck) -> bool:
+    return deck_distance(a, b) <= DECK_TOL
 
 
 def maximally_mixed_distance(marg: Marginal) -> float:

@@ -104,8 +104,7 @@ def _tie_break_degenerate(coeffs, left, right, scale):
     return coeffs[order], left[order], right[order]
 
 
-def schmidt_decompose(state: PureState, cut, *,
-                      rank_tol: float = RANK_TOL) -> SchmidtDecomposition:
+def schmidt_decompose(state: PureState, cut) -> SchmidtDecomposition:
     """Schmidt decomposition of `state` along the bipartition (cut | complement)."""
     structure = state.structure
     left = check_subset(cut, structure.num_parties)
@@ -118,11 +117,11 @@ def schmidt_decompose(state: PureState, cut, *,
            .transpose(_axis_order(structure, left, right))
            .reshape(dim_left, dim_right))
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     coeffs = s[:rank].copy()
     left_basis = np.ascontiguousarray(u[:, :rank].T)
     right_basis = vh[:rank].copy()
-    left_basis, right_basis = _canonical_phase(left_basis, right_basis, rank_tol * s[0])
+    left_basis, right_basis = _canonical_phase(left_basis, right_basis, RANK_TOL * s[0])
     coeffs, left_basis, right_basis = _tie_break_degenerate(
         coeffs, left_basis, right_basis, s[0])
     for arr in (coeffs, left_basis, right_basis):

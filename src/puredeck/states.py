@@ -142,6 +142,10 @@ class PureState:
                 f"amplitude vector has shape {vec.shape}, "
                 f"expected ({self.structure.total_dim},)"
             )
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise ValueError(f"non-finite amplitudes {vec[bad[:4]].tolist()} "
+                             f"at basis indices {bad[:4].tolist()}")
         nrm2 = float(np.vdot(vec, vec).real)
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(
@@ -155,6 +159,9 @@ class PureState:
         vec = np.asarray(amplitudes, dtype=np.complex128)
         if normalize:
             nrm = np.linalg.norm(vec)
+            if not math.isfinite(nrm):
+                raise ValueError(f"cannot normalize amplitudes of non-finite "
+                                 f"norm {nrm}")
             if nrm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
             vec = vec / nrm
@@ -240,14 +247,15 @@ class Marginal:
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("marginal matrix must be square")
+        # written as `not err <= tol` so that a NaN error is refused too
         herm_err = np.linalg.norm(mat - mat.conj().T)
-        if herm_err > HERMITICITY_TOL:
+        if not herm_err <= HERMITICITY_TOL:
             raise ValueError(f"marginal not Hermitian: |rho - rho^dag| = {herm_err:.3e}")
         tr_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
-        if tr_err > TRACE_TOL:
+        if not tr_err <= TRACE_TOL:
             raise ValueError(f"marginal trace deviates from 1 by {tr_err:.3e}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -PSD_TOL:
+        if not min_eig >= -PSD_TOL:
             raise ValueError(f"marginal has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "matrix", _freeze(mat.copy()))
@@ -284,7 +292,7 @@ def state_to_json_dict(state: PureState) -> dict:
     }
 
 
-def state_from_json_dict(data: dict, *, normalize: bool | None = None) -> PureState:
+def state_from_json_dict(data: dict) -> PureState:
     try:
         num_parties = int(data["num_parties"])
         local_dims = [int(d) for d in data["local_dims"]]
@@ -292,8 +300,6 @@ def state_from_json_dict(data: dict, *, normalize: bool | None = None) -> PureSt
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
     structure = PartyStructure(num_parties, local_dims)
-    if normalize is None:
-        normalize = bool(data.get("normalize", False))
     vec = np.zeros(structure.total_dim, dtype=np.complex128)
     seen = set()
     for entry in raw_amps:
@@ -309,13 +315,14 @@ def state_from_json_dict(data: dict, *, normalize: bool | None = None) -> PureSt
         vec[idx] = amp
     if not np.any(vec):
         raise ValueError("state record has zero amplitude vector")
-    return PureState.from_amplitudes(structure, vec, normalize=normalize)
+    return PureState.from_amplitudes(structure, vec,
+                                     normalize=bool(data.get("normalize", False)))
 
 
-def load_state(source, *, normalize: bool | None = None) -> PureState:
+def load_state(source) -> PureState:
     """Load a state from a JSON dict, a JSON text string, or a file path."""
     if isinstance(source, dict):
-        return state_from_json_dict(source, normalize=normalize)
+        return state_from_json_dict(source)
     if isinstance(source, Path):
         text = source.read_text()
     else:
@@ -326,7 +333,7 @@ def load_state(source, *, normalize: bool | None = None) -> PureState:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
-    return state_from_json_dict(data, normalize=normalize)
+    return state_from_json_dict(data)
 
 
 def save_state(state: PureState, path) -> None:

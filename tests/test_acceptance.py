@@ -145,8 +145,7 @@ def test_criterion_6_overlap_dependence_rank():
     ranks = []
     for seed in range(5):
         rep = verify_overlap_dependences(structure, SIX_QUBIT_SPEC,
-                                         trials=200, seed=seed,
-                                         rank_threshold=1e-8)
+                                         trials=200, seed=seed)
         ranks.append(rep.measured_rank)
         all_ok &= (rep.entry_count == 40 and rep.predicted_rank == 36
                    and rep.measured_rank == 36)

@@ -15,7 +15,8 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _haar_orthonormal_pair, _svd_null_space)
+                              _gamma_vector, _haar_orthonormal_pair,
+                              _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -195,6 +196,23 @@ class TestGammaSystem:
             system.matrix, reference, rtol=0,
             atol=4 * np.finfo(float).eps * np.max(np.abs(reference)))
 
+    @pytest.mark.parametrize("rank", range(1, 14))
+    def test_gamma_vector_matches_entrywise_reference(self, rank):
+        # same arithmetic per entry, so equal to the last bit: the witness
+        # search ranks candidates by their residual against the null space
+        rng = np.random.default_rng(rank)
+        for _ in range(50):
+            lambdas = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+            phases = rng.uniform(0.0, 2.0 * math.pi, rank)
+            expected = []
+            for i in range(rank):
+                for j in range(i + 1, rank):
+                    g = ((1.0 - np.exp(1j * (phases[i] - phases[j])))
+                         * np.sqrt(lambdas[i]) * np.sqrt(lambdas[j]))
+                    expected += [g.real, g.imag]
+            np.testing.assert_array_equal(_gamma_vector(phases, lambdas),
+                                          np.array(expected, dtype=float))
+
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
     def test_gram_matches_dense_system(self, n, d, blocks):
         system = haar_system(n, d, blocks, 7)
@@ -239,7 +257,7 @@ class TestNullSpace:
     def test_zero_row_system_is_unconstrained(self):
         # qutrits, C and B empty: 3 pairs, 6 real variables and no equations
         system = haar_system(3, 3, "A=1;B=;C=;D=2,3", 5)
-        assert system.pairs == ((0, 1), (0, 2), (1, 2))
+        assert system.num_complex_variables == 3
         assert system.num_complex_equations == 0
         result = decide_null_space(system)
         assert result.null_dim == 6

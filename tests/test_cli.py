@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from puredeck import ghz_state, sample_haar_state, save_state
+from puredeck import PureState, ghz_state, sample_haar_state, save_state
 from puredeck.certify import SVD_TOL
 from puredeck.cli import build_parser, main
 from puredeck.experiments import Tolerances
@@ -28,6 +28,13 @@ def ghz6_file(tmp_path):
 def haar6_file(tmp_path):
     path = tmp_path / "haar6.json"
     save_state(sample_haar_state(PartyStructure.uniform(6, 2), 3), path)
+    return str(path)
+
+
+@pytest.fixture()
+def product_file(tmp_path):
+    path = tmp_path / "product.json"
+    save_state(PureState.basis_state(PartyStructure.uniform(4, 2), (0,) * 4), path)
     return str(path)
 
 
@@ -324,3 +331,66 @@ class TestExperimentCommand:
     def test_flags_required_without_config(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n", "4", "--d", "2")
         assert code == 1 and "required" in err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard tokens NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"invalid JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_every_json_subcommand_is_strict_json(self, capsys, haar6_file,
+                                                  ghz6_file, product_file,
+                                                  oa_file):
+        runs = [
+            ("certify", haar6_file, "--blocks", "A=1,2;B=3;C=4;D=5,6", "--json"),
+            ("certify", ghz6_file, "--blocks", "A=1,2;B=3;C=4;D=5,6",
+             "--family", "k=5", "--json"),
+            ("certify", product_file, "--blocks", "A=1;B=2;C=3;D=4", "--json"),
+            ("experiment", "--n", "4", "--d", "2", "--trials", "2",
+             "--blocks", "A=1;B=2;C=3;D=4", "--json"),
+            ("deck", "diff", ghz6_file, haar6_file, "--family", "k=3", "--json"),
+            ("deck", "export", product_file, "--family", "1,2;3,4"),
+            ("schmidt", product_file, "--cut", "1,2"),
+            ("hypergraph", "--n", "4", "--family", "1,2;3,4", "--json"),
+            ("oa", "verify", oa_file, "--json"),
+            ("oa", "state", oa_file),
+            ("oa", "witness", oa_file, "--flip", "1", "--json"),
+            ("counting-table", "--max-n", "3", "--max-d", "2", "--json"),
+        ]
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            strict_json(out)
+
+    def test_rank_one_min_gap_is_null(self, capsys, product_file):
+        _, out, _ = run_cli(capsys, "certify", product_file,
+                            "--blocks", "A=1;B=2;C=3;D=4", "--json")
+        assert strict_json(out)["genericity"]["min_gap"] is None
+        _, out, _ = run_cli(capsys, "schmidt", product_file, "--cut", "1,2")
+        assert strict_json(out)["genericity"]["min_gap"] is None
+
+
+class TestNonFiniteAmplitudes:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "{path}", "--blocks", "A=1;B=2;C=3;D=4"],
+        ["deck", "diff", "{path}", "{path}", "--family", "k=2"],
+        ["schmidt", "{path}", "--cut", "1,2"],
+    ], ids=["certify", "deck-diff", "schmidt"])
+    @pytest.mark.parametrize("value,normalize", [
+        ("NaN", False), ("Infinity", False), ("NaN", True), ("Infinity", True),
+    ])
+    def test_refused_with_exit_one(self, capsys, tmp_path, argv, value,
+                                   normalize):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"num_parties": 4, "local_dims": [2, 2, 2, 2], "amplitudes": '
+            f'[{{"basis": "0000", "re": {value}, "im": 0}}, '
+            '{"basis": "1111", "re": 1, "im": 0}], '
+            f'"normalize": {json.dumps(normalize)}}}')
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err

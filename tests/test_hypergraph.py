@@ -71,6 +71,28 @@ class TestConnectivity:
             graph = DeckHypergraph.from_family(fam)
             assert is_connected(graph) == bfs_connected(n, fam.subsets)
 
+    def test_components_order_against_bfs(self):
+        # components by smallest vertex, members ascending, uncovered vertices
+        # as singletons: the order in which disconnection cuts are tried
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            fam = random_family(n, rng)
+            expected, seen = [], set()
+            for start in range(1, n + 1):
+                if start in seen:
+                    continue
+                part, frontier = {start}, [start]
+                while frontier:
+                    v = frontier.pop()
+                    for e in fam.subsets:
+                        if v in e:
+                            frontier.extend(w for w in e if w not in part)
+                            part.update(e)
+                seen |= part
+                expected.append(tuple(sorted(part)))
+            assert DeckHypergraph.from_family(fam).components() == expected
+
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             DeckHypergraph(3, ((1, 2), (1, 2)))

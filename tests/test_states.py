@@ -76,6 +76,14 @@ class TestPureState:
         with pytest.raises(ValueError, match="zero"):
             PureState.from_amplitudes(st_, np.zeros(4), normalize=True)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        st_ = PartyStructure.uniform(2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(st_, [bad, 0, 0, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState.from_amplitudes(st_, [bad, 1, 0, 0], normalize=True)
+
     def test_amplitudes_immutable(self):
         psi = ghz_state(2)
         with pytest.raises(ValueError):
@@ -188,6 +196,16 @@ class TestJsonFormat:
             load_state(record)
         assert load_state(dict(record, normalize=True)).amplitudes[0] == 1
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_amplitudes_rejected(self, token, normalize):
+        text = ('{"num_parties": 1, "local_dims": [2], "amplitudes": '
+                f'[{{"basis": "0", "re": {token}, "im": 0}}, '
+                '{"basis": "1", "re": 1, "im": 0}], '
+                f'"normalize": {json.dumps(normalize)}}}')
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(text)
+
     def test_malformed_json_text(self):
         with pytest.raises(ValueError, match="JSON"):
             load_state("{not json")
@@ -222,3 +240,10 @@ class TestMarginalType:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             Marginal((1,), np.array([[1.1, 0], [0, -0.1]]))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    def test_rejects_nan_entries(self, entry):
+        mat = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
+        mat[entry] = math.nan
+        with pytest.raises(ValueError, match="Hermitian|trace"):
+            Marginal((1,), mat)
