@@ -1,8 +1,9 @@
 """Orthogonal arrays, packing arrays, and the states built on their rows.
 
-An index-1 orthogonal array (or, more generally, a packing array) of strength
-k <= floor(N/2) projects injectively onto every set of N-k columns.  The
-superposition of its rows with arbitrary nonzero amplitudes therefore has
+A packing array of strength k is a set of rows that pairwise agree in fewer
+than k positions; irredundancy is the same test at N-k.  Index-1 orthogonal
+arrays and packing arrays of strength k <= floor(N/2) are irredundant, so the
+superposition of their rows with arbitrary nonzero amplitudes has
 diagonal (N-k)-body marginals, and twisting the row phases yields a distinct
 state with exactly the same complete (N-k)-deck.
 """
@@ -23,13 +24,35 @@ from .states import PartyStructure, PureState
 AMP_FLOOR = 1e-12
 
 
-def _as_row_matrix(rows, levels: int) -> np.ndarray:
+def _as_row_matrix(rows, levels: int, strength: int) -> np.ndarray:
     mat = np.asarray(rows, dtype=int)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("rows must form a nonempty 2-D integer array")
     if mat.min() < 0 or mat.max() >= levels:
         raise ValueError(f"entries must lie in 0..{levels - 1}")
+    if strength < 1 or strength > mat.shape[1]:
+        raise ValueError(f"strength {strength} outside 1..{mat.shape[1]}")
     return mat
+
+
+def _distinct_on_every(rows: np.ndarray, levels: int, width: int) -> bool:
+    """True iff no two rows agree in `width` or more positions."""
+    r, n_cols = rows.shape
+    if r > levels ** width:
+        return False
+    # such rows differ in at most n_cols - width positions, so they agree on
+    # all of one of n_cols - width + 1 disjoint column groups and, sorted by
+    # that group, lie in one run at some offset s below the run's length
+    for group in np.array_split(np.arange(n_cols), n_cols - width + 1):
+        srt = rows[np.lexsort(rows[:, group].T)]
+        for s in range(1, r):
+            same = np.all(srt[s:, group] == srt[:-s, group], axis=1)
+            if not same.any():
+                break
+            agree = np.count_nonzero(srt[s:][same] == srt[:-s][same], axis=1)
+            if agree.max() >= width:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -43,14 +66,12 @@ def verify_oa(rows, levels: int, strength: int) -> OaCheck:
     """Exhaustive check of the orthogonal-array counting property.
 
     Every strength-subset of columns must contain each tuple exactly
-    r / levels^strength times.  Irredundancy additionally demands distinct
-    rows in every (N-strength)-column subarray; an index-1 array always
-    passes that check.
+    r / levels^strength times.  Irredundancy additionally demands that rows
+    pairwise agree in fewer than N-strength positions; with strength N, that
+    full rows are distinct.  Index-1 arrays of strength <= N/2 always pass.
     """
-    mat = _as_row_matrix(rows, levels)
+    mat = _as_row_matrix(rows, levels, strength)
     r, n_cols = mat.shape
-    if strength < 1 or strength > n_cols:
-        raise ValueError(f"strength {strength} outside 1..{n_cols}")
     lam, rem = divmod(r, levels ** strength)
     is_oa = rem == 0 and lam >= 1
     if is_oa:
@@ -59,43 +80,41 @@ def verify_oa(rows, levels: int, strength: int) -> OaCheck:
             if len(counts) != levels ** strength or np.any(counts != lam):
                 is_oa = False
                 break
-    if n_cols == strength:
-        # degenerate projection onto zero columns: fall back to full-row
-        # distinctness, which keeps index-1 arrays irredundant
-        irredundant = len(np.unique(mat, axis=0)) == r
-    else:
-        irredundant = all(
-            len(np.unique(mat[:, cols], axis=0)) == r
-            for cols in combinations(range(n_cols), n_cols - strength)
-        )
     return OaCheck(is_oa=is_oa, index_lambda=lam if is_oa else None,
-                   irredundant=irredundant)
+                   irredundant=_distinct_on_every(mat, levels,
+                                                  n_cols - strength or n_cols))
 
 
 def verify_pa(rows, levels: int, strength: int) -> bool:
-    """True iff every strength-column subarray has pairwise distinct rows."""
-    mat = _as_row_matrix(rows, levels)
-    r, n_cols = mat.shape
-    if strength < 1 or strength > n_cols:
-        raise ValueError(f"strength {strength} outside 1..{n_cols}")
-    return all(
-        len(np.unique(mat[:, cols], axis=0)) == r
-        for cols in combinations(range(n_cols), strength)
-    )
+    """True iff the rows pairwise agree in fewer than `strength` positions."""
+    return _distinct_on_every(_as_row_matrix(rows, levels, strength), levels,
+                              strength)
 
 
 @dataclass(frozen=True)
-class OrthogonalArray:
-    """r x N array over {0..d-1}: every strength-subset of columns sees each
-    tuple exactly index_lambda times.  Verified on construction."""
-
+class _RowArray:
     rows: np.ndarray
     levels: int
     strength: int
+
+    @property
+    def num_rows(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def num_cols(self) -> int:
+        return self.rows.shape[1]
+
+
+@dataclass(frozen=True)
+class OrthogonalArray(_RowArray):
+    """r x N array over {0..d-1}: every strength-subset of columns sees each
+    tuple exactly index_lambda times.  Verified on construction."""
+
     index_lambda: int
 
     def __post_init__(self):
-        mat = _as_row_matrix(self.rows, self.levels)
+        mat = _as_row_matrix(self.rows, self.levels, self.strength)
         check = verify_oa(mat, self.levels, self.strength)
         if not check.is_oa:
             raise ValueError(
@@ -106,38 +125,27 @@ class OrthogonalArray:
                              f"{check.index_lambda}, not {self.index_lambda}")
         mat.setflags(write=False)
         object.__setattr__(self, "rows", mat)
+        object.__setattr__(self, "_irredundant", check.irredundant)
 
     @classmethod
     def from_rows(cls, rows, levels: int, strength: int) -> "OrthogonalArray":
         """The array on `rows`, its index taken from the row count."""
-        mat = _as_row_matrix(rows, levels)
+        mat = _as_row_matrix(rows, levels, strength)
         return cls(mat, levels, strength, mat.shape[0] // levels ** strength)
 
     @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.rows.shape[1]
-
-    @property
     def irredundant(self) -> bool:
-        return verify_oa(self.rows, self.levels, self.strength).irredundant
+        return self._irredundant
 
 
 @dataclass(frozen=True)
-class PackingArray:
+class PackingArray(_RowArray):
     """r x N array over {0..d-1} where every strength-subset of columns sees
     each tuple at most once; 2 <= r <= d^strength.  Verified on
     construction."""
 
-    rows: np.ndarray
-    levels: int
-    strength: int
-
     def __post_init__(self):
-        mat = _as_row_matrix(self.rows, self.levels)
+        mat = _as_row_matrix(self.rows, self.levels, self.strength)
         r = mat.shape[0]
         if r < 2 or r > self.levels ** self.strength:
             raise ValueError(f"packing array needs 2 <= r <= "
@@ -152,14 +160,6 @@ class PackingArray:
     @classmethod
     def from_rows(cls, rows, levels: int, strength: int) -> "PackingArray":
         return cls(rows, levels, strength)
-
-    @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.rows.shape[1]
 
 
 # The strength-2 array on nine qutrit rows whose uniform superposition has
@@ -201,9 +201,19 @@ class GeneralizedQoaState:
 def _rows_to_state(array, amplitudes: np.ndarray) -> PureState:
     structure = PartyStructure.uniform(array.num_cols, array.levels)
     vec = np.zeros(structure.total_dim, dtype=np.complex128)
-    for row, amp in zip(array.rows, amplitudes):
-        vec[structure.digits_to_index(row)] = amp
+    vec[np.ravel_multi_index(array.rows.T, structure.local_dims)] = amplitudes
     return PureState.from_amplitudes(structure, vec, normalize=True)
+
+
+def _per_row(values, r: int, dtype, name: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=dtype)
+    if vec.shape != (r,):
+        raise ValueError(f"need {r} {name}, got shape {vec.shape}")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError(f"non-finite {name} {vec[bad[:4]].tolist()} "
+                         f"at row indices {bad[:4].tolist()}")
+    return vec
 
 
 def qoa_state(array, amplitudes=None) -> GeneralizedQoaState:
@@ -213,14 +223,12 @@ def qoa_state(array, amplitudes=None) -> GeneralizedQoaState:
     strength-body marginal of the result is maximally mixed.
     """
     r = array.num_rows
-    if len(np.unique(array.rows, axis=0)) != r:
+    if not _distinct_on_every(array.rows, array.levels, array.num_cols):
         raise ValueError("array has repeated rows; amplitudes would merge")
     if amplitudes is None:
         amps = np.full(r, 1.0 / math.sqrt(r), dtype=np.complex128)
     else:
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != (r,):
-            raise ValueError(f"need {r} amplitudes, got shape {amps.shape}")
+        amps = _per_row(amplitudes, r, np.complex128, "amplitudes")
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("amplitude vector is zero")
@@ -252,20 +260,13 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
     if isinstance(phases, (int, np.integer)):
         if phases < 0 or phases >= r:
             raise ValueError(f"row index {phases} outside 0..{r - 1}")
-        vec = np.zeros(r)
-        vec[phases] = math.pi
-        phases = vec
-    else:
-        phases = np.asarray(phases, dtype=float)
-        if phases.shape != (r,):
-            raise ValueError(f"need {r} phases, got shape {phases.shape}")
+        phases = np.where(np.arange(r) == phases, math.pi, 0.0)
+    phases = _per_row(phases, r, float, "phases")
     unit = np.exp(1j * phases)
     if np.max(np.abs(unit - unit[0])) < 1e-12:
         raise ValueError("phases are all equal; the twist is only a global phase")
     twisted = _rows_to_state(gstate.array, gstate.amplitudes * unit)
-    # k == n leaves nothing to trace onto: the 0-deck is empty and trivially shared
-    family = (MarginalFamily(n, ()) if k == n
-              else MarginalFamily.complete(n, n - k))
+    family = MarginalFamily.complete(n, n - k)
     return verify_twin(compute_deck(gstate.state, family), gstate.state,
                        twisted, deck_tol=deck_tol)
 
@@ -273,8 +274,8 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
 def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
                          max_rows: int | None = None,
                          seed=None) -> PackingArray:
-    """Greedy packing-array builder: scan candidate rows, keep those whose
-    strength-tuples are all unused.
+    """Greedy packing-array builder: scan candidate rows, keep each one that
+    agrees with every kept row in fewer than `strength` positions.
 
     With an integer `seed` the candidate order is shuffled; with seed=None the
     scan is lexicographic.  Stops at `max_rows` when given.
@@ -287,21 +288,19 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     order = np.arange(total)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(total)
-    col_subsets = list(combinations(range(num_cols), strength))
-    used = {cols: set() for cols in col_subsets}
-    structure = PartyStructure.uniform(num_cols, levels)
-    rows = []
-    for idx in order:
-        digits = structure.index_to_digits(int(idx))
-        keys = [tuple(digits[c] for c in cols) for cols in col_subsets]
-        if any(key in used[cols] for cols, key in zip(col_subsets, keys)):
-            continue
-        rows.append(digits)
-        for cols, key in zip(col_subsets, keys):
-            used[cols].add(key)
-        if max_rows is not None and len(rows) >= max_rows:
-            break
-    return PackingArray.from_rows(np.array(rows, dtype=int), levels, strength)
+    place = levels ** np.arange(num_cols - 1, -1, -1)
+    digits = np.arange(total)[:, None] // place % levels
+    # a kept row blocks the candidates it agrees with in >= strength positions
+    shifts = digits[np.count_nonzero(digits, axis=1) <= num_cols - strength]
+    blocked = np.zeros(total, dtype=bool)
+    kept = []
+    for idx in order.tolist():
+        if not blocked[idx]:
+            kept.append(idx)
+            if max_rows is not None and len(kept) >= max_rows:
+                break
+            blocked[((digits[idx] + shifts) % levels) @ place] = True
+    return PackingArray.from_rows(digits[kept], levels, strength)
 
 
 # ---------------------------------------------------------------------------

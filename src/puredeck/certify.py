@@ -555,19 +555,32 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
     return None
 
 
+def _uncovered_cuts(spec: CrossCutSpec, family: MarginalFamily) -> list[str]:
+    """Labels of the cut marginals AB, CD, AC, BD that lie inside no member
+    of `family`; a member's marginal fixes the marginals of its subsets only."""
+    members = [set(member) for member in family]
+    return [label for label, cut in (("AB", spec.ab), ("CD", spec.cd),
+                                     ("AC", spec.ac), ("BD", spec.bd))
+            if not any(set(cut) <= member for member in members)]
+
+
 def certify_udp(state: PureState, spec: CrossCutSpec,
                 family: MarginalFamily | None = None, *,
                 svd_tol: float = SVD_TOL, deck_tol: float = DECK_TOL,
                 gap_tol: float = GAP_TOL, seed: int = 0) -> UdpVerdict:
     """Three-valued uniqueness verdict for `state` under a cross-cut spec.
 
-    `family` is the marginal family any emitted witness is verified against;
-    it defaults to the four cut marginals AB, CD, AC, BD.
+    `family` is the marginal family the verdict is about; it defaults to the
+    four cut marginals AB, CD, AC, BD.  A trivial null space certifies only
+    when each of those four lies inside a member of `family`, and any
+    emitted witness is verified against the deck of `family`.
     """
     if spec.num_parties != state.structure.num_parties:
         raise ValueError("spec covers a different number of parties")
-    if family is None:
-        family = spec.verification_family()
+    if family is None:  # the four cut marginals cover themselves
+        family, uncovered = spec.verification_family(), []
+    else:
+        uncovered = _uncovered_cuts(spec, family)
     dec = schmidt_decompose(state, spec.ab)
     genericity = classify_genericity(dec, gap_tol=gap_tol)
     matrices = build_cross_matrices(dec, spec)
@@ -581,10 +594,14 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
         notes.append("rank-1 primary cut: the state is a product across AB|CD "
                      "and is already determined by that cut's marginals")
     if null.null_dim == 0:
-        if genericity.generic:
+        if genericity.generic and not uncovered:
             status = UdpStatus.CERTIFIED_UDP
         else:
             status = UdpStatus.INCONCLUSIVE
+            if uncovered:
+                notes.append("phase system has trivial null space but the "
+                             "family does not fix the cut marginals "
+                             f"{', '.join(uncovered)}; no member contains them")
             if not genericity.full_rank:
                 notes.append("phase system has trivial null space but the cut "
                              "is rank deficient; phase family may not exhaust "

@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True,
                    help="block spec, e.g. 'A=1,2;B=3;C=4;D=5,6'")
     p.add_argument("--family", default=None,
-                   help="witness verification family: 'k=<int>' or '1,2;3,4;...'")
+                   help="marginal family the verdict is about: 'k=<int>' or "
+                        "'1,2;3,4;...' (default: the four cut marginals); "
+                        "certifying needs AB, CD, AC and BD each inside a "
+                        "member, and witnesses are verified against it")
     p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
     p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
     p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)

@@ -299,6 +299,10 @@ def state_from_json_dict(data: dict) -> PureState:
         raw_amps = data["amplitudes"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
+    normalize = data.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ValueError(f"malformed state record: normalize must be true or "
+                         f"false, got {normalize!r}")
     structure = PartyStructure(num_parties, local_dims)
     vec = np.zeros(structure.total_dim, dtype=np.complex128)
     seen = set()
@@ -315,8 +319,7 @@ def state_from_json_dict(data: dict) -> PureState:
         vec[idx] = amp
     if not np.any(vec):
         raise ValueError("state record has zero amplitude vector")
-    return PureState.from_amplitudes(structure, vec,
-                                     normalize=bool(data.get("normalize", False)))
+    return PureState.from_amplitudes(structure, vec, normalize=normalize)
 
 
 def load_state(source) -> PureState:

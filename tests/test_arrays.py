@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,6 +28,68 @@ def histogram_oa_check(rows, levels, strength):
         if len(hist) != levels ** strength or set(hist.values()) != {lam}:
             return None
     return lam
+
+
+def column_subset_distinct(rows, width):
+    """Reference oracle: enumerate every `width`-column subset and ask
+    np.unique whether the projected rows stay distinct."""
+    mat = np.asarray(rows)
+    r, n_cols = mat.shape
+    return all(len(np.unique(mat[:, cols], axis=0)) == r
+               for cols in combinations(range(n_cols), width))
+
+
+def random_rows(rng):
+    """Small random arrays, often with repeated rows or agreeing pairs."""
+    levels = int(rng.integers(2, 4))
+    n_cols = int(rng.integers(1, 7))
+    r = int(rng.integers(1, 13))
+    if rng.random() < 0.3:  # draw from a small pool so rows repeat
+        pool = rng.integers(0, levels, size=(int(rng.integers(1, 4)), n_cols))
+        rows = pool[rng.integers(0, len(pool), size=r)]
+    else:
+        rows = rng.integers(0, levels, size=(r, n_cols))
+    return rows, levels
+
+
+class TestDistinctnessMatchesSubsetOracle:
+    def test_random_arrays(self):
+        rng = np.random.default_rng(2024)
+        seen = Counter()
+        for _ in range(1500):
+            rows, levels = random_rows(rng)
+            r, n_cols = rows.shape
+            k = int(rng.integers(1, n_cols + 1))
+            expected_pa = column_subset_distinct(rows, k)
+            assert verify_pa(rows, levels, k) == expected_pa, (rows, k)
+            width = n_cols - k if k < n_cols else n_cols
+            expected_irr = column_subset_distinct(rows, width)
+            assert verify_oa(rows, levels, k).irredundant == expected_irr
+            seen["k=N"] += k == n_cols
+            seen["r=1"] += r == 1
+            seen["repeated"] += len(np.unique(rows, axis=0)) < r
+            seen["r>d^k"] += r > levels ** k
+            seen["pa"] += expected_pa
+        # every edge case was drawn many times, and both outcomes occur
+        assert min(seen.values()) >= 50, seen
+
+    def test_larger_arrays(self):
+        rng = np.random.default_rng(7)
+        cases = [(greedy_packing_array(8, 3, 7, seed=2).rows, 3),
+                 (greedy_packing_array(10, 2, 8, seed=2).rows, 2),
+                 (rng.integers(0, 3, size=(200, 9)), 3)]
+        for rows, levels in cases:
+            n_cols = rows.shape[1]
+            for k in range(1, n_cols + 1):
+                assert verify_pa(rows, levels, k) == \
+                    column_subset_distinct(rows, k)
+
+    def test_irredundant_property_matches_check(self):
+        full = np.array(list(product(range(2), repeat=3)))
+        for rows, d, k in [(OA_9_4_3_2, 3, 2), (full, 2, 3), (full, 2, 1),
+                           ([(0, 0), (0, 1), (1, 0), (1, 1)] * 2, 2, 2)]:
+            oa = OrthogonalArray.from_rows(rows, d, k)
+            assert oa.irredundant == verify_oa(rows, d, k).irredundant
 
 
 class TestVerifyOa:
@@ -193,6 +255,17 @@ class TestWitness:
         result = non_udp_witness(g, rng.uniform(0, 2 * math.pi, 3))
         assert result.verified
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_named(self, bad):
+        oa = OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2)
+        values = np.ones(9)
+        values[4] = bad
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"non-finite amplitudes .* \[4\]"):
+                qoa_state(oa, values)
+            with pytest.raises(ValueError, match=r"non-finite phases .* \[4\]"):
+                non_udp_witness(qoa_state(oa), values)
+
     def test_all_equal_phases_rejected(self):
         g = qoa_state(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
         with pytest.raises(ValueError, match="equal"):
@@ -208,6 +281,21 @@ class TestWitness:
 
 
 class TestGreedyPacking:
+    @pytest.mark.parametrize("args,kwargs,rows", [
+        ((8, 3, 3), {"seed": 1},
+         ["22221212", "00111122", "02120001", "10000211", "01202200",
+          "21022121"]),
+        ((10, 2, 3), {"seed": 0}, ["0001010100", "1111101001"]),
+        ((4, 3, 2), {"max_rows": 5}, ["0000", "0111", "0222", "1012", "1120"]),
+        ((8, 3, 4), {"max_rows": 10, "seed": 1},
+         ["22221212", "00111122", "12021001", "00220221", "21120002",
+          "21011110", "00022012", "01202200", "11102111", "11001222"]),
+    ])
+    def test_rows_pinned(self, args, kwargs, rows):
+        # the rows the column-subset implementation returned for these inputs
+        pa = greedy_packing_array(*args, **kwargs)
+        assert ["".join(map(str, row)) for row in pa.rows] == rows
+
     def test_produces_valid_packing(self):
         pa = greedy_packing_array(4, 3, 2, max_rows=3, seed=0)
         assert pa.num_rows == 3

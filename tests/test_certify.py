@@ -492,6 +492,44 @@ class TestCertify:
             UdpVerdict(UdpStatus.NOT_UDP_WITNESSED, 1, generic, {})
 
 
+
+class TestFamilyCoverage:
+    """A trivial null space certifies the spec's four cut marginals; it says
+    nothing about a family that does not contain them."""
+
+    def test_uncovered_family_is_not_certified(self):
+        from puredeck import counterexample_from_disconnection
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        family = MarginalFamily.parse(6, "1,2;3,4")
+        verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
+        assert verdict.null_dim == 0 and verdict.genericity.generic
+        assert verdict.status == UdpStatus.INCONCLUSIVE
+        assert any("AB, CD, AC, BD" in note for note in verdict.notes)
+        # the family really leaves room: a verified twin shares its deck
+        twin = counterexample_from_disconnection(psi, family)
+        assert verify_twin(compute_deck(psi, family), psi, twin).verified
+
+    def test_partly_covering_family_names_the_gaps(self):
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        family = MarginalFamily.parse(6, "1,2,3;4,5,6;1,2,4,5")
+        verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
+        assert verdict.status == UdpStatus.INCONCLUSIVE
+        assert any("marginals BD;" in note for note in verdict.notes)
+
+    def test_complete_half_deck_still_certifies(self):
+        family = MarginalFamily.complete(6, 3)
+        for seed in range(5):
+            psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 100 + seed)
+            verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
+            assert verdict.status == UdpStatus.CERTIFIED_UDP
+
+    def test_superset_members_cover(self):
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        family = MarginalFamily.parse(6, "1,2,3,4;3,4,5,6;1,2,4,5;3,5,6")
+        assert certify_udp(psi, SIX_QUBIT_SPEC, family).status \
+            == UdpStatus.CERTIFIED_UDP
+
+
 class TestVerifyTwin:
     FAMILY = MarginalFamily.complete(6, 3)
     PSI = ghz_state(6, 2, 0.6, 0.8)

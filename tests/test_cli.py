@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +93,21 @@ class TestCertifyCommand:
         assert data["status"] == "NOT_UDP_WITNESSED"
         assert abs(data["witness_fidelity"] - 0.28) <= 1e-9
         assert witness_path.exists()
+
+    def test_uncovering_family_is_not_certified(self, capsys, haar6_file):
+        # the family leaves parties 5 and 6 out, so it holds none of the cut
+        # marginals the phase system is about
+        code, out, _ = run_cli(capsys, "certify", haar6_file,
+                               "--blocks", "A=1,2;B=3;C=4;D=5,6",
+                               "--family", "1,2;3,4", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["status"] == "INCONCLUSIVE" and data["null_dim"] == 0
+        assert any("AB, CD, AC, BD" in note for note in data["notes"])
+        code, out, _ = run_cli(capsys, "certify", haar6_file,
+                               "--blocks", "A=1,2;B=3;C=4;D=5,6",
+                               "--family", "k=3")
+        assert code == 0 and out.startswith("CERTIFIED_UDP")
 
     def test_bad_blocks_is_domain_error(self, capsys, ghz6_file):
         code, _, err = run_cli(capsys, "certify", ghz6_file,
@@ -253,6 +271,20 @@ class TestOaCommands:
         values = sorted(round(e["re"], 6) for e in data["amplitudes"])
         assert len(set(values)) == 2  # one doubled amplitude after normalizing
 
+    @pytest.mark.parametrize("action,flag", [("state", "--amps"),
+                                             ("witness", "--phases")])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                       "1e309"])
+    def test_non_finite_values_refused(self, capsys, oa_file, action, flag,
+                                       value):
+        values = "[" + ", ".join([value] + ["0.5"] * 8) + "]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "oa", action, oa_file, flag,
+                                     values)
+        assert code == 1 and out == ""
+        assert "non-finite" in err
+
     def test_witness_with_phase_vector(self, capsys, oa_file):
         phases = json.dumps([0.0] * 8 + [3.14159])
         code, out, _ = run_cli(capsys, "oa", "witness", oa_file,
@@ -373,6 +405,19 @@ class TestStrictJson:
         assert strict_json(out)["genericity"]["min_gap"] is None
 
 
+class TestStateRecord:
+    @pytest.mark.parametrize("normalize", ['"false"', '"true"', "1", "null"])
+    def test_normalize_flag_must_be_boolean(self, capsys, tmp_path,
+                                            normalize):
+        path = tmp_path / "flag.json"
+        path.write_text(
+            '{"num_parties": 1, "local_dims": [2], "amplitudes": '
+            f'[{{"basis": "0", "re": 2}}], "normalize": {normalize}}}')
+        code, out, err = run_cli(capsys, "schmidt", str(path), "--cut", "1")
+        assert code == 1 and out == ""
+        assert "normalize must be true or false" in err
+
+
 class TestNonFiniteAmplitudes:
     @pytest.mark.parametrize("argv", [
         ["certify", "{path}", "--blocks", "A=1;B=2;C=3;D=4"],
@@ -394,3 +439,16 @@ class TestNonFiniteAmplitudes:
         assert code == 1
         assert out == ""
         assert "non-finite" in err
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the baseline is taken inside the child, so modules that site hooks
+    # load before the import do not count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import puredeck.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["numpy", "puredeck"]

@@ -196,6 +196,18 @@ class TestJsonFormat:
             load_state(record)
         assert load_state(dict(record, normalize=True)).amplitudes[0] == 1
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_normalize_flag_must_be_json_boolean(self, flag):
+        record = {"num_parties": 1, "local_dims": [2],
+                  "amplitudes": [{"basis": "0", "re": 2, "im": 0}],
+                  "normalize": flag}
+        with pytest.raises(ValueError, match="normalize must be true or false"):
+            load_state(record)
+        with pytest.raises(ValueError, match="normalize must be true or false"):
+            load_state(json.dumps(record))
+        assert load_state(dict(record, normalize=False, amplitudes=[
+            {"basis": "0", "re": 1, "im": 0}])).amplitudes[0] == 1
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_non_finite_amplitudes_rejected(self, token, normalize):
