@@ -75,9 +75,13 @@ def verify_oa(rows, levels: int, strength: int) -> OaCheck:
     lam, rem = divmod(r, levels ** strength)
     is_oa = rem == 0 and lam >= 1
     if is_oa:
+        # each strength-tuple as its mixed-radix code; the codes lie below
+        # levels**strength <= r, so the count table is no larger than mat
+        place = levels ** np.arange(strength - 1, -1, -1)
         for cols in combinations(range(n_cols), strength):
-            _, counts = np.unique(mat[:, cols], axis=0, return_counts=True)
-            if len(counts) != levels ** strength or np.any(counts != lam):
+            counts = np.bincount(mat[:, cols] @ place,
+                                 minlength=levels ** strength)
+            if np.any(counts != lam):
                 is_oa = False
                 break
     return OaCheck(is_oa=is_oa, index_lambda=lam if is_oa else None,

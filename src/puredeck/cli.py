@@ -195,6 +195,8 @@ def _cmd_oa(args) -> int:
             print(_dumps(state_to_json_dict(gstate.state)))
         return 0
     # witness
+    if args.flip is not None and not 1 <= args.flip <= array.num_rows:
+        raise ValueError(f"--flip {args.flip} outside 1..{array.num_rows}")
     phases = args.flip - 1 if args.flip is not None else \
         json.loads(args.phases) if args.phases else None
     if phases is None:

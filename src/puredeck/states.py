@@ -233,8 +233,12 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
 class Marginal:
     """Reduced density matrix of a subset of parties.
 
-    Validated on construction: Hermitian, unit trace and positive semidefinite
-    within fixed tolerances.
+    The public constructor validates its input: Hermitian, unit trace and
+    positive semidefinite within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.
+    `marginals.partial_trace` builds its marginals through `_trusted`
+    instead: its rho = M M^dagger of a norm-checked state meets all three
+    by construction, with rounding errors far inside the tolerances (the
+    bound is in its docstring), so the checks would only cost time.
     """
 
     parties: tuple[int, ...]
@@ -259,6 +263,17 @@ class Marginal:
             raise ValueError(f"marginal has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "matrix", _freeze(mat.copy()))
+
+    @classmethod
+    def _trusted(cls, parties: tuple[int, ...],
+                 matrix: np.ndarray) -> "Marginal":
+        """Wrap a sorted subset and a freshly computed, unshared complex128
+        matrix without the constructor's checks; the matrix is frozen in
+        place, not copied."""
+        marg = object.__new__(cls)
+        object.__setattr__(marg, "parties", parties)
+        object.__setattr__(marg, "matrix", _freeze(matrix))
+        return marg
 
     @property
     def dim(self) -> int:

@@ -9,10 +9,11 @@ import pytest
 
 from puredeck import (MarginalFamily, compute_deck, deck_distance,
                       ghz_state, partial_trace)
-from puredeck.arrays import (OA_9_4_3_2, OrthogonalArray, PackingArray,
-                             format_array_text, greedy_packing_array,
-                             non_udp_witness, parse_array_text, qoa_state,
-                             verify_oa, verify_pa)
+from puredeck.arrays import (OA_9_4_3_2, OaCheck, OrthogonalArray,
+                             PackingArray, format_array_text,
+                             greedy_packing_array, non_udp_witness,
+                             parse_array_text, qoa_state, verify_oa,
+                             verify_pa)
 
 
 def histogram_oa_check(rows, levels, strength):
@@ -37,6 +38,39 @@ def column_subset_distinct(rows, width):
     r, n_cols = mat.shape
     return all(len(np.unique(mat[:, cols], axis=0)) == r
                for cols in combinations(range(n_cols), width))
+
+
+def unique_count_oa_check(rows, levels, strength):
+    """Reference oracle: the counting loop with one np.unique(axis=0) per
+    column subset, returning (is_oa, index_lambda)."""
+    mat = np.asarray(rows)
+    lam, rem = divmod(mat.shape[0], levels ** strength)
+    if rem != 0 or lam < 1:
+        return False, None
+    for cols in combinations(range(mat.shape[1]), strength):
+        _, counts = np.unique(mat[:, cols], axis=0, return_counts=True)
+        if len(counts) != levels ** strength or np.any(counts != lam):
+            return False, None
+    return True, lam
+
+
+def random_linear_oa(rng):
+    """Full factorial on m columns plus random linear combinations of them
+    (mod levels), repeated lam times, rows and columns shuffled, and with
+    one entry altered in about a third of the draws."""
+    levels = int(rng.choice([2, 3]))
+    m = int(rng.integers(1, 4))
+    base = np.array(list(product(range(levels), repeat=m)))
+    combos = rng.integers(0, levels, size=(m, int(rng.integers(0, 3))))
+    rows = np.tile(np.hstack([base, base @ combos % levels]),
+                   (int(rng.integers(1, 4)), 1))
+    rows = rows[rng.permutation(rows.shape[0])]
+    rows = rows[:, rng.permutation(rows.shape[1])]
+    altered = rng.random() < 0.3
+    if altered:
+        i, j = rng.integers(rows.shape[0]), rng.integers(rows.shape[1])
+        rows[i, j] = (rows[i, j] + rng.integers(1, levels)) % levels
+    return rows, levels, m, altered
 
 
 def random_rows(rng):
@@ -64,7 +98,8 @@ class TestDistinctnessMatchesSubsetOracle:
             assert verify_pa(rows, levels, k) == expected_pa, (rows, k)
             width = n_cols - k if k < n_cols else n_cols
             expected_irr = column_subset_distinct(rows, width)
-            assert verify_oa(rows, levels, k).irredundant == expected_irr
+            assert verify_oa(rows, levels, k) == OaCheck(
+                *unique_count_oa_check(rows, levels, k), expected_irr)
             seen["k=N"] += k == n_cols
             seen["r=1"] += r == 1
             seen["repeated"] += len(np.unique(rows, axis=0)) < r
@@ -90,6 +125,43 @@ class TestDistinctnessMatchesSubsetOracle:
                            ([(0, 0), (0, 1), (1, 0), (1, 1)] * 2, 2, 2)]:
             oa = OrthogonalArray.from_rows(rows, d, k)
             assert oa.irredundant == verify_oa(rows, d, k).irredundant
+
+
+class TestOaCountingMatchesUniqueOracle:
+    @staticmethod
+    def expected(rows, levels, k):
+        is_oa, lam = unique_count_oa_check(rows, levels, k)
+        n_cols = np.asarray(rows).shape[1]
+        return OaCheck(is_oa, lam,
+                       column_subset_distinct(rows, n_cols - k or n_cols))
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(77)
+        seen = Counter()
+        for _ in range(800):
+            rows, levels, m, altered = random_linear_oa(rng)
+            n_cols = rows.shape[1]
+            k = int(rng.integers(1, min(m, n_cols) + 1))
+            check = verify_oa(rows, levels, k)
+            assert check == self.expected(rows, levels, k), (rows, levels, k)
+            seen["oa"] += check.is_oa
+            seen["not oa"] += not check.is_oa
+            seen["altered"] += altered
+            seen["lambda>1"] += check.is_oa and check.index_lambda > 1
+            seen["k=N oa"] += check.is_oa and k == n_cols
+            seen["k=N not oa"] += not check.is_oa and k == n_cols
+        assert min(seen.values()) >= 50, seen
+
+    def test_larger_arrays(self):
+        full = np.array(list(product(range(3), repeat=6)))
+        altered = full.copy()
+        altered[100, 2] = (altered[100, 2] + 1) % 3
+        for rows, levels, k in [(full, 3, 3), (full, 3, 6), (altered, 3, 3),
+                                (altered, 3, 6), (np.vstack([full] * 2), 3, 4),
+                                (OA_9_4_3_2, 3, 2)]:
+            check = verify_oa(rows, levels, k)
+            assert check == self.expected(rows, levels, k)
+        assert verify_oa(full, 3, 6) == OaCheck(True, 1, True)
 
 
 class TestVerifyOa:

@@ -259,6 +259,13 @@ class TestOaCommands:
         assert data["verified"] is True
         assert data["deck_distance"] <= 1e-10
 
+    @pytest.mark.parametrize("flip", ["0", "10"])
+    def test_witness_flip_range_is_one_based(self, capsys, oa_file, flip):
+        code, out, err = run_cli(capsys, "oa", "witness", oa_file,
+                                 "--flip", flip)
+        assert code == 1 and out == ""
+        assert err == f"error: --flip {flip} outside 1..9\n"
+
     def test_witness_needs_flip_or_phases(self, capsys, oa_file):
         code, _, err = run_cli(capsys, "oa", "witness", oa_file)
         assert code == 1 and "flip" in err

@@ -11,8 +11,9 @@ from puredeck import (Deck, MarginalFamily, PartyStructure, PureState,
                       compute_deck, deck_distance, ghz_state,
                       maximally_mixed_distance, partial_trace,
                       sample_haar_state)
-from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
-from puredeck.states import complement
+from puredeck.arrays import (OA_9_4_3_2, OrthogonalArray,
+                             greedy_packing_array, qoa_state)
+from puredeck.states import Marginal, complement
 
 
 def brute_force_marginal(state, keep):
@@ -117,6 +118,77 @@ class TestPartialTrace:
             nz_b = np.sort(ev_b[ev_b > 1e-10])
             assert len(nz_a) == len(nz_b)
             assert np.max(np.abs(nz_a - nz_b)) <= 1e-10
+
+
+def reshaped_block(state, keep):
+    """The state as a dim(keep) x dim(rest) matrix, built independently of
+    partial_trace (np.moveaxis instead of one transpose)."""
+    dims = state.structure.local_dims
+    axes = [p - 1 for p in keep]
+    tensor = np.moveaxis(state.amplitudes.reshape(dims), axes,
+                         list(range(len(axes))))
+    return tensor.reshape(math.prod(dims[a] for a in axes), -1)
+
+
+def trusted_deck_cases():
+    """(state, family) pairs: complete k-decks of Haar qubit states at
+    N = 2..10 (every k < N up to 8 qubits; k = 1, N/2, N-1 above, where the
+    rank-deficient (N-1)-deck is the closest to a negative eigenvalue),
+    mixed local dimensions, GHZ half-body decks, and the (N-k)-decks of the
+    benchmark's array states."""
+    for n in range(2, 11):
+        psi = sample_haar_state(PartyStructure.uniform(n, 2), 100 + n)
+        for k in range(1, n) if n <= 8 else (1, n // 2, n - 1):
+            yield f"haar-{n}q-k{k}", psi, MarginalFamily.complete(n, k)
+    mixed = sample_haar_state(PartyStructure(5, (2, 3, 2, 4, 3)), 5)
+    for k in range(1, 5):
+        yield f"mixed-k{k}", mixed, MarginalFamily.complete(5, k)
+    for n in (8, 10):
+        yield f"ghz-{n}q", ghz_state(n, 2, 0.6, 0.8), \
+            MarginalFamily.complete(n, n // 2)
+    for array in (greedy_packing_array(8, 3, 3, seed=1),
+                  greedy_packing_array(10, 2, 3, seed=0),
+                  OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2)):
+        g = qoa_state(array)
+        n = g.num_parties
+        yield f"array-{n}-{g.strength}", g.state, \
+            MarginalFamily.complete(n, n - g.strength)
+
+
+class TestTrustedMarginals:
+    """partial_trace skips Marginal's checks; its marginals must still pass
+    them and equal M M^dagger bit for bit."""
+
+    def test_decks_pass_public_checks_and_match_product(self):
+        for name, state, family in trusted_deck_cases():
+            deck = compute_deck(state, family)
+            for subset, marg in zip(family.subsets, deck.marginals):
+                assert marg.parties == subset, name
+                Marginal(marg.parties, marg.matrix)  # the public checks
+                mat = reshaped_block(state, subset)
+                assert np.array_equal(marg.matrix, mat @ mat.conj().T), \
+                    (name, subset)
+
+    def test_matrix_is_read_only(self):
+        marg = partial_trace(sample_haar_state(PartyStructure.uniform(4, 2),
+                                               1), (1, 3))
+        assert not marg.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            marg.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dims,keeps", [
+        ((2,) * 16, [(1,), (2, 5, 9, 12, 16), (1, 2, 3, 4, 5, 6, 7, 8),
+                     (1, 3, 5, 7, 9, 11, 13, 15)]),
+        ((3,) * 10, [(1,), (2, 4, 6, 8, 10)]),
+        ((16,) * 4, [(1, 3), (2, 4)])])
+    def test_rounding_stays_far_inside_tolerances(self, dims, keeps):
+        # keeping at most half the parties bounds each marginal at 256 x 256
+        psi = sample_haar_state(PartyStructure(len(dims), dims), 16)
+        for keep in keeps:
+            rho = partial_trace(psi, keep).matrix
+            assert np.linalg.norm(rho - rho.conj().T) < 1e-11
+            assert abs(np.trace(rho) - 1) < 1e-11
+            assert np.linalg.eigvalsh(rho)[0] > -1e-11
 
 
 class TestMarginalFamily:
