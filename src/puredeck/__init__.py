@@ -18,7 +18,7 @@ from .states import (DIM_CAP, Marginal, PartyStructure, PureState,
                      load_state, sample_haar_state, save_state,
                      state_from_json_dict, state_to_json_dict)
 from .marginals import (Deck, MarginalFamily, compute_deck, deck_distance,
-                        decks_equal, maximally_mixed_distance, partial_trace)
+                        decks_equal, partial_trace)
 from .schmidt import (GenericityReport, SchmidtDecomposition,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .certify import (CrossCutMatrices, CrossCutSpec, GammaSystem,

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .marginals import DECK_TOL, Deck, MarginalFamily, compute_deck, deck_distance
-from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
-                      classify_genericity, phase_twist, schmidt_decompose)
+from .schmidt import (GAP_TOL, RANK_TOL, GenericityReport,
+                      SchmidtDecomposition, _cut_matrices, _min_gaps,
+                      _schmidt_factors, _untied, classify_genericity,
+                      phase_twist, schmidt_decompose)
 from .states import (PartyStructure, PureState, check_subset,
                      fidelity_up_to_phase)
 
@@ -44,6 +46,8 @@ TRACE_IDENTITY_TOL = 1e-10
 # Singular values below OVERLAP_RANK_TOL times the largest count as zero in
 # the sampled overlap-entry rank of `verify_overlap_dependences`.
 OVERLAP_RANK_TOL = 1e-8
+# Bytes the trials of one `_certify_stack` call may take; see `_stack_size`.
+_STACK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -130,20 +134,62 @@ class CrossCutSpec:
 
 def _split_factor(basis: np.ndarray, parties: tuple[int, ...],
                   first: tuple[int, ...], structure: PartyStructure) -> np.ndarray:
-    """Reshape factor-space basis rows to (rank, dim_first, dim_rest).
+    """Reshape factor-space basis rows (..., rank, dim) to
+    (..., rank, dim_first, dim_rest).
 
     `parties` are the factor's parties in ascending order (the axis order of
     the Schmidt basis vectors); `first` is the sub-block pulled to the front.
     """
-    rank = basis.shape[0]
+    lead = basis.shape[:-1]
     dims = [structure.local_dims[p - 1] for p in parties]
     first_pos = [parties.index(p) for p in first]
     rest_pos = [i for i in range(len(parties)) if i not in first_pos]
-    d_first = math.prod(dims[i] for i in first_pos) if first_pos else 1
-    d_rest = math.prod(dims[i] for i in rest_pos) if rest_pos else 1
-    tensor = basis.reshape([rank] + dims)
-    perm = [0] + [i + 1 for i in first_pos] + [i + 1 for i in rest_pos]
-    return tensor.transpose(perm).reshape(rank, d_first, d_rest)
+    d_first = math.prod(dims[i] for i in first_pos)
+    d_rest = math.prod(dims[i] for i in rest_pos)
+    tensor = basis.reshape(*lead, *dims)
+    skip = len(lead)
+    perm = [*range(skip), *(skip + i for i in first_pos),
+            *(skip + i for i in rest_pos)]
+    return tensor.transpose(perm).reshape(*lead, d_first, d_rest)
+
+
+def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_rest |i><j| and Tr_first |i><j| of split basis rows, each as one
+    matrix product.
+
+    `factor` (..., r, d_first, d_rest) holds |i> as a d_first x d_rest
+    matrix X_i, so Tr_rest |i><j| = X_i X_j^H and Tr_first |i><j| =
+    X_i^T conj(X_j).  Stacking the X_i (or X_i^T) as rows of R gives
+    G = R R^H of shape (..., r d, r d), with G[(i, a), (j, b)] the (a, b)
+    entry of the (i, j) operator; `_operator_blocks` reads it as blocks.
+    """
+    *lead, r, _, _ = factor.shape
+    products = []
+    for x in (factor, factor.swapaxes(-1, -2)):
+        rows = x.reshape(*lead, r * x.shape[-2], x.shape[-1])
+        products.append(rows @ rows.conj().swapaxes(-1, -2))
+    return products[0], products[1]
+
+
+def _operator_blocks(product: np.ndarray, rank: int) -> np.ndarray:
+    """An overlap product (..., r d, r d) as operators (..., r, r, d, d)."""
+    d = product.shape[-1] // rank
+    return product.reshape(*product.shape[:-2], rank, d, rank,
+                           d).swapaxes(-3, -2)
+
+
+def _identity_errors(product: np.ndarray,
+                     rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest deviations of the operators O[i, j] in an overlap product
+    from Tr O[i, j] = delta_ij and from O[j, i] = O[i, j]^H, one value per
+    item.  The adjoint identity for all (i, j) says the product is
+    Hermitian."""
+    d = product.shape[-1] // rank
+    blocks = product.reshape(*product.shape[:-2], rank, d, rank, d)
+    traces = np.einsum("...iaja->...ij", blocks) - np.eye(rank)
+    adjoint_gap = product - product.conj().swapaxes(-1, -2)
+    return (np.abs(traces).max(axis=(-2, -1)),
+            np.abs(adjoint_gap).max(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -164,6 +210,16 @@ class CrossCutMatrices:
         return self.q.shape[0]
 
 
+def _cross_products(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
+                    structure: PartyStructure) -> tuple[np.ndarray, ...]:
+    """Overlap products of Schmidt basis rows (..., rank, dim) for q, l, p
+    and m: the left factor split as A x B, the right one as C x D."""
+    return (*_overlap_products(_split_factor(left, spec.ab, spec.block_a,
+                                             structure)),
+            *_overlap_products(_split_factor(right, spec.cd, spec.block_c,
+                                             structure)))
+
+
 def build_cross_matrices(dec: SchmidtDecomposition,
                          spec: CrossCutSpec) -> CrossCutMatrices:
     """Overlap operators of the Schmidt bases across the secondary cut."""
@@ -172,22 +228,15 @@ def build_cross_matrices(dec: SchmidtDecomposition,
             f"decomposition cut {dec.left_parties}|{dec.right_parties} does not "
             f"match the primary cut {spec.ab}|{spec.cd}"
         )
-    structure = dec.structure
-    # Left factor split as A (rows) x B (columns), right factor as C x D.
-    u = _split_factor(dec.left_basis, spec.ab, spec.block_a, structure)
-    v = _split_factor(dec.right_basis, spec.cd, spec.block_c, structure)
-    q = np.einsum("iak,jbk->ijab", u, u.conj())
-    l = np.einsum("ika,jkb->ijab", u, u.conj())
-    p = np.einsum("iak,jbk->ijab", v, v.conj())
-    m = np.einsum("ika,jkb->ijab", v, v.conj())
-    eye = np.eye(dec.rank)
-    for name, mats in (("Q", q), ("L", l), ("P", p), ("M", m)):
-        traces = np.trace(mats, axis1=2, axis2=3)
-        if np.max(np.abs(traces - eye)) > TRACE_IDENTITY_TOL:
+    products = _cross_products(dec.left_basis, dec.right_basis, spec,
+                               dec.structure)
+    for name, product in zip("QLPM", products):
+        trace_err, adj_err = _identity_errors(product, dec.rank)
+        if trace_err > TRACE_IDENTITY_TOL:
             raise ValueError(f"trace identity violated for {name} blocks")
-        adj_err = np.max(np.abs(mats - mats.transpose(1, 0, 3, 2).conj()))
         if adj_err > TRACE_IDENTITY_TOL:
             raise ValueError(f"adjoint identity violated for {name} blocks")
+    q, l, p, m = (_operator_blocks(product, dec.rank) for product in products)
     for arr in (q, l, p, m):
         arr.setflags(write=False)
     return CrossCutMatrices(q, p, l, m)
@@ -195,7 +244,8 @@ def build_cross_matrices(dec: SchmidtDecomposition,
 
 class SourceFactors(NamedTuple):
     """Khatri-Rao factors of one source's coefficients, U = O_u (.) I_u and
-    V = O_v (.) I_v, one column per Schmidt index pair.
+    V = O_v (.) I_v, one column per Schmidt index pair; a stack of systems
+    carries leading axes in front of (rows, columns).
 
     Row (a, b), a < b, of an outer factor holds that entry of the outer
     overlap operator; row (c, e) of an inner factor holds that entry of the
@@ -210,7 +260,7 @@ class SourceFactors(NamedTuple):
 
     @property
     def num_equations(self) -> int:
-        return self.outer_u.shape[0] * self.inner_u.shape[0]
+        return self.outer_u.shape[-2] * self.inner_u.shape[-2]
 
 
 def _khatri_rao(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -230,7 +280,8 @@ class GammaSystem:
     in row-major order (`np.triu_indices`), column 2t+1 holds Im gamma.
     gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
     so only the i < j entries appear.  The zero vector always solves the
-    system.
+    system.  Factors with leading axes hold a stack of systems of one shape;
+    `gram` then has the same leading axes, while `matrix` needs one system.
     """
 
     factors: tuple[SourceFactors, ...]
@@ -243,7 +294,7 @@ class GammaSystem:
 
     @property
     def num_complex_variables(self) -> int:
-        return self.factors[0].outer_u.shape[1]
+        return self.factors[0].outer_u.shape[-1]
 
     @property
     def num_real_variables(self) -> int:
@@ -281,24 +332,30 @@ class GammaSystem:
         Grams, (O^H O') * (I^H I') (Kolda & Bader, SIAM Review 51, 2009).
         """
         n = self.num_complex_variables
-        uu = np.zeros((n, n), dtype=complex)
-        uv = np.zeros((n, n), dtype=complex)
-        vv = np.zeros((n, n), dtype=complex)
+        lead = self.factors[0].outer_u.shape[:-2]
+        uu = np.zeros((*lead, n, n), dtype=complex)
+        uv = np.zeros((*lead, n, n), dtype=complex)
+        vv = np.zeros((*lead, n, n), dtype=complex)
         for o_u, i_u, o_v, i_v in self.factors:
-            uu += (o_u.conj().T @ o_u) * (i_u.conj().T @ i_u)
-            uv += (o_u.conj().T @ o_v) * (i_u.conj().T @ i_v)
-            vv += (o_v.conj().T @ o_v) * (i_v.conj().T @ i_v)
+            uu += _adjoint_product(o_u, o_u) * _adjoint_product(i_u, i_u)
+            uv += _adjoint_product(o_u, o_v) * _adjoint_product(i_u, i_v)
+            vv += _adjoint_product(o_v, o_v) * _adjoint_product(i_v, i_v)
         # Re and Im parts of U^H V +- V^H U, using V^H U = (U^H V)^H
-        uv_sym = uv.real + uv.real.T
+        uv_sym = uv.real + uv.real.swapaxes(-1, -2)
         diag = uu.real + vv.real
-        cross = vv.imag - uu.imag + (uv.imag + uv.imag.T)  # Re A^H B
+        cross = vv.imag - uu.imag + (uv.imag + uv.imag.swapaxes(-1, -2))
         del uu, uv, vv  # freed before the Gram is allocated: they set the peak
-        gram = np.empty((2 * n, 2 * n))
-        gram[0::2, 0::2] = diag + uv_sym         # Re A^H A
-        gram[1::2, 1::2] = diag - uv_sym         # Re B^H B
-        gram[0::2, 1::2] = cross
-        gram[1::2, 0::2] = cross.T
+        gram = np.empty((*lead, 2 * n, 2 * n))
+        gram[..., 0::2, 0::2] = diag + uv_sym         # Re A^H A
+        gram[..., 1::2, 1::2] = diag - uv_sym         # Re B^H B
+        gram[..., 0::2, 1::2] = cross                 # Re A^H B
+        gram[..., 1::2, 0::2] = cross.swapaxes(-1, -2)
         return gram
+
+
+def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^H y over the last two axes."""
+    return x.conj().swapaxes(-1, -2) @ y
 
 
 def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
@@ -316,24 +373,24 @@ def expected_equation_counts(structure: PartyStructure,
     return block_equation_counts(*spec.block_dims(structure))
 
 
-def _source_factors(outer: np.ndarray, inner: np.ndarray,
-                    ii: np.ndarray, jj: np.ndarray) -> SourceFactors:
+def _source_factors(outer: np.ndarray, inner: np.ndarray) -> SourceFactors:
     """Factors of the equations from the (outer (x) inner) Kronecker blocks.
 
-    For a < b the (a, b) block of outer[i, j] (x) inner[i, j] gives U, and
-    the (b, a) block of its adjoint gives V; the last diagonal entry of each
-    inner block is dropped (see `assemble_gamma_system`).
+    `outer` and `inner` are overlap operators (..., r, r, d, d).  For a < b
+    the (a, b) block of outer[i, j] (x) inner[i, j] gives U, and the (b, a)
+    block of its adjoint gives V; the last diagonal entry of each inner
+    block is dropped (see `assemble_gamma_system`).
     """
-    n_pairs = len(ii)
-    d_in = inner.shape[-1]
-    outer_ij = outer[ii, jj]
-    inner_ij = inner[ii, jj]
+    ii, jj = np.triu_indices(outer.shape[-3], 1)
+    outer_ij = outer[..., ii, jj, :, :]
+    inner_ij = inner[..., ii, jj, :, :]
     a, b = np.triu_indices(outer.shape[-1], 1)
-    factors = SourceFactors(
-        outer_ij[:, a, b].T,
-        inner_ij.reshape(n_pairs, d_in * d_in)[:, :-1].T,
-        outer_ij[:, b, a].conj().T,
-        inner_ij.transpose(0, 2, 1).conj().reshape(n_pairs, d_in * d_in)[:, :-1].T)
+    flat = (*inner_ij.shape[:-2], inner.shape[-1] ** 2)
+    factors = SourceFactors(*(f.swapaxes(-1, -2) for f in (
+        outer_ij[..., a, b],
+        inner_ij.reshape(flat)[..., :-1],
+        outer_ij[..., b, a].conj(),
+        inner_ij.swapaxes(-1, -2).conj().reshape(flat)[..., :-1])))
     for factor in factors:
         factor.setflags(write=False)
     return factors
@@ -348,9 +405,8 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
     overlap operators are traceless, so one of them is redundant.  A block
     of dimension one has no entry left and contributes no equation.
     """
-    ii, jj = np.triu_indices(matrices.rank, 1)
-    return GammaSystem((_source_factors(matrices.q, matrices.p, ii, jj),
-                        _source_factors(matrices.l, matrices.m, ii, jj)))
+    return GammaSystem((_source_factors(matrices.q, matrices.p),
+                        _source_factors(matrices.l, matrices.m)))
 
 
 @dataclass(frozen=True)
@@ -418,21 +474,46 @@ def decide_null_space(system: GammaSystem, *,
         return NullSpaceResult(0, None, np.zeros(0))
     if n_rows == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
-    if n_rows >= n_cols and math.isfinite(svd_tol):
-        gram = system.gram
-        norm = np.linalg.norm(gram)
-        if norm > 0.0:
-            tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
-            eps = np.finfo(float).eps
-            gram.flat[::n_cols + 1] -= (tau + (n_cols + 1) ** 2 * eps) * norm
-            try:
-                np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return NullSpaceResult(0, None, np.zeros(0))
-        del gram  # not held through the dense SVD
+    # the Gram is a temporary, not held through the dense SVD
+    if _gram_decides(n_rows, n_cols, svd_tol) and _shifted_cholesky(
+            system.gram, svd_tol):
+        return NullSpaceResult(0, None, np.zeros(0))
     return _svd_null_space(system.matrix, svd_tol)
+
+
+def _gram_decides(n_rows: int, n_cols: int, svd_tol: float) -> bool:
+    """Whether the shifted Cholesky may decide: a tall system with
+    unknowns, and a finite `svd_tol`."""
+    return n_rows >= n_cols > 0 and math.isfinite(svd_tol)
+
+
+def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
+    """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
+    certifies a trivial null space (see `decide_null_space`); a zero Gram
+    never does.  Shifts `gram` in place.
+
+    The Frobenius norms are dot products per item.  np.linalg.cholesky
+    raises for a whole stack if one item fails, so a failed stack is
+    retried item by item.
+    """
+    n = gram.shape[-1]
+    flat = gram.reshape(*gram.shape[:-2], n * n)
+    norm = np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+    tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
+    eps = np.finfo(float).eps
+    flat[..., ::n + 1] -= ((tau + (n + 1) ** 2 * eps) * norm)[..., None]
+    return (norm > 0.0) & _factorizes(gram)
+
+
+def _factorizes(mats: np.ndarray) -> np.ndarray:
+    """Whether np.linalg.cholesky succeeds on each matrix of (..., n, n)."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        if mats.ndim == 2:
+            return np.zeros((), dtype=bool)
+        return np.array([_factorizes(m) for m in mats])
+    return np.ones(mats.shape[:-2], dtype=bool)
 
 
 class UdpStatus(str, Enum):
@@ -586,9 +667,7 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     matrices = build_cross_matrices(dec, spec)
     system = assemble_gamma_system(matrices)
     null = decide_null_space(system, svd_tol=svd_tol)
-    counts = system.equation_counts
-    counts["complex_variables"] = system.num_complex_variables
-    counts["complex_equations"] = system.num_complex_equations
+    counts = _verdict_counts(system)
     notes = []
     if dec.rank == 1:
         notes.append("rank-1 primary cut: the state is a product across AB|CD "
@@ -621,6 +700,97 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
                       counts, witness=found.witness,
                       witness_deck_distance=found.deck_distance,
                       witness_fidelity=found.fidelity, notes=tuple(notes))
+
+
+def _verdict_counts(system: GammaSystem) -> dict:
+    """Equation and variable counts as a verdict reports them."""
+    return {**system.equation_counts,
+            "complex_variables": system.num_complex_variables,
+            "complex_equations": system.num_complex_equations}
+
+
+def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
+    """Trials per `_certify_stack` call, from the dimensions alone.
+
+    With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
+    n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
+    Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
+    products and their identity checks; and 128 n^2 for its Gram stage,
+    that is the real Gram (32 n^2), the three complex accumulators (48 n^2)
+    and two factor Grams with their Hadamard product (48 n^2).  As many
+    whole trials as fit _STACK_BYTES go in one stack, at least one.
+    """
+    dims = spec.block_dims(structure)
+    da, db, dc, dd = dims
+    rank = min(da * db, dc * dd)
+    per_trial = (96 * structure.total_dim
+                 + 32 * rank ** 2 * sum(d * d for d in dims)
+                 + 128 * math.comb(rank, 2) ** 2)
+    return max(1, _STACK_BYTES // per_trial)
+
+
+def _certify_stack(states: list[PureState], spec: CrossCutSpec, *,
+                   seeds: Sequence[int], svd_tol: float, deck_tol: float,
+                   gap_tol: float) -> list[UdpVerdict]:
+    """`certify_udp` verdicts of states of one structure under the four cut
+    marginals, with each stage run once on the whole stack.
+
+    `_stacked_certificates` certifies the items it can; every other item
+    gets `certify_udp` with its seed, which runs the exact SVD, the
+    tie-break, the witness search and the notes, and raises on an identity
+    violation.
+    """
+    certified = _stacked_certificates(states, spec, svd_tol=svd_tol,
+                                      gap_tol=gap_tol)
+    return [certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
+                        gap_tol=gap_tol, seed=seed) if verdict is None
+            else verdict
+            for state, seed, verdict in zip(states, seeds, certified)]
+
+
+def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
+                          svd_tol: float,
+                          gap_tol: float) -> list[UdpVerdict | None]:
+    """CERTIFIED_UDP verdicts from the stacked stages, None where the item
+    needs per-state work.
+
+    An item is certified here when its primary cut has full rank, no two
+    coefficients in the tie-break window (so its pairs come in the order
+    `schmidt_decompose` gives them) and a spectral gap above `gap_tol`,
+    its overlap operators meet both identities and its shifted Cholesky
+    succeeds.
+    """
+    verdicts: list[UdpVerdict | None] = [None] * len(states)
+    structure = states[0].structure
+    rank = min(structure.subset_dim(spec.ab), structure.subset_dim(spec.cd))
+    equations = block_equation_counts(*spec.block_dims(structure))
+    if not _gram_decides(2 * sum(equations.values()), rank * (rank - 1),
+                         svd_tol):
+        return verdicts
+    s, left, right = _schmidt_factors(_cut_matrices(
+        np.stack([state.amplitudes for state in states]), structure,
+        spec.ab, spec.cd))
+    gaps = _min_gaps(s)
+    kept = np.flatnonzero((s[:, -1] > RANK_TOL * s[:, 0]) & _untied(s)
+                          & (gaps > gap_tol))
+    if kept.size == 0:
+        return verdicts
+    products = _cross_products(left[kept], right[kept], spec, structure)
+    passed = np.ones(kept.size, dtype=bool)
+    for product in products:
+        for err in _identity_errors(product, rank):
+            passed &= ~(err > TRACE_IDENTITY_TOL)
+    q, l, p, m = (_operator_blocks(product, rank) for product in products)
+    system = GammaSystem((_source_factors(q, p), _source_factors(l, m)))
+    del products, q, l, p, m  # not held through the Gram stage
+    passed &= _shifted_cholesky(system.gram, svd_tol)
+    counts = _verdict_counts(system)
+    for item in kept[passed]:
+        genericity = GenericityReport(full_rank=True, distinct_spectrum=True,
+                                      min_gap=float(gaps[item]), rank=rank)
+        verdicts[item] = UdpVerdict(UdpStatus.CERTIFIED_UDP, 0, genericity,
+                                    dict(counts))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, block_equation_counts,
-                      certify_udp, expected_equation_counts)
+from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, _certify_stack,
+                      _stack_size, block_equation_counts,
+                      expected_equation_counts)
 from .marginals import DECK_TOL
 from .schmidt import GAP_TOL
 from .states import PartyStructure, sample_haar_state
@@ -122,8 +123,11 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> ExperimentReport:
     """Certify `trials` Haar-random states; trial i uses seed + i.
 
-    The report is deterministic for a fixed config apart from the isolated
-    `timing` field; it is written to `config.output_path` when that is set.
+    Trials are certified in stacks of `certify._stack_size` whole trials,
+    sized by a fixed memory budget; every verdict is the one `certify_udp`
+    gives for the trial (see `certify._certify_stack`).  The report is
+    deterministic for a fixed config apart from the isolated `timing`
+    field; it is written to `config.output_path` when that is set.
     """
     structure = PartyStructure.uniform(config.num_parties, config.local_dim)
     tol = config.tolerances
@@ -131,27 +135,31 @@ def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> Experim
     records = []
     counts = {"certified": 0, "witnessed": 0, "inconclusive": 0}
     gaps = []
-    for i in range(config.trials):
-        state = sample_haar_state(structure, config.seed + i)
-        verdict = certify_udp(state, config.blocks,
-                              svd_tol=tol.svd_tol, deck_tol=tol.deck_tol,
-                              gap_tol=tol.gap_tol, seed=config.seed + i)
-        key = {UdpStatus.CERTIFIED_UDP: "certified",
-               UdpStatus.NOT_UDP_WITNESSED: "witnessed",
-               UdpStatus.INCONCLUSIVE: "inconclusive"}[verdict.status]
-        counts[key] += 1
-        gap = verdict.genericity.min_gap
-        gaps.append(gap)
-        records.append({
-            "trial": i,
-            "seed": config.seed + i,
-            "status": verdict.status.value,
-            "rank": verdict.genericity.rank,
-            "min_spectral_gap": gap,
-            "null_dim": verdict.null_dim,
-            "complex_equations": verdict.equation_counts["complex_equations"],
-            "complex_variables": verdict.equation_counts["complex_variables"],
-        })
+    stack = _stack_size(structure, config.blocks)
+    for start in range(config.seed, config.seed + config.trials, stack):
+        seeds = range(start, min(start + stack, config.seed + config.trials))
+        verdicts = _certify_stack(
+            [sample_haar_state(structure, seed) for seed in seeds],
+            config.blocks, seeds=seeds, svd_tol=tol.svd_tol,
+            deck_tol=tol.deck_tol, gap_tol=tol.gap_tol)
+        for seed, verdict in zip(seeds, verdicts):
+            key = {UdpStatus.CERTIFIED_UDP: "certified",
+                   UdpStatus.NOT_UDP_WITNESSED: "witnessed",
+                   UdpStatus.INCONCLUSIVE: "inconclusive"}[verdict.status]
+            counts[key] += 1
+            gap = verdict.genericity.min_gap
+            gaps.append(gap)
+            eqs = verdict.equation_counts
+            records.append({
+                "trial": seed - config.seed,
+                "seed": seed,
+                "status": verdict.status.value,
+                "rank": verdict.genericity.rank,
+                "min_spectral_gap": gap,
+                "null_dim": verdict.null_dim,
+                "complex_equations": eqs["complex_equations"],
+                "complex_variables": eqs["complex_variables"],
+            })
     runtime_ms = (time.perf_counter() - started) * 1000.0
     finite = [g for g in gaps if math.isfinite(g)]
     spectral = {

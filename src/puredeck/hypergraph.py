@@ -44,11 +44,6 @@ class DeckHypergraph:
     def from_family(cls, family: MarginalFamily) -> "DeckHypergraph":
         return cls(family.num_parties, family.subsets)
 
-    @property
-    def singleton_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edges of size one: they cover their vertex but join nothing."""
-        return tuple(e for e in self.edges if len(e) == 1)
-
     def components(self) -> list[tuple[int, ...]]:
         """Connected components, listed by smallest vertex, members ascending;
         vertices in no edge form singleton components."""

@@ -131,9 +131,3 @@ def deck_distance(a: Deck, b: Deck) -> float:
 
 def decks_equal(a: Deck, b: Deck) -> bool:
     return deck_distance(a, b) <= DECK_TOL
-
-
-def maximally_mixed_distance(marg: Marginal) -> float:
-    """Frobenius distance of a marginal from the maximally mixed state."""
-    dim = marg.dim
-    return float(np.linalg.norm(marg.matrix - np.eye(dim) / dim))

@@ -13,11 +13,63 @@ from .states import PartyStructure, PureState, check_subset, complement
 RANK_TOL = 1e-10
 # Squared coefficients closer than GAP_TOL are treated as degenerate.
 GAP_TOL = 1e-8
+# Coefficients within _TIE_TOL times the largest count as equal when
+# `_tie_break_degenerate` orders their basis vectors.
+_TIE_TOL = 1e-12
 
 
 def _axis_order(structure: PartyStructure, left: tuple[int, ...],
                 right: tuple[int, ...]) -> list[int]:
     return [p - 1 for p in left] + [p - 1 for p in right]
+
+
+def _cut_matrices(amplitudes: np.ndarray, structure: PartyStructure,
+                  left: tuple[int, ...], right: tuple[int, ...]) -> np.ndarray:
+    """Amplitude vectors (..., total_dim) as cut matrices
+    (..., d_left, d_right)."""
+    lead = amplitudes.shape[:-1]
+    axes = [len(lead) + p for p in _axis_order(structure, left, right)]
+    return (amplitudes.reshape(*lead, *structure.local_dims)
+            .transpose(*range(len(lead)), *axes)
+            .reshape(*lead, structure.subset_dim(left),
+                     structure.subset_dim(right)))
+
+
+def _schmidt_factors(mats: np.ndarray):
+    """Thin SVD of cut matrices (..., d_left, d_right), one LAPACK call per
+    item.
+
+    Returns the singular values (..., k) in decreasing order, k the smaller
+    dimension, and the left and right singular vectors as rows,
+    (..., k, d_left) and (..., k, d_right).  Each pair is rotated so that
+    the left vector's first entry above RANK_TOL times the largest singular
+    value is real and positive.  That entry exists: a unit vector of
+    dimension at most DIM_CAP has an entry of modulus at least 1/256, and
+    the largest singular value of a unit state is at most 1.
+    """
+    u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    left = u.swapaxes(-1, -2)
+    nonzero = np.abs(left) > RANK_TOL * s[..., :1, None]
+    pivot = np.take_along_axis(left, np.argmax(nonzero, axis=-1)[..., None],
+                               axis=-1)
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    return s, left / phase, vh * phase
+
+
+def _untied(coeffs: np.ndarray) -> np.ndarray:
+    """Whether no two neighbouring coefficients (decreasing along the last
+    axis) lie within the tie-break window, i.e. `_tie_break_degenerate`
+    leaves their order alone."""
+    gaps = coeffs[..., :-1] - coeffs[..., 1:]
+    return np.all(gaps > _TIE_TOL * coeffs[..., :1], axis=-1)
+
+
+def _min_gaps(coeffs: np.ndarray) -> np.ndarray:
+    """Smallest gap between neighbouring squared coefficients along the last
+    axis; infinite for fewer than two coefficients."""
+    if coeffs.shape[-1] < 2:
+        return np.full(coeffs.shape[:-1], math.inf)
+    return np.min(np.abs(np.diff(coeffs ** 2, axis=-1)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -72,25 +124,14 @@ class SchmidtDecomposition:
         return PureState.from_amplitudes(self.structure, vec, normalize=True)
 
 
-def _canonical_phase(left: np.ndarray, right: np.ndarray, tol: float):
-    """Rotate each basis pair so the left vector's first nonzero entry is real > 0."""
-    for i in range(left.shape[0]):
-        idx = np.flatnonzero(np.abs(left[i]) > tol)
-        if idx.size == 0:
-            continue
-        phase = left[i][idx[0]] / abs(left[i][idx[0]])
-        left[i] = left[i] / phase
-        right[i] = right[i] * phase
-    return left, right
-
-
 def _tie_break_degenerate(coeffs, left, right, scale):
     """Deterministic order among (numerically) equal singular values."""
     order = list(range(len(coeffs)))
     start = 0
     while start < len(coeffs):
         stop = start + 1
-        while stop < len(coeffs) and abs(coeffs[stop] - coeffs[start]) <= 1e-12 * scale:
+        while (stop < len(coeffs)
+               and abs(coeffs[stop] - coeffs[start]) <= _TIE_TOL * scale):
             stop += 1
         if stop - start > 1:
             block = sorted(
@@ -111,19 +152,11 @@ def schmidt_decompose(state: PureState, cut) -> SchmidtDecomposition:
     right = complement(left, structure.num_parties)
     if not right:
         raise ValueError("cut must be a proper subset of the parties")
-    dim_left = structure.subset_dim(left)
-    dim_right = structure.subset_dim(right)
-    mat = (state.as_tensor()
-           .transpose(_axis_order(structure, left, right))
-           .reshape(dim_left, dim_right))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    s, left_vecs, right_vecs = _schmidt_factors(
+        _cut_matrices(state.amplitudes, structure, left, right))
     rank = int(np.sum(s > RANK_TOL * s[0]))
-    coeffs = s[:rank].copy()
-    left_basis = np.ascontiguousarray(u[:, :rank].T)
-    right_basis = vh[:rank].copy()
-    left_basis, right_basis = _canonical_phase(left_basis, right_basis, RANK_TOL * s[0])
     coeffs, left_basis, right_basis = _tie_break_degenerate(
-        coeffs, left_basis, right_basis, s[0])
+        s[:rank], left_vecs[:rank], right_vecs[:rank], s[0])
     for arr in (coeffs, left_basis, right_basis):
         arr.setflags(write=False)
     return SchmidtDecomposition(structure, left, right, coeffs, left_basis, right_basis)
@@ -149,11 +182,7 @@ def classify_genericity(dec: SchmidtDecomposition, *,
 
     Full rank means min(dim_left, dim_right), the largest rank the cut admits.
     """
-    lambdas = dec.lambdas
-    if dec.rank >= 2:
-        min_gap = float(np.min(np.abs(np.diff(lambdas))))
-    else:
-        min_gap = math.inf
+    min_gap = float(_min_gaps(dec.coefficients))
     return GenericityReport(
         full_rank=dec.rank == min(dec.dim_left, dec.dim_right),
         distinct_spectrum=min_gap > gap_tol,

@@ -173,17 +173,6 @@ class PureState:
         vec[structure.digits_to_index(digits)] = 1.0
         return cls(structure, vec)
 
-    @classmethod
-    def from_terms(cls, structure: PartyStructure, terms: dict,
-                   normalize: bool = False) -> "PureState":
-        """Build a state from {basis label or digit tuple: amplitude}."""
-        vec = np.zeros(structure.total_dim, dtype=np.complex128)
-        for key, amp in terms.items():
-            digits = structure.parse_basis_label(key) if isinstance(key, str) else key
-            idx = structure.digits_to_index(digits)
-            vec[idx] += amp
-        return cls.from_amplitudes(structure, vec, normalize=normalize)
-
     @property
     def num_parties(self) -> int:
         return self.structure.num_parties

@@ -97,10 +97,6 @@ class TestConnectivity:
         with pytest.raises(ValueError, match="duplicate"):
             DeckHypergraph(3, ((1, 2), (1, 2)))
 
-    def test_singleton_edges_flagged(self):
-        graph = DeckHypergraph(3, ((1,), (1, 2, 3)))
-        assert graph.singleton_edges == ((1,),)
-
 
 class TestNecessaryCheck:
     def test_connected_family_no_violation(self):

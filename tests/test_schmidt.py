@@ -9,6 +9,28 @@ from puredeck import (MarginalFamily, PartyStructure, PureState,
                       classify_genericity, compute_deck, deck_distance,
                       fidelity_up_to_phase, ghz_state, partial_trace,
                       phase_twist, sample_haar_state, schmidt_decompose)
+from puredeck.schmidt import RANK_TOL, _cut_matrices, _schmidt_factors
+
+
+def row_by_row_decomposition(state, cut):
+    """Reference: thin SVD of the cut matrix, rank truncation, then each
+    left vector's first entry above RANK_TOL * s_max made real and positive,
+    one row at a time with scalar arithmetic (no tie-break: for states
+    without tied coefficients)."""
+    structure = state.structure
+    rest = tuple(p for p in range(1, structure.num_parties + 1) if p not in cut)
+    order = [p - 1 for p in cut + rest]
+    mat = state.as_tensor().transpose(order).reshape(
+        structure.subset_dim(cut), structure.subset_dim(rest))
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    left, right = u[:, :rank].T.copy(), vh[:rank].copy()
+    for i in range(rank):
+        first = np.flatnonzero(np.abs(left[i]) > RANK_TOL * s[0])[0]
+        phase = left[i][first] / abs(left[i][first])
+        left[i] = left[i] / phase
+        right[i] = right[i] * phase
+    return s[:rank], left, right
 
 
 class TestDecomposition:
@@ -56,6 +78,23 @@ class TestDecomposition:
         dec = schmidt_decompose(psi, (2, 3))
         eigs = np.sort(np.linalg.eigvalsh(partial_trace(psi, (2, 3)).matrix))[::-1]
         np.testing.assert_allclose(eigs[:dec.rank], dec.lambdas, atol=1e-10)
+
+    @pytest.mark.parametrize("n, d, cut", [(6, 2, (1, 2, 3)), (4, 3, (1, 2)),
+                                           (8, 2, (1, 2, 5, 6)), (5, 2, (2, 4))])
+    def test_matches_row_by_row_reference(self, n, d, cut):
+        # same arithmetic per row, so equal to the last bit, in a stack too
+        structure = PartyStructure.uniform(n, d)
+        states = [sample_haar_state(structure, seed) for seed in range(12)]
+        rest = tuple(p for p in range(1, n + 1) if p not in cut)
+        stacked = _schmidt_factors(_cut_matrices(
+            np.stack([psi.amplitudes for psi in states]), structure, cut, rest))
+        for item, psi in enumerate(states):
+            dec = schmidt_decompose(psi, cut)
+            for got, want, row in zip(
+                    (dec.coefficients, dec.left_basis, dec.right_basis),
+                    row_by_row_decomposition(psi, cut), stacked):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(row[item], want)
 
     def test_invalid_cuts(self):
         psi = ghz_state(3)

@@ -89,13 +89,6 @@ class TestPureState:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
-    def test_from_terms(self):
-        st_ = PartyStructure.uniform(2, 2)
-        psi = PureState.from_terms(st_, {"00": 1 / math.sqrt(2),
-                                         "11": 1 / math.sqrt(2)})
-        np.testing.assert_allclose(psi.amplitudes,
-                                   [2 ** -0.5, 0, 0, 2 ** -0.5])
-
 
 class TestHaarSampling:
     def test_deterministic_for_fixed_seed(self):
