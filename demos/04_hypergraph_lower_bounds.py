@@ -7,21 +7,20 @@ every marginal of the family.  Connectivity also forces at least
 ceil((N-1)/(k-1)) k-body marginals.
 """
 
-from puredeck import (DeckHypergraph, MarginalFamily, PartyStructure,
-                      compute_deck, counterexample_from_disconnection,
-                      deck_distance, fidelity_up_to_phase, ghz_state,
-                      is_connected, marginal_number_lower_bound,
-                      sample_haar_state, udp_necessary_check)
+from puredeck import (MarginalFamily, PartyStructure, compute_deck,
+                      counterexample_from_disconnection, deck_distance,
+                      fidelity_up_to_phase, ghz_state, is_connected,
+                      marginal_number_lower_bound, sample_haar_state)
 
 crossing = MarginalFamily(6, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
 print("crossing family {123, 456, 124, 356}:",
-      "connected" if is_connected(DeckHypergraph.from_family(crossing))
+      "connected" if is_connected(crossing)
       else "disconnected")
 
 split = MarginalFamily(4, ((1, 2), (3, 4)))
-check = udp_necessary_check(split)
-print(f"split family {{12, 34}}: connected={check.connected}, "
-      f"violation={check.violation}")
+connected = is_connected(split)
+print(f"split family {{12, 34}}: connected={connected}, "
+      f"violation={not connected}")
 
 # The violation is constructive: a second state with the same deck.
 psi = sample_haar_state(PartyStructure.uniform(4, 2), 11)

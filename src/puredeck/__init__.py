@@ -27,9 +27,8 @@ from .certify import (CrossCutMatrices, CrossCutSpec, GammaSystem,
                       build_cross_matrices, certify_udp, decide_null_space,
                       expected_equation_counts, verify_overlap_dependences,
                       verify_twin)
-from .hypergraph import (DeckHypergraph, NecessaryCheck,
-                         counterexample_from_disconnection, is_connected,
-                         marginal_number_lower_bound, udp_necessary_check)
+from .hypergraph import (components, counterexample_from_disconnection,
+                         is_connected, marginal_number_lower_bound)
 from .arrays import (OA_9_4_3_2, GeneralizedQoaState, OaCheck, OrthogonalArray,
                      PackingArray, format_array_text,
                      greedy_packing_array, non_udp_witness, parse_array_text,

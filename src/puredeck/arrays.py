@@ -161,10 +161,6 @@ class PackingArray(_RowArray):
         mat.setflags(write=False)
         object.__setattr__(self, "rows", mat)
 
-    @classmethod
-    def from_rows(cls, rows, levels: int, strength: int) -> "PackingArray":
-        return cls(rows, levels, strength)
-
 
 # The strength-2 array on nine qutrit rows whose uniform superposition has
 # every 2-body marginal maximally mixed.
@@ -304,7 +300,7 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
             if max_rows is not None and len(kept) >= max_rows:
                 break
             blocked[((digits[idx] + shifts) % levels) @ place] = True
-    return PackingArray.from_rows(digits[kept], levels, strength)
+    return PackingArray(digits[kept], levels, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,7 @@ def parse_array_text(text: str):
     mat = np.array(rows, dtype=int)
     if kind == "OA":
         return OrthogonalArray.from_rows(mat, levels, strength)
-    return PackingArray.from_rows(mat, levels, strength)
+    return PackingArray(mat, levels, strength)
 
 
 def format_array_text(array) -> str:

@@ -25,10 +25,10 @@ import numpy as np
 
 from .marginals import DECK_TOL, Deck, MarginalFamily, compute_deck, deck_distance
 from .schmidt import (GAP_TOL, RANK_TOL, GenericityReport,
-                      SchmidtDecomposition, _cut_matrices, _min_gaps,
-                      _schmidt_factors, _untied, classify_genericity,
-                      phase_twist, schmidt_decompose)
-from .states import (PartyStructure, PureState, check_subset,
+                      SchmidtDecomposition, _min_gaps, _schmidt_factors,
+                      _untied, classify_genericity, phase_twist,
+                      schmidt_decompose)
+from .states import (PartyStructure, PureState, _cut, check_subset,
                      fidelity_up_to_phase)
 
 # Singular values below SVD_TOL times the largest count as zero when deciding
@@ -132,27 +132,6 @@ class CrossCutSpec:
         return MarginalFamily(self.num_parties, tuple(subsets))
 
 
-def _split_factor(basis: np.ndarray, parties: tuple[int, ...],
-                  first: tuple[int, ...], structure: PartyStructure) -> np.ndarray:
-    """Reshape factor-space basis rows (..., rank, dim) to
-    (..., rank, dim_first, dim_rest).
-
-    `parties` are the factor's parties in ascending order (the axis order of
-    the Schmidt basis vectors); `first` is the sub-block pulled to the front.
-    """
-    lead = basis.shape[:-1]
-    dims = [structure.local_dims[p - 1] for p in parties]
-    first_pos = [parties.index(p) for p in first]
-    rest_pos = [i for i in range(len(parties)) if i not in first_pos]
-    d_first = math.prod(dims[i] for i in first_pos)
-    d_rest = math.prod(dims[i] for i in rest_pos)
-    tensor = basis.reshape(*lead, *dims)
-    skip = len(lead)
-    perm = [*range(skip), *(skip + i for i in first_pos),
-            *(skip + i for i in rest_pos)]
-    return tensor.transpose(perm).reshape(*lead, d_first, d_rest)
-
-
 def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tr_rest |i><j| and Tr_first |i><j| of split basis rows, each as one
     matrix product.
@@ -214,10 +193,13 @@ def _cross_products(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
                     structure: PartyStructure) -> tuple[np.ndarray, ...]:
     """Overlap products of Schmidt basis rows (..., rank, dim) for q, l, p
     and m: the left factor split as A x B, the right one as C x D."""
-    return (*_overlap_products(_split_factor(left, spec.ab, spec.block_a,
-                                             structure)),
-            *_overlap_products(_split_factor(right, spec.cd, spec.block_c,
-                                             structure)))
+    products = []
+    for basis, parties, first in ((left, spec.ab, spec.block_a),
+                                  (right, spec.cd, spec.block_c)):
+        dims = [structure.local_dims[p - 1] for p in parties]
+        products += _overlap_products(
+            _cut(basis, dims, [parties.index(p) for p in first]))
+    return tuple(products)
 
 
 def build_cross_matrices(dec: SchmidtDecomposition,
@@ -618,8 +600,6 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
             continue
         if full_null:
             residual = 0.0
-        elif basis is None:
-            continue
         else:
             residual = float(np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
         if residual > 1e-7:
@@ -767,9 +747,9 @@ def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
     if not _gram_decides(2 * sum(equations.values()), rank * (rank - 1),
                          svd_tol):
         return verdicts
-    s, left, right = _schmidt_factors(_cut_matrices(
-        np.stack([state.amplitudes for state in states]), structure,
-        spec.ab, spec.cd))
+    s, left, right = _schmidt_factors(_cut(
+        np.stack([state.amplitudes for state in states]),
+        structure.local_dims, [p - 1 for p in spec.ab]))
     gaps = _min_gaps(s)
     kept = np.flatnonzero((s[:, -1] > RANK_TOL * s[:, 0]) & _untied(s)
                           & (gaps > gap_tol))

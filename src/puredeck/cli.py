@@ -20,7 +20,7 @@ from .arrays import non_udp_witness, parse_array_text, qoa_state
 from .certify import CrossCutSpec, certify_udp
 from .experiments import (ExperimentConfig, Tolerances, check_counting_table,
                           run_experiment)
-from .hypergraph import marginal_number_lower_bound, udp_necessary_check
+from .hypergraph import is_connected, marginal_number_lower_bound
 from .marginals import MarginalFamily, compute_deck, deck_distance
 from .schmidt import classify_genericity, schmidt_decompose
 from .states import load_state, save_state, state_to_json_dict
@@ -149,16 +149,16 @@ def _cmd_schmidt(args) -> int:
 
 def _cmd_hypergraph(args) -> int:
     family = MarginalFamily.parse(args.n, args.family)
-    check = udp_necessary_check(family)
+    connected = is_connected(family)
     sizes = {len(s) for s in family.subsets}
     lower_bound = None
     if len(sizes) == 1:
         k = sizes.pop()
         if k >= 2:
             lower_bound = marginal_number_lower_bound(args.n, k)
-    _emit({"connected": check.connected, "lower_bound_for_k": lower_bound,
-           "violation": check.violation}, args.json,
-          human=f"connected={check.connected} violation={check.violation} "
+    _emit({"connected": connected, "lower_bound_for_k": lower_bound,
+           "violation": not connected}, args.json,
+          human=f"connected={connected} violation={not connected} "
                 f"lower_bound_for_k={lower_bound}")
     return 0
 

@@ -8,8 +8,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, _certify_stack,
                       _stack_size, block_equation_counts,
                       expected_equation_counts)

@@ -13,7 +13,6 @@ of assuming anything about the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,65 +22,26 @@ from .schmidt import schmidt_decompose, phase_twist
 from .states import PureState
 
 
-@dataclass(frozen=True)
-class DeckHypergraph:
-    """Vertices 1..N, one (hyper)edge per subset in a marginal family."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for edge in self.edges:
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
-            for v in edge:
-                if v < 1 or v > self.num_vertices:
-                    raise ValueError(f"vertex {v} outside 1..{self.num_vertices}")
-
-    @classmethod
-    def from_family(cls, family: MarginalFamily) -> "DeckHypergraph":
-        return cls(family.num_parties, family.subsets)
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components, listed by smallest vertex, members ascending;
-        vertices in no edge form singleton components."""
-        parts = [{v} for v in range(1, self.num_vertices + 1)]
-        for edge in self.edges:
-            joined = [p for p in parts if not p.isdisjoint(edge)]
-            if joined:
-                parts = ([p for p in parts if p.isdisjoint(edge)]
-                         + [set().union(*joined)])
-        return sorted(tuple(sorted(p)) for p in parts)
+def components(family: MarginalFamily) -> list[tuple[int, ...]]:
+    """Connected components of the family's hypergraph (vertices 1..N, one
+    edge per subset), listed by smallest vertex, members ascending;
+    vertices in no subset form singleton components."""
+    parts = [{v} for v in range(1, family.num_parties + 1)]
+    for subset in family:
+        joined = [p for p in parts if not p.isdisjoint(subset)]
+        parts = ([p for p in parts if p.isdisjoint(subset)]
+                 + [set().union(*joined)])
+    return sorted(tuple(sorted(p)) for p in parts)
 
 
-def is_connected(graph: DeckHypergraph) -> bool:
-    """True iff every vertex pair is joined through shared edges.
+def is_connected(family: MarginalFamily) -> bool:
+    """True iff every pair of parties is joined through shared subsets.
 
-    A vertex in no edge counts as disconnected, including the one-vertex graph
-    with an empty edge set.
+    A party in no subset counts as disconnected, including the single party
+    of an empty one-party family.  A component of two or more parties is
+    covered, so one component means connected unless the family is empty.
     """
-    covered = {v for edge in graph.edges for v in edge}
-    if len(covered) != graph.num_vertices:
-        return False
-    return len(graph.components()) == 1
-
-
-@dataclass(frozen=True)
-class NecessaryCheck:
-    connected: bool
-    violation: bool
-
-
-def udp_necessary_check(family: MarginalFamily) -> NecessaryCheck:
-    """Connectivity check of the family's hypergraph.
-
-    `violation=True` means: no state that is entangled across the separating
-    cut can be uniquely determined among pure states by this family.
-    """
-    connected = is_connected(DeckHypergraph.from_family(family))
-    return NecessaryCheck(connected=connected, violation=not connected)
+    return len(family) > 0 and len(components(family)) == 1
 
 
 def marginal_number_lower_bound(num_parties: int, k: int) -> int:
@@ -118,11 +78,10 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
     every marginal in the family.  Returns None when the state is a product
     across every separating cut.
     """
-    graph = DeckHypergraph.from_family(family)
-    if is_connected(graph):
-        raise ValueError("family is connected; no separating cut exists")
-    parts = graph.components()
+    parts = components(family)
     if len(parts) < 2:
+        if len(family) > 0:
+            raise ValueError("family is connected; no separating cut exists")
         return None  # single uncovered vertex graph: no bipartition available
     rng = np.random.default_rng(seed)
     reference = compute_deck(state, family)

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import Marginal, PureState, check_subset, complement
+from .states import Marginal, PureState, _cut, check_subset
 
 # Two aligned decks are called equal when no pair of corresponding marginals
 # differs by more than this in Frobenius norm.  Two orders above accumulated
@@ -100,14 +100,7 @@ def partial_trace(state: PureState, keep) -> Marginal:
     """
     structure = state.structure
     keep = check_subset(keep, structure.num_parties)
-    traced = complement(keep, structure.num_parties)
-    keep_axes = [p - 1 for p in keep]
-    traced_axes = [p - 1 for p in traced]
-    dim_keep = structure.subset_dim(keep)
-    dim_traced = structure.subset_dim(traced)
-    mat = (state.as_tensor()
-           .transpose(keep_axes + traced_axes)
-           .reshape(dim_keep, dim_traced))
+    mat = _cut(state.amplitudes, structure.local_dims, [p - 1 for p in keep])
     return Marginal._trusted(keep, mat @ mat.conj().T)
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PartyStructure, PureState, check_subset, complement
+from .states import (PartyStructure, PureState, _cut, _uncut, check_subset,
+                     complement)
 
 # Singular values below RANK_TOL times the largest are treated as zero.
 RANK_TOL = 1e-10
@@ -16,23 +17,6 @@ GAP_TOL = 1e-8
 # Coefficients within _TIE_TOL times the largest count as equal when
 # `_tie_break_degenerate` orders their basis vectors.
 _TIE_TOL = 1e-12
-
-
-def _axis_order(structure: PartyStructure, left: tuple[int, ...],
-                right: tuple[int, ...]) -> list[int]:
-    return [p - 1 for p in left] + [p - 1 for p in right]
-
-
-def _cut_matrices(amplitudes: np.ndarray, structure: PartyStructure,
-                  left: tuple[int, ...], right: tuple[int, ...]) -> np.ndarray:
-    """Amplitude vectors (..., total_dim) as cut matrices
-    (..., d_left, d_right)."""
-    lead = amplitudes.shape[:-1]
-    axes = [len(lead) + p for p in _axis_order(structure, left, right)]
-    return (amplitudes.reshape(*lead, *structure.local_dims)
-            .transpose(*range(len(lead)), *axes)
-            .reshape(*lead, structure.subset_dim(left),
-                     structure.subset_dim(right)))
 
 
 def _schmidt_factors(mats: np.ndarray):
@@ -116,11 +100,8 @@ class SchmidtDecomposition:
                 )
             coeffs = coeffs * np.exp(1j * phases)
         mat = (self.left_basis.T * coeffs) @ self.right_basis
-        dims_perm = ([self.structure.local_dims[p - 1] for p in self.left_parties]
-                     + [self.structure.local_dims[p - 1] for p in self.right_parties])
-        order = _axis_order(self.structure, self.left_parties, self.right_parties)
-        inverse = np.argsort(order)
-        vec = mat.reshape(dims_perm).transpose(inverse).reshape(-1)
+        vec = _uncut(mat, self.structure.local_dims,
+                     [p - 1 for p in self.left_parties])
         return PureState.from_amplitudes(self.structure, vec, normalize=True)
 
 
@@ -153,7 +134,7 @@ def schmidt_decompose(state: PureState, cut) -> SchmidtDecomposition:
     if not right:
         raise ValueError("cut must be a proper subset of the parties")
     s, left_vecs, right_vecs = _schmidt_factors(
-        _cut_matrices(state.amplitudes, structure, left, right))
+        _cut(state.amplitudes, structure.local_dims, [p - 1 for p in left]))
     rank = int(np.sum(s > RANK_TOL * s[0]))
     coeffs, left_basis, right_basis = _tie_break_degenerate(
         s[:rank], left_vecs[:rank], right_vecs[:rank], s[0])

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   ``|011>``.
 * Subsets of parties are sorted, duplicate-free tuples of 1-based labels.
 * All state vectors are dense complex128 arrays, normalized to unit norm.
+* A flat vector over some parties is their tensor in numpy C order, first
+  party the leading axis; `_cut` and `_uncut` are the only conversions
+  between that layout and a matrix across a bipartition.
 """
 
 from __future__ import annotations
@@ -123,6 +126,31 @@ class PartyStructure:
         return ",".join(str(x) for x in digits)
 
 
+def _cut(vectors: np.ndarray, dims, first) -> np.ndarray:
+    """Flat vectors (..., prod(dims)) as matrices (..., d_first, d_rest).
+
+    `dims` are the local dimensions of the vectors' parties in order, and
+    `first` lists positions into `dims` (0-based) for the row index, in the
+    given order; the other positions form the column index in ascending
+    order.  Leading stack axes are kept.
+    """
+    lead = vectors.shape[:-1]
+    rest = [i for i in range(len(dims)) if i not in first]
+    skip = len(lead)
+    d_first = math.prod(dims[i] for i in first)
+    return (vectors.reshape(*lead, *dims)
+            .transpose(*range(skip), *(skip + i for i in first),
+                       *(skip + i for i in rest))
+            .reshape(*lead, d_first, math.prod(dims) // d_first))
+
+
+def _uncut(matrix: np.ndarray, dims, first) -> np.ndarray:
+    """Inverse of `_cut` for one matrix (d_first, d_rest): the flat vector."""
+    order = [*first, *(i for i in range(len(dims)) if i not in first)]
+    return (matrix.reshape([dims[i] for i in order])
+            .transpose(np.argsort(order)).reshape(-1))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -176,10 +204,6 @@ class PureState:
     @property
     def num_parties(self) -> int:
         return self.structure.num_parties
-
-    def as_tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per party (party 1 = axis 0)."""
-        return self.amplitudes.reshape(self.structure.local_dims)
 
 
 def ghz_state(num_parties: int, local_dim: int = 2,

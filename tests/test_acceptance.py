@@ -20,7 +20,6 @@ from puredeck import (CrossCutSpec, ExperimentConfig, MarginalFamily,
 from puredeck.arrays import (OA_9_4_3_2, OrthogonalArray,
                              greedy_packing_array, non_udp_witness, qoa_state,
                              verify_oa)
-from puredeck.hypergraph import DeckHypergraph
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 
@@ -154,7 +153,7 @@ def test_criterion_6_overlap_dependence_rank():
 
 
 def test_criterion_7_connectivity_and_lower_bound():
-    fig_ok = is_connected(DeckHypergraph(6, ((1, 2, 3), (4, 5, 6),
+    fig_ok = is_connected(MarginalFamily(6, ((1, 2, 3), (4, 5, 6),
                                              (1, 2, 4), (3, 5, 6))))
     # disconnected families paired with Haar states all yield counterexamples
     rng = np.random.default_rng(7)
@@ -170,7 +169,7 @@ def test_criterion_7_connectivity_and_lower_bound():
                 edges.add(tuple(sorted(rng.choice(np.arange(1, n + 1),
                                                   size=size, replace=False))))
             family = MarginalFamily(n, tuple(sorted(edges)))
-            if is_connected(DeckHypergraph.from_family(family)):
+            if is_connected(family):
                 continue
             found += 1
             tested += 1
@@ -193,7 +192,7 @@ def test_criterion_7_connectivity_and_lower_bound():
             subsets = list(combinations(range(1, n + 1), k))
             for size in range(bound):
                 for fam in combinations(subsets, size):
-                    if is_connected(DeckHypergraph(n, fam)):
+                    if is_connected(MarginalFamily(n, fam)):
                         bound_ok = False
     report(7, "connectivity necessary condition and marginal-count bound",
            fig_ok and counter_ok and bound_ok and tested >= 20,
@@ -216,13 +215,13 @@ def test_criterion_8_oracle_equivalence():
         diff = np.linalg.norm(partial_trace(psi, keep).matrix
                               - brute_force_marginal(psi, keep))
         ptrace_ok &= diff <= 1e-12
-    # union-find connectivity against breadth-first reachability
+    # hypergraph connectivity against breadth-first reachability
     from test_hypergraph import bfs_connected, random_family
     graph_ok = True
     for _ in range(200):
         n = int(rng.integers(1, 9))
         family = random_family(n, rng)
-        graph_ok &= (is_connected(DeckHypergraph.from_family(family))
+        graph_ok &= (is_connected(family)
                      == bfs_connected(n, family.subsets))
     # decomposition reconstruction fidelity
     schmidt_ok = True

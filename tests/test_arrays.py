@@ -235,10 +235,10 @@ class TestVerifyPa:
 
     def test_row_count_bounds_enforced(self):
         with pytest.raises(ValueError, match="2 <= r"):
-            PackingArray.from_rows([(0, 0)], 2, 2)
+            PackingArray([(0, 0)], 2, 2)
         with pytest.raises(ValueError, match="2 <= r"):
-            PackingArray.from_rows([(i, j) for i in range(2) for j in range(2)]
-                                   + [(0, 1)], 2, 2)
+            PackingArray([(i, j) for i in range(2) for j in range(2)]
+                         + [(0, 1)], 2, 2)
 
     def test_constructor_checks_packing_property(self):
         with pytest.raises(ValueError, match="packing array"):
@@ -321,7 +321,7 @@ class TestWitness:
         assert result.fidelity == pytest.approx(abs(0.36 - 0.64), abs=1e-12)
 
     def test_three_row_qutrit_packing(self):
-        pa = PackingArray.from_rows([(0,) * 5, (1,) * 5, (2,) * 5], 3, 2)
+        pa = PackingArray([(0,) * 5, (1,) * 5, (2,) * 5], 3, 2)
         rng = np.random.default_rng(9)
         g = qoa_state(pa)
         result = non_udp_witness(g, rng.uniform(0, 2 * math.pi, 3))

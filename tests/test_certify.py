@@ -66,6 +66,20 @@ def reference_matrix(matrices):
     return np.array(rows, dtype=float).reshape(len(rows), 2 * len(pairs))
 
 
+def overlap_oracle(basis, parties, keep, local_dims):
+    """Tr over the factor's parties outside `keep` of |i><j|, for every pair
+    of basis rows, by one einsum with one index per party (kept parties
+    get a separate index on the bra)."""
+    rank = basis.shape[0]
+    x = basis.reshape(rank, *(local_dims[p - 1] for p in parties))
+    ket = "abcdef"[:len(parties)]
+    bra = "".join(c.upper() if p in keep else c for c, p in zip(ket, parties))
+    kept = "".join(c for c, p in zip(ket, parties) if p in keep)
+    ops = np.einsum(f"i{ket},j{bra}->ij{kept}{kept.upper()}", x, x.conj())
+    dim = math.prod(local_dims[p - 1] for p in keep)
+    return ops.reshape(rank, rank, dim, dim)
+
+
 def spy_on_exact_path(monkeypatch):
     """Record the svd_tol of every call `decide_null_space` makes to the SVD."""
     calls = []
@@ -132,6 +146,24 @@ class TestCrossMatrices:
         i, j = 2, 5
         np.testing.assert_allclose(mats.q[i, j].conj().T, mats.q[j, i], atol=1e-12)
         np.testing.assert_allclose(mats.m[i, j].conj().T, mats.m[j, i], atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", ["A=2,5;B=1;C=3;D=4,6",
+                                        "A=1;B=2,5;C=4,6;D=3"])
+    def test_operators_match_einsum_oracle(self, blocks):
+        # blocks that are not prefixes of their cut, on mixed local dims
+        structure = PartyStructure(6, (2, 3, 2, 2, 3, 2))
+        spec = CrossCutSpec.parse(blocks, 6)
+        psi = sample_haar_state(structure, 9)
+        dec = schmidt_decompose(psi, spec.ab)
+        mats = build_cross_matrices(dec, spec)
+        dims = structure.local_dims
+        for got, basis, parties, keep in (
+                (mats.q, dec.left_basis, spec.ab, spec.block_a),
+                (mats.l, dec.left_basis, spec.ab, spec.block_b),
+                (mats.p, dec.right_basis, spec.cd, spec.block_c),
+                (mats.m, dec.right_basis, spec.cd, spec.block_d)):
+            np.testing.assert_allclose(
+                got, overlap_oracle(basis, parties, keep, dims), atol=1e-14)
 
     def test_cut_mismatch_rejected(self):
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)

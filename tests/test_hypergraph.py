@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from puredeck import (DeckHypergraph, MarginalFamily, PartyStructure,
-                      PureState, compute_deck, counterexample_from_disconnection,
+from puredeck import (MarginalFamily, PartyStructure, PureState, components,
+                      compute_deck, counterexample_from_disconnection,
                       deck_distance, fidelity_up_to_phase, ghz_state,
                       is_connected, marginal_number_lower_bound,
-                      sample_haar_state, udp_necessary_check)
+                      sample_haar_state)
 from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
 
 FOUR_MARGINAL_FAMILY = MarginalFamily(6, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
@@ -45,31 +45,30 @@ def random_family(num_vertices, rng):
 
 class TestConnectivity:
     def test_four_marginal_family_connected(self):
-        assert is_connected(DeckHypergraph.from_family(FOUR_MARGINAL_FAMILY))
+        assert is_connected(FOUR_MARGINAL_FAMILY)
 
     def test_split_pairs_disconnected(self):
         fam = MarginalFamily(4, ((1, 2), (3, 4)))
-        assert not is_connected(DeckHypergraph.from_family(fam))
+        assert not is_connected(fam)
 
     def test_empty_family_single_vertex_disconnected(self):
-        assert not is_connected(DeckHypergraph(1, ()))
+        assert not is_connected(MarginalFamily(1, ()))
 
     def test_single_vertex_with_loop_edge_connected(self):
-        assert is_connected(DeckHypergraph(1, ((1,),)))
+        assert is_connected(MarginalFamily(1, ((1,),)))
 
     def test_single_full_edge_connected(self):
-        assert is_connected(DeckHypergraph(5, ((1, 2, 3, 4, 5),)))
+        assert is_connected(MarginalFamily(5, ((1, 2, 3, 4, 5),)))
 
     def test_uncovered_vertex_disconnects(self):
-        assert not is_connected(DeckHypergraph(3, ((1, 2),)))
+        assert not is_connected(MarginalFamily(3, ((1, 2),)))
 
     def test_agrees_with_bfs_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(1, 8))
             fam = random_family(n, rng)
-            graph = DeckHypergraph.from_family(fam)
-            assert is_connected(graph) == bfs_connected(n, fam.subsets)
+            assert is_connected(fam) == bfs_connected(n, fam.subsets)
 
     def test_components_order_against_bfs(self):
         # components by smallest vertex, members ascending, uncovered vertices
@@ -91,22 +90,20 @@ class TestConnectivity:
                             part.update(e)
                 seen |= part
                 expected.append(tuple(sorted(part)))
-            assert DeckHypergraph.from_family(fam).components() == expected
+            assert components(fam) == expected
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            DeckHypergraph(3, ((1, 2), (1, 2)))
+            MarginalFamily(3, ((1, 2), (1, 2)))
 
 
 class TestNecessaryCheck:
     def test_connected_family_no_violation(self):
-        check = udp_necessary_check(FOUR_MARGINAL_FAMILY)
-        assert check.connected and not check.violation
+        assert is_connected(FOUR_MARGINAL_FAMILY)
 
     def test_family_inside_proper_subset_violates(self):
         fam = MarginalFamily(5, ((1, 2), (2, 3)))  # parties 4, 5 uncovered
-        check = udp_necessary_check(fam)
-        assert check.violation
+        assert not is_connected(fam)
         # the promised phase counterexample exists for an entangled state
         psi = sample_haar_state(PartyStructure.uniform(5, 2), 3)
         other = counterexample_from_disconnection(psi, fam)
@@ -142,7 +139,7 @@ class TestLowerBound:
             subsets = list(combinations(range(1, n + 1), k))
             for size in range(bound):
                 for fam in combinations(subsets, size):
-                    assert not is_connected(DeckHypergraph(n, fam))
+                    assert not is_connected(MarginalFamily(n, fam))
 
 
 class TestCounterexample:

@@ -9,7 +9,8 @@ from puredeck import (MarginalFamily, PartyStructure, PureState,
                       classify_genericity, compute_deck, deck_distance,
                       fidelity_up_to_phase, ghz_state, partial_trace,
                       phase_twist, sample_haar_state, schmidt_decompose)
-from puredeck.schmidt import RANK_TOL, _cut_matrices, _schmidt_factors
+from puredeck.schmidt import RANK_TOL, _schmidt_factors
+from puredeck.states import _cut
 
 
 def row_by_row_decomposition(state, cut):
@@ -20,7 +21,8 @@ def row_by_row_decomposition(state, cut):
     structure = state.structure
     rest = tuple(p for p in range(1, structure.num_parties + 1) if p not in cut)
     order = [p - 1 for p in cut + rest]
-    mat = state.as_tensor().transpose(order).reshape(
+    tensor = state.amplitudes.reshape(structure.local_dims)
+    mat = tensor.transpose(order).reshape(
         structure.subset_dim(cut), structure.subset_dim(rest))
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
@@ -85,9 +87,9 @@ class TestDecomposition:
         # same arithmetic per row, so equal to the last bit, in a stack too
         structure = PartyStructure.uniform(n, d)
         states = [sample_haar_state(structure, seed) for seed in range(12)]
-        rest = tuple(p for p in range(1, n + 1) if p not in cut)
-        stacked = _schmidt_factors(_cut_matrices(
-            np.stack([psi.amplitudes for psi in states]), structure, cut, rest))
+        stacked = _schmidt_factors(_cut(
+            np.stack([psi.amplitudes for psi in states]), structure.local_dims,
+            [p - 1 for p in cut]))
         for item, psi in enumerate(states):
             dec = schmidt_decompose(psi, cut)
             for got, want, row in zip(

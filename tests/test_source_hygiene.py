@@ -1,0 +1,79 @@
+"""Static checks of the package source with the standard library's `ast`:
+no unused imports, and no private module-level function that nothing in
+the package calls."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "puredeck"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """Names bound by the module's imports, except `from __future__`."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def referenced_names(tree, skip=None):
+    """Names read as variables or attributes, or imported from a sibling
+    module, anywhere in `tree` outside the node `skip`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_package_modules_found():
+    assert {"states.py", "certify.py", "__init__.py"} <= {
+        path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__ imports only to re-export, so it is not checked
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in imported_names(tree) if name not in used]
+    assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            # a function that only calls itself is not referenced
+            refs = set().union(*(
+                referenced_names(other, skip=node if other is tree else None)
+                for other in trees.values()))
+            if node.name not in refs:
+                unreferenced.append(f"{name}:{node.name}")
+    assert unreferenced == [], f"no module references {unreferenced}"

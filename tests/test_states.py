@@ -13,6 +13,7 @@ from puredeck import (DIM_CAP, Marginal, PartyStructure, PureState,
                       load_state, sample_haar_state, save_state,
                       state_to_json_dict)
 from puredeck.schmidt import classify_genericity, schmidt_decompose
+from puredeck.states import _cut, _uncut
 
 NINE_TERM_QUTRIT = {
     "0000": 1 / 3, "0111": 1 / 3, "0222": 1 / 3,
@@ -61,6 +62,38 @@ class TestPartyStructure:
         st_ = PartyStructure(len(dims), tuple(dims))
         idx = raw % st_.total_dim
         assert st_.digits_to_index(st_.index_to_digits(idx)) == idx
+
+
+class TestCutLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=2, max_value=4), min_size=1,
+                    max_size=6), st.data())
+    def test_cut_then_uncut_is_identity(self, dims, data):
+        n = len(dims)
+        first = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                   unique=True, max_size=n))
+        rest = [i for i in range(n) if i not in first]
+        lead = data.draw(st.sampled_from([(), (3,)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 9)))
+        total = math.prod(dims)
+        vectors = (rng.standard_normal((*lead, total))
+                   + 1j * rng.standard_normal((*lead, total)))
+        mats = _cut(vectors, dims, first)
+        d_first = math.prod(dims[i] for i in first)
+        assert mats.shape == (*lead, d_first, total // d_first)
+        # entry (row, col) holds the amplitude whose party digits, read in
+        # the order `first` then the ascending rest, give row then col
+        digits = np.unravel_index(np.arange(total), dims)
+        row = np.ravel_multi_index([digits[i] for i in first],
+                                   [dims[i] for i in first])
+        col = np.ravel_multi_index([digits[i] for i in rest],
+                                   [dims[i] for i in rest])
+        np.testing.assert_array_equal(mats[..., row, col], vectors)
+        for item in np.ndindex(lead):
+            np.testing.assert_array_equal(mats[item],
+                                          _cut(vectors[item], dims, first))
+            np.testing.assert_array_equal(_uncut(mats[item], dims, first),
+                                          vectors[item])
 
 
 class TestPureState:
