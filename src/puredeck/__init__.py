@@ -22,11 +22,11 @@ from .marginals import (Deck, MarginalFamily, compute_deck, deck_distance,
 from .schmidt import (GenericityReport, SchmidtDecomposition,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .certify import (CrossCutMatrices, CrossCutSpec, GammaSystem,
-                      NullSpaceResult, OverlapDependenceReport, UdpStatus,
-                      UdpVerdict, WitnessCheck, assemble_gamma_system,
-                      build_cross_matrices, certify_udp, decide_null_space,
-                      expected_equation_counts, verify_overlap_dependences,
-                      verify_twin)
+                      NullSpaceResult, OverlapDependenceReport, Tolerances,
+                      UdpStatus, UdpVerdict, WitnessCheck,
+                      assemble_gamma_system, build_cross_matrices, certify_udp,
+                      decide_null_space, expected_equation_counts,
+                      verify_overlap_dependences, verify_twin)
 from .hypergraph import (components, counterexample_from_disconnection,
                          is_connected, marginal_number_lower_bound)
 from .arrays import (OA_9_4_3_2, GeneralizedQoaState, OaCheck, OrthogonalArray,
@@ -34,8 +34,7 @@ from .arrays import (OA_9_4_3_2, GeneralizedQoaState, OaCheck, OrthogonalArray,
                      greedy_packing_array, non_udp_witness, parse_array_text,
                      qoa_state, verify_oa, verify_pa)
 from .experiments import (CountingTable, ExperimentConfig, ExperimentReport,
-                          Tolerances, check_counting_table,
-                          equations_for_split, run_experiment,
-                          worst_case_surplus_closed_form)
+                          check_counting_table, equations_for_split,
+                          run_experiment, worst_case_surplus_closed_form)
 
 __version__ = "0.1.0"

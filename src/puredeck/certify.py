@@ -15,7 +15,7 @@ is searched for an explicit second state with the same marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -51,6 +51,23 @@ _STACK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
+class Tolerances:
+    """The settable tolerances of a certification, each in (0, 1e-2)."""
+
+    gap_tol: float = GAP_TOL
+    svd_tol: float = SVD_TOL
+    deck_tol: float = DECK_TOL
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not 0.0 < value < 1e-2:
+                raise ValueError(f"{name}={value} outside (0, 1e-2)")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class CrossCutSpec:
     """Four disjoint blocks covering {1..N}; cuts (AB|CD) and (AC|BD).
 
@@ -82,7 +99,7 @@ class CrossCutSpec:
                 raise ValueError(f"union {label} must be nonempty")
 
     @classmethod
-    def parse(cls, text: str, num_parties: int | None = None) -> "CrossCutSpec":
+    def parse(cls, text: str, num_parties: int) -> "CrossCutSpec":
         """Parse 'A=1,2;B=3;C=4;D=5,6' (an empty block is 'B=')."""
         blocks = {"A": (), "B": (), "C": (), "D": ()}
         for chunk in text.split(";"):
@@ -96,10 +113,8 @@ class CrossCutSpec:
             if name not in blocks:
                 raise ValueError(f"unknown block {name!r}")
             blocks[name] = tuple(int(p) for p in parties.split(",") if p.strip())
-        n = num_parties
-        if n is None:
-            n = sum(len(v) for v in blocks.values())
-        return cls(blocks["A"], blocks["B"], blocks["C"], blocks["D"], n)
+        return cls(blocks["A"], blocks["B"], blocks["C"], blocks["D"],
+                   num_parties)
 
     @property
     def ab(self) -> tuple[int, ...]:
@@ -186,20 +201,33 @@ class CrossCutMatrices:
 
     @property
     def rank(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-3]
 
 
-def _cross_products(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
-                    structure: PartyStructure) -> tuple[np.ndarray, ...]:
-    """Overlap products of Schmidt basis rows (..., rank, dim) for q, l, p
-    and m: the left factor split as A x B, the right one as C x D."""
+def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
+                    structure: PartyStructure) -> CrossCutMatrices:
+    """Overlap operators of orthonormal basis rows (..., rank, dim), one
+    state or a stack: the left rows split as A x B, the right ones as C x D.
+
+    Raises ValueError when any item breaks the trace or adjoint identity.
+    """
     products = []
     for basis, parties, first in ((left, spec.ab, spec.block_a),
                                   (right, spec.cd, spec.block_c)):
         dims = [structure.local_dims[p - 1] for p in parties]
         products += _overlap_products(
             _cut(basis, dims, [parties.index(p) for p in first]))
-    return tuple(products)
+    rank = left.shape[-2]
+    for name, product in zip("QLPM", products):
+        trace_err, adj_err = _identity_errors(product, rank)
+        if np.any(trace_err > TRACE_IDENTITY_TOL):
+            raise ValueError(f"trace identity violated for {name} blocks")
+        if np.any(adj_err > TRACE_IDENTITY_TOL):
+            raise ValueError(f"adjoint identity violated for {name} blocks")
+    q, l, p, m = (_operator_blocks(product, rank) for product in products)
+    for arr in (q, l, p, m):
+        arr.setflags(write=False)
+    return CrossCutMatrices(q, p, l, m)
 
 
 def build_cross_matrices(dec: SchmidtDecomposition,
@@ -210,18 +238,8 @@ def build_cross_matrices(dec: SchmidtDecomposition,
             f"decomposition cut {dec.left_parties}|{dec.right_parties} does not "
             f"match the primary cut {spec.ab}|{spec.cd}"
         )
-    products = _cross_products(dec.left_basis, dec.right_basis, spec,
-                               dec.structure)
-    for name, product in zip("QLPM", products):
-        trace_err, adj_err = _identity_errors(product, dec.rank)
-        if trace_err > TRACE_IDENTITY_TOL:
-            raise ValueError(f"trace identity violated for {name} blocks")
-        if adj_err > TRACE_IDENTITY_TOL:
-            raise ValueError(f"adjoint identity violated for {name} blocks")
-    q, l, p, m = (_operator_blocks(product, dec.rank) for product in products)
-    for arr in (q, l, p, m):
-        arr.setflags(write=False)
-    return CrossCutMatrices(q, p, l, m)
+    return _cross_matrices(dec.left_basis, dec.right_basis, spec,
+                           dec.structure)
 
 
 class SourceFactors(NamedTuple):
@@ -399,11 +417,17 @@ class NullSpaceResult:
     shifted Cholesky of the Gram decides the rank (a trivial null space
     with sigma_min / sigma_max >= max(2 svd_tol, 1e-4), see
     `decide_null_space`) no spectrum is computed and the array is empty.
+    Both arrays are made read-only.
     """
 
     null_dim: int
     basis: np.ndarray | None          # (num_real_variables, null_dim), orthonormal
     singular_values: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.basis, self.singular_values):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
@@ -420,8 +444,6 @@ def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
         rank = int(np.sum(s > svd_tol * s[0]))
     null_dim = n_cols - rank
     basis = vt[rank:].T.copy() if null_dim > 0 else None
-    if basis is not None:
-        basis.setflags(write=False)
     return NullSpaceResult(null_dim, basis, s)
 
 
@@ -607,8 +629,16 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
         predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
         candidates.append((residual, predicted_fid, phases))
     candidates.sort(key=lambda item: (item[0], item[1]))
-    reference = compute_deck(state, family)
-    for _, _, phases in candidates[:16]:
+    return _first_twin(compute_deck(state, family), state, dec,
+                       [phases for _, _, phases in candidates[:16]],
+                       deck_tol=deck_tol)
+
+
+def _first_twin(reference: Deck, state: PureState, dec: SchmidtDecomposition,
+                phase_vectors, *, deck_tol: float) -> WitnessCheck | None:
+    """The first phase twist of `dec`, trying `phase_vectors` in order, that
+    `verify_twin` accepts against `reference`, or None."""
+    for phases in phase_vectors:
         check = verify_twin(reference, state, phase_twist(dec, phases),
                             deck_tol=deck_tol)
         if check.verified:
@@ -634,14 +664,18 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     `family` is the marginal family the verdict is about; it defaults to the
     four cut marginals AB, CD, AC, BD.  A trivial null space certifies only
     when each of those four lies inside a member of `family`, and any
-    emitted witness is verified against the deck of `family`.
+    emitted witness is verified against the deck of `family`.  The
+    tolerances must pass `Tolerances`, and `family` must be defined on the
+    state's parties; otherwise ValueError.
     """
+    Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
     if spec.num_parties != state.structure.num_parties:
         raise ValueError("spec covers a different number of parties")
-    if family is None:  # the four cut marginals cover themselves
-        family, uncovered = spec.verification_family(), []
-    else:
-        uncovered = _uncovered_cuts(spec, family)
+    if family is None:
+        family = spec.verification_family()
+    elif family.num_parties != spec.num_parties:
+        raise ValueError("family defined for a different number of parties")
+    uncovered = _uncovered_cuts(spec, family)
     dec = schmidt_decompose(state, spec.ab)
     genericity = classify_genericity(dec, gap_tol=gap_tol)
     matrices = build_cross_matrices(dec, spec)
@@ -717,8 +751,7 @@ def _certify_stack(states: list[PureState], spec: CrossCutSpec, *,
 
     `_stacked_certificates` certifies the items it can; every other item
     gets `certify_udp` with its seed, which runs the exact SVD, the
-    tie-break, the witness search and the notes, and raises on an identity
-    violation.
+    tie-break, the witness search and the notes.
     """
     certified = _stacked_certificates(states, spec, svd_tol=svd_tol,
                                       gap_tol=gap_tol)
@@ -737,8 +770,8 @@ def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
     An item is certified here when its primary cut has full rank, no two
     coefficients in the tie-break window (so its pairs come in the order
     `schmidt_decompose` gives them) and a spectral gap above `gap_tol`,
-    its overlap operators meet both identities and its shifted Cholesky
-    succeeds.
+    and its shifted Cholesky succeeds.  An overlap identity that fails for
+    any such item raises the `build_cross_matrices` ValueError.
     """
     verdicts: list[UdpVerdict | None] = [None] * len(states)
     structure = states[0].structure
@@ -755,15 +788,11 @@ def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
                           & (gaps > gap_tol))
     if kept.size == 0:
         return verdicts
-    products = _cross_products(left[kept], right[kept], spec, structure)
-    passed = np.ones(kept.size, dtype=bool)
-    for product in products:
-        for err in _identity_errors(product, rank):
-            passed &= ~(err > TRACE_IDENTITY_TOL)
-    q, l, p, m = (_operator_blocks(product, rank) for product in products)
-    system = GammaSystem((_source_factors(q, p), _source_factors(l, m)))
-    del products, q, l, p, m  # not held through the Gram stage
-    passed &= _shifted_cholesky(system.gram, svd_tol)
+    matrices = _cross_matrices(left[kept], right[kept], spec, structure)
+    system = GammaSystem((_source_factors(matrices.q, matrices.p),
+                          _source_factors(matrices.l, matrices.m)))
+    del matrices  # the overlap products are not held through the Gram stage
+    passed = _shifted_cholesky(system.gram, svd_tol)
     counts = _verdict_counts(system)
     for item in kept[passed]:
         genericity = GenericityReport(full_rank=True, distinct_spectrum=True,
@@ -778,14 +807,6 @@ def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
 # linear dependences (one vanishing trace per operator family).
 # ---------------------------------------------------------------------------
 
-def _haar_orthonormal_pair(dim: int, rng: np.random.Generator):
-    z = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
-    v1 = z[0] / np.linalg.norm(z[0])
-    v2 = z[1] - np.vdot(v1, z[1]) * v1
-    v2 /= np.linalg.norm(v2)
-    return v1, v2
-
-
 @dataclass(frozen=True)
 class OverlapDependenceReport:
     entry_count: int
@@ -798,28 +819,25 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
     """Sample random orthonormal basis pairs and measure the rank of the
     stacked (Q, L, P, M) entry tuples.
 
-    Each sampled tuple satisfies the four trace-zero identities, so with
-    enough samples the stack has rank T - 4 (T = total entry count) exactly
-    when no further dependence exists.
+    Each trial draws an orthonormal pair on AB and one on CD (the QR of a
+    complex Gaussian dim x 2 matrix) and takes their (0, 1) overlap
+    operators from the kernel of `build_cross_matrices`.  Each tuple
+    satisfies the four trace-zero identities, so with enough samples the
+    stack has rank T - 4 (T = total entry count) exactly when no further
+    dependence exists.
     """
     da, db, dc, dd = spec.block_dims(structure)
     entry_count = da * da + db * db + dc * dc + dd * dd
     if trials < entry_count:
         raise ValueError(f"need at least {entry_count} trials, got {trials}")
     rng = np.random.default_rng(seed)
-    rows = np.empty((trials, entry_count), dtype=complex)
-    for t in range(trials):
-        u1, u2 = _haar_orthonormal_pair(da * db, rng)
-        v1, v2 = _haar_orthonormal_pair(dc * dd, rng)
-        u1 = u1.reshape(da, db)
-        u2 = u2.reshape(da, db)
-        v1 = v1.reshape(dc, dd)
-        v2 = v2.reshape(dc, dd)
-        q = u1 @ u2.conj().T
-        l = u1.T @ u2.conj()
-        p = v1 @ v2.conj().T
-        m = v1.T @ v2.conj()
-        rows[t] = np.concatenate([q.ravel(), l.ravel(), p.ravel(), m.ravel()])
+    pairs = []
+    for dim in (da * db, dc * dd):
+        z = rng.standard_normal((2, trials, dim, 2))
+        pairs.append(np.linalg.qr(z[0] + 1j * z[1])[0].swapaxes(-1, -2))
+    ops = _cross_matrices(*pairs, spec, structure)
+    rows = np.concatenate([o[:, 0, 1].reshape(trials, -1)
+                           for o in (ops.q, ops.l, ops.p, ops.m)], axis=1)
     s = np.linalg.svd(rows, compute_uv=False)
     measured = int(np.sum(s > OVERLAP_RANK_TOL * s[0]))
     return OverlapDependenceReport(entry_count, measured, entry_count - 4)

@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import non_udp_witness, parse_array_text, qoa_state
-from .certify import CrossCutSpec, certify_udp
-from .experiments import (ExperimentConfig, Tolerances, check_counting_table,
-                          run_experiment)
+from .certify import CrossCutSpec, Tolerances, certify_udp
+from .experiments import ExperimentConfig, check_counting_table, run_experiment
 from .hypergraph import is_connected, marginal_number_lower_bound
 from .marginals import MarginalFamily, compute_deck, deck_distance
 from .schmidt import classify_genericity, schmidt_decompose
@@ -47,15 +46,13 @@ def _genericity_json(report) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    tol = Tolerances(gap_tol=args.gap_tol, svd_tol=args.svd_tol,
-                     deck_tol=args.deck_tol)
     state = load_state(args.state)
     spec = CrossCutSpec.parse(args.blocks, state.structure.num_parties)
     family = None
     if args.family:
         family = MarginalFamily.parse(state.structure.num_parties, args.family)
-    verdict = certify_udp(state, spec, family, svd_tol=tol.svd_tol,
-                          deck_tol=tol.deck_tol, gap_tol=tol.gap_tol,
+    verdict = certify_udp(state, spec, family, svd_tol=args.svd_tol,
+                          deck_tol=args.deck_tol, gap_tol=args.gap_tol,
                           seed=args.seed)
     data = {
         "status": verdict.status.value,
@@ -79,7 +76,21 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    tol = Tolerances(gap_tol=args.gap_tol, svd_tol=args.svd_tol,
+                     deck_tol=args.deck_tol)
     if args.config:
+        # the file holds every other setting, so a flag it would drop is
+        # refused instead
+        defaults = Tolerances().to_dict()
+        dropped = [f"--{name}" for name in ("n", "d", "blocks")
+                   if getattr(args, name) is not None]
+        dropped += [f"--{name.replace('_', '-')}"
+                    for name, value in tol.to_dict().items()
+                    if value != defaults[name]]
+        if dropped:
+            raise ValueError(f"{', '.join(dropped)} cannot be combined with "
+                             "--config; only --trials, --seed and --out "
+                             "override the file")
         base = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
         overrides = {}
         if args.out:
@@ -94,8 +105,6 @@ def _cmd_experiment(args) -> int:
             if getattr(args, name) is None:
                 raise ValueError(f"--{name} is required without --config")
         spec = CrossCutSpec.parse(args.blocks, args.n)
-        tol = Tolerances(gap_tol=args.gap_tol, svd_tol=args.svd_tol,
-                         deck_tol=args.deck_tol)
         config = ExperimentConfig(num_parties=args.n, local_dim=args.d,
                                   trials=args.trials,
                                   seed=args.seed if args.seed is not None else 0,
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", default=None)
     p.add_argument("--config", default=None,
                    help="JSON config file mirroring the experiment settings; "
-                        "--trials/--seed/--out override it")
+                        "only --trials/--seed/--out override it")
     p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
     p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
     p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)

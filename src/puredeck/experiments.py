@@ -8,29 +8,10 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .certify import (SVD_TOL, CrossCutSpec, UdpStatus, _certify_stack,
+from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
                       _stack_size, block_equation_counts,
                       expected_equation_counts)
-from .marginals import DECK_TOL
-from .schmidt import GAP_TOL
 from .states import PartyStructure, sample_haar_state
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The settable tolerances of a certification, each in (0, 1e-2)."""
-
-    gap_tol: float = GAP_TOL
-    svd_tol: float = SVD_TOL
-    deck_tol: float = DECK_TOL
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not 0.0 < value < 1e-2:
-                raise ValueError(f"{name}={value} outside (0, 1e-2)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -221,16 +202,6 @@ class CountingRow:
     closed_form_matches: bool | None
     nonpositive_surplus: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "d": self.d, "a_size": self.a_size,
-            "variables": self.variables, "equations": self.equations,
-            "surplus": self.surplus, "is_extreme_split": self.is_extreme_split,
-            "closed_form_surplus": self.closed_form_surplus,
-            "closed_form_matches": self.closed_form_matches,
-            "nonpositive_surplus": self.nonpositive_surplus,
-        }
-
 
 @dataclass(frozen=True)
 class CountingSummary:
@@ -239,11 +210,6 @@ class CountingSummary:
     min_equations: int
     minimizing_a_sizes: tuple[int, ...]
     min_at_extremes: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "min_equations": self.min_equations,
-                "minimizing_a_sizes": list(self.minimizing_a_sizes),
-                "min_at_extremes": self.min_at_extremes}
 
 
 @dataclass(frozen=True)
@@ -261,9 +227,9 @@ class CountingTable:
                    if r.closed_form_matches is not None)
 
     def to_json_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows],
-                "summaries": [s.to_dict() for s in self.summaries],
-                "flagged_nonpositive": [r.to_dict() for r in self.flagged_rows],
+        return {"rows": [asdict(r) for r in self.rows],
+                "summaries": [asdict(s) for s in self.summaries],
+                "flagged_nonpositive": [asdict(r) for r in self.flagged_rows],
                 "all_closed_forms_match": self.all_closed_forms_match}
 
 

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .certify import verify_twin
-from .marginals import MarginalFamily, compute_deck
-from .schmidt import schmidt_decompose, phase_twist
+from .certify import _first_twin
+from .marginals import DECK_TOL, MarginalFamily, compute_deck
+from .schmidt import schmidt_decompose
 from .states import PureState
 
 
@@ -100,8 +100,7 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
             phases = rng.uniform(0.0, 2.0 * math.pi, size=dec.rank)
             phases[0] = 0.0
             attempts.append(phases)
-        for phases in attempts:
-            check = verify_twin(reference, state, phase_twist(dec, phases))
-            if check.verified:
-                return check.witness
+        found = _first_twin(reference, state, dec, attempts, deck_tol=DECK_TOL)
+        if found is not None:
+            return found.witness
     return None

@@ -96,7 +96,7 @@ def partial_trace(state: PureState, keep) -> Marginal:
     at most c * 32768 * u * ||M||_F^2, below 1e-11.  That bounds the
     Hermiticity error (2 ||E||_F), the trace error (|trace E| + NORM_TOL)
     and how far the smallest eigenvalue can fall below zero (||E||_2), each
-    well inside HERMITICITY_TOL, TRACE_TOL and PSD_TOL (1e-10).
+    well inside MARGINAL_TOL (1e-10).
     """
     structure = state.structure
     keep = check_subset(keep, structure.num_parties)

@@ -26,9 +26,8 @@ import numpy as np
 DIM_CAP = 65536
 
 NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+# Hermiticity, trace and positivity tolerance of a `Marginal`.
+MARGINAL_TOL = 1e-10
 
 
 def check_subset(parties, num_parties: int, *, allow_empty: bool = False) -> tuple[int, ...]:
@@ -247,7 +246,7 @@ class Marginal:
     """Reduced density matrix of a subset of parties.
 
     The public constructor validates its input: Hermitian, unit trace and
-    positive semidefinite within HERMITICITY_TOL, TRACE_TOL and PSD_TOL.
+    positive semidefinite, each within MARGINAL_TOL.
     `marginals.partial_trace` builds its marginals through `_trusted`
     instead: its rho = M M^dagger of a norm-checked state meets all three
     by construction, with rounding errors far inside the tolerances (the
@@ -266,13 +265,13 @@ class Marginal:
             raise ValueError("marginal matrix must be square")
         # written as `not err <= tol` so that a NaN error is refused too
         herm_err = np.linalg.norm(mat - mat.conj().T)
-        if not herm_err <= HERMITICITY_TOL:
+        if not herm_err <= MARGINAL_TOL:
             raise ValueError(f"marginal not Hermitian: |rho - rho^dag| = {herm_err:.3e}")
         tr_err = abs(np.trace(mat).real - 1.0) + abs(np.trace(mat).imag)
-        if not tr_err <= TRACE_TOL:
+        if not tr_err <= MARGINAL_TOL:
             raise ValueError(f"marginal trace deviates from 1 by {tr_err:.3e}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if not min_eig >= -PSD_TOL:
+        if not min_eig >= -MARGINAL_TOL:
             raise ValueError(f"marginal has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "matrix", _freeze(mat.copy()))

@@ -1,5 +1,6 @@
 """Tests for the cross-cut phase-system certifier."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _gamma_vector, _haar_orthonormal_pair,
+                              _cross_matrices, _gamma_vector,
                               _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
@@ -295,6 +296,25 @@ class TestNullSpace:
         assert result.null_dim == 6
         np.testing.assert_array_equal(result.basis, np.eye(6))
 
+    def test_result_arrays_are_read_only(self):
+        ghz = ghz_state(6, 2, 0.6, 0.8)
+        results = {
+            "no-equations": decide_null_space(
+                haar_system(3, 3, "A=1;B=;C=;D=2,3", 5)),
+            "exact": decide_null_space(assemble_gamma_system(
+                build_cross_matrices(schmidt_decompose(ghz, SIX_QUBIT_SPEC.ab),
+                                     SIX_QUBIT_SPEC))),
+            "cholesky": decide_null_space(
+                haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 1)),
+        }
+        assert results["exact"].singular_values.size > 0
+        for name, result in results.items():
+            for arr in (result.basis, result.singular_values):
+                if arr is not None:
+                    assert not arr.flags.writeable, name
+                    with pytest.raises(ValueError):
+                        arr[...] = 0.0
+
     def test_null_basis_orthonormal_and_annihilated(self):
         psi = ghz_state(6, 2, 0.6, 0.8)
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
@@ -495,6 +515,28 @@ class TestCertify:
         with pytest.raises(ValueError, match="parties"):
             certify_udp(psi, SIX_QUBIT_SPEC)
 
+    @pytest.mark.parametrize("keyword, value", [
+        ("svd_tol", -1.0), ("gap_tol", -1.0), ("deck_tol", math.nan)])
+    def test_tolerance_outside_range_refused(self, keyword, value):
+        # svd_tol=-1 counted every singular value as nonzero, so a state
+        # with a verified twin certified; gap_tol=-1 called a fully
+        # degenerate spectrum distinct
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        with pytest.raises(ValueError, match=rf"{keyword}=.* outside"):
+            certify_udp(psi, SIX_QUBIT_SPEC, **{keyword: value})
+
+    def test_golden_lopsided_ghz_witness(self):
+        # sha256 of the witness amplitudes, recorded before both witness
+        # searches shared one twist-and-verify loop (numpy 2.4 with its
+        # OpenBLAS, x86-64, 1 and 2 BLAS threads)
+        verdict = certify_udp(ghz_state(8, 2, 0.6, 0.8),
+                              CrossCutSpec.parse("A=1,2;B=3,4;C=5,6;D=7,8", 8),
+                              MarginalFamily.complete(8, 4))
+        assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
+        assert hashlib.sha256(
+            verdict.witness.amplitudes.tobytes()).hexdigest() == \
+            "8dcf729cc54016bcbcb8647215f7048856920d3180a7a3b72ff2e98d70122c7d"
+
     def test_maximally_entangled_cut_never_certified(self):
         # fully degenerate spectrum: the verdict must not be CERTIFIED_UDP,
         # and any witness it does emit must be independently sound
@@ -554,6 +596,13 @@ class TestFamilyCoverage:
             psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 100 + seed)
             verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
             assert verdict.status == UdpStatus.CERTIFIED_UDP
+
+    def test_family_on_other_parties_refused(self):
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        family = MarginalFamily(8, ((1, 2, 3, 4, 5, 6),))
+        with pytest.raises(ValueError, match="family defined for a different "
+                                             "number of parties"):
+            certify_udp(psi, SIX_QUBIT_SPEC, family)
 
     def test_superset_members_cover(self):
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
@@ -621,9 +670,19 @@ class TestOverlapDependences:
                                        trials=10, seed=0)
 
     def test_single_sample_traces_vanish(self):
+        # one orthonormal pair on AB (A=1,2 x B=3) and one on CD (C=4 x
+        # D=5,6), drawn as `verify_overlap_dependences` draws them; the
+        # hand formulas are the oracle for the kernel's (0, 1) operators
         rng = np.random.default_rng(3)
-        u1, u2 = _haar_orthonormal_pair(8, rng)
-        q = u1.reshape(4, 2) @ u2.reshape(4, 2).conj().T
-        l = u1.reshape(4, 2).T @ u2.reshape(4, 2).conj()
-        assert abs(np.trace(q)) <= 1e-12
-        assert abs(np.trace(l)) <= 1e-12
+        pairs = [np.linalg.qr(rng.standard_normal((8, 2))
+                              + 1j * rng.standard_normal((8, 2)))[0].T
+                 for _ in range(2)]
+        ops = _cross_matrices(*pairs, SIX_QUBIT_SPEC, SIX_QUBIT_STRUCTURE)
+        u1, u2 = pairs[0].reshape(2, 4, 2)
+        v1, v2 = pairs[1].reshape(2, 2, 4)
+        hand = {"q": u1 @ u2.conj().T, "l": u1.T @ u2.conj(),
+                "p": v1 @ v2.conj().T, "m": v1.T @ v2.conj()}
+        for name, want in hand.items():
+            np.testing.assert_allclose(getattr(ops, name)[0, 1], want,
+                                       rtol=0, atol=1e-14)
+            assert abs(np.trace(want)) <= 1e-12

@@ -118,8 +118,11 @@ class TestCertifyCommand:
         ("certify", "--svd-tol"), ("certify", "--deck-tol"),
         ("certify", "--gap-tol"), ("schmidt", "--gap-tol"),
         ("deck", "--tol"), ("oa", "--deck-tol"),
+        ("experiment", "--svd-tol"), ("experiment", "--deck-tol"),
+        ("experiment", "--gap-tol"),
     ], ids=["--svd-tol", "--deck-tol", "--gap-tol", "schmidt--gap-tol",
-            "deck--tol", "oa--deck-tol"])
+            "deck--tol", "oa--deck-tol", "experiment--svd-tol",
+            "experiment--deck-tol", "experiment--gap-tol"])
     @pytest.mark.parametrize("value", ["nan", "-1", "0"])
     def test_invalid_tolerance_is_domain_error(self, capsys, haar6_file,
                                                oa_file, command, flag, value):
@@ -128,6 +131,8 @@ class TestCertifyCommand:
             "schmidt": ["schmidt", haar6_file, "--cut", "1,2"],
             "deck": ["deck", "diff", haar6_file, haar6_file, "--family", "k=2"],
             "oa": ["oa", "witness", oa_file, "--flip", "1"],
+            "experiment": ["experiment", "--n", "4", "--d", "2", "--trials",
+                           "1", "--blocks", "A=1;B=2;C=3;D=4"],
         }[command]
         code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
         assert code == 1
@@ -366,6 +371,29 @@ class TestExperimentCommand:
         code, out, _ = run_cli(capsys, "experiment", "--config", str(path),
                                "--trials", "1", "--json")
         assert json.loads(out)["summary"]["trials"] == 1
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--n", "9"], "--n"),
+        (["--d", "3"], "--d"),
+        (["--blocks", "A=1,2;B=;C=3;D=4"], "--blocks"),
+        (["--svd-tol", "1e-8"], "--svd-tol"),
+        (["--gap-tol", "1e-6"], "--gap-tol"),
+        (["--deck-tol", "1e-7"], "--deck-tol"),
+        (["--svd-tol", "nan", "--n", "9", "--blocks", "A=1,2;B=;C=3;D=4"],
+         "svd_tol=nan"),
+    ], ids=["n", "d", "blocks", "svd-tol", "gap-tol", "deck-tol",
+            "invalid-tolerance"])
+    def test_config_refuses_flags_it_would_drop(self, capsys, tmp_path, extra,
+                                                named):
+        config = {"num_parties": 4, "local_dim": 2, "trials": 2,
+                  "blocks": {"A": [1], "B": [2], "C": [3], "D": [4]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                                 *extra)
+        assert code == 1
+        assert out == ""
+        assert named in err
 
     def test_flags_required_without_config(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n", "4", "--d", "2")

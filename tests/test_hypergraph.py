@@ -1,5 +1,8 @@
 """Tests for hypergraph connectivity and disconnection counterexamples."""
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -194,3 +197,16 @@ class TestCounterexample:
         assert deck_distance(compute_deck(psi, fam),
                              compute_deck(other, fam)) <= 1e-10
         assert fidelity_up_to_phase(psi, other) < 1 - 1e-6
+
+    def test_golden_ten_qubit_twin(self):
+        # complete 3-decks of parties 1..5 and 6..10, as in the benchmark;
+        # sha256 of the twin's amplitudes, recorded before both witness
+        # searches shared one twist-and-verify loop (numpy 2.4 with its
+        # OpenBLAS, x86-64, 1 and 2 BLAS threads): it pins the order in
+        # which phase vectors are drawn and tried
+        psi = sample_haar_state(PartyStructure.uniform(10, 2), 11)
+        fam = MarginalFamily(10, tuple(combinations(range(1, 6), 3))
+                             + tuple(combinations(range(6, 11), 3)))
+        twin = counterexample_from_disconnection(psi, fam, seed=0)
+        assert hashlib.sha256(twin.amplitudes.tobytes()).hexdigest() == \
+            "dfbd9f0de638d169c3e87509e1b34fc106262060f1d140b35997be9ebd43111c"
