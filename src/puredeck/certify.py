@@ -18,16 +18,15 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .marginals import DECK_TOL, Deck, MarginalFamily, compute_deck, deck_distance
-from .schmidt import (GAP_TOL, RANK_TOL, GenericityReport,
-                      SchmidtDecomposition, _min_gaps, _schmidt_factors,
-                      _untied, classify_genericity, phase_twist,
-                      schmidt_decompose)
+from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
+                      _genericity, _schmidt_factors, _untied,
+                      classify_genericity, phase_twist, schmidt_decompose)
 from .states import (PartyStructure, PureState, _cut, check_subset,
                      fidelity_up_to_phase)
 
@@ -140,11 +139,8 @@ class CrossCutSpec:
 
     def verification_family(self) -> MarginalFamily:
         """The four cut marginals AB, CD, AC, BD (deduplicated, in that order)."""
-        subsets = []
-        for s in (self.ab, self.cd, self.ac, self.bd):
-            if s not in subsets:
-                subsets.append(s)
-        return MarginalFamily(self.num_parties, tuple(subsets))
+        return MarginalFamily(self.num_parties, tuple(dict.fromkeys(
+            (self.ab, self.cd, self.ac, self.bd))))
 
 
 def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,11 +215,10 @@ def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
             _cut(basis, dims, [parties.index(p) for p in first]))
     rank = left.shape[-2]
     for name, product in zip("QLPM", products):
-        trace_err, adj_err = _identity_errors(product, rank)
-        if np.any(trace_err > TRACE_IDENTITY_TOL):
-            raise ValueError(f"trace identity violated for {name} blocks")
-        if np.any(adj_err > TRACE_IDENTITY_TOL):
-            raise ValueError(f"adjoint identity violated for {name} blocks")
+        for kind, err in zip(("trace", "adjoint"),
+                             _identity_errors(product, rank)):
+            if np.any(err > TRACE_IDENTITY_TOL):
+                raise ValueError(f"{kind} identity violated for {name} blocks")
     q, l, p, m = (_operator_blocks(product, rank) for product in products)
     for arr in (q, l, p, m):
         arr.setflags(write=False)
@@ -473,22 +468,22 @@ def decide_null_space(system: GammaSystem, *,
     cannot resolve svd_tol = 1e-9 itself.
     """
     n_cols = system.num_real_variables
-    n_rows = 2 * system.num_complex_equations
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
-    if n_rows == 0:
+    if system.num_complex_equations == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
     # the Gram is a temporary, not held through the dense SVD
-    if _gram_decides(n_rows, n_cols, svd_tol) and _shifted_cholesky(
-            system.gram, svd_tol):
+    if _gram_decides(system, svd_tol) and _shifted_cholesky(system.gram,
+                                                            svd_tol):
         return NullSpaceResult(0, None, np.zeros(0))
     return _svd_null_space(system.matrix, svd_tol)
 
 
-def _gram_decides(n_rows: int, n_cols: int, svd_tol: float) -> bool:
-    """Whether the shifted Cholesky may decide: a tall system with
-    unknowns, and a finite `svd_tol`."""
-    return n_rows >= n_cols > 0 and math.isfinite(svd_tol)
+def _gram_decides(system: GammaSystem, svd_tol: float) -> bool:
+    """Whether the shifted Cholesky may decide: a tall system (or stack of
+    them) with unknowns, and a finite `svd_tol`."""
+    return (2 * system.num_complex_equations >= system.num_real_variables > 0
+            and math.isfinite(svd_tol))
 
 
 def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
@@ -565,11 +560,9 @@ def _phase_candidates(rank: int, rng: np.random.Generator):
     """Sign patterns (phases in {0, pi}) up to rank 12, then 64 random
     phase vectors."""
     if rank <= 12:
-        for bits in product((0.0, math.pi), repeat=rank - 1):
-            phases = np.array((0.0,) + bits)
-            if not np.any(phases):
-                continue
-            yield phases
+        # the first pattern is all zeros, no twist at all
+        for bits in islice(product((0.0, math.pi), repeat=rank - 1), 1, None):
+            yield np.array((0.0,) + bits)
     for _ in range(64):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=rank)
         phases[0] = 0.0
@@ -620,10 +613,8 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
         norm = np.linalg.norm(gamma)
         if norm < 1e-14:
             continue
-        if full_null:
-            residual = 0.0
-        else:
-            residual = float(np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
+        residual = 0.0 if full_null else float(
+            np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
         if residual > 1e-7:
             continue
         predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
@@ -682,38 +673,44 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     system = assemble_gamma_system(matrices)
     null = decide_null_space(system, svd_tol=svd_tol)
     counts = _verdict_counts(system)
-    notes = []
-    if dec.rank == 1:
-        notes.append("rank-1 primary cut: the state is a product across AB|CD "
-                     "and is already determined by that cut's marginals")
     if null.null_dim == 0:
-        if genericity.generic and not uncovered:
-            status = UdpStatus.CERTIFIED_UDP
-        else:
-            status = UdpStatus.INCONCLUSIVE
-            if uncovered:
-                notes.append("phase system has trivial null space but the "
-                             "family does not fix the cut marginals "
-                             f"{', '.join(uncovered)}; no member contains them")
-            if not genericity.full_rank:
-                notes.append("phase system has trivial null space but the cut "
-                             "is rank deficient; phase family may not exhaust "
-                             "all competitors")
-            if not genericity.distinct_spectrum:
-                notes.append("degenerate Schmidt spectrum; phase family may "
-                             "not exhaust all competitors")
-        return UdpVerdict(status, null.null_dim, genericity, counts,
-                          notes=tuple(notes))
+        return _trivial_null_verdict(genericity, uncovered, counts)
     found = _search_phase_witness(state, dec, system, null, family,
                                   deck_tol=deck_tol, seed=seed)
     if found is None:
-        notes.append("nontrivial null space but no verified phase witness found")
         return UdpVerdict(UdpStatus.INCONCLUSIVE, null.null_dim, genericity,
-                          counts, notes=tuple(notes))
+                          counts, notes=("nontrivial null space but no "
+                                         "verified phase witness found",))
     return UdpVerdict(UdpStatus.NOT_UDP_WITNESSED, null.null_dim, genericity,
                       counts, witness=found.witness,
                       witness_deck_distance=found.deck_distance,
-                      witness_fidelity=found.fidelity, notes=tuple(notes))
+                      witness_fidelity=found.fidelity)
+
+
+def _trivial_null_verdict(genericity: GenericityReport, uncovered: list[str],
+                          counts: dict) -> UdpVerdict:
+    """The verdict for a trivial null space, the one place CERTIFIED_UDP
+    is issued: certified when the decomposition is generic and `uncovered`
+    names no cut marginal, INCONCLUSIVE with a note per shortfall otherwise.
+    A rank-1 cut has no phase variables, so its note is made here."""
+    notes = []
+    if genericity.rank == 1:
+        notes.append("rank-1 primary cut: the state is a product across AB|CD "
+                     "and is already determined by that cut's marginals")
+    if uncovered:
+        notes.append("phase system has trivial null space but the family "
+                     "does not fix the cut marginals "
+                     f"{', '.join(uncovered)}; no member contains them")
+    if not genericity.full_rank:
+        notes.append("phase system has trivial null space but the cut is "
+                     "rank deficient; phase family may not exhaust all "
+                     "competitors")
+    if not genericity.distinct_spectrum:
+        notes.append("degenerate Schmidt spectrum; phase family may not "
+                     "exhaust all competitors")
+    status = (UdpStatus.CERTIFIED_UDP if genericity.generic and not uncovered
+              else UdpStatus.INCONCLUSIVE)
+    return UdpVerdict(status, 0, genericity, counts, notes=tuple(notes))
 
 
 def _verdict_counts(system: GammaSystem) -> dict:
@@ -749,57 +746,35 @@ def _certify_stack(states: list[PureState], spec: CrossCutSpec, *,
     """`certify_udp` verdicts of states of one structure under the four cut
     marginals, with each stage run once on the whole stack.
 
-    `_stacked_certificates` certifies the items it can; every other item
-    gets `certify_udp` with its seed, which runs the exact SVD, the
-    tie-break, the witness search and the notes.
+    An item gets its verdict from `_trivial_null_verdict` here when
+    `_genericity` finds its primary cut generic, no two of its coefficients
+    lie in the tie-break window (so its pairs come in `schmidt_decompose`'s
+    order) and its shifted Cholesky succeeds.  Every other item gets
+    `certify_udp` with its seed.  An overlap identity that fails for an
+    item in the stack raises the `build_cross_matrices` ValueError.
     """
-    certified = _stacked_certificates(states, spec, svd_tol=svd_tol,
-                                      gap_tol=gap_tol)
-    return [certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
-                        gap_tol=gap_tol, seed=seed) if verdict is None
-            else verdict
-            for state, seed, verdict in zip(states, seeds, certified)]
-
-
-def _stacked_certificates(states: list[PureState], spec: CrossCutSpec, *,
-                          svd_tol: float,
-                          gap_tol: float) -> list[UdpVerdict | None]:
-    """CERTIFIED_UDP verdicts from the stacked stages, None where the item
-    needs per-state work.
-
-    An item is certified here when its primary cut has full rank, no two
-    coefficients in the tie-break window (so its pairs come in the order
-    `schmidt_decompose` gives them) and a spectral gap above `gap_tol`,
-    and its shifted Cholesky succeeds.  An overlap identity that fails for
-    any such item raises the `build_cross_matrices` ValueError.
-    """
-    verdicts: list[UdpVerdict | None] = [None] * len(states)
     structure = states[0].structure
-    rank = min(structure.subset_dim(spec.ab), structure.subset_dim(spec.cd))
-    equations = block_equation_counts(*spec.block_dims(structure))
-    if not _gram_decides(2 * sum(equations.values()), rank * (rank - 1),
-                         svd_tol):
-        return verdicts
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
-    gaps = _min_gaps(s)
-    kept = np.flatnonzero((s[:, -1] > RANK_TOL * s[:, 0]) & _untied(s)
-                          & (gaps > gap_tol))
-    if kept.size == 0:
-        return verdicts
-    matrices = _cross_matrices(left[kept], right[kept], spec, structure)
-    system = GammaSystem((_source_factors(matrices.q, matrices.p),
-                          _source_factors(matrices.l, matrices.m)))
-    del matrices  # the overlap products are not held through the Gram stage
-    passed = _shifted_cholesky(system.gram, svd_tol)
-    counts = _verdict_counts(system)
-    for item in kept[passed]:
-        genericity = GenericityReport(full_rank=True, distinct_spectrum=True,
-                                      min_gap=float(gaps[item]), rank=rank)
-        verdicts[item] = UdpVerdict(UdpStatus.CERTIFIED_UDP, 0, genericity,
-                                    dict(counts))
-    return verdicts
+    reports = _genericity(s, s.shape[1], gap_tol)
+    kept = np.flatnonzero(np.array([r.generic for r in reports]) & _untied(s))
+    certified = {}
+    if kept.size:
+        matrices = _cross_matrices(left[kept], right[kept], spec, structure)
+        system = GammaSystem((_source_factors(matrices.q, matrices.p),
+                              _source_factors(matrices.l, matrices.m)))
+        del matrices  # the overlap products are not held through the Gram stage
+        if _gram_decides(system, svd_tol):
+            passed = _shifted_cholesky(system.gram, svd_tol)
+            counts = _verdict_counts(system)
+            certified = {item: _trivial_null_verdict(reports[item], [],
+                                                     dict(counts))
+                         for item in kept[passed].tolist()}
+    return [certified[item] if item in certified
+            else certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
+                             gap_tol=gap_tol, seed=seed)
+            for item, (state, seed) in enumerate(zip(states, seeds))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,24 @@ def _emit(data: dict, as_json: bool, human: str | None = None) -> None:
 
 def _genericity_json(report) -> dict:
     """A `GenericityReport` as JSON; an infinite `min_gap` (rank 1) is null."""
-    return {
-        "full_rank": report.full_rank,
-        "distinct_spectrum": report.distinct_spectrum,
-        "min_gap": report.min_gap if math.isfinite(report.min_gap) else None,
-        "rank": report.rank,
-    }
+    gap = report.min_gap
+    return {**asdict(report), "min_gap": gap if math.isfinite(gap) else None}
+
+
+def _json_reals(text: str, flag: str, *, pairs: bool = False) -> list:
+    """The JSON list a flag gives, of real numbers or, with `pairs`, also
+    [re, im] pairs of them; anything else is a domain error.  The list
+    comes back with its integers read as floats, so that one too large for
+    a float is infinite."""
+    what = "a real number or an [re, im] pair" if pairs else "a real number"
+    values = json.loads(text)
+    if not isinstance(values, list):
+        raise ValueError(f"{flag} must be a JSON list, each entry {what}")
+    for x in values:
+        pair = pairs and isinstance(x, list) and len(x) == 2
+        if not all(type(v) in (int, float) for v in (x if pair else [x])):
+            raise ValueError(f"{flag} entry {json.dumps(x)} is not {what}")
+    return json.loads(text, parse_int=float)
 
 
 def _cmd_certify(args) -> int:
@@ -92,14 +104,10 @@ def _cmd_experiment(args) -> int:
                              "--config; only --trials, --seed and --out "
                              "override the file")
         base = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-        overrides = {}
-        if args.out:
-            overrides["output_path"] = args.out
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        config = replace(base, **overrides) if overrides else base
+        overrides = {"output_path": args.out or None, "trials": args.trials,
+                     "seed": args.seed}
+        config = replace(base, **{name: value for name, value
+                                  in overrides.items() if value is not None})
     else:
         for name in ("n", "d", "trials", "blocks"):
             if getattr(args, name) is None:
@@ -193,9 +201,8 @@ def _cmd_oa(args) -> int:
         raw = args.amps
         if not raw.lstrip().startswith("["):
             raw = Path(raw).read_text()
-        parsed = json.loads(raw)
-        amps = np.array([complex(x[0], x[1]) if isinstance(x, list) else complex(x)
-                         for x in parsed])
+        amps = np.array([complex(*x) if isinstance(x, list) else complex(x)
+                         for x in _json_reals(raw, "--amps", pairs=True)])
     gstate = qoa_state(array, amps)
     if args.action == "state":
         if args.out:
@@ -207,7 +214,7 @@ def _cmd_oa(args) -> int:
     if args.flip is not None and not 1 <= args.flip <= array.num_rows:
         raise ValueError(f"--flip {args.flip} outside 1..{array.num_rows}")
     phases = args.flip - 1 if args.flip is not None else \
-        json.loads(args.phases) if args.phases else None
+        _json_reals(args.phases, "--phases") if args.phases else None
     if phases is None:
         raise ValueError("pass --flip ROW (1-based) or --phases '[...]'")
     result = non_udp_witness(gstate, phases, deck_tol=tol.deck_tol)

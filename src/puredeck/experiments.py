@@ -45,24 +45,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; the JSON config file uses this layout."""
+        """Inverse of to_dict; the JSON config file uses this layout.  Counts,
+        the seed and parties must be JSON integers, blocks lists and any
+        `output_path` a string; other values are refused, not converted."""
         try:
-            blocks = data["blocks"]
-            spec = CrossCutSpec(tuple(blocks.get("A", ())),
-                                tuple(blocks.get("B", ())),
-                                tuple(blocks.get("C", ())),
-                                tuple(blocks.get("D", ())),
-                                int(data["num_parties"]))
-            tolerances = Tolerances(**data.get("tolerances", {}))
-            return cls(num_parties=int(data["num_parties"]),
-                       local_dim=int(data["local_dim"]),
-                       trials=int(data["trials"]),
-                       seed=int(data.get("seed", 0)),
+            blocks = _checked(data["blocks"], dict, "blocks")
+            num_parties = _checked(data["num_parties"], int, "num_parties")
+            spec = CrossCutSpec(*(
+                tuple(_checked(p, int, f"party of block {name}") for p in
+                      _checked(blocks.get(name, []), list, f"block {name}"))
+                for name in "ABCD"), num_parties)
+            path = data.get("output_path")
+            return cls(num_parties=num_parties,
+                       local_dim=_checked(data["local_dim"], int, "local_dim"),
+                       trials=_checked(data["trials"], int, "trials"),
+                       seed=_checked(data.get("seed", 0), int, "seed"),
                        blocks=spec,
-                       tolerances=tolerances,
-                       output_path=data.get("output_path"))
+                       tolerances=Tolerances(**data.get("tolerances", {})),
+                       output_path=path if path is None
+                       else _checked(path, str, "output_path"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed experiment config: {exc}") from exc
+
+
+def _checked(value, kind: type, name: str):
+    """`value` if its type is exactly `kind` (so no bool passes for an int),
+    else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

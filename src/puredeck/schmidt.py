@@ -48,14 +48,6 @@ def _untied(coeffs: np.ndarray) -> np.ndarray:
     return np.all(gaps > _TIE_TOL * coeffs[..., :1], axis=-1)
 
 
-def _min_gaps(coeffs: np.ndarray) -> np.ndarray:
-    """Smallest gap between neighbouring squared coefficients along the last
-    axis; infinite for fewer than two coefficients."""
-    if coeffs.shape[-1] < 2:
-        return np.full(coeffs.shape[:-1], math.inf)
-    return np.min(np.abs(np.diff(coeffs ** 2, axis=-1)), axis=-1)
-
-
 @dataclass(frozen=True)
 class SchmidtDecomposition:
     """State written as sum_i c_i |left_i> |right_i| along a bipartition.
@@ -135,7 +127,7 @@ def schmidt_decompose(state: PureState, cut) -> SchmidtDecomposition:
         raise ValueError("cut must be a proper subset of the parties")
     s, left_vecs, right_vecs = _schmidt_factors(
         _cut(state.amplitudes, structure.local_dims, [p - 1 for p in left]))
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = _genericity(s[None], s.size, GAP_TOL)[0].rank
     coeffs, left_basis, right_basis = _tie_break_degenerate(
         s[:rank], left_vecs[:rank], right_vecs[:rank], s[0])
     for arr in (coeffs, left_basis, right_basis):
@@ -157,19 +149,32 @@ class GenericityReport:
         return self.full_rank and self.distinct_spectrum
 
 
+def _genericity(coeffs: np.ndarray, max_rank: int,
+                gap_tol: float) -> list[GenericityReport]:
+    """The genericity rule: one report per row of Schmidt coefficients
+    (n, k), each row decreasing up to tie-break swaps, of cuts that admit
+    rank `max_rank`.  The rank counts the coefficients above RANK_TOL times
+    the row's first, and full rank means `max_rank`.  `min_gap` is the
+    smallest gap between neighbouring squared coefficients among those
+    counted, infinite for fewer than two; the spectrum is distinct when it
+    exceeds `gap_tol`.
+    """
+    ranks = np.sum(coeffs > RANK_TOL * coeffs[:, :1], axis=1)
+    gaps = np.abs(np.diff(coeffs ** 2, axis=1))
+    gaps[np.arange(gaps.shape[1]) >= ranks[:, None] - 1] = math.inf
+    min_gaps = gaps.min(axis=1, initial=math.inf)
+    return [GenericityReport(rank == max_rank, gap > gap_tol, gap, rank)
+            for rank, gap in zip(ranks.tolist(), min_gaps.tolist())]
+
+
 def classify_genericity(dec: SchmidtDecomposition, *,
                         gap_tol: float = GAP_TOL) -> GenericityReport:
     """Full-rank / distinct-spectrum report for a decomposition.
 
     Full rank means min(dim_left, dim_right), the largest rank the cut admits.
     """
-    min_gap = float(_min_gaps(dec.coefficients))
-    return GenericityReport(
-        full_rank=dec.rank == min(dec.dim_left, dec.dim_right),
-        distinct_spectrum=min_gap > gap_tol,
-        min_gap=min_gap,
-        rank=dec.rank,
-    )
+    return _genericity(dec.coefficients[None],
+                       min(dec.dim_left, dec.dim_right), gap_tol)[0]
 
 
 def phase_twist(dec: SchmidtDecomposition, phases) -> PureState:

@@ -286,7 +286,7 @@ class TestOaCommands:
     @pytest.mark.parametrize("action,flag", [("state", "--amps"),
                                              ("witness", "--phases")])
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
-                                       "1e309"])
+                                       "1e309", "1" + "0" * 400])
     def test_non_finite_values_refused(self, capsys, oa_file, action, flag,
                                        value):
         values = "[" + ", ".join([value] + ["0.5"] * 8) + "]"
@@ -296,6 +296,23 @@ class TestOaCommands:
                                      values)
         assert code == 1 and out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("action, flag, value, named", [
+        ("state", "--amps", [[1]] * 9, "entry [1]"),
+        ("state", "--amps", [{"re": 1}] * 9, 'entry {"re": 1}'),
+        ("state", "--amps", [[1, 0, 0]] * 9, "entry [1, 0, 0]"),
+        ("state", "--amps", [True] * 9, "entry true"),
+        ("witness", "--phases", {"a": 1}, "must be a JSON list"),
+        ("witness", "--phases", 3, "must be a JSON list"),
+        ("witness", "--phases", [[0, 1]] * 9, "entry [0, 1]"),
+    ], ids=["amps-short-pair", "amps-object", "amps-long-pair", "amps-bool",
+            "phases-object", "phases-number", "phases-pair"])
+    def test_malformed_entries_refused(self, capsys, oa_file, action, flag,
+                                       value, named):
+        code, out, err = run_cli(capsys, "oa", action, oa_file, flag,
+                                 json.dumps(value))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} ") and named in err
 
     def test_witness_with_phase_vector(self, capsys, oa_file):
         phases = json.dumps([0.0] * 8 + [3.14159])
@@ -393,6 +410,31 @@ class TestExperimentCommand:
                                  *extra)
         assert code == 1
         assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"num_parties": 4.9, "local_dim": 2.7, "trials": True, "seed": 1.5},
+         "num_parties"),
+        ({"local_dim": 2.7}, "local_dim"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"blocks": [1, 2]}, "blocks"),
+        ({"blocks": {"A": "12", "B": [], "C": [3], "D": [4]}}, "block A"),
+        ({"blocks": {"A": [1, 2], "B": [], "C": [3], "D": [4.2]}},
+         "party of block D"),
+        ({"output_path": 5}, "output_path"),
+    ], ids=["floats-and-bool", "local_dim", "trials", "seed", "blocks-list",
+            "block-string", "party-float", "output-path"])
+    def test_config_values_are_not_converted(self, capsys, tmp_path, change,
+                                             named):
+        config = {"num_parties": 4, "local_dim": 2, "trials": 2,
+                  "blocks": {"A": [1], "B": [2], "C": [3], "D": [4]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **change}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert out == ""  # refused before any trial runs
+        assert err.startswith("error: malformed experiment config: ")
         assert named in err
 
     def test_flags_required_without_config(self, capsys):

@@ -9,7 +9,7 @@ from puredeck import (MarginalFamily, PartyStructure, PureState,
                       classify_genericity, compute_deck, deck_distance,
                       fidelity_up_to_phase, ghz_state, partial_trace,
                       phase_twist, sample_haar_state, schmidt_decompose)
-from puredeck.schmidt import RANK_TOL, _schmidt_factors
+from puredeck.schmidt import RANK_TOL, _genericity, _schmidt_factors
 from puredeck.states import _cut
 
 
@@ -137,6 +137,22 @@ class TestGenericity:
         report = classify_genericity(schmidt_decompose(psi, (2,)))
         assert report.rank == 1 and not report.full_rank
         assert report.min_gap == math.inf and report.distinct_spectrum
+
+    def test_stacked_rule_matches_scalar_oracle(self):
+        # one stack mixing full rank, rank deficits, rank 1 and a
+        # degenerate spectrum; each row against the definition, by hand
+        rows = np.array([[0.8, 0.5, 0.3, 0.1], [0.9, 0.4, 1e-12, 0.0],
+                         [1.0, 0.0, 0.0, 0.0], [0.6, 0.6, 0.5, 0.2]])
+        reports = _genericity(rows, 4, 1e-8)
+        for row, report in zip(rows, reports, strict=True):
+            kept = [c for c in row if c > RANK_TOL * row[0]]
+            gaps = [abs(a * a - b * b) for a, b in zip(kept, kept[1:])]
+            assert report.rank == len(kept)
+            assert report.full_rank == (len(kept) == 4)
+            assert report.min_gap == min(gaps, default=math.inf)
+            assert report.distinct_spectrum == (report.min_gap > 1e-8)
+        assert [r.rank for r in reports] == [4, 2, 1, 4]
+        assert [r.generic for r in reports] == [True, False, False, False]
 
 
 class TestPhaseTwist:

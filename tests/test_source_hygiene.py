@@ -1,8 +1,10 @@
 """Static checks of the package source with the standard library's `ast`:
-no unused imports, and no private module-level function that nothing in
-the package calls."""
+no unused imports, no private module-level function that nothing in the
+package calls, one home for the certification rule, and benchmark layer
+targets that resolve."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,40 @@ def test_every_private_function_is_referenced():
             if node.name not in refs:
                 unreferenced.append(f"{name}:{node.name}")
     assert unreferenced == [], f"no module references {unreferenced}"
+
+
+def test_perfbench_targets_resolve():
+    # the tracer patches these by name; a rename would make it fail
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    targets = next(node.value for node in parse(layers).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    pairs = [tuple(elt.value for elt in value.elts[:2])
+             for value in targets.values]
+    assert len(pairs) == len(targets.keys) > 0
+    missing = [f"{module}.{attr}" for module, attr in pairs
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert missing == [], f"perfbench/layers.py TARGETS name {missing}"
+
+
+def functions_using(tree, name):
+    """Names of the functions whose bodies read or call `name`."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and name in referenced_names(node)}
+
+
+def test_one_home_for_the_certification_rule():
+    trees = {path.name: parse(path) for path in MODULES}
+    # the genericity rule: only `schmidt` reads RANK_TOL or builds a report
+    assert {module for module, tree in trees.items()
+            if "RANK_TOL" in referenced_names(tree)} == {"schmidt.py"}
+    assert {module for module, tree in trees.items()
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "GenericityReport"
+                   for node in ast.walk(tree))} == {"schmidt.py"}
+    # the verdict: one function issues CERTIFIED_UDP; UdpVerdict checks it
+    assert functions_using(trees["certify.py"], "CERTIFIED_UDP") == {
+        "_trivial_null_verdict", "__post_init__"}

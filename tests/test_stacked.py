@@ -164,6 +164,32 @@ class TestDifferential:
         for verdict, expected in zip(got, want):
             assert_same_verdict(verdict, expected)
 
+    @pytest.mark.parametrize("n, d, blocks", [
+        (2, 3, "A=1;B=;C=;D=2"), (4, 2, "A=1;B=;C=;D=2,3,4")],
+        ids=["2qt", "4q"])
+    def test_stacks_the_gram_cannot_decide(self, monkeypatch, n, d, blocks):
+        # zero-equation systems: the Gram decides nothing, so every trial
+        # leaves the stack for `certify_udp`, which finds its witness
+        structure = PartyStructure.uniform(n, d)
+        spec = CrossCutSpec.parse(blocks, n)
+        assert _stack_size(structure, spec) > 1
+        seeds = range(60, 72)
+        states = [sample_haar_state(structure, seed) for seed in seeds]
+        got = _certify_stack(states, spec, seeds=seeds, **TOLERANCES)
+        want = per_state_route(states, spec, seeds=seeds, **TOLERANCES)
+        for verdict, expected in zip(got, want, strict=True):
+            assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
+            assert verdict.equation_counts["complex_equations"] == 0
+            assert_same_verdict(verdict, expected)
+        config = ExperimentConfig(n, d, trials=12, seed=60, blocks=spec)
+        stacked = run_experiment(config, verbose=False)
+        monkeypatch.setattr(experiments_module, "_certify_stack",
+                            per_state_route)
+        reference = run_experiment(config, verbose=False)
+        assert stacked.counts["witnessed"] == 12
+        assert (stacked.to_json(include_timing=False)
+                == reference.to_json(include_timing=False))
+
     def test_identity_violation_raises_the_same_error(self, monkeypatch):
         monkeypatch.setattr(certify_module, "TRACE_IDENTITY_TOL", -1.0)
         states = [sample_haar_state(STRUCTURE, seed) for seed in range(3)]
