@@ -11,7 +11,7 @@ from pathlib import Path
 from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
                       _stack_size, block_equation_counts,
                       expected_equation_counts)
-from .states import PartyStructure, sample_haar_state
+from .states import PartyStructure, _checked, sample_haar_state
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class ExperimentConfig:
                        else _checked(path, str, "output_path"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed experiment config: {exc}") from exc
-
-
-def _checked(value, kind: type, name: str):
-    """`value` if its type is exactly `kind` (so no bool passes for an int),
-    else TypeError."""
-    if type(value) is not kind:
-        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

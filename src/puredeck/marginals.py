@@ -24,6 +24,8 @@ class MarginalFamily:
     subsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_parties < 1:
+            raise ValueError("need at least one party")
         subsets = tuple(check_subset(s, self.num_parties) for s in self.subsets)
         if len(set(subsets)) != len(subsets):
             raise ValueError("family contains duplicate subsets")

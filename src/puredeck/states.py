@@ -319,11 +319,26 @@ def state_to_json_dict(state: PureState) -> dict:
     }
 
 
+def _checked(value, kind, name: str):
+    """`value` if its type is exactly `kind`, or one of a tuple of kinds (so
+    no bool passes for an int), else TypeError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        raise TypeError(f"{name} must be "
+                        f"{' or '.join(k.__name__ for k in kinds)}, "
+                        f"got {value!r}")
+    return value
+
+
 def state_from_json_dict(data: dict) -> PureState:
+    """Inverse of `state_to_json_dict`.  The party count and dimensions must
+    be JSON integers, the amplitudes a list, each basis label a string and
+    each `re` / `im` a JSON number; other values are refused, not converted."""
     try:
-        num_parties = int(data["num_parties"])
-        local_dims = [int(d) for d in data["local_dims"]]
-        raw_amps = data["amplitudes"]
+        num_parties = _checked(data["num_parties"], int, "num_parties")
+        local_dims = [_checked(d, int, "local dimension")
+                      for d in data["local_dims"]]
+        raw_amps = _checked(data["amplitudes"], list, "amplitudes")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
     normalize = data.get("normalize", False)
@@ -335,10 +350,12 @@ def state_from_json_dict(data: dict) -> PureState:
     seen = set()
     for entry in raw_amps:
         try:
-            basis = entry["basis"]
-            amp = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed amplitude entry {entry!r}") from exc
+            basis = _checked(entry["basis"], str, "basis")
+            amp = complex(_checked(entry.get("re", 0.0), (int, float), "re"),
+                          _checked(entry.get("im", 0.0), (int, float), "im"))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed state record: amplitude entry "
+                             f"{entry!r}: {exc}") from exc
         idx = structure.digits_to_index(structure.parse_basis_label(basis))
         if idx in seen:
             raise ValueError(f"duplicate basis entry {basis!r}")

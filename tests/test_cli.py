@@ -233,6 +233,13 @@ class TestHypergraphCommand:
         data = json.loads(out)
         assert data["violation"] is True
 
+    @pytest.mark.parametrize("n, family", [("0", ""), ("-2", ""), ("-2", "1")])
+    def test_fewer_than_one_party_refused(self, capsys, n, family):
+        code, out, err = run_cli(capsys, "hypergraph", "--n", n,
+                                 "--family", family)
+        assert code == 1 and out == ""
+        assert err == "error: need at least one party\n"
+
 
 class TestOaCommands:
     def test_verify(self, capsys, oa_file):
@@ -493,6 +500,30 @@ class TestStateRecord:
         code, out, err = run_cli(capsys, "schmidt", str(path), "--cut", "1")
         assert code == 1 and out == ""
         assert "normalize must be true or false" in err
+
+    @pytest.mark.parametrize("record, named", [
+        ('{"num_parties": 2.9, "local_dims": [2.5, 2], '
+         '"amplitudes": [{"basis": "00", "re": 1}]}', "num_parties must be"),
+        ('{"num_parties": true, "local_dims": [2], '
+         '"amplitudes": [{"basis": "0", "re": 1}]}', "num_parties must be"),
+        ('{"num_parties": "1", "local_dims": [2], '
+         '"amplitudes": [{"basis": "0", "re": 1}]}', "num_parties must be"),
+        ('{"num_parties": 1, "local_dims": [2], '
+         '"amplitudes": [{"basis": "0", "re": "1"}]}', "re must be"),
+        ('{"num_parties": 1, "local_dims": [2], '
+         '"amplitudes": [{"basis": "0", "re": true}]}', "re must be"),
+        ('{"num_parties": 1, "local_dims": [2], '
+         '"amplitudes": [{"basis": 0, "re": 1}]}', "basis must be"),
+    ], ids=["floats", "parties-bool", "parties-string", "re-string",
+            "re-bool", "basis-int"])
+    def test_values_are_not_converted(self, capsys, tmp_path, record, named):
+        # any exception other than the domain error would escape `main`
+        path = tmp_path / "state.json"
+        path.write_text(record)
+        code, out, err = run_cli(capsys, "schmidt", str(path), "--cut", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed state record: ")
+        assert named in err and err.count("\n") == 1
 
 
 class TestNonFiniteAmplitudes:

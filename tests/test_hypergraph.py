@@ -6,11 +6,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import puredeck.certify
+import puredeck.hypergraph
 from puredeck import (MarginalFamily, PartyStructure, PureState, components,
                       compute_deck, counterexample_from_disconnection,
                       deck_distance, fidelity_up_to_phase, ghz_state,
                       is_connected, marginal_number_lower_bound,
-                      sample_haar_state)
+                      sample_haar_state, verify_twin)
 from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
 
 FOUR_MARGINAL_FAMILY = MarginalFamily(6, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
@@ -98,6 +100,11 @@ class TestConnectivity:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             MarginalFamily(3, ((1, 2), (1, 2)))
+
+    @pytest.mark.parametrize("num_parties", [0, -2])
+    def test_fewer_than_one_party_rejected(self, num_parties):
+        with pytest.raises(ValueError, match="at least one party"):
+            MarginalFamily(num_parties, ())
 
 
 class TestNecessaryCheck:
@@ -202,11 +209,70 @@ class TestCounterexample:
         # complete 3-decks of parties 1..5 and 6..10, as in the benchmark;
         # sha256 of the twin's amplitudes, recorded before both witness
         # searches shared one twist-and-verify loop (numpy 2.4 with its
-        # OpenBLAS, x86-64, 1 and 2 BLAS threads): it pins the order in
-        # which phase vectors are drawn and tried
+        # OpenBLAS, x86-64, 1 and 2 BLAS threads): it pins the cut and the
+        # twist that yield the twin
         psi = sample_haar_state(PartyStructure.uniform(10, 2), 11)
         fam = MarginalFamily(10, tuple(combinations(range(1, 6), 3))
                              + tuple(combinations(range(6, 11), 3)))
         twin = counterexample_from_disconnection(psi, fam, seed=0)
         assert hashlib.sha256(twin.amplitudes.tobytes()).hexdigest() == \
             "dfbd9f0de638d169c3e87509e1b34fc106262060f1d140b35997be9ebd43111c"
+
+    def test_golden_nine_qubit_twin_three_components(self):
+        # complete 2-decks of {1,2,3}, {4,5,6} and {7,8,9}; the hash is the
+        # same when every grouping of components is tried (numpy 2.4 with its
+        # OpenBLAS, x86-64, 1 and 2 BLAS threads)
+        psi = sample_haar_state(PartyStructure.uniform(9, 2), 13)
+        fam = MarginalFamily(9, tuple(pair for group in ((1, 2, 3), (4, 5, 6),
+                                                          (7, 8, 9))
+                                      for pair in combinations(group, 2)))
+        twin = counterexample_from_disconnection(psi, fam)
+        assert hashlib.sha256(twin.amplitudes.tobytes()).hexdigest() == \
+            "3b871fb22606a4f48e65bfb9e72ebf29a26da2596a13cec7e3f68982f86cc13d"
+
+    def test_first_component_product_second_entangled(self):
+        # |0> (x) bell(2,3) (x) |0>: product across {1}|{2,3,4}, entangled
+        # across the next component cut {2}|{1,3,4}
+        structure = PartyStructure.uniform(4, 2)
+        zero = np.array([1.0, 0.0], dtype=complex)
+        bell = ghz_state(2).amplitudes
+        psi = PureState(structure, np.kron(np.kron(zero, bell), zero))
+        fam = MarginalFamily(4, ((1,), (2,), (3, 4)))
+        other = counterexample_from_disconnection(psi, fam)
+        assert other is not None
+        assert verify_twin(compute_deck(psi, fam), psi, other).verified
+
+
+def counting(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestCounterexampleWork:
+    def test_component_cuts_only(self, monkeypatch):
+        # four singleton components: the cuts {1}, {2}, {3} against the
+        # rest, not all seven groupings
+        calls = counting(monkeypatch, puredeck.hypergraph, "schmidt_decompose")
+        psi = PureState.basis_state(PartyStructure.uniform(4, 2), (0,) * 4)
+        fam = MarginalFamily(4, ((1,), (2,), (3,), (4,)))
+        assert counterexample_from_disconnection(psi, fam) is None
+        assert [tuple(args[1]) for args in calls] == [(1,), (2,), (3,)]
+
+    def test_one_twist_per_entangled_cut(self, monkeypatch):
+        # weights (1 - 1e-7, 1e-7) across {1,2}|{3,4}: the balanced twist
+        # has fidelity 1 - 2e-7, and so has any other twist at least
+        calls = counting(monkeypatch, puredeck.certify, "phase_twist")
+        vec = np.zeros(16, dtype=complex)
+        vec[0], vec[15] = np.sqrt(1 - 1e-7), np.sqrt(1e-7)
+        psi = PureState(PartyStructure.uniform(4, 2), vec)
+        fam = MarginalFamily(4, ((1, 2), (3, 4)))
+        assert counterexample_from_disconnection(psi, fam) is None
+        assert len(calls) == 1

@@ -1,7 +1,7 @@
 """Static checks of the package source with the standard library's `ast`:
 no unused imports, no private module-level function that nothing in the
-package calls, one home for the certification rule, and benchmark layer
-targets that resolve."""
+package calls, one home for the certification rule, benchmark layer
+targets that resolve, and every named threshold documented in README."""
 
 import ast
 import importlib
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "puredeck"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "puredeck"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -83,7 +84,7 @@ def test_every_private_function_is_referenced():
 
 def test_perfbench_targets_resolve():
     # the tracer patches these by name; a rename would make it fail
-    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    layers = ROOT / "perfbench" / "layers.py"
     targets = next(node.value for node in parse(layers).body
                    if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["TARGETS"])
@@ -116,3 +117,16 @@ def test_one_home_for_the_certification_rule():
     # the verdict: one function issues CERTIFIED_UDP; UdpVerdict checks it
     assert functions_using(trees["certify.py"], "CERTIFIED_UDP") == {
         "_trivial_null_verdict", "__post_init__"}
+
+
+def test_every_named_threshold_is_in_readme():
+    # README's tolerance list names each threshold the code applies, with
+    # the module that defines it
+    readme = (ROOT / "README.md").read_text()
+    names = [f"{path.stem}.{target.id}" for path in MODULES
+             for node in parse(path).body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)
+             and target.id.endswith(("_TOL", "_FLOOR", "_RATIO"))]
+    assert len(names) >= 10
+    missing = [name for name in names if f"`{name}`" not in readme]
+    assert missing == [], f"README does not name {missing}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from puredeck import (DIM_CAP, Marginal, PartyStructure, PureState,
                       fidelity_up_to_phase, ghz_state, inner_product,
                       load_state, sample_haar_state, save_state,
-                      state_to_json_dict)
+                      state_from_json_dict, state_to_json_dict)
 from puredeck.schmidt import classify_genericity, schmidt_decompose
 from puredeck.states import _cut, _uncut
 
@@ -247,6 +247,30 @@ class TestJsonFormat:
     def test_malformed_json_text(self):
         with pytest.raises(ValueError, match="JSON"):
             load_state("{not json")
+
+    @pytest.mark.parametrize("change, named", [
+        ({"num_parties": 2.9, "local_dims": [2.5, 2]}, "num_parties must be"),
+        ({"local_dims": [2.5, 2]}, "local dimension must be"),
+        ({"local_dims": [True, 2]}, "local dimension must be"),
+        ({"num_parties": True, "local_dims": [2]}, "num_parties must be"),
+        ({"num_parties": "1", "local_dims": [2]}, "num_parties must be"),
+        ({"amplitudes": {"basis": "00", "re": 1}}, "amplitudes must be"),
+        ({"amplitudes": [["00", 1]]}, "amplitude entry"),
+        ({"amplitudes": [{"basis": 0, "re": 1}]}, "basis must be"),
+        ({"amplitudes": [{"basis": "00", "re": "1"}]}, "re must be"),
+        ({"amplitudes": [{"basis": "00", "re": True}]}, "re must be"),
+        ({"amplitudes": [{"basis": "00", "re": 1, "im": None}]}, "im must be"),
+        ({"amplitudes": [{"basis": "00", "re": 10 ** 400}]}, "too large"),
+    ], ids=["floats", "dim-float", "dim-bool", "parties-bool",
+            "parties-string", "amplitudes-object", "entry-list",
+            "basis-int", "re-string", "re-bool", "im-null", "re-huge-int"])
+    def test_values_are_not_converted(self, change, named):
+        record = {"num_parties": 2, "local_dims": [2, 2],
+                  "amplitudes": [{"basis": "00", "re": 1}]}
+        with pytest.raises(ValueError,
+                           match="^malformed state record: ") as excinfo:
+            state_from_json_dict({**record, **change})
+        assert named in str(excinfo.value)
 
     def test_round_trip_exact(self, tmp_path):
         psi = sample_haar_state(PartyStructure.uniform(3, 3), 17)
