@@ -321,36 +321,40 @@ class GammaSystem:
         """The real Gram matrix.T @ matrix, computed without the matrix.
 
         With A = U + V and B = i(U - V) it is [[Re A^H A, Re A^H B],
-        [Re B^H A, Re B^H B]] in the interleaved column order, summed over
-        both sources.  Every block is a combination of U^H U, U^H V and
-        V^H V, and each of those is a Hadamard product of small factor
-        Grams, (O^H O') * (I^H I') (Kolda & Bader, SIAM Review 51, 2009).
+        [Re B^H A, Re B^H B]] = [[Re(P + Q), Im(Q - P)], [Im(Q + P),
+        Re(P - Q)]] in the interleaved order, for P = U^H U + conj(V^H V)
+        and Q = U^H V + (U^H V)^T summed over both sources (Re conj X =
+        Re X, Im conj X = -Im X, V^H U = (U^H V)^H).  Per source, with
+        O = [O_u; conj O_v] and O' = [O_v; conj O_u] stacked by rows, they
+        are Hadamard products of factor Grams (Kolda & Bader, SIAM Review
+        51, 2009), P = (O^H O) * (I_u^H I_u) and Q = (O^H O') * (I_u^H I_v),
+        by two identities of I_v = conj(T I_u), T the permutation
+        (c, e) -> (e, c) of the kept inner rows, so T^T = T = T^-1:
+          conj(I_v^H I_v) = I_u^H I_u, as conj(I_v^H I_v) = (T I_u)^H T I_u
+            = I_u^H T^T T I_u and T^T T = 1;
+          I_u^H I_v = I_u^H T conj(I_u) is symmetric, as its transpose is
+            conj(I_u)^T T^T (I_u^H)^T = I_u^H T conj(I_u).
+        So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
         """
         n = self.num_complex_variables
         lead = self.factors[0].outer_u.shape[:-2]
-        uu = np.zeros((*lead, n, n), dtype=complex)
-        uv = np.zeros((*lead, n, n), dtype=complex)
-        vv = np.zeros((*lead, n, n), dtype=complex)
+        # P, Q first, each product folded in at once: this order sets peak RSS
+        p = np.zeros((*lead, n, n), dtype=complex)
+        q = np.zeros((*lead, n, n), dtype=complex)
         for o_u, i_u, o_v, i_v in self.factors:
-            uu += _adjoint_product(o_u, o_u) * _adjoint_product(i_u, i_u)
-            uv += _adjoint_product(o_u, o_v) * _adjoint_product(i_u, i_v)
-            vv += _adjoint_product(o_v, o_v) * _adjoint_product(i_v, i_v)
-        # Re and Im parts of U^H V +- V^H U, using V^H U = (U^H V)^H
-        uv_sym = uv.real + uv.real.swapaxes(-1, -2)
-        diag = uu.real + vv.real
-        cross = vv.imag - uu.imag + (uv.imag + uv.imag.swapaxes(-1, -2))
-        del uu, uv, vv  # freed before the Gram is allocated: they set the peak
+            outer = np.concatenate([o_u, o_v.conj()], axis=-2)
+            swapped = np.concatenate([o_v, o_u.conj()], axis=-2)
+            for acc, o_right, i_right in ((p, outer, i_u), (q, swapped, i_v)):
+                term = outer.conj().swapaxes(-1, -2) @ o_right
+                term *= i_u.conj().swapaxes(-1, -2) @ i_right
+                acc += term
+                del term
         gram = np.empty((*lead, 2 * n, 2 * n))
-        gram[..., 0::2, 0::2] = diag + uv_sym         # Re A^H A
-        gram[..., 1::2, 1::2] = diag - uv_sym         # Re B^H B
-        gram[..., 0::2, 1::2] = cross                 # Re A^H B
-        gram[..., 1::2, 0::2] = cross.swapaxes(-1, -2)
+        np.add(p.real, q.real, out=gram[..., 0::2, 0::2])       # Re A^H A
+        np.subtract(q.imag, p.imag, out=gram[..., 0::2, 1::2])  # Re A^H B
+        np.add(q.imag, p.imag, out=gram[..., 1::2, 0::2])       # Re B^H A
+        np.subtract(p.real, q.real, out=gram[..., 1::2, 1::2])  # Re B^H B
         return gram
-
-
-def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H y over the last two axes."""
-    return x.conj().swapaxes(-1, -2) @ y
 
 
 def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
@@ -433,10 +437,7 @@ def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
     """
     n_rows, n_cols = matrix.shape
     _, s, vt = np.linalg.svd(matrix, full_matrices=n_rows < n_cols)
-    if s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > svd_tol * s[0]))
+    rank = int(np.sum(s > svd_tol * s[0])) if s[0] > 0.0 else 0
     null_dim = n_cols - rank
     basis = vt[rank:].T.copy() if null_dim > 0 else None
     return NullSpaceResult(null_dim, basis, s)
@@ -459,8 +460,13 @@ def decide_null_space(system: GammaSystem, *,
     H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I;
     so H + E is positive definite and lambda_min(G) > s - ||E||_2.  With
     ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
-    with (n+1) eps ||G||_F to spare, more than the factor Gram's own
-    rounding (about 1e-15 ||G||).  As lambda_max <= ||G||_F, success proves
+    with (n+1)(n+2)/2 eps ||G||_F to spare, which covers G's own rounding while
+    m <= n, m the most rows a factor Gram sums over (2 C(d_A, 2), d_C^2 - 1,
+    ...): an entry of P or Q (see `gram`) for pairs s, t is one such sum times
+    one factor-Gram entry plus three additions, off by about (m + 3) u
+    sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the mean of G's two diagonal
+    entries for pair s), so G is off by n times that in norm at most, about
+    1e-15 ||G|| in practice.  As lambda_max <= ||G||_F, success proves
     lambda_min > tau lambda_max, i.e. sigma_min >= sqrt(tau) sigma_max with
     sqrt(tau) >= max(2 svd_tol, 1e-4), so the exact SVD, accurate to about
     1e-16 sigma_max, keeps every singular value too.  Squaring the
@@ -726,17 +732,16 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
     Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
-    products and their identity checks; and 128 n^2 for its Gram stage,
-    that is the real Gram (32 n^2), the three complex accumulators (48 n^2)
-    and two factor Grams with their Hadamard product (48 n^2).  As many
-    whole trials as fit _STACK_BYTES go in one stack, at least one.
+    products and their identity checks; and 96 n^2 for its Gram stage,
+    that is the real Gram (32 n^2), the two complex accumulators P and Q
+    (32 n^2) and one pair of factor-Gram products (32 n^2).  As many whole
+    trials as fit _STACK_BYTES go in one stack, at least one.
     """
-    dims = spec.block_dims(structure)
-    da, db, dc, dd = dims
+    da, db, dc, dd = dims = spec.block_dims(structure)
     rank = min(da * db, dc * dd)
     per_trial = (96 * structure.total_dim
                  + 32 * rank ** 2 * sum(d * d for d in dims)
-                 + 128 * math.comb(rank, 2) ** 2)
+                 + 96 * math.comb(rank, 2) ** 2)
     return max(1, _STACK_BYTES // per_trial)
 
 
@@ -776,11 +781,6 @@ def _certify_stack(states: list[PureState], spec: CrossCutSpec, *,
                              gap_tol=gap_tol, seed=seed)
             for item, (state, seed) in enumerate(zip(states, seeds))]
 
-
-# ---------------------------------------------------------------------------
-# Statistical check that the cross-block overlap entries carry exactly four
-# linear dependences (one vanishing trace per operator family).
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OverlapDependenceReport:

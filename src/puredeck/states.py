@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +58,10 @@ class PartyStructure:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
+        object.__setattr__(self, "num_parties",
+                           _integer(self.num_parties, "num_parties"))
+        object.__setattr__(self, "local_dims", tuple(
+            _integer(d, "local dimension") for d in self.local_dims))
         if self.num_parties < 1:
             raise ValueError("need at least one party")
         if len(self.local_dims) != self.num_parties:
@@ -328,6 +332,17 @@ def _checked(value, kind, name: str):
                         f"{' or '.join(k.__name__ for k in kinds)}, "
                         f"got {value!r}")
     return value
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int by `operator.index` (numpy integers pass, floats
+    and strings do not), else TypeError; bool is refused too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be int, got {value!r}")
 
 
 def state_from_json_dict(data: dict) -> PureState:

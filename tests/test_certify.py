@@ -16,8 +16,8 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _cross_matrices, _gamma_vector,
-                              _svd_null_space)
+                              _certify_stack, _cross_matrices, _gamma_vector,
+                              _khatri_rao, _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -266,6 +266,92 @@ class TestGammaSystem:
         assert verdict.status in tuple(UdpStatus)
         assert expected_equation_counts(structure, spec) == counts
         assert {k: verdict.equation_counts[k] for k in counts} == counts
+
+
+EMPTY_INNER_BLOCK_CASES = [
+    (4, 2, "A=1;B=2;C=;D=3,4"),
+    (4, 2, "A=1,2;B=3;C=4;D="),
+    (4, 2, "A=1;B=;C=;D=2,3,4"),
+]
+
+
+def adjoint_product(x, y):
+    return x.conj().T @ y
+
+
+class TestGramKernel:
+    """The identities `GammaSystem.gram` rests on, its stack/item
+    agreement and its memory."""
+
+    @staticmethod
+    def _close(got, want):
+        scale = max(np.max(np.abs(want), initial=0.0), 1.0)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("n, d, blocks",
+                             COUNTING_LAW_CASES + EMPTY_INNER_BLOCK_CASES)
+    def test_inner_identities_and_hadamard_forms(self, n, d, blocks):
+        for o_u, i_u, o_v, i_v in haar_system(n, d, blocks, 7).factors:
+            inner_uu = adjoint_product(i_u, i_u)
+            inner_uv = adjoint_product(i_u, i_v)
+            self._close(adjoint_product(i_v, i_v).conj(), inner_uu)
+            self._close(inner_uv.T, inner_uv)
+            # P and Q from the dense Khatri-Rao factors and from the
+            # stacked outer factors the Gram uses
+            u, v = _khatri_rao(o_u, i_u), _khatri_rao(o_v, i_v)
+            uv = adjoint_product(u, v)
+            p = adjoint_product(u, u) + adjoint_product(v, v).conj()
+            q = uv + uv.T
+            outer = np.concatenate([o_u, o_v.conj()])
+            swapped = np.concatenate([o_v, o_u.conj()])
+            self._close(adjoint_product(outer, outer) * inner_uu, p)
+            self._close(adjoint_product(outer, swapped) * inner_uv, q)
+            self._close(p.conj().T, p)
+            self._close(q.T, q)
+
+    @pytest.mark.parametrize("n, d, blocks", [
+        (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+        (4, 3, "A=1;B=2;C=3;D=4"),
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
+        (4, 2, "A=1;B=2;C=;D=3,4"),
+    ])
+    def test_stacked_gram_matches_items_bit_for_bit(self, monkeypatch, n, d,
+                                                     blocks):
+        # the stack certifies an item from the stacked Gram, so it must be
+        # the Gram `certify_udp` decides that item by, to the last bit
+        spec = CrossCutSpec.parse(blocks, n)
+        structure = PartyStructure.uniform(n, d)
+        seeds = range(60, 64)
+        grams = []
+        real = certify_module._shifted_cholesky
+
+        def spy(gram, svd_tol):
+            grams.append(gram.copy())
+            return real(gram, svd_tol)
+
+        monkeypatch.setattr(certify_module, "_shifted_cholesky", spy)
+        _certify_stack([sample_haar_state(structure, s) for s in seeds], spec,
+                       seeds=seeds, svd_tol=SVD_TOL, deck_tol=1e-9,
+                       gap_tol=1e-8)
+        stacked = grams[0]
+        assert stacked.shape[0] == len(seeds)
+        for item, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                stacked[item], haar_system(n, d, blocks, seed).gram)
+
+    def test_ten_qubit_gram_peak(self):
+        # P, Q and one pair of factor-Gram products, then P, Q and the real
+        # Gram: four n x n complex arrays, below the bound of 4.5
+        system = haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3)
+        n = system.num_complex_variables
+        tracemalloc.start()
+        try:
+            system.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 16 * n * n
 
 
 class TestNullSpace:

@@ -41,6 +41,22 @@ class TestPartyStructure:
         with pytest.raises(ValueError):
             PartyStructure(2, (2,))
 
+    @pytest.mark.parametrize("num_parties, local_dims, name", [
+        (2, (2.5, 2), "local dimension"),
+        (2, ("3", 2), "local dimension"),
+        (True, (2,), "num_parties"),
+        (2.0, (2, 2), "num_parties"),
+    ])
+    def test_non_integers_refused(self, num_parties, local_dims, name):
+        # read as given, never converted: 2.5 is not a qubit, "3" no qutrit
+        with pytest.raises(TypeError, match=f"{name} must be int"):
+            PartyStructure(num_parties, local_dims)
+
+    def test_numpy_integers_accepted(self):
+        st_ = PartyStructure(np.int64(2), (np.int32(3), np.uint8(2)))
+        assert st_ == PartyStructure(2, (3, 2))
+        assert all(type(v) is int for v in (st_.num_parties, *st_.local_dims))
+
     def test_mixed_radix_round_trip_exhaustive(self):
         st_ = PartyStructure(3, (2, 3, 2))
         for idx in range(st_.total_dim):
