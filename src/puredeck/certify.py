@@ -35,7 +35,7 @@ from .states import (PartyStructure, PureState, _cut, check_subset,
 SVD_TOL = 1e-9
 # Smallest Gram eigenvalue ratio lambda_min / lambda_max that the shifted
 # Cholesky certifies to decide a trivial null space without the SVD (a
-# singular-value ratio of 1e-4); see `decide_null_space`.
+# singular-value ratio of 1e-4); see `_shifted_cholesky`.
 GRAM_MIN_RATIO = 1e-8
 # A candidate second state must have fidelity-up-to-phase below 1 - DISTINCT_TOL
 # with the input to count as a genuine counterexample.
@@ -412,11 +412,9 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
 class NullSpaceResult:
     """Numerical null space of a phase system.
 
-    `singular_values` are the exact SVD's, in descending order.  When the
-    shifted Cholesky of the Gram decides the rank (a trivial null space
-    with sigma_min / sigma_max >= max(2 svd_tol, 1e-4), see
-    `decide_null_space`) no spectrum is computed and the array is empty.
-    Both arrays are made read-only.
+    `singular_values` are the exact SVD's, in descending order, and empty
+    for a system without unknowns or without equations, which needs no
+    SVD.  Both arrays are made read-only.
     """
 
     null_dim: int
@@ -445,57 +443,44 @@ def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
 
 def decide_null_space(system: GammaSystem, *,
                       svd_tol: float = SVD_TOL) -> NullSpaceResult:
-    """Numerical null space of the phase system by singular-value thresholding.
-
-    Fast path: one Cholesky factorization of the shifted Gram G - s I, with
-    G = `system.gram`, s = (tau + (n+1)^2 eps) ||G||_F, n the number of real
-    variables, eps the float64 machine epsilon and
-    tau = max(4 svd_tol^2, GRAM_MIN_RATIO).  If it succeeds the null space is
-    trivial; otherwise, for a zero Gram, a wide system, or a non-finite
-    `svd_tol`, the exact SVD of the dense matrix decides.
-
-    Why success certifies what the exact SVD would decide: by the backward
-    error of Cholesky (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3), a factorization that completes is exact for
-    H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I;
-    so H + E is positive definite and lambda_min(G) > s - ||E||_2.  With
-    ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
-    with (n+1)(n+2)/2 eps ||G||_F to spare, which covers G's own rounding while
-    m <= n, m the most rows a factor Gram sums over (2 C(d_A, 2), d_C^2 - 1,
-    ...): an entry of P or Q (see `gram`) for pairs s, t is one such sum times
-    one factor-Gram entry plus three additions, off by about (m + 3) u
-    sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the mean of G's two diagonal
-    entries for pair s), so G is off by n times that in norm at most, about
-    1e-15 ||G|| in practice.  As lambda_max <= ||G||_F, success proves
-    lambda_min > tau lambda_max, i.e. sigma_min >= sqrt(tau) sigma_max with
-    sqrt(tau) >= max(2 svd_tol, 1e-4), so the exact SVD, accurate to about
-    1e-16 sigma_max, keeps every singular value too.  Squaring the
-    condition number is why the ratio never goes below 1e-8: the Gram
-    cannot resolve svd_tol = 1e-9 itself.
-    """
+    """Numerical null space of the phase system from the exact SVD of the
+    dense matrix; a system without unknowns or equations needs none.
+    `svd_tol` must pass `Tolerances`, else ValueError."""
+    Tolerances(svd_tol=svd_tol)
     n_cols = system.num_real_variables
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
     if system.num_complex_equations == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
-    # the Gram is a temporary, not held through the dense SVD
-    if _gram_decides(system, svd_tol) and _shifted_cholesky(system.gram,
-                                                            svd_tol):
-        return NullSpaceResult(0, None, np.zeros(0))
     return _svd_null_space(system.matrix, svd_tol)
-
-
-def _gram_decides(system: GammaSystem, svd_tol: float) -> bool:
-    """Whether the shifted Cholesky may decide: a tall system (or stack of
-    them) with unknowns, and a finite `svd_tol`."""
-    return (2 * system.num_complex_equations >= system.num_real_variables > 0
-            and math.isfinite(svd_tol))
 
 
 def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
-    certifies a trivial null space (see `decide_null_space`); a zero Gram
-    never does.  Shifts `gram` in place.
+    certifies a trivial null space; a zero Gram never does.  Shifts `gram`
+    in place.
+
+    The Gram G = `GammaSystem.gram` of n real variables is shifted by
+    s = (tau + (n+1)^2 eps) ||G||_F, eps the float64 machine epsilon and
+    tau = max(4 svd_tol^2, GRAM_MIN_RATIO).  Why success certifies what the
+    exact SVD of `decide_null_space` would decide: by the backward error of
+    Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3), a factorization that completes is exact for H + E with
+    ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I; so H + E
+    is positive definite and lambda_min(G) > s - ||E||_2.  With
+    ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
+    with (n+1)(n+2)/2 eps ||G||_F to spare, which covers G's own rounding
+    while m <= n, m the most rows a factor Gram sums over (2 C(d_A, 2),
+    d_C^2 - 1, ...): an entry of P or Q (see `gram`) for pairs s, t is one
+    such sum times one factor-Gram entry plus three additions, off by about
+    (m + 3) u sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the mean of G's
+    two diagonal entries for pair s), so G is off by n times that in norm
+    at most, about 1e-15 ||G|| in practice.  As lambda_max <= ||G||_F,
+    success proves lambda_min > tau lambda_max, i.e. sigma_min >=
+    sqrt(tau) sigma_max with sqrt(tau) >= max(2 svd_tol, 1e-4), so the
+    exact SVD, accurate to about 1e-16 sigma_max, keeps every singular
+    value too.  Squaring the condition number is why the ratio never goes
+    below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
 
     The Frobenius norms are dot products per item.  np.linalg.cholesky
     raises for a whole stack if one item fails, so a failed stack is
@@ -663,26 +648,29 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     when each of those four lies inside a member of `family`, and any
     emitted witness is verified against the deck of `family`.  The
     tolerances must pass `Tolerances`, and `family` must be defined on the
-    state's parties; otherwise ValueError.
+    state's parties; otherwise ValueError.  The verdict is that of
+    `_certify_stack` on a stack of one.
     """
-    Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
-    if spec.num_parties != state.structure.num_parties:
-        raise ValueError("spec covers a different number of parties")
-    if family is None:
-        family = spec.verification_family()
-    elif family.num_parties != spec.num_parties:
-        raise ValueError("family defined for a different number of parties")
-    uncovered = _uncovered_cuts(spec, family)
+    return _certify_stack([state], spec, family, seeds=(seed,),
+                          svd_tol=svd_tol, deck_tol=deck_tol,
+                          gap_tol=gap_tol)[0]
+
+
+def _exact_verdict(state: PureState, spec: CrossCutSpec,
+                   family: MarginalFamily, uncovered: list[str],
+                   tol: Tolerances, seed: int) -> UdpVerdict:
+    """The verdict of an item `_certify_stack` does not certify, from its
+    exact null space: Schmidt pairs in tie-broken order, the SVD, then the
+    witness search against the deck of `family`."""
     dec = schmidt_decompose(state, spec.ab)
-    genericity = classify_genericity(dec, gap_tol=gap_tol)
-    matrices = build_cross_matrices(dec, spec)
-    system = assemble_gamma_system(matrices)
-    null = decide_null_space(system, svd_tol=svd_tol)
+    genericity = classify_genericity(dec, gap_tol=tol.gap_tol)
+    system = assemble_gamma_system(build_cross_matrices(dec, spec))
+    null = decide_null_space(system, svd_tol=tol.svd_tol)
     counts = _verdict_counts(system)
     if null.null_dim == 0:
         return _trivial_null_verdict(genericity, uncovered, counts)
     found = _search_phase_witness(state, dec, system, null, family,
-                                  deck_tol=deck_tol, seed=seed)
+                                  deck_tol=tol.deck_tol, seed=seed)
     if found is None:
         return UdpVerdict(UdpStatus.INCONCLUSIVE, null.null_dim, genericity,
                           counts, notes=("nontrivial null space but no "
@@ -745,40 +733,51 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     return max(1, _STACK_BYTES // per_trial)
 
 
-def _certify_stack(states: list[PureState], spec: CrossCutSpec, *,
+def _certify_stack(states: list[PureState], spec: CrossCutSpec,
+                   family: MarginalFamily | None = None, *,
                    seeds: Sequence[int], svd_tol: float, deck_tol: float,
                    gap_tol: float) -> list[UdpVerdict]:
-    """`certify_udp` verdicts of states of one structure under the four cut
-    marginals, with each stage run once on the whole stack.
+    """`certify_udp` verdicts of states of one structure, each stage run
+    once on the whole stack; `family` and the checks as in `certify_udp`.
 
-    An item gets its verdict from `_trivial_null_verdict` here when
-    `_genericity` finds its primary cut generic, no two of its coefficients
-    lie in the tie-break window (so its pairs come in `schmidt_decompose`'s
-    order) and its shifted Cholesky succeeds.  Every other item gets
-    `certify_udp` with its seed.  An overlap identity that fails for an
-    item in the stack raises the `build_cross_matrices` ValueError.
+    An item gets its verdict from `_trivial_null_verdict` here when its
+    primary cut has full rank, no two of its coefficients lie in the
+    tie-break window (so its pairs come in `schmidt_decompose`'s order),
+    its system is tall and its shifted Cholesky succeeds.  Every other
+    item gets `_exact_verdict` with its seed.  An overlap identity that
+    fails for an item in the stack raises the `build_cross_matrices`
+    ValueError.
     """
+    tol = Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
     structure = states[0].structure
+    if spec.num_parties != structure.num_parties:
+        raise ValueError("spec covers a different number of parties")
+    if family is None:
+        family = spec.verification_family()
+    elif family.num_parties != spec.num_parties:
+        raise ValueError("family defined for a different number of parties")
+    uncovered = _uncovered_cuts(spec, family)
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
     reports = _genericity(s, s.shape[1], gap_tol)
-    kept = np.flatnonzero(np.array([r.generic for r in reports]) & _untied(s))
+    kept = np.flatnonzero(np.array([r.full_rank for r in reports])
+                          & _untied(s))
     certified = {}
     if kept.size:
         matrices = _cross_matrices(left[kept], right[kept], spec, structure)
         system = GammaSystem((_source_factors(matrices.q, matrices.p),
                               _source_factors(matrices.l, matrices.m)))
         del matrices  # the overlap products are not held through the Gram stage
-        if _gram_decides(system, svd_tol):
+        # a wide system's Gram is singular: only the exact SVD decides it
+        if 2 * system.num_complex_equations >= system.num_real_variables:
             passed = _shifted_cholesky(system.gram, svd_tol)
             counts = _verdict_counts(system)
-            certified = {item: _trivial_null_verdict(reports[item], [],
+            certified = {item: _trivial_null_verdict(reports[item], uncovered,
                                                      dict(counts))
                          for item in kept[passed].tolist()}
     return [certified[item] if item in certified
-            else certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
-                             gap_tol=gap_tol, seed=seed)
+            else _exact_verdict(state, spec, family, uncovered, tol, seed)
             for item, (state, seed) in enumerate(zip(states, seeds))]
 
 

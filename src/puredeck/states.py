@@ -32,8 +32,8 @@ MARGINAL_TOL = 1e-10
 
 
 def check_subset(parties, num_parties: int, *, allow_empty: bool = False) -> tuple[int, ...]:
-    """Normalize a collection of party labels to a sorted duplicate-free tuple."""
-    subset = tuple(sorted(int(p) for p in parties))
+    """Sorted duplicate-free tuple of party labels, each read by `_integer`."""
+    subset = tuple(sorted(_integer(p, "party") for p in parties))
     if not subset and not allow_empty:
         raise ValueError("party subset must be nonempty")
     if len(set(subset)) != len(subset):
@@ -261,7 +261,7 @@ class Marginal:
     matrix: np.ndarray
 
     def __post_init__(self):
-        parties = tuple(sorted(int(p) for p in self.parties))
+        parties = tuple(sorted(_integer(p, "party") for p in self.parties))
         if not parties or len(set(parties)) != len(parties):
             raise ValueError("marginal parties must be a nonempty duplicate-free subset")
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)

@@ -17,7 +17,7 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
                               _certify_stack, _cross_matrices, _gamma_vector,
-                              _khatri_rao, _svd_null_space)
+                              _khatri_rao, _shifted_cholesky, _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -79,6 +79,24 @@ def overlap_oracle(basis, parties, keep, local_dims):
     ops = np.einsum(f"i{ket},j{bra}->ij{kept}{kept.upper()}", x, x.conj())
     dim = math.prod(local_dims[p - 1] for p in keep)
     return ops.reshape(rank, rank, dim, dim)
+
+
+def stack_verdict(psi, *, svd_tol=SVD_TOL):
+    """The verdict of `_certify_stack` on a stack of one, under the
+    six-qubit spec."""
+    return _certify_stack([psi], SIX_QUBIT_SPEC, seeds=(0,), svd_tol=svd_tol,
+                          deck_tol=1e-9, gap_tol=1e-8)[0]
+
+
+def near_singular_state():
+    """sum_i c_i |i>_AB |i>_CD with distinct c_i, whose phase system has a
+    nontrivial null space, plus a tenth of a Haar state: full rank, with
+    sigma_min / sigma_max of its phase system about 9e-4."""
+    coeffs = np.sqrt(np.arange(1, 9) / 36.0)
+    ladder = np.diag(coeffs).ravel().astype(complex)
+    haar = sample_haar_state(SIX_QUBIT_STRUCTURE, 17).amplitudes
+    return PureState.from_amplitudes(SIX_QUBIT_STRUCTURE, ladder + 0.1 * haar,
+                                     normalize=True)
 
 
 def spy_on_exact_path(monkeypatch):
@@ -390,7 +408,7 @@ class TestNullSpace:
             "exact": decide_null_space(assemble_gamma_system(
                 build_cross_matrices(schmidt_decompose(ghz, SIX_QUBIT_SPEC.ab),
                                      SIX_QUBIT_SPEC))),
-            "cholesky": decide_null_space(
+            "haar": decide_null_space(
                 haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 1)),
         }
         assert results["exact"].singular_values.size > 0
@@ -400,6 +418,14 @@ class TestNullSpace:
                     assert not arr.flags.writeable, name
                     with pytest.raises(ValueError):
                         arr[...] = 0.0
+
+    @pytest.mark.parametrize("svd_tol", [0.5, 0.0, -1.0])
+    def test_tolerance_outside_range_refused(self, svd_tol):
+        # unchecked, 0.5 gave null_dim 32 on this trivial null space, and
+        # 0 and -1 passed unnoticed
+        with pytest.raises(ValueError, match="svd_tol=.* outside"):
+            decide_null_space(haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 19),
+                              svd_tol=svd_tol)
 
     def test_null_basis_orthonormal_and_annihilated(self):
         psi = ghz_state(6, 2, 0.6, 0.8)
@@ -469,25 +495,28 @@ class TestGramFastPath:
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
         assert np.all(system.gram == 0.0)
+        assert not _shifted_cholesky(system.gram, SVD_TOL)
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
 
-    def test_fast_path_singular_values_match_svd(self):
-        # the Cholesky path computes no spectrum; the exact SVD of the same
-        # system must bear out the ratio the fast path certified
+    def test_fast_path_singular_values_match_svd(self, monkeypatch):
+        # the stack certifies without a spectrum; the exact SVD of the same
+        # system must bear out the ratio its shifted Cholesky certified
+        calls = spy_on_exact_path(monkeypatch)
+        verdict = stack_verdict(sample_haar_state(SIX_QUBIT_STRUCTURE, 13))
+        assert calls == []
+        assert (verdict.status, verdict.null_dim) == (UdpStatus.CERTIFIED_UDP, 0)
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 13)
-        fast = decide_null_space(system)
         exact = _svd_null_space(system.matrix, SVD_TOL)
-        assert (fast.null_dim, fast.basis) == (0, None)
-        assert fast.singular_values.size == 0
+        assert exact.null_dim == 0
         s = exact.singular_values
         assert s[-1] / s[0] >= math.sqrt(GRAM_MIN_RATIO)
 
     @pytest.mark.parametrize("case", ["above-shift", "below-tau", "singular"])
     def test_certificate_direction_on_synthetic_grams(self, monkeypatch, case):
-        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
-        n = system.num_real_variables
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 31)
+        n = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31).num_real_variables
         # the shift for lambda_max = 1, where ||G||_F is sqrt(n) at most
         shift = (GRAM_MIN_RATIO + (n + 1) ** 2 * np.finfo(float).eps) * math.sqrt(n)
         lam = np.ones(n)
@@ -495,37 +524,52 @@ class TestGramFastPath:
                    "singular": 0.0}[case]
         q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
         gram = (q * lam) @ q.T  # Q diag(lam) Q^T
+        # the stack of one reads the synthetic Gram as its only item
         monkeypatch.setattr(certify_module.GammaSystem, "gram",
-                            property(lambda self: gram.copy()))
+                            property(lambda self: gram[None].copy()))
         calls = spy_on_exact_path(monkeypatch)
-        result = decide_null_space(system)
+        verdict = stack_verdict(psi)
         if case == "above-shift":
             assert calls == []
-            assert (result.null_dim, result.basis) == (0, None)
+            assert verdict.status == UdpStatus.CERTIFIED_UDP
         else:
             assert calls == [SVD_TOL]  # never certified from the Gram
 
     def test_margin_straddle_falls_back_to_exact(self, monkeypatch):
-        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 17)
+        psi = near_singular_state()
+        system = assemble_gamma_system(build_cross_matrices(
+            schmidt_decompose(psi, SIX_QUBIT_SPEC.ab), SIX_QUBIT_SPEC))
         s = np.linalg.svd(system.matrix, compute_uv=False)
         ratio = s[-1] / s[0]
-        calls = spy_on_exact_path(monkeypatch)
+        assert 1.1 * ratio < 1e-2  # both tolerances pass `Tolerances`
+        calls, tried = spy_on_exact_path(monkeypatch), []
+        real = certify_module._shifted_cholesky
+        monkeypatch.setattr(certify_module, "_shifted_cholesky",
+                            lambda gram, tol: tried.append(tol)
+                            or real(gram, tol))
         results = {}
         for factor in (0.9, 1.1):
             tol = factor * ratio
-            results[factor] = decide_null_space(system, svd_tol=tol)
+            results[factor] = stack_verdict(psi, svd_tol=tol)
             assert results[factor].null_dim == \
                 _svd_null_space(system.matrix, tol).null_dim
-        assert calls == [0.9 * ratio, 1.1 * ratio]
+        # the stack tried its Cholesky both times, and both fell back
+        assert tried == calls == [0.9 * ratio, 1.1 * ratio]
         assert results[0.9].null_dim == 0
         assert results[1.1].null_dim >= 1
 
     @pytest.mark.parametrize("svd_tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_takes_exact_path(self, monkeypatch, svd_tol):
-        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 19)
+    def test_non_finite_tolerance_refused(self, monkeypatch, svd_tol):
+        # decide_null_space once took a non-finite svd_tol to the SVD, which
+        # then called every singular value zero
         calls = spy_on_exact_path(monkeypatch)
-        decide_null_space(system, svd_tol=svd_tol)
-        assert len(calls) == 1
+        with pytest.raises(ValueError, match="svd_tol=.* outside"):
+            stack_verdict(sample_haar_state(SIX_QUBIT_STRUCTURE, 19),
+                          svd_tol=svd_tol)
+        with pytest.raises(ValueError, match="svd_tol=.* outside"):
+            decide_null_space(haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 19),
+                              svd_tol=svd_tol)
+        assert calls == []
 
     def test_wide_exact_path_returns_complete_null_basis(self):
         # 4 real equations in 12 unknowns: the thin SVD would miss null vectors
@@ -682,6 +726,16 @@ class TestFamilyCoverage:
             psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 100 + seed)
             verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
             assert verdict.status == UdpStatus.CERTIFIED_UDP
+
+    def test_empty_family_is_not_certified(self):
+        # an empty family is falsy (`MarginalFamily.__len__`), yet it fixes
+        # none of the cut marginals
+        psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
+        verdict = certify_udp(psi, SIX_QUBIT_SPEC, MarginalFamily(6, ()))
+        assert verdict.null_dim == 0 and verdict.genericity.generic
+        assert verdict.status == UdpStatus.INCONCLUSIVE
+        assert any("marginals AB, CD, AC, BD;" in note
+                   for note in verdict.notes)
 
     def test_family_on_other_parties_refused(self):
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)

@@ -1,7 +1,8 @@
 """Static checks of the package source with the standard library's `ast`:
 no unused imports, no private module-level function that nothing in the
-package calls, one home for the certification rule, benchmark layer
-targets that resolve, and every named threshold documented in README."""
+package calls, one home for the certification rule, one certification
+route, benchmark layer targets that resolve, and every named threshold
+documented in README."""
 
 import ast
 import importlib
@@ -117,6 +118,31 @@ def test_one_home_for_the_certification_rule():
     # the verdict: one function issues CERTIFIED_UDP; UdpVerdict checks it
     assert functions_using(trees["certify.py"], "CERTIFIED_UDP") == {
         "_trivial_null_verdict", "__post_init__"}
+
+
+def callers(trees, name):
+    """`module:function` for every function in the package that calls
+    `name`, plainly or as an attribute."""
+    return {f"{module}:{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and name in (getattr(call.func, "id", None),
+                                 getattr(call.func, "attr", None))
+                    for call in ast.walk(node))}
+
+
+def test_one_certification_route():
+    trees = {path.name: parse(path) for path in MODULES}
+    # only the stacked kernel issues the Cholesky certificate, and only
+    # the exact decision runs the SVD
+    assert callers(trees, "_shifted_cholesky") == {"certify.py:_certify_stack"}
+    assert callers(trees, "_svd_null_space") == {
+        "certify.py:decide_null_space"}
+    # certify_udp is a stack of one, and no route leads back into it; the
+    # CLI's certify command is its one caller in the package
+    assert callers(trees, "certify_udp") == {"cli.py:_cmd_certify"}
+    assert callers(trees, "_certify_stack") == {
+        "certify.py:certify_udp", "experiments.py:run_experiment"}
 
 
 def test_every_named_threshold_is_in_readme():

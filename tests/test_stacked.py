@@ -1,5 +1,6 @@
-"""The stacked certification core of `run_experiment` against the per-state
-route it replaces: verdicts field by field, whole reports, and memory."""
+"""The stacked certification kernel behind `certify_udp` and
+`run_experiment` against the exact SVD on each state: verdicts field by
+field, whole reports, and memory."""
 
 import hashlib
 import json
@@ -22,11 +23,20 @@ STRUCTURE = PartyStructure.uniform(6, 2)
 TOLERANCES = {"svd_tol": 1e-9, "deck_tol": 1e-9, "gap_tol": 1e-8}
 
 
-def per_state_route(states, spec, *, seeds, svd_tol, deck_tol, gap_tol):
-    """One `certify_udp` call per state: the route the stack replaces."""
+def stacks_of_one(states, spec, *, seeds, svd_tol, deck_tol, gap_tol):
+    """One `certify_udp` call, a stack of one, per state."""
     return [certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
                         gap_tol=gap_tol, seed=seed)
             for state, seed in zip(states, seeds)]
+
+
+def per_state_route(states, spec, **kwargs):
+    """`stacks_of_one` with every shifted Cholesky failing (GRAM_MIN_RATIO = 1
+    shifts each Gram past its largest eigenvalue), so that each verdict
+    comes from the exact SVD: the reference the stack must match."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify_module, "GRAM_MIN_RATIO", 1.0)
+        return stacks_of_one(states, spec, **kwargs)
 
 
 def ladder_state():
@@ -95,26 +105,27 @@ class TestDifferential:
         want = per_state_route(states, SPEC, seeds=seeds, **TOLERANCES)
         name_of = {id(state): name for name, state in zip(names, states)}
         per_state, factorized = [], []
-        real_certify, real_factorizes = (certify_module.certify_udp,
-                                         certify_module._factorizes)
+        real_exact, real_factorizes = (certify_module._exact_verdict,
+                                       certify_module._factorizes)
 
-        def spy_certify(state, *args, **kwargs):
+        def spy_exact(state, *args):
             per_state.append(name_of[id(state)])
-            return real_certify(state, *args, **kwargs)
+            return real_exact(state, *args)
 
         def spy_factorizes(mats):
             factorized.append(mats.ndim)
             return real_factorizes(mats)
 
-        monkeypatch.setattr(certify_module, "certify_udp", spy_certify)
+        monkeypatch.setattr(certify_module, "_exact_verdict", spy_exact)
         monkeypatch.setattr(certify_module, "_factorizes", spy_factorizes)
         got = _certify_stack(list(states), SPEC, seeds=seeds, **TOLERANCES)
         assert len(got) == len(want)
         for verdict, expected in zip(got, want):
             assert_same_verdict(verdict, expected)
-        # every path is taken: witnesses, degenerate spectra, rank deficits
-        # and a failed Cholesky leave the stack; the Haar states stay in
-        # it, through the item-by-item retry
+        # every path is taken: witnesses, tied or rank-deficient spectra and
+        # a failed Cholesky leave the stack; the Haar states and the
+        # full-rank, untied near-degenerate one stay in it, through the
+        # item-by-item retry
         statuses = {name: v.status for name, v in zip(names, got)}
         assert statuses["lopsided-ghz"] == UdpStatus.NOT_UDP_WITNESSED
         assert statuses["cholesky-fails"] == UdpStatus.NOT_UDP_WITNESSED
@@ -122,11 +133,12 @@ class TestDifferential:
                      "near-degenerate"):
             assert statuses[name] == UdpStatus.INCONCLUSIVE
         assert not got[names.index("maximally-entangled")].genericity.generic
-        assert sorted(per_state) == sorted(n for n in names
-                                           if not n.startswith("haar"))
-        # the stack of 11 fails as a whole and is retried item by item,
-        # before the per-state route runs its own Cholesky factorizations
-        assert factorized[:12] == [3] + [2] * 11
+        assert sorted(per_state) == sorted(
+            n for n in names
+            if not n.startswith("haar") and n != "near-degenerate")
+        # the stack of 12 fails as a whole and is retried item by item; the
+        # exact verdicts of the items that leave it run no Cholesky
+        assert factorized == [3] + [2] * 12
 
     def test_partial_last_stack_matches_per_state_route(self, monkeypatch):
         batch = [state for _, state in mixed_batch()]
@@ -146,7 +158,7 @@ class TestDifferential:
     def test_tied_coefficients_leave_the_stack(self, monkeypatch):
         # two coefficients 1e-13 apart: inside the tie-break window, yet
         # distinct under a tiny gap_tol, so only the window sends the item
-        # to `certify_udp`, whose tie-break fixes the order of the pairs
+        # to `_exact_verdict`, whose tie-break fixes the order of the pairs
         coeffs = np.linspace(1.0, 0.3, 8)
         coeffs[3] = coeffs[2] * (1 - 1e-13)
         tied = with_coefficients(coeffs, 8)
@@ -154,10 +166,10 @@ class TestDifferential:
         tolerances = dict(TOLERANCES, gap_tol=1e-30)
         want = per_state_route(states, SPEC, seeds=(1, 2), **tolerances)
         per_state = []
-        real_certify = certify_module.certify_udp
-        monkeypatch.setattr(certify_module, "certify_udp",
-                            lambda state, *a, **k: per_state.append(state)
-                            or real_certify(state, *a, **k))
+        real_exact = certify_module._exact_verdict
+        monkeypatch.setattr(certify_module, "_exact_verdict",
+                            lambda state, *a: per_state.append(state)
+                            or real_exact(state, *a))
         got = _certify_stack(states, SPEC, seeds=(1, 2), **tolerances)
         assert per_state == [tied]
         assert got[1].status == UdpStatus.CERTIFIED_UDP
@@ -169,7 +181,7 @@ class TestDifferential:
         ids=["2qt", "4q"])
     def test_stacks_the_gram_cannot_decide(self, monkeypatch, n, d, blocks):
         # zero-equation systems: the Gram decides nothing, so every trial
-        # leaves the stack for `certify_udp`, which finds its witness
+        # leaves the stack for `_exact_verdict`, which finds its witness
         structure = PartyStructure.uniform(n, d)
         spec = CrossCutSpec.parse(blocks, n)
         assert _stack_size(structure, spec) > 1
@@ -267,6 +279,6 @@ class TestMemory:
 
         stacked = traced_peak()
         monkeypatch.setattr(experiments_module, "_certify_stack",
-                            per_state_route)
+                            stacks_of_one)
         per_state = traced_peak()
         assert stacked <= per_state + certify_module._STACK_BYTES

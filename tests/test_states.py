@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puredeck import (DIM_CAP, Marginal, PartyStructure, PureState,
-                      fidelity_up_to_phase, ghz_state, inner_product,
-                      load_state, sample_haar_state, save_state,
-                      state_from_json_dict, state_to_json_dict)
+from puredeck import (DIM_CAP, CrossCutSpec, Marginal, MarginalFamily,
+                      PartyStructure, PureState, fidelity_up_to_phase,
+                      ghz_state, inner_product, load_state, partial_trace,
+                      sample_haar_state, save_state, state_from_json_dict,
+                      state_to_json_dict)
 from puredeck.schmidt import classify_genericity, schmidt_decompose
 from puredeck.states import _cut, _uncut
 
@@ -78,6 +79,35 @@ class TestPartyStructure:
         st_ = PartyStructure(len(dims), tuple(dims))
         idx = raw % st_.total_dim
         assert st_.digits_to_index(st_.index_to_digits(idx)) == idx
+
+
+class TestPartyLabels:
+    """Party labels are read as `PartyStructure` reads its counts; each of
+    1.9, 1.7, 2.5, True and "1" was once converted to a party by int()."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: MarginalFamily(3, ((1.9, 2),)),
+        lambda: MarginalFamily(3, ((True, 2),)),
+        lambda: MarginalFamily(3, (("1", 2),)),
+        lambda: CrossCutSpec((1.7,), (2,), (3,), (4.2,), 4),
+        lambda: partial_trace(ghz_state(3), (2.5,)),
+        lambda: Marginal((1.5,), np.eye(2) / 2),
+    ], ids=["family-float", "family-bool", "family-str", "spec-float",
+            "partial-trace-float", "marginal-float"])
+    def test_non_integer_labels_refused(self, make):
+        with pytest.raises(TypeError, match="party must be int"):
+            make()
+
+    def test_numpy_integer_labels_accepted(self):
+        family = MarginalFamily(3, ((np.int64(2), np.int32(1)),))
+        spec = CrossCutSpec((np.int64(1),), (2,), (np.uint8(3),), (4,), 4)
+        marginal = Marginal((np.int16(2),), np.eye(2) / 2)
+        assert family.subsets == ((1, 2),)
+        assert (spec.ab, spec.cd) == ((1, 2), (3, 4))
+        assert partial_trace(ghz_state(3), np.array([2])).parties == \
+            marginal.parties == (2,)
+        assert all(type(p) is int for p in (*family.subsets[0], *spec.ac,
+                                            *marginal.parties))
 
 
 class TestCutLayout:
