@@ -18,16 +18,24 @@ import numpy as np
 
 from .certify import WitnessCheck, verify_twin
 from .marginals import DECK_TOL, MarginalFamily, compute_deck
-from .states import PartyStructure, PureState
+from .states import PartyStructure, PureState, _integer
 
 # Amplitudes this small (after normalization) void the all-nonzero hypothesis.
 AMP_FLOOR = 1e-12
 
 
 def _as_row_matrix(rows, levels: int, strength: int) -> np.ndarray:
-    mat = np.asarray(rows, dtype=int)
+    """`rows` as an integer matrix, with `levels` and `strength` checked.
+    Entries, levels and strength are read as `states._integer` reads a
+    count: integers pass, floats, bools and strings raise TypeError."""
+    levels = _integer(levels, "levels")
+    strength = _integer(strength, "strength")
+    mat = np.asarray(rows)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("rows must form a nonempty 2-D integer array")
+    if mat.dtype.kind not in "iu":
+        raise TypeError(f"array entries must be integers, got {mat.dtype}")
+    mat = mat.astype(int, copy=False)
     if mat.min() < 0 or mat.max() >= levels:
         raise ValueError(f"entries must lie in 0..{levels - 1}")
     if strength < 1 or strength > mat.shape[1]:
@@ -124,7 +132,7 @@ class OrthogonalArray(_RowArray):
             raise ValueError(
                 f"rows do not form an orthogonal array of strength {self.strength}"
             )
-        if check.index_lambda != self.index_lambda:
+        if check.index_lambda != _integer(self.index_lambda, "index_lambda"):
             raise ValueError(f"rows form an orthogonal array of index "
                              f"{check.index_lambda}, not {self.index_lambda}")
         mat.setflags(write=False)
@@ -258,6 +266,7 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
         )
     r = gstate.num_rows
     if isinstance(phases, (int, np.integer)):
+        phases = _integer(phases, "row index")  # a bool is refused
         if phases < 0 or phases >= r:
             raise ValueError(f"row index {phases} outside 0..{r - 1}")
         phases = np.where(np.arange(r) == phases, math.pi, 0.0)
@@ -278,8 +287,14 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     agrees with every kept row in fewer than `strength` positions.
 
     With an integer `seed` the candidate order is shuffled; with seed=None the
-    scan is lexicographic.  Stops at `max_rows` when given.
+    scan is lexicographic.  Stops at `max_rows` when given.  The counts are
+    read by `states._integer`: a float, bool or string raises TypeError.
     """
+    num_cols = _integer(num_cols, "num_cols")
+    levels = _integer(levels, "levels")
+    strength = _integer(strength, "strength")
+    if max_rows is not None:
+        max_rows = _integer(max_rows, "max_rows")
     if strength < 1 or strength > num_cols:
         raise ValueError(f"strength {strength} outside 1..{num_cols}")
     total = levels ** num_cols

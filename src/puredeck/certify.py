@@ -18,8 +18,8 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice, product
-from typing import NamedTuple, Sequence
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -651,9 +651,8 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     state's parties; otherwise ValueError.  The verdict is that of
     `_certify_stack` on a stack of one.
     """
-    return _certify_stack([state], spec, family, seeds=(seed,),
-                          svd_tol=svd_tol, deck_tol=deck_tol,
-                          gap_tol=gap_tol)[0]
+    tol = Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
+    return _certify_stack([state], spec, family, seeds=(seed,), tol=tol)[0]
 
 
 def _exact_verdict(state: PureState, spec: CrossCutSpec,
@@ -715,7 +714,7 @@ def _verdict_counts(system: GammaSystem) -> dict:
 
 
 def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
-    """Trials per `_certify_stack` call, from the dimensions alone.
+    """States per stack of `_certify_stack`, from the dimensions alone.
 
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
@@ -733,12 +732,36 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     return max(1, _STACK_BYTES // per_trial)
 
 
-def _certify_stack(states: list[PureState], spec: CrossCutSpec,
+def _certify_stack(states: Iterable[PureState], spec: CrossCutSpec,
                    family: MarginalFamily | None = None, *,
-                   seeds: Sequence[int], svd_tol: float, deck_tol: float,
-                   gap_tol: float) -> list[UdpVerdict]:
-    """`certify_udp` verdicts of states of one structure, each stage run
-    once on the whole stack; `family` and the checks as in `certify_udp`.
+                   seeds: Iterable[int], tol: Tolerances) -> list[UdpVerdict]:
+    """`certify_udp` verdicts of `states`, of one structure, one seed each;
+    `family` and the checks as in `certify_udp`, done once per call, with
+    `tol` already validated.  `states` is read one `_stack_size` at a time."""
+    states, seeds = iter(states), iter(seeds)
+    first = next(states, None)
+    if first is None:
+        return []
+    if spec.num_parties != first.structure.num_parties:
+        raise ValueError("spec covers a different number of parties")
+    if family is None:
+        family = spec.verification_family()
+    elif family.num_parties != spec.num_parties:
+        raise ValueError("family defined for a different number of parties")
+    uncovered = _uncovered_cuts(spec, family)
+    size = _stack_size(first.structure, spec)
+    verdicts = []
+    for head in chain([first], states):
+        verdicts += _stack_verdicts([head, *islice(states, size - 1)], seeds,
+                                    spec, family, uncovered, tol)
+    return verdicts
+
+
+def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
+                    spec: CrossCutSpec, family: MarginalFamily,
+                    uncovered: list[str], tol: Tolerances) -> list[UdpVerdict]:
+    """The verdicts of one stack of `_certify_stack`, each stage run once on
+    the whole stack; one seed is read from `seeds` per state.
 
     An item gets its verdict from `_trivial_null_verdict` here when its
     primary cut has full rank, no two of its coefficients lie in the
@@ -748,19 +771,11 @@ def _certify_stack(states: list[PureState], spec: CrossCutSpec,
     fails for an item in the stack raises the `build_cross_matrices`
     ValueError.
     """
-    tol = Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
     structure = states[0].structure
-    if spec.num_parties != structure.num_parties:
-        raise ValueError("spec covers a different number of parties")
-    if family is None:
-        family = spec.verification_family()
-    elif family.num_parties != spec.num_parties:
-        raise ValueError("family defined for a different number of parties")
-    uncovered = _uncovered_cuts(spec, family)
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
-    reports = _genericity(s, s.shape[1], gap_tol)
+    reports = _genericity(s, s.shape[1], tol.gap_tol)
     kept = np.flatnonzero(np.array([r.full_rank for r in reports])
                           & _untied(s))
     certified = {}
@@ -771,7 +786,7 @@ def _certify_stack(states: list[PureState], spec: CrossCutSpec,
         del matrices  # the overlap products are not held through the Gram stage
         # a wide system's Gram is singular: only the exact SVD decides it
         if 2 * system.num_complex_equations >= system.num_real_variables:
-            passed = _shifted_cholesky(system.gram, svd_tol)
+            passed = _shifted_cholesky(system.gram, tol.svd_tol)
             counts = _verdict_counts(system)
             certified = {item: _trivial_null_verdict(reports[item], uncovered,
                                                      dict(counts))
@@ -798,8 +813,11 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
     operators from the kernel of `build_cross_matrices`.  Each tuple
     satisfies the four trace-zero identities, so with enough samples the
     stack has rank T - 4 (T = total entry count) exactly when no further
-    dependence exists.
+    dependence exists.  `spec` must cover the parties of `structure`,
+    else ValueError.
     """
+    if spec.num_parties != structure.num_parties:
+        raise ValueError("spec covers a different number of parties")
     da, db, dc, dd = spec.block_dims(structure)
     entry_count = da * da + db * db + dc * dc + dd * dd
     if trials < entry_count:

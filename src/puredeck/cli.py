@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +57,21 @@ def _json_reals(text: str, flag: str, *, pairs: bool = False) -> list:
     return json.loads(text, parse_int=float)
 
 
+def _tolerance_flags(args) -> dict:
+    """The tolerance flags given, by `Tolerances` field; every tolerance
+    flag defaults to None, so an omitted one is told from a given one."""
+    return {f.name: getattr(args, f.name) for f in fields(Tolerances)
+            if getattr(args, f.name, None) is not None}
+
+
 def _cmd_certify(args) -> int:
+    tol = Tolerances(**_tolerance_flags(args))
     state = load_state(args.state)
     spec = CrossCutSpec.parse(args.blocks, state.structure.num_parties)
     family = None
     if args.family:
         family = MarginalFamily.parse(state.structure.num_parties, args.family)
-    verdict = certify_udp(state, spec, family, svd_tol=args.svd_tol,
-                          deck_tol=args.deck_tol, gap_tol=args.gap_tol,
-                          seed=args.seed)
+    verdict = certify_udp(state, spec, family, seed=args.seed, **asdict(tol))
     data = {
         "status": verdict.status.value,
         "null_dim": verdict.null_dim,
@@ -88,17 +94,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    tol = Tolerances(gap_tol=args.gap_tol, svd_tol=args.svd_tol,
-                     deck_tol=args.deck_tol)
+    flags = _tolerance_flags(args)
+    tol = Tolerances(**flags)
     if args.config:
         # the file holds every other setting, so a flag it would drop is
         # refused instead
-        defaults = Tolerances().to_dict()
-        dropped = [f"--{name}" for name in ("n", "d", "blocks")
+        dropped = [f"--{name.replace('_', '-')}"
+                   for name in ("n", "d", "blocks", *flags)
                    if getattr(args, name) is not None]
-        dropped += [f"--{name.replace('_', '-')}"
-                    for name, value in tol.to_dict().items()
-                    if value != defaults[name]]
         if dropped:
             raise ValueError(f"{', '.join(dropped)} cannot be combined with "
                              "--config; only --trials, --seed and --out "
@@ -125,7 +128,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_deck(args) -> int:
-    tol = Tolerances(deck_tol=args.tol).deck_tol
+    if args.action == "diff" and args.state_b is None:
+        raise ValueError("deck diff needs two state files")
+    if args.action == "export" and args.state_b is not None:
+        raise ValueError(f"deck export takes one state file, not also "
+                         f"{args.state_b!r}")
+    tol = Tolerances(**_tolerance_flags(args)).deck_tol
     state_a = load_state(args.state_a)
     if args.action == "export":
         family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
@@ -148,7 +156,7 @@ def _cmd_deck(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
-    tol = Tolerances(gap_tol=args.gap_tol)
+    tol = Tolerances(**_tolerance_flags(args))
     state = load_state(args.state)
     cut = tuple(int(p) for p in args.cut.split(","))
     dec = schmidt_decompose(state, cut)
@@ -181,7 +189,7 @@ def _cmd_hypergraph(args) -> int:
 
 
 def _cmd_oa(args) -> int:
-    tol = Tolerances(deck_tol=args.deck_tol)
+    tol = Tolerances(**_tolerance_flags(args))
     text = Path(args.file).read_text()
     if args.action == "verify":
         array = parse_array_text(text)  # raises on violated properties
@@ -260,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether pure states are uniquely determined by "
                     "families of their reduced density matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = Tolerances()
 
     def add_common(p):
         p.add_argument("--json", action="store_true",
@@ -275,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "'1,2;3,4;...' (default: the four cut marginals); "
                         "certifying needs AB, CD, AC and BD each inside a "
                         "member, and witnesses are verified against it")
-    p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
-    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
-    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
+    p.add_argument("--svd-tol", type=float, default=None)
+    p.add_argument("--deck-tol", type=float, default=None)
+    p.add_argument("--gap-tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write any witness state here")
     add_common(p)
@@ -292,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config file mirroring the experiment settings; "
                         "only --trials/--seed/--out override it")
-    p.add_argument("--svd-tol", type=float, default=defaults.svd_tol)
-    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
-    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
+    p.add_argument("--svd-tol", type=float, default=None)
+    p.add_argument("--deck-tol", type=float, default=None)
+    p.add_argument("--gap-tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     add_common(p)
     p.set_defaults(func=_cmd_experiment)
@@ -305,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_b", nargs="?", default=None)
     p.add_argument("--family", required=True,
                    help="'k=<int>' for the complete k-deck or '1,2,3;4,5,6'")
-    p.add_argument("--tol", type=float, default=defaults.deck_tol)
+    p.add_argument("--tol", type=float, default=None, dest="deck_tol",
+                   metavar="TOL")
     p.add_argument("--out", default=None)
     add_common(p)
     p.set_defaults(func=_cmd_deck)
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schmidt", help="spectrum and genericity along a cut")
     p.add_argument("state")
     p.add_argument("--cut", required=True, help="left side, e.g. '1,2,3'")
-    p.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
+    p.add_argument("--gap-tol", type=float, default=None)
     p.set_defaults(func=_cmd_schmidt)
 
     p = sub.add_parser("hypergraph",
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip", type=int, default=None,
                    help="1-based row whose amplitude is negated")
     p.add_argument("--phases", default=None, help="JSON list of row phases")
-    p.add_argument("--deck-tol", type=float, default=defaults.deck_tol)
+    p.add_argument("--deck-tol", type=float, default=None)
     p.add_argument("--out", default=None)
     add_common(p)
     p.set_defaults(func=_cmd_oa)

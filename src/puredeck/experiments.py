@@ -9,8 +9,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
-                      _stack_size, block_equation_counts,
-                      expected_equation_counts)
+                      block_equation_counts, expected_equation_counts)
 from .states import PartyStructure, _checked, sample_haar_state
 
 
@@ -46,10 +45,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Inverse of to_dict; the JSON config file uses this layout.  Counts,
-        the seed and parties must be JSON integers, blocks lists and any
-        `output_path` a string; other values are refused, not converted."""
+        the seed and parties must be JSON integers, blocks lists, any
+        `tolerances` an object of JSON numbers and any `output_path` a
+        string; other values are refused, not converted."""
         try:
             blocks = _checked(data["blocks"], dict, "blocks")
+            tolerances = _checked(data.get("tolerances", {}), dict,
+                                  "tolerances")
             num_parties = _checked(data["num_parties"], int, "num_parties")
             spec = CrossCutSpec(*(
                 tuple(_checked(p, int, f"party of block {name}") for p in
@@ -61,7 +63,9 @@ class ExperimentConfig:
                        trials=_checked(data["trials"], int, "trials"),
                        seed=_checked(data.get("seed", 0), int, "seed"),
                        blocks=spec,
-                       tolerances=Tolerances(**data.get("tolerances", {})),
+                       tolerances=Tolerances(**{
+                           name: _checked(value, (int, float), name)
+                           for name, value in tolerances.items()}),
                        output_path=path if path is None
                        else _checked(path, str, "output_path"))
         except (KeyError, TypeError) as exc:
@@ -105,44 +109,34 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> ExperimentReport:
     """Certify `trials` Haar-random states; trial i uses seed + i.
 
-    Trials are certified in stacks of `certify._stack_size` whole trials,
-    sized by a fixed memory budget; every verdict is the one `certify_udp`
-    gives for the trial (see `certify._certify_stack`).  The report is
-    deterministic for a fixed config apart from the isolated `timing`
-    field; it is written to `config.output_path` when that is set.
+    One `certify._certify_stack` call certifies the trials, sampling each
+    only when its stack is read; every verdict is the one `certify_udp`
+    gives for the trial.  The report is deterministic for a fixed config
+    apart from the isolated `timing` field; it is written to
+    `config.output_path` when that is set.
     """
     structure = PartyStructure.uniform(config.num_parties, config.local_dim)
-    tol = config.tolerances
     started = time.perf_counter()
-    records = []
-    counts = {"certified": 0, "witnessed": 0, "inconclusive": 0}
-    gaps = []
-    stack = _stack_size(structure, config.blocks)
-    for start in range(config.seed, config.seed + config.trials, stack):
-        seeds = range(start, min(start + stack, config.seed + config.trials))
-        verdicts = _certify_stack(
-            [sample_haar_state(structure, seed) for seed in seeds],
-            config.blocks, seeds=seeds, svd_tol=tol.svd_tol,
-            deck_tol=tol.deck_tol, gap_tol=tol.gap_tol)
-        for seed, verdict in zip(seeds, verdicts):
-            key = {UdpStatus.CERTIFIED_UDP: "certified",
-                   UdpStatus.NOT_UDP_WITNESSED: "witnessed",
-                   UdpStatus.INCONCLUSIVE: "inconclusive"}[verdict.status]
-            counts[key] += 1
-            gap = verdict.genericity.min_gap
-            gaps.append(gap)
-            eqs = verdict.equation_counts
-            records.append({
-                "trial": seed - config.seed,
-                "seed": seed,
-                "status": verdict.status.value,
-                "rank": verdict.genericity.rank,
-                "min_spectral_gap": gap,
-                "null_dim": verdict.null_dim,
-                "complex_equations": eqs["complex_equations"],
-                "complex_variables": eqs["complex_variables"],
-            })
+    seeds = range(config.seed, config.seed + config.trials)
+    verdicts = _certify_stack(
+        (sample_haar_state(structure, seed) for seed in seeds), config.blocks,
+        seeds=seeds, tol=config.tolerances)
+    records = [{
+        "trial": seed - config.seed,
+        "seed": seed,
+        "status": verdict.status.value,
+        "rank": verdict.genericity.rank,
+        "min_spectral_gap": verdict.genericity.min_gap,
+        "null_dim": verdict.null_dim,
+        "complex_equations": verdict.equation_counts["complex_equations"],
+        "complex_variables": verdict.equation_counts["complex_variables"],
+    } for seed, verdict in zip(seeds, verdicts)]
+    statuses = [verdict.status for verdict in verdicts]
+    counts = {"certified": statuses.count(UdpStatus.CERTIFIED_UDP),
+              "witnessed": statuses.count(UdpStatus.NOT_UDP_WITNESSED),
+              "inconclusive": statuses.count(UdpStatus.INCONCLUSIVE)}
     runtime_ms = (time.perf_counter() - started) * 1000.0
+    gaps = [record["min_spectral_gap"] for record in records]
     finite = [g for g in gaps if math.isfinite(g)]
     spectral = {
         "min": min(finite) if finite else None,

@@ -211,9 +211,12 @@ class PureState:
 
 def ghz_state(num_parties: int, local_dim: int = 2,
               alpha: complex = None, beta: complex = None) -> PureState:
-    """Generalized GHZ state alpha|0..0> + beta|d-1..d-1> (balanced by default)."""
+    """Generalized GHZ state alpha|0..0> + beta|d-1..d-1> (balanced by
+    default); alpha and beta are given both or neither, else ValueError."""
     structure = PartyStructure.uniform(num_parties, local_dim)
-    if alpha is None and beta is None:
+    if (alpha is None) != (beta is None):
+        raise ValueError("give both GHZ amplitudes alpha and beta, or neither")
+    if alpha is None:
         alpha = beta = 1.0 / math.sqrt(2.0)
     vec = np.zeros(structure.total_dim, dtype=np.complex128)
     vec[0] = alpha

@@ -395,6 +395,59 @@ class TestGreedyPacking:
         assert 2 <= pa.num_rows <= 4
 
 
+class TestIntegerInputs:
+    """Entries, counts and row indices are read as `states._integer` reads
+    a count: integers (numpy ones too) pass; floats, bools and strings are
+    refused, not converted."""
+
+    def test_float_entries_refused(self):
+        # int() would read these as the valid OA on 00, 01, 10, 11
+        rows = [[0.2, 0.2], [0.3, 1.1], [1.4, 0.2], [1.5, 1.6]]
+        with pytest.raises(TypeError, match="integers"):
+            OrthogonalArray.from_rows(rows, 2, 2)
+        with pytest.raises(TypeError, match="integers"):
+            verify_oa(rows, 2, 2)
+
+    @pytest.mark.parametrize("rows", [[["1", "0"], ["0", "1"]],
+                                      [[True, False], [False, True]]],
+                             ids=["strings", "bools"])
+    def test_string_and_bool_entries_refused(self, rows):
+        with pytest.raises(TypeError, match="integers"):
+            verify_pa(rows, 2, 2)
+        with pytest.raises(TypeError, match="integers"):
+            PackingArray(rows, 2, 2)
+
+    def test_integer_entries_pass(self):
+        assert verify_pa(np.array([[1, 0], [0, 1]], dtype=np.uint8), 2, 2)
+        assert verify_pa([[np.int64(1), 0], [0, 1]], 2, 2)
+
+    @pytest.mark.parametrize("levels, strength", [(2.0, 2), (2, 2.0),
+                                                  (True, 2), (2, "2")])
+    def test_levels_and_strength_refused(self, levels, strength):
+        with pytest.raises(TypeError):
+            verify_pa([[1, 0], [0, 1]], levels, strength)
+        with pytest.raises(TypeError):
+            greedy_packing_array(3, levels, strength)
+
+    def test_stated_index_refused(self):
+        with pytest.raises(TypeError, match="index_lambda"):
+            OrthogonalArray(OA_9_4_3_2, 3, 2, 1.0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((3, 2, 2), {"max_rows": 2.5}), ((3, 2, 2), {"max_rows": True}),
+        ((3.0, 2, 2), {})])
+    def test_greedy_counts_refused(self, args, kwargs):
+        with pytest.raises(TypeError):
+            greedy_packing_array(*args, **kwargs)
+        assert greedy_packing_array(3, 2, 2, max_rows=np.int64(2)).num_rows == 2
+
+    def test_bool_row_index_refused(self):
+        g = qoa_state(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
+        with pytest.raises(TypeError, match="row index"):
+            non_udp_witness(g, True)
+        assert non_udp_witness(g, np.int64(1)).verified
+
+
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
         oa = OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2)

@@ -9,7 +9,7 @@ import pytest
 
 import puredeck.certify as certify_module
 from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
-                      UdpStatus, UdpVerdict,
+                      Tolerances, UdpStatus, UdpVerdict,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
                       compute_deck, deck_distance, decide_null_space,
                       expected_equation_counts, fidelity_up_to_phase,
@@ -84,8 +84,8 @@ def overlap_oracle(basis, parties, keep, local_dims):
 def stack_verdict(psi, *, svd_tol=SVD_TOL):
     """The verdict of `_certify_stack` on a stack of one, under the
     six-qubit spec."""
-    return _certify_stack([psi], SIX_QUBIT_SPEC, seeds=(0,), svd_tol=svd_tol,
-                          deck_tol=1e-9, gap_tol=1e-8)[0]
+    tol = Tolerances(svd_tol=svd_tol, deck_tol=1e-9, gap_tol=1e-8)
+    return _certify_stack([psi], SIX_QUBIT_SPEC, seeds=(0,), tol=tol)[0]
 
 
 def near_singular_state():
@@ -349,10 +349,13 @@ class TestGramKernel:
             return real(gram, svd_tol)
 
         monkeypatch.setattr(certify_module, "_shifted_cholesky", spy)
+        # one stack of all four, also where the memory budget holds one
+        monkeypatch.setattr(certify_module, "_stack_size",
+                            lambda structure, spec: len(seeds))
         _certify_stack([sample_haar_state(structure, s) for s in seeds], spec,
-                       seeds=seeds, svd_tol=SVD_TOL, deck_tol=1e-9,
-                       gap_tol=1e-8)
-        stacked = grams[0]
+                       seeds=seeds, tol=Tolerances(svd_tol=SVD_TOL,
+                                                   deck_tol=1e-9, gap_tol=1e-8))
+        stacked, = grams
         assert stacked.shape[0] == len(seeds)
         for item, seed in enumerate(seeds):
             np.testing.assert_array_equal(
@@ -803,6 +806,12 @@ class TestOverlapDependences:
                                             trials=80, seed=1)
         assert report.entry_count == 40
         assert report.measured_rank == report.predicted_rank == 36
+
+    def test_party_count_mismatch_refused(self):
+        spec = CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
+        with pytest.raises(ValueError, match="different number of parties"):
+            verify_overlap_dependences(SIX_QUBIT_STRUCTURE, spec, trials=64,
+                                       seed=0)
 
     def test_trials_too_small(self):
         with pytest.raises(ValueError, match="trials"):

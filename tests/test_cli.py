@@ -11,7 +11,7 @@ import pytest
 
 from puredeck import PureState, ghz_state, sample_haar_state, save_state
 from puredeck.certify import SVD_TOL
-from puredeck.cli import build_parser, main
+from puredeck.cli import _tolerance_flags, build_parser, main
 from puredeck.experiments import Tolerances
 from puredeck.marginals import DECK_TOL
 from puredeck.schmidt import GAP_TOL
@@ -139,27 +139,39 @@ class TestCertifyCommand:
         assert out == ""
         assert "outside (0, 1e-2)" in err
 
-    def test_tolerance_defaults_come_from_constants(self):
+    def test_tolerance_defaults_come_from_constants(self, haar6_file,
+                                                    oa_file):
+        # every tolerance flag defaults to None, so that a given flag is
+        # told from an omitted one; the Tolerances a command builds with no
+        # flag given holds the named constants
         parser = build_parser()
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction)).choices
-        defaults = Tolerances()
-        expected = {"svd_tol": SVD_TOL, "deck_tol": DECK_TOL,
-                    "gap_tol": GAP_TOL, "tol": DECK_TOL}
         seen = set()
         for command, sub in subparsers.items():
             for action in sub._actions:
-                if action.dest in expected:
-                    assert action.default == expected[action.dest], (command,
-                                                                     action.dest)
-                    field = "deck_tol" if action.dest == "tol" else action.dest
-                    assert action.default == getattr(defaults, field)
+                if action.dest in ("svd_tol", "deck_tol", "gap_tol"):
+                    assert action.default is None, (command, action.dest)
                     seen.add((command, action.dest))
         assert seen == {("certify", "svd_tol"), ("certify", "deck_tol"),
                         ("certify", "gap_tol"), ("experiment", "svd_tol"),
                         ("experiment", "deck_tol"), ("experiment", "gap_tol"),
-                        ("deck", "tol"), ("schmidt", "gap_tol"),
+                        ("deck", "deck_tol"), ("schmidt", "gap_tol"),
                         ("oa", "deck_tol")}
+        constants = Tolerances(svd_tol=SVD_TOL, deck_tol=DECK_TOL,
+                               gap_tol=GAP_TOL)
+        assert Tolerances() == constants
+        for argv in (["certify", haar6_file, "--blocks", "A=1;B=2;C=3;D=4"],
+                     ["experiment", "--n", "4"],
+                     ["deck", "diff", haar6_file, haar6_file, "--family",
+                      "k=2"],
+                     ["schmidt", haar6_file, "--cut", "1"],
+                     ["oa", "witness", oa_file, "--flip", "1"]):
+            args = parser.parse_args(argv)
+            assert Tolerances(**_tolerance_flags(args)) == constants, argv
+        args = parser.parse_args(["deck", "diff", haar6_file, haar6_file,
+                                  "--family", "k=2", "--tol", "1e-7"])
+        assert _tolerance_flags(args) == {"deck_tol": 1e-7}
 
     def test_empty_inner_block_spec(self, capsys, tmp_path):
         path = tmp_path / "haar4.json"
@@ -199,6 +211,21 @@ class TestDeckCommand:
         data = json.loads(out)
         assert not data["equal"]
         assert data["distance"] == pytest.approx(np.sqrt(2))
+
+    def test_diff_needs_two_states(self, capsys, ghz6_file):
+        code, out, err = run_cli(capsys, "deck", "diff", ghz6_file,
+                                 "--family", "k=3")
+        assert code == 1 and out == ""
+        assert err == "error: deck diff needs two state files\n"
+
+    def test_export_refuses_a_second_state(self, capsys, ghz6_file, tmp_path):
+        other = tmp_path / "b.json"
+        save_state(ghz_state(6), other)
+        code, out, err = run_cli(capsys, "deck", "export", ghz6_file,
+                                 str(other), "--family", "k=3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: deck export takes one state file")
+        assert "b.json" in err
 
     def test_export_writes_family_and_matrices(self, capsys, ghz6_file, tmp_path):
         out_path = tmp_path / "deck.json"
@@ -430,8 +457,15 @@ class TestExperimentCommand:
         ({"blocks": {"A": [1, 2], "B": [], "C": [3], "D": [4.2]}},
          "party of block D"),
         ({"output_path": 5}, "output_path"),
+        ({"tolerances": [1]}, "tolerances"),
+        ({"tolerances": {"svd_tol": "x"}}, "svd_tol"),
+        ({"tolerances": {"gap_tol": True}}, "gap_tol"),
+        ({"tolerances": {"deck_tol": None}}, "deck_tol"),
+        ({"tolerances": {"norm_tol": 1e-9}}, "norm_tol"),
     ], ids=["floats-and-bool", "local_dim", "trials", "seed", "blocks-list",
-            "block-string", "party-float", "output-path"])
+            "block-string", "party-float", "output-path", "tolerances-list",
+            "tolerance-string", "tolerance-bool", "tolerance-null",
+            "tolerance-unknown"])
     def test_config_values_are_not_converted(self, capsys, tmp_path, change,
                                              named):
         config = {"num_parties": 4, "local_dim": 2, "trials": 2,
@@ -443,6 +477,25 @@ class TestExperimentCommand:
         assert out == ""  # refused before any trial runs
         assert err.startswith("error: malformed experiment config: ")
         assert named in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--svd-tol", SVD_TOL), ("--gap-tol", GAP_TOL),
+        ("--deck-tol", DECK_TOL)])
+    def test_config_refuses_a_tolerance_flag_at_its_default(
+            self, capsys, tmp_path, flag, value):
+        # the file sets 1e-6; a flag equal to the built-in default would
+        # otherwise be dropped without a word
+        name = flag[2:].replace("-", "_")
+        config = {"num_parties": 4, "local_dim": 2, "trials": 2,
+                  "blocks": {"A": [1], "B": [2], "C": [3], "D": [4]},
+                  "tolerances": {name: 1e-6}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                                 flag, repr(value), "--json")
+        assert code == 1
+        assert out == ""
+        assert flag in err and "cannot be combined with --config" in err
 
     def test_flags_required_without_config(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n", "4", "--d", "2")

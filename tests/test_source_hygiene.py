@@ -135,7 +135,8 @@ def test_one_certification_route():
     trees = {path.name: parse(path) for path in MODULES}
     # only the stacked kernel issues the Cholesky certificate, and only
     # the exact decision runs the SVD
-    assert callers(trees, "_shifted_cholesky") == {"certify.py:_certify_stack"}
+    assert callers(trees, "_shifted_cholesky") == {
+        "certify.py:_stack_verdicts"}
     assert callers(trees, "_svd_null_space") == {
         "certify.py:decide_null_space"}
     # certify_udp is a stack of one, and no route leads back into it; the
@@ -143,6 +144,9 @@ def test_one_certification_route():
     assert callers(trees, "certify_udp") == {"cli.py:_cmd_certify"}
     assert callers(trees, "_certify_stack") == {
         "certify.py:certify_udp", "experiments.py:run_experiment"}
+    # the kernel alone sizes its stacks and runs them
+    assert callers(trees, "_stack_size") == {"certify.py:_certify_stack"}
+    assert callers(trees, "_stack_verdicts") == {"certify.py:_certify_stack"}
 
 
 def test_every_named_threshold_is_in_readme():

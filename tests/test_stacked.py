@@ -13,20 +13,19 @@ import pytest
 import puredeck.certify as certify_module
 import puredeck.experiments as experiments_module
 from puredeck import (CrossCutSpec, ExperimentConfig, PartyStructure, PureState,
-                      UdpStatus, certify_udp, ghz_state, run_experiment,
-                      sample_haar_state)
+                      Tolerances, UdpStatus, certify_udp, ghz_state,
+                      run_experiment, sample_haar_state)
 from puredeck.certify import _certify_stack, _stack_size
 from puredeck.cli import main
 
 SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 STRUCTURE = PartyStructure.uniform(6, 2)
-TOLERANCES = {"svd_tol": 1e-9, "deck_tol": 1e-9, "gap_tol": 1e-8}
+TOL = Tolerances(svd_tol=1e-9, deck_tol=1e-9, gap_tol=1e-8)
 
 
-def stacks_of_one(states, spec, *, seeds, svd_tol, deck_tol, gap_tol):
+def stacks_of_one(states, spec, *, seeds, tol):
     """One `certify_udp` call, a stack of one, per state."""
-    return [certify_udp(state, spec, svd_tol=svd_tol, deck_tol=deck_tol,
-                        gap_tol=gap_tol, seed=seed)
+    return [certify_udp(state, spec, seed=seed, **tol.to_dict())
             for state, seed in zip(states, seeds)]
 
 
@@ -102,7 +101,7 @@ class TestDifferential:
     def test_mixed_batch_matches_per_state_route(self, monkeypatch):
         names, states = zip(*mixed_batch())
         seeds = range(40, 40 + len(states))
-        want = per_state_route(states, SPEC, seeds=seeds, **TOLERANCES)
+        want = per_state_route(states, SPEC, seeds=seeds, tol=TOL)
         name_of = {id(state): name for name, state in zip(names, states)}
         per_state, factorized = [], []
         real_exact, real_factorizes = (certify_module._exact_verdict,
@@ -118,7 +117,7 @@ class TestDifferential:
 
         monkeypatch.setattr(certify_module, "_exact_verdict", spy_exact)
         monkeypatch.setattr(certify_module, "_factorizes", spy_factorizes)
-        got = _certify_stack(list(states), SPEC, seeds=seeds, **TOLERANCES)
+        got = _certify_stack(states, SPEC, seeds=seeds, tol=TOL)
         assert len(got) == len(want)
         for verdict, expected in zip(got, want):
             assert_same_verdict(verdict, expected)
@@ -136,9 +135,12 @@ class TestDifferential:
         assert sorted(per_state) == sorted(
             n for n in names
             if not n.startswith("haar") and n != "near-degenerate")
-        # the stack of 12 fails as a whole and is retried item by item; the
-        # exact verdicts of the items that leave it run no Cholesky
-        assert factorized == [3] + [2] * 12
+        # the kernel reads the 16 states as stacks of 12 and 4; the first
+        # keeps 8 items, fails as a whole and is retried item by item, the
+        # second keeps all 4 and passes; the exact verdicts of the items
+        # that leave a stack run no Cholesky
+        assert _stack_size(STRUCTURE, SPEC) == 12
+        assert factorized == [3] + [2] * 8 + [3]
 
     def test_partial_last_stack_matches_per_state_route(self, monkeypatch):
         batch = [state for _, state in mixed_batch()]
@@ -163,14 +165,14 @@ class TestDifferential:
         coeffs[3] = coeffs[2] * (1 - 1e-13)
         tied = with_coefficients(coeffs, 8)
         states = [sample_haar_state(STRUCTURE, 7), tied]
-        tolerances = dict(TOLERANCES, gap_tol=1e-30)
-        want = per_state_route(states, SPEC, seeds=(1, 2), **tolerances)
+        tol = Tolerances(svd_tol=1e-9, deck_tol=1e-9, gap_tol=1e-30)
+        want = per_state_route(states, SPEC, seeds=(1, 2), tol=tol)
         per_state = []
         real_exact = certify_module._exact_verdict
         monkeypatch.setattr(certify_module, "_exact_verdict",
                             lambda state, *a: per_state.append(state)
                             or real_exact(state, *a))
-        got = _certify_stack(states, SPEC, seeds=(1, 2), **tolerances)
+        got = _certify_stack(states, SPEC, seeds=(1, 2), tol=tol)
         assert per_state == [tied]
         assert got[1].status == UdpStatus.CERTIFIED_UDP
         for verdict, expected in zip(got, want):
@@ -187,8 +189,8 @@ class TestDifferential:
         assert _stack_size(structure, spec) > 1
         seeds = range(60, 72)
         states = [sample_haar_state(structure, seed) for seed in seeds]
-        got = _certify_stack(states, spec, seeds=seeds, **TOLERANCES)
-        want = per_state_route(states, spec, seeds=seeds, **TOLERANCES)
+        got = _certify_stack(states, spec, seeds=seeds, tol=TOL)
+        want = per_state_route(states, spec, seeds=seeds, tol=TOL)
         for verdict, expected in zip(got, want, strict=True):
             assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
             assert verdict.equation_counts["complex_equations"] == 0
@@ -202,13 +204,38 @@ class TestDifferential:
         assert (stacked.to_json(include_timing=False)
                 == reference.to_json(include_timing=False))
 
+    def test_one_check_per_call(self, monkeypatch):
+        # 200 four-qutrit trials are 23 stacks of at most 9, read by one
+        # kernel call: the default family and its uncovered cuts are
+        # worked out once, not once per stack
+        spec = CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
+        calls = {"_uncovered_cuts": 0, "_schmidt_factors": 0,
+                 "verification_family": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, spy)
+
+        counted(certify_module, "_uncovered_cuts")
+        counted(certify_module, "_schmidt_factors")
+        counted(CrossCutSpec, "verification_family")
+        run_experiment(ExperimentConfig(4, 3, trials=200, seed=5, blocks=spec),
+                       verbose=False)
+        assert _stack_size(PartyStructure.uniform(4, 3), spec) == 9
+        assert calls == {"_uncovered_cuts": 1, "_schmidt_factors": 23,
+                         "verification_family": 1}
+
     def test_identity_violation_raises_the_same_error(self, monkeypatch):
         monkeypatch.setattr(certify_module, "TRACE_IDENTITY_TOL", -1.0)
         states = [sample_haar_state(STRUCTURE, seed) for seed in range(3)]
         with pytest.raises(ValueError) as per_state:
             certify_udp(states[0], SPEC)
         with pytest.raises(ValueError) as stacked:
-            _certify_stack(states, SPEC, seeds=range(3), **TOLERANCES)
+            _certify_stack(states, SPEC, seeds=range(3), tol=TOL)
         assert str(stacked.value) == str(per_state.value) == \
             "trace identity violated for Q blocks"
 

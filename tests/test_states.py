@@ -163,6 +163,12 @@ class TestPureState:
         with pytest.raises(ValueError, match="non-finite"):
             PureState.from_amplitudes(st_, [bad, 1, 0, 0], normalize=True)
 
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1.0}, {"beta": 0.6}])
+    def test_ghz_needs_both_amplitudes(self, kwargs):
+        with pytest.raises(ValueError, match="both"):
+            ghz_state(4, 2, **kwargs)
+        assert ghz_state(4, 2, alpha=0.6, beta=0.8).amplitudes[-1] == 0.8
+
     def test_amplitudes_immutable(self):
         psi = ghz_state(2)
         with pytest.raises(ValueError):
