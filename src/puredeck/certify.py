@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .marginals import DECK_TOL, Deck, MarginalFamily, compute_deck, deck_distance
+from .marginals import DECK_TOL, Deck, MarginalFamily, _deck_gap, compute_deck
 from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       _genericity, _schmidt_factors, _untied,
                       classify_genericity, phase_twist, schmidt_decompose)
@@ -578,9 +578,19 @@ def verify_twin(reference: Deck, state: PureState, twin: PureState, *,
     same family.  The twin is verified exactly when its deck distance to
     `reference` is at most `deck_tol` and its fidelity up to phase with
     `state` is below 1 - DISTINCT_TOL, i.e. it shares the deck and differs
-    from `state` beyond a global phase.
+    from `state` beyond a global phase.  The twin's marginals are compared
+    one at a time (`marginals._deck_gap`); its deck is never built.
     """
-    dist = deck_distance(reference, compute_deck(twin, reference.family))
+    return _check_twin(state, twin, reference.family, deck_tol=deck_tol,
+                       held=reference)
+
+
+def _check_twin(state: PureState, twin: PureState, family: MarginalFamily,
+                *, deck_tol: float, held: Deck | None = None) -> WitnessCheck:
+    """The rule of `verify_twin` over `family`, against `held` (the deck of
+    `state` on `family`, reused across candidates) or, when None, against
+    `state`'s marginals streamed alongside the twin's."""
+    dist = _deck_gap(state if held is None else held, twin, family)
     fid = fidelity_up_to_phase(state, twin)
     return WitnessCheck(twin, dist <= deck_tol and fid < 1.0 - DISTINCT_TOL,
                         dist, fid)
@@ -611,18 +621,20 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
         predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
         candidates.append((residual, predicted_fid, phases))
     candidates.sort(key=lambda item: (item[0], item[1]))
-    return _first_twin(compute_deck(state, family), state, dec,
-                       [phases for _, _, phases in candidates[:16]],
-                       deck_tol=deck_tol)
+    return _first_twin(state, dec, [phases for _, _, phases in candidates[:16]],
+                       family, deck_tol=deck_tol,
+                       held=compute_deck(state, family))
 
 
-def _first_twin(reference: Deck, state: PureState, dec: SchmidtDecomposition,
-                phase_vectors, *, deck_tol: float) -> WitnessCheck | None:
+def _first_twin(state: PureState, dec: SchmidtDecomposition, phase_vectors,
+                family: MarginalFamily, *, deck_tol: float,
+                held: Deck | None = None) -> WitnessCheck | None:
     """The first phase twist of `dec`, trying `phase_vectors` in order, that
-    `verify_twin` accepts against `reference`, or None."""
+    `_check_twin` accepts over `family` (against `held` when given), or
+    None."""
     for phases in phase_vectors:
-        check = verify_twin(reference, state, phase_twist(dec, phases),
-                            deck_tol=deck_tol)
+        check = _check_twin(state, phase_twist(dec, phases), family,
+                            deck_tol=deck_tol, held=held)
         if check.verified:
             return check
     return None

@@ -20,7 +20,7 @@ from .arrays import non_udp_witness, parse_array_text, qoa_state
 from .certify import CrossCutSpec, Tolerances, certify_udp
 from .experiments import ExperimentConfig, check_counting_table, run_experiment
 from .hypergraph import is_connected, marginal_number_lower_bound
-from .marginals import MarginalFamily, compute_deck, deck_distance
+from .marginals import MarginalFamily, _deck_gap, compute_deck
 from .schmidt import classify_genericity, schmidt_decompose
 from .states import load_state, save_state, state_to_json_dict
 
@@ -127,31 +127,27 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_deck(args) -> int:
-    if args.action == "diff" and args.state_b is None:
-        raise ValueError("deck diff needs two state files")
-    if args.action == "export" and args.state_b is not None:
-        raise ValueError(f"deck export takes one state file, not also "
-                         f"{args.state_b!r}")
+def _cmd_deck_diff(args) -> int:
     tol = Tolerances(**_tolerance_flags(args)).deck_tol
     state_a = load_state(args.state_a)
-    if args.action == "export":
-        family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
-        deck = compute_deck(state_a, family)
-        text = _dumps(deck.to_json_dict())
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            print(text)
-        return 0
     state_b = load_state(args.state_b)
     family = MarginalFamily.parse(state_a.structure.num_parties, args.family)
-    dist = deck_distance(compute_deck(state_a, family),
-                         compute_deck(state_b, family))
+    dist = _deck_gap(state_a, state_b, family)
     equal = dist <= tol
     _emit({"distance": dist, "equal": equal, "tol": tol}, args.json,
           human=f"deck distance {dist:.3e} "
                 f"({'equal' if equal else 'different'} at tol {tol:g})")
+    return 0
+
+
+def _cmd_deck_export(args) -> int:
+    state = load_state(args.state)
+    family = MarginalFamily.parse(state.structure.num_parties, args.family)
+    text = _dumps(compute_deck(state, family).to_json_dict())
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        print(text)
     return 0
 
 
@@ -306,17 +302,33 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("deck", help="compare or export decks of marginals")
-    p.add_argument("action", choices=["diff", "export"])
+    # each action is its own parser, so argparse refuses a flag the action
+    # would not use
+    actions = sub.add_parser("deck", help="compare or export decks of "
+                                          "marginals").add_subparsers(
+        dest="action", required=True)
+
+    def add_family(p):
+        p.add_argument("--family", required=True,
+                       help="'k=<int>' for the complete k-deck or "
+                            "'1,2,3;4,5,6'")
+
+    p = actions.add_parser("diff", help="largest Frobenius distance between "
+                                        "two states' marginals")
     p.add_argument("state_a")
-    p.add_argument("state_b", nargs="?", default=None)
-    p.add_argument("--family", required=True,
-                   help="'k=<int>' for the complete k-deck or '1,2,3;4,5,6'")
+    p.add_argument("state_b")
+    add_family(p)
     p.add_argument("--tol", type=float, default=None, dest="deck_tol",
                    metavar="TOL")
+    add_common(p)
+    p.set_defaults(func=_cmd_deck_diff)
+
+    p = actions.add_parser("export", help="one state's marginals as JSON")
+    p.add_argument("state")
+    add_family(p)
     p.add_argument("--out", default=None)
     add_common(p)
-    p.set_defaults(func=_cmd_deck)
+    p.set_defaults(func=_cmd_deck_export)
 
     p = sub.add_parser("schmidt", help="spectrum and genericity along a cut")
     p.add_argument("state")
@@ -331,19 +343,29 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_hypergraph)
 
-    p = sub.add_parser("oa", help="verify arrays, build states and witnesses")
-    p.add_argument("action", choices=["verify", "state", "witness"])
-    p.add_argument("file", help="array text file: header 'OA r N d k' or "
-                                "'PA r N d k', one row per line")
-    p.add_argument("--amps", default=None,
-                   help="JSON amplitude list (inline or a file path)")
-    p.add_argument("--flip", type=int, default=None,
-                   help="1-based row whose amplitude is negated")
-    p.add_argument("--phases", default=None, help="JSON list of row phases")
-    p.add_argument("--deck-tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_oa)
+    actions = sub.add_parser("oa", help="verify arrays, build states and "
+                                        "witnesses").add_subparsers(
+        dest="action", required=True)
+    verify = actions.add_parser("verify", help="check the array's defining "
+                                               "property")
+    state = actions.add_parser("state", help="the state on the array's rows")
+    witness = actions.add_parser("witness", help="a phase-twisted twin "
+                                                 "sharing the complete "
+                                                 "(N-k)-deck")
+    for p in (verify, state, witness):
+        p.add_argument("file", help="array text file: header 'OA r N d k' or "
+                                    "'PA r N d k', one row per line")
+        add_common(p)
+        p.set_defaults(func=_cmd_oa)
+    for p in (state, witness):
+        p.add_argument("--amps", default=None,
+                       help="JSON amplitude list (inline or a file path)")
+        p.add_argument("--out", default=None)
+    twist = witness.add_mutually_exclusive_group()
+    twist.add_argument("--flip", type=int, default=None,
+                       help="1-based row whose amplitude is negated")
+    twist.add_argument("--phases", default=None, help="JSON list of row phases")
+    witness.add_argument("--deck-tol", type=float, default=None)
 
     p = sub.add_parser("counting-table",
                        help="variables vs equations across splits")

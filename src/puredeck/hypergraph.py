@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .certify import _first_twin
-from .marginals import DECK_TOL, MarginalFamily, compute_deck
+from .marginals import DECK_TOL, MarginalFamily, _check_parties
 from .schmidt import schmidt_decompose
 from .states import PureState
 
@@ -87,14 +87,13 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
         if len(family) > 0:
             raise ValueError("family is connected; no separating cut exists")
         return None  # single uncovered vertex graph: no bipartition available
-    reference = compute_deck(state, family)
+    _check_parties(state, family)
     for part in parts[:-1]:
         dec = schmidt_decompose(state, part)
         if dec.rank < 2:
             continue
-        found = _first_twin(reference, state, dec,
-                            [_balanced_sign_phases(dec.lambdas)],
-                            deck_tol=DECK_TOL)
+        found = _first_twin(state, dec, [_balanced_sign_phases(dec.lambdas)],
+                            family, deck_tol=DECK_TOL)
         if found is not None:
             return found.witness
     return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -83,6 +84,34 @@ class Deck:
         return {"num_parties": self.family.num_parties, "marginals": cards}
 
 
+def _product(state: PureState, subset, buffers: dict) -> np.ndarray:
+    """rho = M M^dagger for the checked `subset`, M being `state` as a
+    dim(subset) x dim(rest) matrix; the only place a marginal is computed.
+
+    M, its conjugate and rho are written into arrays that `buffers`, a dict
+    owned by the caller, keeps by shape, so streaming a deck touches no
+    fresh pages after the first marginal of each shape.  The next call with
+    the same dict overwrites rho; a fresh dict gives a rho of its own.
+    """
+    dims = state.structure.local_dims
+    first = [p - 1 for p in subset]
+    rows = math.prod(dims[i] for i in first)
+    shape = (rows, state.structure.total_dim // rows)
+    if shape not in buffers:
+        buffers[shape] = (np.empty(shape, dtype=np.complex128),
+                          np.empty(shape, dtype=np.complex128),
+                          np.empty((rows, rows), dtype=np.complex128))
+    mat, conj, rho = buffers[shape]
+    _cut(state.amplitudes, dims, first, out=mat)
+    np.conjugate(mat, out=conj)
+    return np.matmul(mat, conj.T, out=rho)
+
+
+def _check_parties(state: PureState, family: MarginalFamily) -> None:
+    if family.num_parties != state.structure.num_parties:
+        raise ValueError("family defined for a different number of parties")
+
+
 def partial_trace(state: PureState, keep) -> Marginal:
     """Reduced density matrix on `keep`, tracing out the complement.
 
@@ -98,18 +127,47 @@ def partial_trace(state: PureState, keep) -> Marginal:
     at most c * 32768 * u * ||M||_F^2, below 1e-11.  That bounds the
     Hermiticity error (2 ||E||_F), the trace error (|trace E| + NORM_TOL)
     and how far the smallest eigenvalue can fall below zero (||E||_2), each
-    well inside MARGINAL_TOL (1e-10).
+    well inside MARGINAL_TOL (1e-10).  The streamed marginals of `_deck_gap`
+    come from the same `_product`, so the bound covers them too.
     """
-    structure = state.structure
-    keep = check_subset(keep, structure.num_parties)
-    mat = _cut(state.amplitudes, structure.local_dims, [p - 1 for p in keep])
-    return Marginal._trusted(keep, mat @ mat.conj().T)
+    keep = check_subset(keep, state.structure.num_parties)
+    return Marginal._trusted(keep, _product(state, keep, {}))
 
 
 def compute_deck(state: PureState, family: MarginalFamily) -> Deck:
-    if family.num_parties != state.structure.num_parties:
-        raise ValueError("family defined for a different number of parties")
+    _check_parties(state, family)
     return Deck(family, tuple(partial_trace(state, s) for s in family.subsets))
+
+
+def _deck_gap(reference: Deck | PureState, twin: PureState,
+              family: MarginalFamily) -> float:
+    """`deck_distance` of the decks of `reference` and `twin` on `family`,
+    without building the twin's deck.
+
+    `reference` is either a state, whose marginals are streamed alongside
+    the twin's, or a deck over `family` that is held and reused.  Only one
+    marginal of the twin (and of a streamed reference) is alive at a time,
+    in buffers reused across marginals of one shape.  The arithmetic is that
+    of `deck_distance`: each marginal's product is the same gemm, each
+    reference-minus-twin difference gets one `np.linalg.norm`, and the
+    maximum runs over the whole family, without stopping early.
+    """
+    _check_parties(twin, family)
+    if isinstance(reference, PureState):
+        _check_parties(reference, family)
+        if reference.structure.local_dims != twin.structure.local_dims:
+            raise ValueError("states have different local dimensions")
+        streamed: dict = {}
+        held = (_product(reference, s, streamed) for s in family.subsets)
+    else:
+        held = (marg.matrix for marg in reference.marginals)
+    buffers: dict = {}
+    gap = 0.0
+    for subset, ref in zip(family.subsets, held):
+        mat = _product(twin, subset, buffers)
+        # reference minus twin, written over the twin's spent product
+        gap = max(gap, float(np.linalg.norm(np.subtract(ref, mat, out=mat))))
+    return gap
 
 
 def deck_distance(a: Deck, b: Deck) -> float:

@@ -129,22 +129,26 @@ class PartyStructure:
         return ",".join(str(x) for x in digits)
 
 
-def _cut(vectors: np.ndarray, dims, first) -> np.ndarray:
+def _cut(vectors: np.ndarray, dims, first, out=None) -> np.ndarray:
     """Flat vectors (..., prod(dims)) as matrices (..., d_first, d_rest).
 
     `dims` are the local dimensions of the vectors' parties in order, and
     `first` lists positions into `dims` (0-based) for the row index, in the
     given order; the other positions form the column index in ascending
-    order.  Leading stack axes are kept.
+    order.  Leading stack axes are kept.  With `out`, a C-contiguous array
+    of the result's shape, the matrices are copied into it once and `out`
+    is returned.
     """
     lead = vectors.shape[:-1]
     rest = [i for i in range(len(dims)) if i not in first]
     skip = len(lead)
     d_first = math.prod(dims[i] for i in first)
-    return (vectors.reshape(*lead, *dims)
-            .transpose(*range(skip), *(skip + i for i in first),
-                       *(skip + i for i in rest))
-            .reshape(*lead, d_first, math.prod(dims) // d_first))
+    tensor = vectors.reshape(*lead, *dims).transpose(
+        *range(skip), *(skip + i for i in first), *(skip + i for i in rest))
+    if out is not None:
+        out.reshape(tensor.shape)[...] = tensor
+        return out
+    return tensor.reshape(*lead, d_first, math.prod(dims) // d_first)
 
 
 def _uncut(matrix: np.ndarray, dims, first) -> np.ndarray:

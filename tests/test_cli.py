@@ -145,19 +145,24 @@ class TestCertifyCommand:
         # told from an omitted one; the Tolerances a command builds with no
         # flag given holds the named constants
         parser = build_parser()
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction)).choices
         seen = set()
-        for command, sub in subparsers.items():
+
+        def walk(command, sub):
+            # `deck` and `oa` nest one parser per action
             for action in sub._actions:
-                if action.dest in ("svd_tol", "deck_tol", "gap_tol"):
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, nested in action.choices.items():
+                        walk(f"{command} {name}".strip(), nested)
+                elif action.dest in ("svd_tol", "deck_tol", "gap_tol"):
                     assert action.default is None, (command, action.dest)
                     seen.add((command, action.dest))
+
+        walk("", parser)
         assert seen == {("certify", "svd_tol"), ("certify", "deck_tol"),
                         ("certify", "gap_tol"), ("experiment", "svd_tol"),
                         ("experiment", "deck_tol"), ("experiment", "gap_tol"),
-                        ("deck", "deck_tol"), ("schmidt", "gap_tol"),
-                        ("oa", "deck_tol")}
+                        ("deck diff", "deck_tol"), ("schmidt", "gap_tol"),
+                        ("oa witness", "deck_tol")}
         constants = Tolerances(svd_tol=SVD_TOL, deck_tol=DECK_TOL,
                                gap_tol=GAP_TOL)
         assert Tolerances() == constants
@@ -213,19 +218,44 @@ class TestDeckCommand:
         assert data["distance"] == pytest.approx(np.sqrt(2))
 
     def test_diff_needs_two_states(self, capsys, ghz6_file):
-        code, out, err = run_cli(capsys, "deck", "diff", ghz6_file,
-                                 "--family", "k=3")
-        assert code == 1 and out == ""
-        assert err == "error: deck diff needs two state files\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["deck", "diff", ghz6_file, "--family", "k=3"])
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == 2 and out == ""
+        assert "the following arguments are required: state_b" in err
 
     def test_export_refuses_a_second_state(self, capsys, ghz6_file, tmp_path):
         other = tmp_path / "b.json"
         save_state(ghz_state(6), other)
-        code, out, err = run_cli(capsys, "deck", "export", ghz6_file,
-                                 str(other), "--family", "k=3")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["deck", "export", ghz6_file, str(other), "--family", "k=3"])
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == 2 and out == ""
+        assert "unrecognized arguments" in err and "b.json" in err
+
+    @pytest.mark.parametrize("action,extra", [
+        ("diff", ["--out", "{tmp}/x.json"]),
+        ("export", ["--tol", "1e-7"]),
+        ("export", ["--out", "{tmp}/x.json", "--tol", "1e-7"])])
+    def test_flags_the_action_does_not_use_are_refused(self, capsys, ghz6_file,
+                                                       tmp_path, action, extra):
+        states = [ghz6_file, ghz6_file] if action == "diff" else [ghz6_file]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["deck", action, *states, "--family", "k=3",
+                  *(arg.format(tmp=tmp_path) for arg in extra)])
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == 2 and out == ""
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_diff_refuses_mismatched_local_dims(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_state(sample_haar_state(PartyStructure(2, (2, 3)), 1), a)
+        save_state(sample_haar_state(PartyStructure(2, (3, 2)), 1), b)
+        code, out, err = run_cli(capsys, "deck", "diff", str(a), str(b),
+                                 "--family", "k=1")
         assert code == 1 and out == ""
-        assert err.startswith("error: deck export takes one state file")
-        assert "b.json" in err
+        assert err == "error: states have different local dimensions\n"
 
     def test_export_writes_family_and_matrices(self, capsys, ghz6_file, tmp_path):
         out_path = tmp_path / "deck.json"
@@ -308,6 +338,25 @@ class TestOaCommands:
     def test_witness_needs_flip_or_phases(self, capsys, oa_file):
         code, _, err = run_cli(capsys, "oa", "witness", oa_file)
         assert code == 1 and "flip" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--flip", "2", "--out", "{tmp}/y.json"],
+        ["verify", "--amps", "[1]"],
+        ["verify", "--deck-tol", "1e-7"],
+        ["state", "--flip", "2"],
+        ["state", "--phases", "[0]"],
+        ["witness", "--flip", "1", "--phases", "[0]"]],
+        ids=["verify-flip-out", "verify-amps", "verify-deck-tol", "state-flip",
+             "state-phases", "witness-flip-and-phases"])
+    def test_flags_the_action_does_not_use_are_refused(self, capsys, oa_file,
+                                                       tmp_path, argv):
+        action, *flags = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oa", action, oa_file,
+                  *(arg.format(tmp=tmp_path) for arg in flags)])
+        out, _ = capsys.readouterr()
+        assert excinfo.value.code == 2 and out == ""
+        assert not (tmp_path / "y.json").exists()
 
     def test_state_with_amplitudes(self, capsys, oa_file):
         amps = json.dumps([[1, 0]] * 8 + [[2, 0]])

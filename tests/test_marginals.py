@@ -1,6 +1,7 @@
 """Tests for partial traces, decks, and deck comparison."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from puredeck import (Deck, MarginalFamily, PartyStructure, PureState,
                       sample_haar_state)
 from puredeck.arrays import (OA_9_4_3_2, OrthogonalArray,
                              greedy_packing_array, qoa_state)
+from puredeck.marginals import _deck_gap, _product
 from puredeck.states import Marginal, complement
 
 
@@ -188,6 +190,91 @@ class TestTrustedMarginals:
             assert np.linalg.norm(rho - rho.conj().T) < 1e-11
             assert abs(np.trace(rho) - 1) < 1e-11
             assert np.linalg.eigvalsh(rho)[0] > -1e-11
+
+
+class TestStreamedDecks:
+    """Every marginal comes from `_product`, and twins are checked against
+    a reference marginal by marginal (`_deck_gap`) in reused buffers; both
+    must match the one-marginal product and `deck_distance` bit for bit."""
+
+    MIXED = PartyStructure(5, (2, 3, 2, 3, 2))
+
+    def test_deck_equals_partial_trace_and_product_on_mixed_dims(self):
+        psi = sample_haar_state(self.MIXED, 7)
+        subsets = tuple(s for k in range(1, 6)
+                        for s in combinations(range(1, 6), k))
+        deck = compute_deck(psi, MarginalFamily(5, subsets))
+        for subset, marg in zip(subsets, deck.marginals):
+            mat = reshaped_block(psi, subset)
+            assert np.array_equal(marg.matrix, mat @ mat.conj().T), subset
+            assert np.array_equal(marg.matrix,
+                                  partial_trace(psi, subset).matrix), subset
+
+    def test_mixed_sizes_out_of_order_stay_aligned(self):
+        psi = sample_haar_state(self.MIXED, 8)
+        family = MarginalFamily(5, ((2, 4, 5), (1,), (3, 5), (2,), (1, 2, 3, 4),
+                                    (4,), (1, 3), (2, 3, 4)))
+        deck = compute_deck(psi, family)
+        assert [m.parties for m in deck.marginals] == list(family.subsets)
+        for subset, marg in zip(family.subsets, deck.marginals):
+            assert np.array_equal(marg.matrix,
+                                  partial_trace(psi, subset).matrix), subset
+        haar = sample_haar_state(self.MIXED, 9)
+        expected = deck_distance(deck, compute_deck(haar, family))
+        assert _deck_gap(deck, haar, family) == expected
+        assert _deck_gap(psi, haar, family) == expected
+
+    def test_streamed_products_reuse_one_buffer_per_shape(self):
+        psi = sample_haar_state(PartyStructure.uniform(8, 3), 9)
+        family = MarginalFamily(8, ((1, 2), (3, 4, 5), (2, 7), (6,), (1, 5, 8)))
+        buffers = {}
+        for subset in family:
+            rho = _product(psi, subset, buffers)
+            mat = reshaped_block(psi, subset)
+            assert np.array_equal(rho, mat @ mat.conj().T), subset
+            assert rho is buffers[(rho.shape[0], 3 ** 8 // rho.shape[0])][2]
+        assert sorted(buffers) == [(3, 2187), (9, 729), (27, 243)]
+
+    @pytest.mark.parametrize("structure,k", [
+        (PartyStructure(5, (2, 3, 2, 3, 2)), 2),
+        (PartyStructure(5, (2, 3, 2, 3, 2)), 3),
+        (PartyStructure.uniform(8, 3), 5),
+        (PartyStructure.uniform(10, 2), 5)])
+    def test_gap_equals_deck_distance(self, structure, k):
+        family = MarginalFamily.complete(structure.num_parties, k)
+        a = sample_haar_state(structure, 1)
+        haar = sample_haar_state(structure, 2)
+        for b in (haar, PureState(structure, a.amplitudes * np.exp(0.7j))):
+            ref, twin = compute_deck(a, family), compute_deck(b, family)
+            expected = deck_distance(ref, twin)
+            assert _deck_gap(ref, b, family) == expected
+            assert _deck_gap(a, b, family) == expected
+        # the mismatching Haar pair differs most past the first marginal, so
+        # an early exit would report less than the maximum
+        ref, twin = compute_deck(a, family), compute_deck(haar, family)
+        gaps = [np.linalg.norm(x.matrix - y.matrix)
+                for x, y in zip(ref.marginals, twin.marginals)]
+        assert int(np.argmax(gaps)) > 0
+
+    def test_gap_refuses_mismatched_states(self):
+        family = MarginalFamily.complete(3, 1)
+        a = sample_haar_state(PartyStructure(3, (2, 3, 2)), 1)
+        with pytest.raises(ValueError, match="local dimensions"):
+            _deck_gap(a, sample_haar_state(PartyStructure(3, (2, 2, 3)), 1),
+                      family)
+        with pytest.raises(ValueError, match="number of parties"):
+            _deck_gap(a, ghz_state(4), family)
+
+    def test_deck_marginals_are_frozen_and_unshared(self):
+        psi = sample_haar_state(PartyStructure.uniform(6, 2), 3)
+        deck = compute_deck(psi, MarginalFamily.complete(6, 3))
+        for marg in deck.marginals:
+            assert marg.matrix.base is None
+            assert not marg.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                marg.matrix[0, 0] = 1.0
+        first, second = deck.marginals[:2]
+        assert not np.shares_memory(first.matrix, second.matrix)
 
 
 class TestMarginalFamily:
