@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .certify import WitnessCheck, _check_twin
+from .certify import WitnessCheck, verify_twin
 from .marginals import DECK_TOL, MarginalFamily
 from .states import PartyStructure, PureState, _integer
 
@@ -276,7 +276,7 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
         raise ValueError("phases are all equal; the twist is only a global phase")
     twisted = _rows_to_state(gstate.array, gstate.amplitudes * unit)
     family = MarginalFamily.complete(n, n - k)
-    return _check_twin(gstate.state, twisted, family, deck_tol=deck_tol)
+    return verify_twin(gstate.state, twisted, family, deck_tol=deck_tol)
 
 
 def greedy_packing_array(num_cols: int, levels: int, strength: int, *,

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .marginals import DECK_TOL, Deck, MarginalFamily, _deck_gap, compute_deck
+from .marginals import DECK_TOL, MarginalFamily, _deck_gap
 from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       _genericity, _schmidt_factors, _untied,
                       classify_genericity, phase_twist, schmidt_decompose)
@@ -100,7 +100,7 @@ class CrossCutSpec:
     @classmethod
     def parse(cls, text: str, num_parties: int) -> "CrossCutSpec":
         """Parse 'A=1,2;B=3;C=4;D=5,6' (an empty block is 'B=')."""
-        blocks = {"A": (), "B": (), "C": (), "D": ()}
+        blocks = {}
         for chunk in text.split(";"):
             chunk = chunk.strip()
             if not chunk:
@@ -109,11 +109,12 @@ class CrossCutSpec:
                 raise ValueError(f"bad block chunk {chunk!r}, expected NAME=parties")
             name, _, parties = chunk.partition("=")
             name = name.strip().upper()
-            if name not in blocks:
+            if name not in ("A", "B", "C", "D"):
                 raise ValueError(f"unknown block {name!r}")
+            if name in blocks:
+                raise ValueError(f"block {name} given twice")
             blocks[name] = tuple(int(p) for p in parties.split(",") if p.strip())
-        return cls(blocks["A"], blocks["B"], blocks["C"], blocks["D"],
-                   num_parties)
+        return cls(*(blocks.get(name, ()) for name in "ABCD"), num_parties)
 
     @property
     def ab(self) -> tuple[int, ...]:
@@ -570,36 +571,28 @@ class WitnessCheck:
     fidelity: float
 
 
-def verify_twin(reference: Deck, state: PureState, twin: PureState, *,
-                deck_tol: float = DECK_TOL) -> WitnessCheck:
-    """Check `twin` as a second pure state sharing the deck of `state`.
+def verify_twin(state: PureState, twin: PureState, family: MarginalFamily,
+                *, deck_tol: float = DECK_TOL) -> WitnessCheck:
+    """Check `twin` as a second pure state sharing the deck of `state` on
+    `family`; every twin in the package is accepted by this rule.
 
-    `reference` is the deck of `state`; the twin's deck is taken over the
-    same family.  The twin is verified exactly when its deck distance to
-    `reference` is at most `deck_tol` and its fidelity up to phase with
+    The twin is verified exactly when the deck distance of the two states
+    on `family` is at most `deck_tol` and its fidelity up to phase with
     `state` is below 1 - DISTINCT_TOL, i.e. it shares the deck and differs
-    from `state` beyond a global phase.  The twin's marginals are compared
-    one at a time (`marginals._deck_gap`); its deck is never built.
+    from `state` beyond a global phase.  Both states' marginals are
+    streamed one at a time (`marginals._deck_gap`); neither deck is built.
     """
-    return _check_twin(state, twin, reference.family, deck_tol=deck_tol,
-                       held=reference)
-
-
-def _check_twin(state: PureState, twin: PureState, family: MarginalFamily,
-                *, deck_tol: float, held: Deck | None = None) -> WitnessCheck:
-    """The rule of `verify_twin` over `family`, against `held` (the deck of
-    `state` on `family`, reused across candidates) or, when None, against
-    `state`'s marginals streamed alongside the twin's."""
-    dist = _deck_gap(state if held is None else held, twin, family)
+    dist = _deck_gap(state, twin, family)
     fid = fidelity_up_to_phase(state, twin)
     return WitnessCheck(twin, dist <= deck_tol and fid < 1.0 - DISTINCT_TOL,
                         dist, fid)
 
 
-def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
+def _search_phase_witness(state, dec, null, family, *, deck_tol,
                           seed) -> WitnessCheck | None:
-    """Look for phases whose gamma image lies in the null space and whose
-    twisted state verifiably shares the requested deck.
+    """The first phase twist whose gamma image lies in the null space (full
+    exactly when its basis is square) and that `verify_twin` accepts over
+    `family`, or None.
 
     Candidates off the null space by a relative residual above 1e-7 are
     dropped; at most 16 of the rest are verified, closest first.
@@ -607,7 +600,7 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
     lambdas = dec.lambdas
     rng = np.random.default_rng(seed)
     basis = null.basis
-    full_null = null.null_dim == system.num_real_variables
+    full_null = basis.shape[0] == basis.shape[1]
     candidates = []
     for phases in _phase_candidates(dec.rank, rng):
         gamma = _gamma_vector(phases, lambdas)
@@ -621,20 +614,9 @@ def _search_phase_witness(state, dec, system, null, family, *, deck_tol,
         predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
         candidates.append((residual, predicted_fid, phases))
     candidates.sort(key=lambda item: (item[0], item[1]))
-    return _first_twin(state, dec, [phases for _, _, phases in candidates[:16]],
-                       family, deck_tol=deck_tol,
-                       held=compute_deck(state, family))
-
-
-def _first_twin(state: PureState, dec: SchmidtDecomposition, phase_vectors,
-                family: MarginalFamily, *, deck_tol: float,
-                held: Deck | None = None) -> WitnessCheck | None:
-    """The first phase twist of `dec`, trying `phase_vectors` in order, that
-    `_check_twin` accepts over `family` (against `held` when given), or
-    None."""
-    for phases in phase_vectors:
-        check = _check_twin(state, phase_twist(dec, phases), family,
-                            deck_tol=deck_tol, held=held)
+    for _, _, phases in candidates[:16]:
+        check = verify_twin(state, phase_twist(dec, phases), family,
+                            deck_tol=deck_tol)
         if check.verified:
             return check
     return None
@@ -680,7 +662,7 @@ def _exact_verdict(state: PureState, spec: CrossCutSpec,
     counts = _verdict_counts(system)
     if null.null_dim == 0:
         return _trivial_null_verdict(genericity, uncovered, counts)
-    found = _search_phase_witness(state, dec, system, null, family,
+    found = _search_phase_witness(state, dec, null, family,
                                   deck_tol=tol.deck_tol, seed=seed)
     if found is None:
         return UdpVerdict(UdpStatus.INCONCLUSIVE, null.null_dim, genericity,

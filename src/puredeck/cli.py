@@ -69,7 +69,7 @@ def _cmd_certify(args) -> int:
     state = load_state(args.state)
     spec = CrossCutSpec.parse(args.blocks, state.structure.num_parties)
     family = None
-    if args.family:
+    if args.family is not None:
         family = MarginalFamily.parse(state.structure.num_parties, args.family)
     verdict = certify_udp(state, spec, family, seed=args.seed, **asdict(tol))
     data = {

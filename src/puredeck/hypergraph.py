@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .certify import _first_twin
-from .marginals import DECK_TOL, MarginalFamily, _check_parties
-from .schmidt import schmidt_decompose
+from .certify import verify_twin
+from .marginals import MarginalFamily, _check_parties
+from .schmidt import phase_twist, schmidt_decompose
 from .states import PureState
 
 
@@ -92,8 +92,8 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
         dec = schmidt_decompose(state, part)
         if dec.rank < 2:
             continue
-        found = _first_twin(state, dec, [_balanced_sign_phases(dec.lambdas)],
-                            family, deck_tol=DECK_TOL)
-        if found is not None:
-            return found.witness
+        check = verify_twin(state, phase_twist(
+            dec, _balanced_sign_phases(dec.lambdas)), family)
+        if check.verified:
+            return check.witness
     return None

@@ -127,8 +127,9 @@ def partial_trace(state: PureState, keep) -> Marginal:
     at most c * 32768 * u * ||M||_F^2, below 1e-11.  That bounds the
     Hermiticity error (2 ||E||_F), the trace error (|trace E| + NORM_TOL)
     and how far the smallest eigenvalue can fall below zero (||E||_2), each
-    well inside MARGINAL_TOL (1e-10).  The streamed marginals of `_deck_gap`
-    come from the same `_product`, so the bound covers them too.
+    well inside MARGINAL_TOL (1e-10).  `compute_deck` builds its decks from
+    it; a twin check never calls it, but streams its marginals from the same
+    `_product` (`_deck_gap`), so the bound covers them too.
     """
     keep = check_subset(keep, state.structure.num_parties)
     return Marginal._trusted(keep, _product(state, keep, {}))
@@ -139,32 +140,27 @@ def compute_deck(state: PureState, family: MarginalFamily) -> Deck:
     return Deck(family, tuple(partial_trace(state, s) for s in family.subsets))
 
 
-def _deck_gap(reference: Deck | PureState, twin: PureState,
+def _deck_gap(reference: PureState, twin: PureState,
               family: MarginalFamily) -> float:
     """`deck_distance` of the decks of `reference` and `twin` on `family`,
-    without building the twin's deck.
+    without building either deck.
 
-    `reference` is either a state, whose marginals are streamed alongside
-    the twin's, or a deck over `family` that is held and reused.  Only one
-    marginal of the twin (and of a streamed reference) is alive at a time,
-    in buffers reused across marginals of one shape.  The arithmetic is that
-    of `deck_distance`: each marginal's product is the same gemm, each
-    reference-minus-twin difference gets one `np.linalg.norm`, and the
-    maximum runs over the whole family, without stopping early.
+    The two states' marginals are streamed side by side: only one marginal
+    of each is alive at a time, in buffers reused across marginals of one
+    shape.  The arithmetic is that of `deck_distance`: each marginal's
+    product is the same gemm, each reference-minus-twin difference gets one
+    `np.linalg.norm`, and the maximum runs over the whole family, without
+    stopping early.
     """
+    _check_parties(reference, family)
     _check_parties(twin, family)
-    if isinstance(reference, PureState):
-        _check_parties(reference, family)
-        if reference.structure.local_dims != twin.structure.local_dims:
-            raise ValueError("states have different local dimensions")
-        streamed: dict = {}
-        held = (_product(reference, s, streamed) for s in family.subsets)
-    else:
-        held = (marg.matrix for marg in reference.marginals)
-    buffers: dict = {}
+    if reference.structure.local_dims != twin.structure.local_dims:
+        raise ValueError("states have different local dimensions")
+    ref_buffers, twin_buffers = {}, {}
     gap = 0.0
-    for subset, ref in zip(family.subsets, held):
-        mat = _product(twin, subset, buffers)
+    for subset in family.subsets:
+        ref = _product(reference, subset, ref_buffers)
+        mat = _product(twin, subset, twin_buffers)
         # reference minus twin, written over the twin's spent product
         gap = max(gap, float(np.linalg.norm(np.subtract(ref, mat, out=mat))))
     return gap

@@ -127,6 +127,13 @@ class TestCrossCutSpec:
         with pytest.raises(ValueError, match="cover"):
             CrossCutSpec.parse("A=1;B=2;C=3;D=", 4)
 
+    @pytest.mark.parametrize("text", ["A=1,2;B=3;C=4;D=5,6;A=1,2",
+                                      "A=1;A=2;B=3;C=4;D=5,6",
+                                      "A=1,2;B=3;C=4;D=5,6;a="])
+    def test_repeated_block_refused(self, text):
+        with pytest.raises(ValueError, match="block A given twice"):
+            CrossCutSpec.parse(text, 6)
+
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             CrossCutSpec.parse("A=1;B=2;C=;D=", 2)
@@ -714,7 +721,7 @@ class TestFamilyCoverage:
         assert any("AB, CD, AC, BD" in note for note in verdict.notes)
         # the family really leaves room: a verified twin shares its deck
         twin = counterexample_from_disconnection(psi, family)
-        assert verify_twin(compute_deck(psi, family), psi, twin).verified
+        assert verify_twin(psi, twin, family).verified
 
     def test_partly_covering_family_names_the_gaps(self):
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 3)
@@ -759,7 +766,7 @@ class TestVerifyTwin:
     PSI = ghz_state(6, 2, 0.6, 0.8)
 
     def check(self, twin):
-        return verify_twin(compute_deck(self.PSI, self.FAMILY), self.PSI, twin)
+        return verify_twin(self.PSI, twin, self.FAMILY)
 
     def test_accepts_lopsided_ghz_phase_twin(self):
         check = self.check(ghz_state(6, 2, 0.6, -0.8))
@@ -790,6 +797,31 @@ class TestVerifyTwin:
         assert check.deck_distance == deck_distance(
             compute_deck(self.PSI, self.FAMILY), compute_deck(twin, self.FAMILY))
         assert check.fidelity == fidelity_up_to_phase(self.PSI, twin)
+
+
+class TestNoReferenceDeck:
+    """The witness search streams the input's marginals alongside each
+    candidate's, so certifying builds no deck at all."""
+
+    def test_ghz_witness_without_partial_trace(self, monkeypatch):
+        import puredeck.marginals as marginals_module
+        calls = []
+        inner = marginals_module.partial_trace
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(marginals_module, "partial_trace", spy)
+        psi = ghz_state(8, 2, 0.6, 0.8)
+        family = MarginalFamily.complete(8, 4)
+        spec = CrossCutSpec.parse("A=1,2;B=3,4;C=5,6;D=7,8", 8)
+        verdict = certify_udp(psi, spec, family)
+        assert calls == []
+        assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
+        assert verdict.witness is not None
+        assert verdict.witness_deck_distance == deck_distance(
+            compute_deck(psi, family), compute_deck(verdict.witness, family))
 
 
 class TestOverlapDependences:

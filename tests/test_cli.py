@@ -109,6 +109,17 @@ class TestCertifyCommand:
                                "--family", "k=3")
         assert code == 0 and out.startswith("CERTIFIED_UDP")
 
+    @pytest.mark.parametrize("family", ["", ";"], ids=["blank", "semicolon"])
+    def test_empty_family_is_not_certified(self, capsys, haar6_file, family):
+        # an empty family fixes none of the cut marginals, however spelled
+        code, out, _ = run_cli(capsys, "certify", haar6_file,
+                               "--blocks", "A=1,2;B=3;C=4;D=5,6",
+                               "--family", family, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["status"] == "INCONCLUSIVE" and data["null_dim"] == 0
+        assert any("AB, CD, AC, BD" in note for note in data["notes"])
+
     def test_bad_blocks_is_domain_error(self, capsys, ghz6_file):
         code, _, err = run_cli(capsys, "certify", ghz6_file,
                                "--blocks", "A=1;B=1;C=2;D=3,4,5,6")

@@ -240,7 +240,7 @@ class TestCounterexample:
         fam = MarginalFamily(4, ((1,), (2,), (3, 4)))
         other = counterexample_from_disconnection(psi, fam)
         assert other is not None
-        assert verify_twin(compute_deck(psi, fam), psi, other).verified
+        assert verify_twin(psi, other, fam).verified
 
 
 def counting(monkeypatch, module, name):
@@ -269,7 +269,7 @@ class TestCounterexampleWork:
     def test_one_twist_per_entangled_cut(self, monkeypatch):
         # weights (1 - 1e-7, 1e-7) across {1,2}|{3,4}: the balanced twist
         # has fidelity 1 - 2e-7, and so has any other twist at least
-        calls = counting(monkeypatch, puredeck.certify, "phase_twist")
+        calls = counting(monkeypatch, puredeck.hypergraph, "phase_twist")
         vec = np.zeros(16, dtype=complex)
         vec[0], vec[15] = np.sqrt(1 - 1e-7), np.sqrt(1e-7)
         psi = PureState(PartyStructure.uniform(4, 2), vec)

@@ -194,8 +194,9 @@ class TestTrustedMarginals:
 
 class TestStreamedDecks:
     """Every marginal comes from `_product`, and twins are checked against
-    a reference marginal by marginal (`_deck_gap`) in reused buffers; both
-    must match the one-marginal product and `deck_distance` bit for bit."""
+    a reference state marginal by marginal (`_deck_gap`) in reused buffers;
+    both must match the one-marginal product and `deck_distance` bit for
+    bit."""
 
     MIXED = PartyStructure(5, (2, 3, 2, 3, 2))
 
@@ -221,7 +222,6 @@ class TestStreamedDecks:
                                   partial_trace(psi, subset).matrix), subset
         haar = sample_haar_state(self.MIXED, 9)
         expected = deck_distance(deck, compute_deck(haar, family))
-        assert _deck_gap(deck, haar, family) == expected
         assert _deck_gap(psi, haar, family) == expected
 
     def test_streamed_products_reuse_one_buffer_per_shape(self):
@@ -247,7 +247,6 @@ class TestStreamedDecks:
         for b in (haar, PureState(structure, a.amplitudes * np.exp(0.7j))):
             ref, twin = compute_deck(a, family), compute_deck(b, family)
             expected = deck_distance(ref, twin)
-            assert _deck_gap(ref, b, family) == expected
             assert _deck_gap(a, b, family) == expected
         # the mismatching Haar pair differs most past the first marginal, so
         # an early exit would report less than the maximum
