@@ -47,6 +47,7 @@ TRACE_IDENTITY_TOL = 1e-10
 OVERLAP_RANK_TOL = 1e-8
 # Bytes the trials of one `_certify_stack` call may take; see `_stack_size`.
 _STACK_BYTES = 2 << 20
+_TILE_BYTES = 128 << 10  # per tile of rows of a Gram or scratch buffer
 
 
 @dataclass(frozen=True)
@@ -319,43 +320,60 @@ class GammaSystem:
 
     @property
     def gram(self) -> np.ndarray:
-        """The real Gram matrix.T @ matrix, computed without the matrix.
+        """The real Gram matrix.T @ matrix: `_lower_gram`, mirrored."""
+        gram = _lower_gram(self)
+        return np.where(np.tri(gram.shape[-1], dtype=bool), gram,
+                        gram.swapaxes(-1, -2))
 
-        With A = U + V and B = i(U - V) it is [[Re A^H A, Re A^H B],
-        [Re B^H A, Re B^H B]] = [[Re(P + Q), Im(Q - P)], [Im(Q + P),
-        Re(P - Q)]] in the interleaved order, for P = U^H U + conj(V^H V)
-        and Q = U^H V + (U^H V)^T summed over both sources (Re conj X =
-        Re X, Im conj X = -Im X, V^H U = (U^H V)^H).  Per source, with
-        O = [O_u; conj O_v] and O' = [O_v; conj O_u] stacked by rows, they
-        are Hadamard products of factor Grams (Kolda & Bader, SIAM Review
-        51, 2009), P = (O^H O) * (I_u^H I_u) and Q = (O^H O') * (I_u^H I_v),
-        by two identities of I_v = conj(T I_u), T the permutation
-        (c, e) -> (e, c) of the kept inner rows, so T^T = T = T^-1:
-          conj(I_v^H I_v) = I_u^H I_u, as conj(I_v^H I_v) = (T I_u)^H T I_u
-            = I_u^H T^T T I_u and T^T T = 1;
-          I_u^H I_v = I_u^H T conj(I_u) is symmetric, as its transpose is
-            conj(I_u)^T T^T (I_u^H)^T = I_u^H T conj(I_u).
-        So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
-        """
-        n = self.num_complex_variables
-        lead = self.factors[0].outer_u.shape[:-2]
-        # P, Q first, each product folded in at once: this order sets peak RSS
-        p = np.zeros((*lead, n, n), dtype=complex)
-        q = np.zeros((*lead, n, n), dtype=complex)
-        for o_u, i_u, o_v, i_v in self.factors:
-            outer = np.concatenate([o_u, o_v.conj()], axis=-2)
-            swapped = np.concatenate([o_v, o_u.conj()], axis=-2)
-            for acc, o_right, i_right in ((p, outer, i_u), (q, swapped, i_v)):
-                term = outer.conj().swapaxes(-1, -2) @ o_right
-                term *= i_u.conj().swapaxes(-1, -2) @ i_right
+
+def _lower_gram(system: GammaSystem) -> np.ndarray:
+    """The lower triangle of the real Gram of `system`: with A = U + V and
+    B = i(U - V) the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
+    = [[Re(P + Q), Im(Q - P)], [Im(Q + P), Re(P - Q)]] in the interleaved
+    order, for P = U^H U + conj(V^H V) and Q = U^H V + (U^H V)^T summed
+    over both sources (Re conj X = Re X, Im conj X = -Im X, V^H U =
+    (U^H V)^H).  Per source, with O = [O_u; conj O_v] and O' = [O_v;
+    conj O_u] stacked by rows, they are Hadamard products of factor Grams
+    (Kolda & Bader, SIAM Review 51, 2009), P = (O^H O) * (I_u^H I_u) and
+    Q = (O^H O') * (I_u^H I_v), by two identities of I_v = conj(T I_u), T
+    the permutation (c, e) -> (e, c) of the kept rows, so T^T = T = T^-1:
+      conj(I_v^H I_v) = I_u^H I_u, as conj(I_v^H I_v) = (T I_u)^H T I_u
+        = I_u^H T^T T I_u and T^T T = 1;
+      I_u^H I_v = I_u^H T conj(I_u) is symmetric, as its transpose is
+        conj(I_u)^T T^T (I_u^H)^T = I_u^H T conj(I_u).
+    So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
+    Rows 2s, 2s+1 are conj P + Q, i (conj P - Q) as complex pairs, formed
+    in tiles of rows fixed from n alone, each up to its last column.
+    """
+    *lead, _, n = system.factors[0].outer_u.shape
+    tile = max(1, min(n, _TILE_BYTES // (16 * n or 1)))
+    terms = []  # per source conj P, Q: outer and inner factors, unswapped
+    for o_u, i_u, o_v, i_v in system.factors:
+        outer = np.concatenate([o_u, o_v.conj()], axis=-2)
+        outer_c, inner_c = outer.conj(), i_u.conj()
+        terms += [(outer, outer_c, i_u, inner_c), (outer_c, np.concatenate(
+            [o_v, o_u.conj()], axis=-2), inner_c, i_v)]
+    scratch = [np.empty((*lead, tile * n), dtype=complex) for _ in range(2)]
+    gram = None  # made once the first tile's products are freed
+    for start in range(0, max(n, 1), tile):  # once even without pairs
+        stop = min(start + tile, n)
+        p, q = (buf[..., :(stop - start) * stop].reshape(
+            *lead, stop - start, stop) for buf in scratch)
+        for k, (o_l, o_r, i_l, i_r) in enumerate(terms):
+            acc = (p, q)[k % 2]  # the first source's terms start them
+            term = np.matmul(o_l[..., start:stop].swapaxes(-1, -2),
+                             o_r[..., :stop], out=acc if k < 2 else None)
+            term *= i_l[..., start:stop].swapaxes(-1, -2) @ i_r[..., :stop]
+            if k >= 2:
                 acc += term
-                del term
-        gram = np.empty((*lead, 2 * n, 2 * n))
-        np.add(p.real, q.real, out=gram[..., 0::2, 0::2])       # Re A^H A
-        np.subtract(q.imag, p.imag, out=gram[..., 0::2, 1::2])  # Re A^H B
-        np.add(q.imag, p.imag, out=gram[..., 1::2, 0::2])       # Re B^H A
-        np.subtract(p.real, q.real, out=gram[..., 1::2, 1::2])  # Re B^H B
-        return gram
+            del term  # freed before the next product is made
+        if gram is None:
+            gram = np.empty((*lead, 2 * n, 2 * n))
+        rows = gram.view(complex)[..., 2 * start:2 * stop, :stop]
+        np.add(p, q, out=rows[..., 0::2, :])
+        np.subtract(p, q, out=rows[..., 1::2, :])
+        rows[..., 1::2, :] *= 1j
+    return gram
 
 
 def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
@@ -459,40 +477,46 @@ def decide_null_space(system: GammaSystem, *,
 def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
     certifies a trivial null space; a zero Gram never does.  Shifts `gram`
-    in place.
+    in place; a stack whose Cholesky fails is retried item by item.
 
-    The Gram G = `GammaSystem.gram` of n real variables is shifted by
-    s = (tau + (n+1)^2 eps) ||G||_F, eps the float64 machine epsilon and
-    tau = max(4 svd_tol^2, GRAM_MIN_RATIO).  Why success certifies what the
-    exact SVD of `decide_null_space` would decide: by the backward error of
-    Cholesky (Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.3), a factorization that completes is exact for H + E with
-    ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I; so H + E
-    is positive definite and lambda_min(G) > s - ||E||_2.  With
+    The Gram G of n real variables is the symmetric matrix whose lower
+    triangle `_lower_gram` fills and LAPACK's lower Cholesky reads; it is
+    shifted by s = (tau + (n+1)^2 eps) ||G||_F, eps the float64 machine
+    epsilon, tau = max(4 svd_tol^2, GRAM_MIN_RATIO) and, from that triangle,
+    ||G||_F^2 = 2 sum_{i>=j} G_ij^2 - sum_i G_ii^2.  Why success certifies
+    what the exact SVD of `decide_null_space` would decide: by the backward
+    error of Cholesky (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3), a factorization that completes is exact for
+    H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I;
+    so H + E is positive definite and lambda_min(G) > s - ||E||_2.  With
     ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
     with (n+1)(n+2)/2 eps ||G||_F to spare, which covers G's own rounding
     while m <= n, m the most rows a factor Gram sums over (2 C(d_A, 2),
-    d_C^2 - 1, ...): an entry of P or Q (see `gram`) for pairs s, t is one
-    such sum times one factor-Gram entry plus three additions, off by about
-    (m + 3) u sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the mean of G's
-    two diagonal entries for pair s), so G is off by n times that in norm
-    at most, about 1e-15 ||G|| in practice.  As lambda_max <= ||G||_F,
-    success proves lambda_min > tau lambda_max, i.e. sigma_min >=
+    d_C^2 - 1, ...): an entry of P or Q (see `_lower_gram`, whose tiles
+    change which entries are formed, not how one is rounded) for pairs s, t
+    is one such sum times one factor-Gram entry plus three additions, off
+    by about (m + 3) u sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the
+    mean of G's two diagonal entries for pair s), so G is off by n times
+    that in norm at most, about 1e-15 ||G|| in practice.  As lambda_max <=
+    ||G||_F, success proves lambda_min > tau lambda_max, i.e. sigma_min >=
     sqrt(tau) sigma_max with sqrt(tau) >= max(2 svd_tol, 1e-4), so the
     exact SVD, accurate to about 1e-16 sigma_max, keeps every singular
     value too.  Squaring the condition number is why the ratio never goes
     below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
-
-    The Frobenius norms are dot products per item.  np.linalg.cholesky
-    raises for a whole stack if one item fails, so a failed stack is
-    retried item by item.
     """
     n = gram.shape[-1]
-    flat = gram.reshape(*gram.shape[:-2], n * n)
-    norm = np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+    rows = math.isqrt(_TILE_BYTES // 8)  # a diagonal block takes a tile
+    squares = np.zeros(gram.shape[:-2])  # of the entries on and below it
+    for start in range(0, n, rows):
+        tile = gram[..., start:start + rows, :start + rows]
+        block = tile[..., start:].view(np.int64)  # zeroed above its diagonal
+        block &= -np.tri(block.shape[-1], dtype=np.int64)  # bitwise, no FP op
+        squares += np.einsum("...ij,...ij->...", tile, tile)
+    diag = gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1]
+    norm = np.sqrt(2.0 * squares - np.einsum("...i,...i->...", diag, diag))
     tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
     eps = np.finfo(float).eps
-    flat[..., ::n + 1] -= ((tau + (n + 1) ** 2 * eps) * norm)[..., None]
+    diag -= ((tau + (n + 1) ** 2 * eps) * norm)[..., None]
     return (norm > 0.0) & _factorizes(gram)
 
 
@@ -713,10 +737,10 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
     Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
-    products and their identity checks; and 96 n^2 for its Gram stage,
-    that is the real Gram (32 n^2), the two complex accumulators P and Q
-    (32 n^2) and one pair of factor-Gram products (32 n^2).  As many whole
-    trials as fit _STACK_BYTES go in one stack, at least one.
+    products and their identity checks; and 96 n^2 for its Gram stage:
+    the real Gram (32 n^2) and the copy and factor np.linalg.cholesky
+    makes of it (64 n^2), more than building the Gram takes.  As many
+    whole trials as fit _STACK_BYTES go in one stack, at least one.
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
     rank = min(da * db, dc * dd)
@@ -780,7 +804,7 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
         del matrices  # the overlap products are not held through the Gram stage
         # a wide system's Gram is singular: only the exact SVD decides it
         if 2 * system.num_complex_equations >= system.num_real_variables:
-            passed = _shifted_cholesky(system.gram, tol.svd_tol)
+            passed = _shifted_cholesky(_lower_gram(system), tol.svd_tol)
             counts = _verdict_counts(system)
             certified = {item: _trivial_null_verdict(reports[item], uncovered,
                                                      dict(counts))

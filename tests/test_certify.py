@@ -343,30 +343,55 @@ class TestGramKernel:
     ])
     def test_stacked_gram_matches_items_bit_for_bit(self, monkeypatch, n, d,
                                                      blocks):
-        # the stack certifies an item from the stacked Gram, so it must be
-        # the Gram `certify_udp` decides that item by, to the last bit
+        # the stack certifies an item from the stacked Gram, so what decides
+        # it must be what `certify_udp` decides that item by, to the last
+        # bit: every entry the Cholesky reads, before and after the shift,
+        # and so the norm the shift is made of; the strict upper triangle
+        # is read by neither
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         seeds = range(60, 64)
+        states = [sample_haar_state(structure, s) for s in seeds]
+        tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
         grams = []
         real = certify_module._shifted_cholesky
 
         def spy(gram, svd_tol):
-            grams.append(gram.copy())
-            return real(gram, svd_tol)
+            before = gram.copy()
+            passed = real(gram, svd_tol)
+            grams.append((before, gram.copy()))
+            return passed
 
         monkeypatch.setattr(certify_module, "_shifted_cholesky", spy)
-        # one stack of all four, also where the memory budget holds one
-        monkeypatch.setattr(certify_module, "_stack_size",
-                            lambda structure, spec: len(seeds))
-        _certify_stack([sample_haar_state(structure, s) for s in seeds], spec,
-                       seeds=seeds, tol=Tolerances(svd_tol=SVD_TOL,
-                                                   deck_tol=1e-9, gap_tol=1e-8))
-        stacked, = grams
-        assert stacked.shape[0] == len(seeds)
-        for item, seed in enumerate(seeds):
+        with monkeypatch.context() as patch:
+            # one stack of all four, also where the memory budget holds one
+            patch.setattr(certify_module, "_stack_size",
+                          lambda structure, spec: len(seeds))
+            _certify_stack(states, spec, seeds=seeds, tol=tol)
+        for state, seed in zip(states, seeds):
+            _certify_stack([state], spec, seeds=[seed], tol=tol)
+        (stacked, shifted), *items = grams
+        assert stacked.shape[0] == len(items) == len(seeds)
+        size = stacked.shape[-1]
+        lower = np.tril_indices(size)
+        scale = ((GRAM_MIN_RATIO + (size + 1) ** 2 * np.finfo(float).eps)
+                 * np.array([np.linalg.norm(np.tril(g) + np.tril(g, -1).T)
+                             for g in stacked]))
+        for item, (seed, (alone, alone_shifted)) in enumerate(zip(seeds,
+                                                                  items)):
+            np.testing.assert_array_equal(stacked[item][lower],
+                                          alone[0][lower])
             np.testing.assert_array_equal(
-                stacked[item], haar_system(n, d, blocks, seed).gram)
+                stacked[item][lower], haar_system(n, d, blocks, seed).gram[lower])
+            np.testing.assert_array_equal(shifted[item][lower],
+                                          alone_shifted[0][lower])
+            # the shift is the norm of the symmetric matrix of the lower
+            # triangle, scaled as `_shifted_cholesky` documents (read back
+            # to within the rounding of the diagonal it was taken from)
+            diag = np.diagonal(stacked[item])
+            np.testing.assert_allclose(
+                diag - np.diagonal(shifted[item]), scale[item], rtol=1e-12,
+                atol=4 * np.finfo(float).eps * np.max(np.abs(diag)))
 
     def test_ten_qubit_gram_peak(self):
         # P, Q and one pair of factor-Gram products, then P, Q and the real
@@ -380,6 +405,90 @@ class TestGramKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 16 * n * n
+
+
+def same_verdicts(got, want):
+    """Field by field, witnesses to the last bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.status, a.null_dim, a.genericity, a.equation_counts,
+                a.notes, a.witness_deck_distance, a.witness_fidelity) == (
+            b.status, b.null_dim, b.genericity, b.equation_counts, b.notes,
+            b.witness_deck_distance, b.witness_fidelity)
+        assert (a.witness is None) == (b.witness is None)
+        if b.witness is not None:
+            np.testing.assert_array_equal(a.witness.amplitudes,
+                                          b.witness.amplitudes)
+
+
+class TestLowerTriangle:
+    """Only the lower triangle of the Gram decides a verdict: `_lower_gram`
+    leaves the strict upper one unset, and `_shifted_cholesky` reads none
+    of it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, d, blocks", [
+        (6, 2, "A=1,2;B=3;C=4;D=5,6"),      # one tile of rows
+        (4, 3, "A=1;B=2;C=3;D=4"),
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),  # Gram tiles of 68 and 52 pairs
+        (6, 3, "A=1;B=2,3;C=4;D=5,6"),      # 351 pairs: 15 tiles and a part
+    ] + EMPTY_INNER_BLOCK_CASES)
+    def test_poisoned_upper_triangle_changes_no_verdict(self, monkeypatch,
+                                                         n, d, blocks):
+        spec = CrossCutSpec.parse(blocks, n)
+        structure = PartyStructure.uniform(n, d)
+        states = [sample_haar_state(structure, seed)
+                  for seed in range(70, 71 if n * d > 16 else 73)]
+        if (n, d) == (6, 2):
+            # a vanishing Gram, one near the margin, a degenerate spectrum
+            states += [ghz_state(6, 2, 0.6, 0.8), near_singular_state(),
+                       PureState(SIX_QUBIT_STRUCTURE,
+                                 np.eye(8).ravel().astype(complex) / 8 ** 0.5)]
+        tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
+        seeds = range(len(states))
+        real = certify_module._shifted_cholesky
+        runs = {}
+        for poison in (False, True):
+            decided = []
+
+            def spy(gram, svd_tol):
+                if poison:
+                    gram[(..., *np.triu_indices(gram.shape[-1], 1))] = np.nan
+                passed = real(gram, svd_tol)
+                decided.append(passed.tolist())
+                return passed
+
+            with monkeypatch.context() as patch:
+                patch.setattr(certify_module, "_shifted_cholesky", spy)
+                calls = spy_on_exact_path(patch)
+                verdicts = _certify_stack(states, spec, seeds=seeds, tol=tol)
+            runs[poison] = verdicts, decided, calls
+        (clean, decided, calls), (dirty, *evidence) = runs[False], runs[True]
+        same_verdicts(dirty, clean)
+        # the same items certified by the Cholesky, the same left for the
+        # SVD; every spec with equations reaches the Cholesky and certifies
+        assert evidence == [decided, calls]
+        assert any(map(any, decided)) == any(
+            expected_equation_counts(structure, spec).values())
+
+    @pytest.mark.parametrize("n, d, blocks, within_one", [
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8", False),
+        (6, 2, "A=1,2;B=3;C=4;D=5,6", True),
+    ] + [(*case, True) for case in EMPTY_INNER_BLOCK_CASES])
+    def test_lower_triangle_matches_dense_oracle(self, n, d, blocks,
+                                                 within_one):
+        system = haar_system(n, d, blocks, 7)
+        pairs = system.num_complex_variables
+        tile = certify_module._TILE_BYTES // (16 * pairs)
+        if within_one:
+            assert pairs < tile
+        else:  # several tiles, the last one cut short
+            assert pairs > tile and pairs % tile != 0
+        dense = system.matrix.T @ system.matrix
+        lower = np.tril_indices(2 * pairs)
+        np.testing.assert_allclose(
+            certify_module._lower_gram(system)[lower], dense[lower], rtol=0,
+            atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
 
 
 class TestNullSpace:
@@ -535,8 +644,8 @@ class TestGramFastPath:
         q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
         gram = (q * lam) @ q.T  # Q diag(lam) Q^T
         # the stack of one reads the synthetic Gram as its only item
-        monkeypatch.setattr(certify_module.GammaSystem, "gram",
-                            property(lambda self: gram[None].copy()))
+        monkeypatch.setattr(certify_module, "_lower_gram",
+                            lambda system: gram[None].copy())
         calls = spy_on_exact_path(monkeypatch)
         verdict = stack_verdict(psi)
         if case == "above-shift":
