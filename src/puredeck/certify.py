@@ -477,10 +477,11 @@ def decide_null_space(system: GammaSystem, *,
 def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
     certifies a trivial null space; a zero Gram never does.  Shifts `gram`
-    in place; a stack whose Cholesky fails is retried item by item.
+    in place, and `_factorizes` then writes each item's factor over it
+    (NaN for an item whose Cholesky fails), all items in one call.
 
     The Gram G of n real variables is the symmetric matrix whose lower
-    triangle `_lower_gram` fills and LAPACK's lower Cholesky reads; it is
+    triangle `_lower_gram` fills and LAPACK's Cholesky reads; it is
     shifted by s = (tau + (n+1)^2 eps) ||G||_F, eps the float64 machine
     epsilon, tau = max(4 svd_tol^2, GRAM_MIN_RATIO) and, from that triangle,
     ||G||_F^2 = 2 sum_{i>=j} G_ij^2 - sum_i G_ii^2.  Why success certifies
@@ -520,15 +521,20 @@ def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
     return (norm > 0.0) & _factorizes(gram)
 
 
-def _factorizes(mats: np.ndarray) -> np.ndarray:
-    """Whether np.linalg.cholesky succeeds on each matrix of (..., n, n)."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        if mats.ndim == 2:
-            return np.zeros((), dtype=bool)
-        return np.array([_factorizes(m) for m in mats])
-    return np.ones(mats.shape[:-2], dtype=bool)
+def _factorizes(gram: np.ndarray) -> np.ndarray:
+    """Whether LAPACK's Cholesky of the lower triangle of each matrix of
+    `gram` (..., n, n) succeeds; the factor overwrites `gram`.
+
+    This is the gufunc np.linalg.cholesky(upper=True) calls, on the
+    transposed view: that view's upper triangle is `gram`'s lower one, and
+    its upper factor R, with R^T R the Gram, goes back over it without a
+    new n x n array.  A failed item is filled with NaN and the others are
+    kept, so every item is decided by one call.
+    """
+    view = gram.swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # the failed items' NaN
+        np.linalg._umath_linalg.cholesky_up(view, out=view, signature="d->d")
+    return ~np.isnan(gram[..., 0, 0])
 
 
 class UdpStatus(str, Enum):
@@ -737,16 +743,17 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
     Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
-    products and their identity checks; and 96 n^2 for its Gram stage:
-    the real Gram (32 n^2) and the copy and factor np.linalg.cholesky
-    makes of it (64 n^2), more than building the Gram takes.  As many
-    whole trials as fit _STACK_BYTES go in one stack, at least one.
+    products and their identity checks; and 64 n^2 for its Gram stage:
+    the real Gram (32 n^2), which the factor overwrites, and the working
+    copy numpy factors it in (32 n^2), as much as building the Gram takes
+    at its peak (four n x n complex arrays for a stack in one tile).
+    As many whole trials as fit _STACK_BYTES go in one stack, at least one.
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
     rank = min(da * db, dc * dd)
     per_trial = (96 * structure.total_dim
                  + 32 * rank ** 2 * sum(d * d for d in dims)
-                 + 96 * math.comb(rank, 2) ** 2)
+                 + 64 * math.comb(rank, 2) ** 2)
     return max(1, _STACK_BYTES // per_trial)
 
 

@@ -16,8 +16,9 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _certify_stack, _cross_matrices, _gamma_vector,
-                              _khatri_rao, _shifted_cholesky, _svd_null_space)
+                              _certify_stack, _cross_matrices, _factorizes,
+                              _gamma_vector, _khatri_rao, _shifted_cholesky,
+                              _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -346,23 +347,29 @@ class TestGramKernel:
         # the stack certifies an item from the stacked Gram, so what decides
         # it must be what `certify_udp` decides that item by, to the last
         # bit: every entry the Cholesky reads, before and after the shift,
-        # and so the norm the shift is made of; the strict upper triangle
-        # is read by neither
+        # and so the norm the shift is made of, and the factor written over
+        # it; the strict upper triangle is read by neither
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         seeds = range(60, 64)
         states = [sample_haar_state(structure, s) for s in seeds]
         tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
-        grams = []
-        real = certify_module._shifted_cholesky
+        grams, factors = [], []
+        real, real_factorizes = (certify_module._shifted_cholesky,
+                                 certify_module._factorizes)
 
         def spy(gram, svd_tol):
-            before = gram.copy()
-            passed = real(gram, svd_tol)
-            grams.append((before, gram.copy()))
+            grams.append(gram.copy())
+            return real(gram, svd_tol)
+
+        def spy_factorizes(gram):
+            shifted = gram.copy()
+            passed = real_factorizes(gram)
+            factors.append((shifted, gram.copy()))
             return passed
 
         monkeypatch.setattr(certify_module, "_shifted_cholesky", spy)
+        monkeypatch.setattr(certify_module, "_factorizes", spy_factorizes)
         with monkeypatch.context() as patch:
             # one stack of all four, also where the memory budget holds one
             patch.setattr(certify_module, "_stack_size",
@@ -370,21 +377,24 @@ class TestGramKernel:
             _certify_stack(states, spec, seeds=seeds, tol=tol)
         for state, seed in zip(states, seeds):
             _certify_stack([state], spec, seeds=[seed], tol=tol)
-        (stacked, shifted), *items = grams
+        stacked, *items = grams
+        (shifted, factor), *items_factored = factors
         assert stacked.shape[0] == len(items) == len(seeds)
         size = stacked.shape[-1]
         lower = np.tril_indices(size)
         scale = ((GRAM_MIN_RATIO + (size + 1) ** 2 * np.finfo(float).eps)
                  * np.array([np.linalg.norm(np.tril(g) + np.tril(g, -1).T)
                              for g in stacked]))
-        for item, (seed, (alone, alone_shifted)) in enumerate(zip(seeds,
-                                                                  items)):
+        for item, (seed, alone, (alone_shifted, alone_factor)) in enumerate(
+                zip(seeds, items, items_factored)):
             np.testing.assert_array_equal(stacked[item][lower],
                                           alone[0][lower])
             np.testing.assert_array_equal(
                 stacked[item][lower], haar_system(n, d, blocks, seed).gram[lower])
             np.testing.assert_array_equal(shifted[item][lower],
                                           alone_shifted[0][lower])
+            np.testing.assert_array_equal(factor[item][lower],
+                                          alone_factor[0][lower])
             # the shift is the norm of the symmetric matrix of the lower
             # triangle, scaled as `_shifted_cholesky` documents (read back
             # to within the rounding of the diagonal it was taken from)
@@ -489,6 +499,37 @@ class TestLowerTriangle:
         np.testing.assert_allclose(
             certify_module._lower_gram(system)[lower], dense[lower], rtol=0,
             atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
+
+
+class TestInPlaceCholesky:
+    """`_factorizes` leans on numpy's private LAPACK gufunc: it writes the
+    factor np.linalg.cholesky would return over the Gram, fills a failed
+    item with NaN without a warning, and allocates no n x n array."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_factor_overwrites_each_item(self):
+        grams = np.stack([haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", seed).gram
+                          for seed in (80, 81, 82)])
+        grams[1] -= 2 * np.trace(grams[1]) * np.eye(grams.shape[-1])
+        before = grams.copy()
+        assert _factorizes(grams).tolist() == [True, False, True]
+        for item in (0, 2):
+            np.testing.assert_array_equal(
+                grams[item].swapaxes(-1, -2),
+                np.linalg.cholesky(before[item].swapaxes(-1, -2), upper=True))
+        assert np.isnan(grams[1]).all()
+
+    def test_ten_qubit_factor_allocates_no_matrix(self):
+        gram = haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3).gram
+        n = gram.shape[-1]
+        tracemalloc.start()
+        try:
+            passed = _factorizes(gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < 8 * n  # not even one row of the Gram
 
 
 class TestNullSpace:

@@ -149,6 +149,22 @@ def test_one_certification_route():
     assert callers(trees, "_stack_verdicts") == {"certify.py:_certify_stack"}
 
 
+def test_one_in_place_cholesky():
+    # numpy's private LAPACK gufunc is named in `_factorizes` alone, so a
+    # numpy that changes it breaks one function, and no code makes the
+    # fresh factor np.linalg.cholesky allocates
+    trees = {path.name: parse(path) for path in MODULES}
+    source = (PACKAGE / "certify.py").read_text()
+    factorizes, = [node for node in trees["certify.py"].body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_factorizes"]
+    named = ast.get_source_segment(source, factorizes).count("_umath_linalg")
+    assert named > 0
+    assert sum(path.read_text().count("_umath_linalg")
+               for path in MODULES) == named
+    assert callers(trees, "cholesky") == set()
+
+
 def test_every_named_threshold_is_in_readme():
     # README's tolerance list names each threshold the code applies, with
     # the module that defines it

@@ -123,8 +123,7 @@ class TestDifferential:
             assert_same_verdict(verdict, expected)
         # every path is taken: witnesses, tied or rank-deficient spectra and
         # a failed Cholesky leave the stack; the Haar states and the
-        # full-rank, untied near-degenerate one stay in it, through the
-        # item-by-item retry
+        # full-rank, untied near-degenerate one stay in it
         statuses = {name: v.status for name, v in zip(names, got)}
         assert statuses["lopsided-ghz"] == UdpStatus.NOT_UDP_WITNESSED
         assert statuses["cholesky-fails"] == UdpStatus.NOT_UDP_WITNESSED
@@ -135,12 +134,12 @@ class TestDifferential:
         assert sorted(per_state) == sorted(
             n for n in names
             if not n.startswith("haar") and n != "near-degenerate")
-        # the kernel reads the 16 states as stacks of 12 and 4; the first
-        # keeps 8 items, fails as a whole and is retried item by item, the
-        # second keeps all 4 and passes; the exact verdicts of the items
-        # that leave a stack run no Cholesky
-        assert _stack_size(STRUCTURE, SPEC) == 12
-        assert factorized == [3] + [2] * 8 + [3]
+        # the kernel reads the 16 states as stacks of 15 and 1, each
+        # factorized once: the first keeps 11 items, and the one whose
+        # Cholesky fails leaves it while the other 10 pass; the exact
+        # verdicts of the items that leave a stack run no Cholesky
+        assert _stack_size(STRUCTURE, SPEC) == 15
+        assert factorized == [3, 3]
 
     def test_partial_last_stack_matches_per_state_route(self, monkeypatch):
         batch = [state for _, state in mixed_batch()]
@@ -205,7 +204,7 @@ class TestDifferential:
                 == reference.to_json(include_timing=False))
 
     def test_one_check_per_call(self, monkeypatch):
-        # 200 four-qutrit trials are 23 stacks of at most 9, read by one
+        # 200 four-qutrit trials are 19 stacks of at most 11, read by one
         # kernel call: the default family and its uncovered cuts are
         # worked out once, not once per stack
         spec = CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
@@ -225,8 +224,8 @@ class TestDifferential:
         counted(CrossCutSpec, "verification_family")
         run_experiment(ExperimentConfig(4, 3, trials=200, seed=5, blocks=spec),
                        verbose=False)
-        assert _stack_size(PartyStructure.uniform(4, 3), spec) == 9
-        assert calls == {"_uncovered_cuts": 1, "_schmidt_factors": 23,
+        assert _stack_size(PartyStructure.uniform(4, 3), spec) == 11
+        assert calls == {"_uncovered_cuts": 1, "_schmidt_factors": 19,
                          "verification_family": 1}
 
     def test_identity_violation_raises_the_same_error(self, monkeypatch):
