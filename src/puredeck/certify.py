@@ -47,7 +47,7 @@ TRACE_IDENTITY_TOL = 1e-10
 OVERLAP_RANK_TOL = 1e-8
 # Bytes the trials of one `_certify_stack` call may take; see `_stack_size`.
 _STACK_BYTES = 2 << 20
-_TILE_BYTES = 128 << 10  # per tile of rows of a Gram or scratch buffer
+_TILE_BYTES = 128 << 10  # per scratch buffer of a tile of Gram rows
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class Tolerances:
         for name, value in asdict(self).items():
             if not 0.0 < value < 1e-2:
                 raise ValueError(f"{name}={value} outside (0, 1e-2)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -321,12 +318,12 @@ class GammaSystem:
     @property
     def gram(self) -> np.ndarray:
         """The real Gram matrix.T @ matrix: `_lower_gram`, mirrored."""
-        gram = _lower_gram(self)
+        gram, _ = _lower_gram(self)
         return np.where(np.tri(gram.shape[-1], dtype=bool), gram,
                         gram.swapaxes(-1, -2))
 
 
-def _lower_gram(system: GammaSystem) -> np.ndarray:
+def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
     """The lower triangle of the real Gram of `system`: with A = U + V and
     B = i(U - V) the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
     = [[Re(P + Q), Im(Q - P)], [Im(Q + P), Re(P - Q)]] in the interleaved
@@ -344,6 +341,9 @@ def _lower_gram(system: GammaSystem) -> np.ndarray:
     So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
     Rows 2s, 2s+1 are conj P + Q, i (conj P - Q) as complex pairs, formed
     in tiles of rows fixed from n alone, each up to its last column.
+    ||G||_F is summed from the tiles: pairs s, t give a 2 x 2 real block of
+    squared norm 2 (|P_st|^2 + |Q_st|^2); P is Hermitian, Q symmetric, so a
+    tile's columns left of its first row count twice, its diagonal block once.
     """
     *lead, _, n = system.factors[0].outer_u.shape
     tile = max(1, min(n, _TILE_BYTES // (16 * n or 1)))
@@ -355,6 +355,7 @@ def _lower_gram(system: GammaSystem) -> np.ndarray:
             [o_v, o_u.conj()], axis=-2), inner_c, i_v)]
     scratch = [np.empty((*lead, tile * n), dtype=complex) for _ in range(2)]
     gram = None  # made once the first tile's products are freed
+    squares = np.zeros(lead)
     for start in range(0, max(n, 1), tile):  # once even without pairs
         stop = min(start + tile, n)
         p, q = (buf[..., :(stop - start) * stop].reshape(
@@ -367,13 +368,18 @@ def _lower_gram(system: GammaSystem) -> np.ndarray:
             if k >= 2:
                 acc += term
             del term  # freed before the next product is made
+        for part in (p, q):  # by rows, so a stack sums each item as alone
+            flat = part.view(float)
+            left, block = flat[..., :2 * start], flat[..., 2 * start:]
+            squares += (2.0 * np.einsum("...ij,...ij->...i", left, left)
+                        + np.einsum("...ij,...ij->...i", block, block)).sum(-1)
         if gram is None:
             gram = np.empty((*lead, 2 * n, 2 * n))
         rows = gram.view(complex)[..., 2 * start:2 * stop, :stop]
         np.add(p, q, out=rows[..., 0::2, :])
         np.subtract(p, q, out=rows[..., 1::2, :])
         rows[..., 1::2, :] *= 1j
-    return gram
+    return gram, np.sqrt(2.0 * squares)
 
 
 def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
@@ -474,49 +480,43 @@ def decide_null_space(system: GammaSystem, *,
     return _svd_null_space(system.matrix, svd_tol)
 
 
-def _shifted_cholesky(gram: np.ndarray, svd_tol: float) -> np.ndarray:
+def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray,
+                      svd_tol: float) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
-    certifies a trivial null space; a zero Gram never does.  Shifts `gram`
-    in place, and `_factorizes` then writes each item's factor over it
-    (NaN for an item whose Cholesky fails), all items in one call.
+    certifies a trivial null space; a zero Gram never does.  Shifts the
+    diagonal of `gram` in place, the only part read here, and `_factorizes`
+    writes each item's factor over it (NaN where it fails) in one call.
 
-    The Gram G of n real variables is the symmetric matrix whose lower
-    triangle `_lower_gram` fills and LAPACK's Cholesky reads; it is
-    shifted by s = (tau + (n+1)^2 eps) ||G||_F, eps the float64 machine
-    epsilon, tau = max(4 svd_tol^2, GRAM_MIN_RATIO) and, from that triangle,
-    ||G||_F^2 = 2 sum_{i>=j} G_ij^2 - sum_i G_ii^2.  Why success certifies
-    what the exact SVD of `decide_null_space` would decide: by the backward
-    error of Cholesky (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3), a factorization that completes is exact for
-    H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where H = G - s I;
-    so H + E is positive definite and lambda_min(G) > s - ||E||_2.  With
-    ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F covers ||E||_2
-    with (n+1)(n+2)/2 eps ||G||_F to spare, which covers G's own rounding
-    while m <= n, m the most rows a factor Gram sums over (2 C(d_A, 2),
-    d_C^2 - 1, ...): an entry of P or Q (see `_lower_gram`, whose tiles
-    change which entries are formed, not how one is rounded) for pairs s, t
-    is one such sum times one factor-Gram entry plus three additions, off
-    by about (m + 3) u sqrt(P_ss P_tt) <= (m + 3) u ||G||_2 (P_ss is the
-    mean of G's two diagonal entries for pair s), so G is off by n times
-    that in norm at most, about 1e-15 ||G|| in practice.  As lambda_max <=
-    ||G||_F, success proves lambda_min > tau lambda_max, i.e. sigma_min >=
-    sqrt(tau) sigma_max with sqrt(tau) >= max(2 svd_tol, 1e-4), so the
-    exact SVD, accurate to about 1e-16 sigma_max, keeps every singular
-    value too.  Squaring the condition number is why the ratio never goes
-    below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
+    G is the symmetric matrix whose lower triangle `_lower_gram` fills and
+    LAPACK's Cholesky reads.  The shift is s = (tau + (n+1)^2 eps) ||G||_F,
+    eps the float64 machine epsilon, tau = max(4 svd_tol^2, GRAM_MIN_RATIO)
+    and ||G||_F the `norm` summed in the tiles that built G.  Why success
+    certifies what the exact SVD of `decide_null_space` would decide: by
+    the backward error of Cholesky (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), a factorization that completes is
+    exact for H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where
+    H = G - s I; so H + E is positive definite and lambda_min(G) > s -
+    ||E||_2.  With ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F
+    covers ||E||_2 with (n+1)(n+2)/2 eps ||G||_F to spare, which covers
+    G's own rounding while m <= n, m the most rows a factor Gram sums over
+    (2 C(d_A, 2), d_C^2 - 1, ...): an entry of P or Q for pairs s, t is one
+    such sum times one factor-Gram entry plus three additions (tiles do not
+    change how it is rounded), off by about (m + 3) u sqrt(P_ss P_tt) <=
+    (m + 3) u ||G||_2 (P_ss is the mean of G's two diagonal entries for
+    pair s), so G is off by n times that in norm, about 1e-15 ||G|| in
+    practice; `norm`'s tiles differ from the stored G by one rounded
+    addition per entry, so it is ||G||_F (1 + O(n u)), moving s by tau
+    O(n u) ||G||_F.  As lambda_max <= ||G||_F, success proves lambda_min >
+    tau lambda_max, i.e. sigma_min >= sqrt(tau) sigma_max with sqrt(tau) >=
+    max(2 svd_tol, 1e-4), so the exact SVD, accurate to about 1e-16
+    sigma_max, keeps every singular value too.  Squaring the condition
+    number is why the ratio never goes below 1e-8: the Gram cannot resolve
+    svd_tol = 1e-9 itself.
     """
     n = gram.shape[-1]
-    rows = math.isqrt(_TILE_BYTES // 8)  # a diagonal block takes a tile
-    squares = np.zeros(gram.shape[:-2])  # of the entries on and below it
-    for start in range(0, n, rows):
-        tile = gram[..., start:start + rows, :start + rows]
-        block = tile[..., start:].view(np.int64)  # zeroed above its diagonal
-        block &= -np.tri(block.shape[-1], dtype=np.int64)  # bitwise, no FP op
-        squares += np.einsum("...ij,...ij->...", tile, tile)
-    diag = gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1]
-    norm = np.sqrt(2.0 * squares - np.einsum("...i,...i->...", diag, diag))
     tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
     eps = np.finfo(float).eps
+    diag = gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1]
     diag -= ((tau + (n + 1) ** 2 * eps) * norm)[..., None]
     return (norm > 0.0) & _factorizes(gram)
 
@@ -611,7 +611,9 @@ def verify_twin(state: PureState, twin: PureState, family: MarginalFamily,
     `state` is below 1 - DISTINCT_TOL, i.e. it shares the deck and differs
     from `state` beyond a global phase.  Both states' marginals are
     streamed one at a time (`marginals._deck_gap`); neither deck is built.
+    `deck_tol` must pass `Tolerances`, else ValueError.
     """
+    Tolerances(deck_tol=deck_tol)
     dist = _deck_gap(state, twin, family)
     fid = fidelity_up_to_phase(state, twin)
     return WitnessCheck(twin, dist <= deck_tol and fid < 1.0 - DISTINCT_TOL,
@@ -811,7 +813,7 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
         del matrices  # the overlap products are not held through the Gram stage
         # a wide system's Gram is singular: only the exact SVD decides it
         if 2 * system.num_complex_equations >= system.num_real_variables:
-            passed = _shifted_cholesky(_lower_gram(system), tol.svd_tol)
+            passed = _shifted_cholesky(*_lower_gram(system), tol.svd_tol)
             counts = _verdict_counts(system)
             certified = {item: _trivial_null_verdict(reports[item], uncovered,
                                                      dict(counts))

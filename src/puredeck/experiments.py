@@ -39,7 +39,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "blocks": {"A": list(self.blocks.block_a), "B": list(self.blocks.block_b),
                        "C": list(self.blocks.block_c), "D": list(self.blocks.block_d)},
-            "tolerances": self.tolerances.to_dict(),
+            "tolerances": asdict(self.tolerances),
         }
 
     @classmethod

@@ -172,9 +172,11 @@ def classify_genericity(dec: SchmidtDecomposition, *,
     """Full-rank / distinct-spectrum report for a decomposition.
 
     Full rank means min(dim_left, dim_right), the largest rank the cut admits.
+    `gap_tol` must pass `Tolerances`, else ValueError.
     """
-    return _genericity(dec.coefficients[None],
-                       min(dec.dim_left, dec.dim_right), gap_tol)[0]
+    from .certify import Tolerances  # certify imports this module
+    return _genericity(dec.coefficients[None], min(dec.dim_left, dec.dim_right),
+                       Tolerances(gap_tol=gap_tol).gap_tol)[0]
 
 
 def phase_twist(dec: SchmidtDecomposition, phases) -> PureState:

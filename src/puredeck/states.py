@@ -87,26 +87,21 @@ class PartyStructure:
 
     def index_to_digits(self, index: int) -> tuple[int, ...]:
         """Big-endian mixed-radix digits of a basis index (party 1 first)."""
+        index = _integer(index, "basis index")
         if index < 0 or index >= self.total_dim:
             raise ValueError(f"basis index {index} outside 0..{self.total_dim - 1}")
-        digits = []
-        for d in reversed(self.local_dims):
-            index, rem = divmod(index, d)
-            digits.append(rem)
-        return tuple(reversed(digits))
+        return tuple(map(int, np.unravel_index(index, self.local_dims)))
 
     def digits_to_index(self, digits) -> int:
-        digits = tuple(int(x) for x in digits)
+        digits = tuple(_integer(x, "digit") for x in digits)
         if len(digits) != self.num_parties:
             raise ValueError(
                 f"expected {self.num_parties} digits, got {len(digits)}"
             )
-        index = 0
         for digit, d in zip(digits, self.local_dims):
             if digit < 0 or digit >= d:
                 raise ValueError(f"digit {digit} out of range for local dimension {d}")
-            index = index * d + digit
-        return index
+        return int(np.ravel_multi_index(digits, self.local_dims))
 
     def parse_basis_label(self, label: str) -> tuple[int, ...]:
         """Parse a ket label, either contiguous digits ('0121') or comma separated."""

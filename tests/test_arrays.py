@@ -313,6 +313,13 @@ class TestWitness:
                              compute_deck(result.witness, fam))
         assert dist <= 1e-10
 
+    @pytest.mark.parametrize("deck_tol", [0.5, 0.0, math.nan])
+    def test_deck_tolerance_refused(self, deck_tol):
+        # the check of `verify_twin`, which every array witness goes through
+        g = qoa_state(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
+        with pytest.raises(ValueError, match="deck_tol=.* outside"):
+            non_udp_witness(g, 0, deck_tol=deck_tol)
+
     def test_generalized_ghz_flip(self):
         oa = OrthogonalArray.from_rows([(0,) * 5, (1,) * 5], 2, 1)
         g = qoa_state(oa, [0.6, 0.8])

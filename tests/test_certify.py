@@ -17,8 +17,8 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
                               _certify_stack, _cross_matrices, _factorizes,
-                              _gamma_vector, _khatri_rao, _shifted_cholesky,
-                              _svd_null_space)
+                              _gamma_vector, _khatri_rao, _lower_gram,
+                              _shifted_cholesky, _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -347,20 +347,21 @@ class TestGramKernel:
         # the stack certifies an item from the stacked Gram, so what decides
         # it must be what `certify_udp` decides that item by, to the last
         # bit: every entry the Cholesky reads, before and after the shift,
-        # and so the norm the shift is made of, and the factor written over
-        # it; the strict upper triangle is read by neither
+        # the norm the shift is made of, and the factor written over it;
+        # the strict upper triangle is read by neither
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         seeds = range(60, 64)
         states = [sample_haar_state(structure, s) for s in seeds]
         tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
-        grams, factors = [], []
+        grams, norms, factors = [], [], []
         real, real_factorizes = (certify_module._shifted_cholesky,
                                  certify_module._factorizes)
 
-        def spy(gram, svd_tol):
+        def spy(gram, norm, svd_tol):
             grams.append(gram.copy())
-            return real(gram, svd_tol)
+            norms.append(norm.copy())
+            return real(gram, norm, svd_tol)
 
         def spy_factorizes(gram):
             shifted = gram.copy()
@@ -378,6 +379,7 @@ class TestGramKernel:
         for state, seed in zip(states, seeds):
             _certify_stack([state], spec, seeds=[seed], tol=tol)
         stacked, *items = grams
+        stacked_norm, *item_norms = norms
         (shifted, factor), *items_factored = factors
         assert stacked.shape[0] == len(items) == len(seeds)
         size = stacked.shape[-1]
@@ -385,10 +387,11 @@ class TestGramKernel:
         scale = ((GRAM_MIN_RATIO + (size + 1) ** 2 * np.finfo(float).eps)
                  * np.array([np.linalg.norm(np.tril(g) + np.tril(g, -1).T)
                              for g in stacked]))
-        for item, (seed, alone, (alone_shifted, alone_factor)) in enumerate(
-                zip(seeds, items, items_factored)):
+        for item, (seed, alone, alone_norm, (alone_shifted, alone_factor)) \
+                in enumerate(zip(seeds, items, item_norms, items_factored)):
             np.testing.assert_array_equal(stacked[item][lower],
                                           alone[0][lower])
+            assert stacked_norm[item] == alone_norm[0]
             np.testing.assert_array_equal(
                 stacked[item][lower], haar_system(n, d, blocks, seed).gram[lower])
             np.testing.assert_array_equal(shifted[item][lower],
@@ -461,10 +464,10 @@ class TestLowerTriangle:
         for poison in (False, True):
             decided = []
 
-            def spy(gram, svd_tol):
+            def spy(gram, norm, svd_tol):
                 if poison:
                     gram[(..., *np.triu_indices(gram.shape[-1], 1))] = np.nan
-                passed = real(gram, svd_tol)
+                passed = real(gram, norm, svd_tol)
                 decided.append(passed.tolist())
                 return passed
 
@@ -497,8 +500,34 @@ class TestLowerTriangle:
         dense = system.matrix.T @ system.matrix
         lower = np.tril_indices(2 * pairs)
         np.testing.assert_allclose(
-            certify_module._lower_gram(system)[lower], dense[lower], rtol=0,
+            certify_module._lower_gram(system)[0][lower], dense[lower], rtol=0,
             atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
+
+
+class TestTileNorm:
+    """`_lower_gram` sums ||G||_F from its P and Q tiles, which the shift of
+    `_shifted_cholesky` is made of; no entry of G is read back for it."""
+
+    @pytest.mark.parametrize("n, d, blocks", [
+        (6, 2, "A=1,2;B=3;C=4;D=5,6"),      # one tile of rows
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),  # tiles of 68 and 52 pairs
+        (6, 3, "A=1;B=2,3;C=4;D=5,6"),      # 351 pairs: 15 tiles and a part
+    ] + EMPTY_INNER_BLOCK_CASES)
+    def test_norm_matches_dense_gram(self, n, d, blocks):
+        for seed in (7, 8):
+            system = haar_system(n, d, blocks, seed)
+            want = np.linalg.norm(system.matrix.T @ system.matrix)
+            _, norm = _lower_gram(system)
+            assert norm.shape == ()
+            assert abs(norm - want) <= 8 * np.finfo(float).eps * want
+
+    def test_norm_vanishes_with_the_gram(self):
+        psi = ghz_state(6, 2, 0.6, 0.8)
+        system = assemble_gamma_system(build_cross_matrices(
+            schmidt_decompose(psi, SIX_QUBIT_SPEC.ab), SIX_QUBIT_SPEC))
+        gram, norm = _lower_gram(system)
+        assert np.all(gram[np.tril_indices(gram.shape[-1])] == 0.0)
+        assert norm == 0.0
 
 
 class TestInPlaceCholesky:
@@ -655,7 +684,7 @@ class TestGramFastPath:
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
         assert np.all(system.gram == 0.0)
-        assert not _shifted_cholesky(system.gram, SVD_TOL)
+        assert not _shifted_cholesky(*_lower_gram(system), SVD_TOL)
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
@@ -685,8 +714,8 @@ class TestGramFastPath:
         q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
         gram = (q * lam) @ q.T  # Q diag(lam) Q^T
         # the stack of one reads the synthetic Gram as its only item
-        monkeypatch.setattr(certify_module, "_lower_gram",
-                            lambda system: gram[None].copy())
+        monkeypatch.setattr(certify_module, "_lower_gram", lambda system: (
+            gram[None].copy(), np.array([np.linalg.norm(gram)])))
         calls = spy_on_exact_path(monkeypatch)
         verdict = stack_verdict(psi)
         if case == "above-shift":
@@ -705,8 +734,8 @@ class TestGramFastPath:
         calls, tried = spy_on_exact_path(monkeypatch), []
         real = certify_module._shifted_cholesky
         monkeypatch.setattr(certify_module, "_shifted_cholesky",
-                            lambda gram, tol: tried.append(tol)
-                            or real(gram, tol))
+                            lambda gram, norm, tol: tried.append(tol)
+                            or real(gram, norm, tol))
         results = {}
         for factor in (0.9, 1.1):
             tol = factor * ratio
@@ -936,6 +965,16 @@ class TestVerifyTwin:
         assert check.deck_distance > 1e-3
         assert check.fidelity < 1 - DISTINCT_TOL
         assert not check.verified
+
+    @pytest.mark.parametrize("deck_tol", [0.9, 1e-2, 0.0, -1.0, math.nan])
+    def test_deck_tolerance_refused(self, monkeypatch, deck_tol):
+        # deck_tol=0.9 once verified two unrelated 4-qubit Haar states at a
+        # deck distance of 0.76; refused before any marginal is formed
+        structure = PartyStructure.uniform(4, 2)
+        a, b = (sample_haar_state(structure, seed) for seed in (1, 2))
+        monkeypatch.setattr(certify_module, "_deck_gap", None)
+        with pytest.raises(ValueError, match="deck_tol=.* outside"):
+            verify_twin(a, b, MarginalFamily.complete(4, 2), deck_tol=deck_tol)
 
     @pytest.mark.parametrize("twin", [
         ghz_state(6, 2, 0.6, -0.8),

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestTolerances:
         tol = Tolerances()
         assert (tol.svd_tol, tol.deck_tol, tol.gap_tol) == (SVD_TOL, DECK_TOL,
                                                             GAP_TOL)
-        assert set(tol.to_dict()) == {"gap_tol", "svd_tol", "deck_tol"}
+        assert set(asdict(tol)) == {"gap_tol", "svd_tol", "deck_tol"}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,13 @@ class TestGenericity:
         assert not report.distinct_spectrum
         assert report.min_gap <= 1e-12
 
+    @pytest.mark.parametrize("gap_tol", [-1.0, 0.0, 1e-2, math.nan])
+    def test_gap_tolerance_refused(self, gap_tol):
+        # gap_tol=-1 once called GHZ's degenerate spectrum distinct
+        dec = schmidt_decompose(ghz_state(2), (1,))
+        with pytest.raises(ValueError, match="gap_tol=.* outside"):
+            classify_genericity(dec, gap_tol=gap_tol)
+
     def test_haar_states_generic(self):
         struct = PartyStructure.uniform(6, 2)
         for seed in range(100):

@@ -165,6 +165,14 @@ def test_one_in_place_cholesky():
     assert callers(trees, "cholesky") == set()
 
 
+def test_one_gram_tiling():
+    # the Gram's norm is summed in the tiles that build it, so only
+    # `_lower_gram` sizes tiles, and the shift reads no integer view
+    source = (PACKAGE / "certify.py").read_text()
+    assert functions_using(ast.parse(source), "_TILE_BYTES") == {"_lower_gram"}
+    assert "int64" not in source
+
+
 def test_every_named_threshold_is_in_readme():
     # README's tolerance list names each threshold the code applies, with
     # the module that defines it

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ TOL = Tolerances(svd_tol=1e-9, deck_tol=1e-9, gap_tol=1e-8)
 
 def stacks_of_one(states, spec, *, seeds, tol):
     """One `certify_udp` call, a stack of one, per state."""
-    return [certify_udp(state, spec, seed=seed, **tol.to_dict())
+    return [certify_udp(state, spec, seed=seed, **asdict(tol))
             for state, seed in zip(states, seeds)]
 
 

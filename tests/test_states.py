@@ -72,6 +72,31 @@ class TestPartyStructure:
         assert st_.digits_to_index((1, 2)) == 5
         assert st_.basis_label(5) == "12"
 
+    @pytest.mark.parametrize("convert, value, name", [
+        ("digits_to_index", (0.7, 1.0), "digit"),
+        ("digits_to_index", (True, 1), "digit"),
+        ("digits_to_index", ("1", "0"), "digit"),
+        ("index_to_digits", 1.5, "basis index"),
+        ("index_to_digits", 1.0, "basis index"),
+        ("index_to_digits", True, "basis index"),
+        ("index_to_digits", "1", "basis index"),
+    ])
+    def test_non_integer_digits_refused(self, convert, value, name):
+        # once read by int(): (0.7, 1.0) was |01>, (True, 1) was |11>,
+        # ("1", "0") was index 2 and 1.5 gave the digits (0.0, 1.5)
+        st_ = PartyStructure(2, (2, 2))
+        with pytest.raises(TypeError, match=f"{name} must be int"):
+            getattr(st_, convert)(value)
+        if convert == "digits_to_index":
+            with pytest.raises(TypeError, match="digit must be int"):
+                PureState.basis_state(st_, value)
+
+    def test_numpy_integer_digits_accepted(self):
+        st_ = PartyStructure(2, (2, 3))
+        assert st_.digits_to_index((np.int64(1), np.uint8(2))) == 5
+        assert st_.index_to_digits(np.int32(5)) == (1, 2)
+        assert all(type(v) is int for v in st_.index_to_digits(np.int64(5)))
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=6),
            st.integers(min_value=0, max_value=10 ** 9))
