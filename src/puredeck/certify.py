@@ -274,8 +274,9 @@ class GammaSystem:
     in row-major order (`np.triu_indices`), column 2t+1 holds Im gamma.
     gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
     so only the i < j entries appear.  The zero vector always solves the
-    system.  Factors with leading axes hold a stack of systems of one shape;
-    `gram` then has the same leading axes, while `matrix` needs one system.
+    system.  Factors with leading axes hold a stack of systems of one shape,
+    whose Grams `_lower_gram` builds with the same leading axes; `matrix`
+    needs one system.
     """
 
     factors: tuple[SourceFactors, ...]
@@ -314,13 +315,6 @@ class GammaSystem:
                           ).reshape(2 * u.shape[0], 2 * u.shape[1])
         matrix.setflags(write=False)
         return matrix
-
-    @property
-    def gram(self) -> np.ndarray:
-        """The real Gram matrix.T @ matrix: `_lower_gram`, mirrored."""
-        gram, _ = _lower_gram(self)
-        return np.where(np.tri(gram.shape[-1], dtype=bool), gram,
-                        gram.swapaxes(-1, -2))
 
 
 def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:

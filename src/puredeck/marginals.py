@@ -84,7 +84,8 @@ class Deck:
         return {"num_parties": self.family.num_parties, "marginals": cards}
 
 
-def _product(state: PureState, subset, buffers: dict) -> np.ndarray:
+def _product(state: PureState, subset, buffers: dict,
+             live: np.ndarray | None = None) -> np.ndarray:
     """rho = M M^dagger for the checked `subset`, M being `state` as a
     dim(subset) x dim(rest) matrix; the only place a marginal is computed.
 
@@ -92,18 +93,29 @@ def _product(state: PureState, subset, buffers: dict) -> np.ndarray:
     owned by the caller, keeps by shape, so streaming a deck touches no
     fresh pages after the first marginal of each shape.  The next call with
     the same dict overwrites rho; a fresh dict gives a rho of its own.
+
+    `live`, when given, holds where some rows of M sit in the amplitude
+    vector: an integer array (rows kept, dim(rest)), as `_cut` gathers
+    those rows from np.arange(total_dim).  Only those entries are read, and
+    the product of M[live] with its conjugate, the live x live block of
+    rho, is formed by the same two steps in fresh arrays that `buffers`
+    does not keep.  Each entry of that block is the same sum as in the full
+    product; gemm may add its terms in another order.
     """
-    dims = state.structure.local_dims
-    first = [p - 1 for p in subset]
-    rows = math.prod(dims[i] for i in first)
-    shape = (rows, state.structure.total_dim // rows)
-    if shape not in buffers:
-        buffers[shape] = (np.empty(shape, dtype=np.complex128),
-                          np.empty(shape, dtype=np.complex128),
-                          np.empty((rows, rows), dtype=np.complex128))
-    mat, conj, rho = buffers[shape]
-    _cut(state.amplitudes, dims, first, out=mat)
-    np.conjugate(mat, out=conj)
+    if live is not None:
+        mat, conj, rho = state.amplitudes[live], None, None
+    else:
+        dims = state.structure.local_dims
+        first = [p - 1 for p in subset]
+        rows = math.prod(dims[i] for i in first)
+        shape = (rows, state.structure.total_dim // rows)
+        if shape not in buffers:
+            buffers[shape] = (np.empty(shape, dtype=np.complex128),
+                              np.empty(shape, dtype=np.complex128),
+                              np.empty((rows, rows), dtype=np.complex128))
+        mat, conj, rho = buffers[shape]
+        _cut(state.amplitudes, dims, first, out=mat)
+    conj = np.conjugate(mat, out=conj)
     return np.matmul(mat, conj.T, out=rho)
 
 
@@ -151,16 +163,49 @@ def _deck_gap(reference: PureState, twin: PureState,
     product is the same gemm, each reference-minus-twin difference gets one
     `np.linalg.norm`, and the maximum runs over the whole family, without
     stopping early.
+
+    Each product is restricted to the live rows of the cut: the rows where
+    either state's M has a nonzero entry, read off the union of the two
+    states' nonzero amplitudes (an exact test, with no tolerance).  A dead
+    row of M gives an exactly zero row and column of rho in both states,
+    so the difference's norm is its norm over live x live, where every
+    entry is the same sum of the same nonzero terms as in the full product.
+    Only the order in which gemm and `norm` add those terms can change, and
+    `partial_trace`'s rounding bound holds for any order, so it covers the
+    gap too.  The live rows must be the union over both states: rows taken
+    from one state alone would drop the other's mass on the rest, and with
+    it part of the difference.  A cut with no dead row, as for any Haar
+    state, takes `_product`'s buffered path, so the gap is `deck_distance`
+    bit for bit.  A sparse pair, such as an array state and its twin or
+    GHZ, costs about (live rows)^2 dim(rest) per marginal, at most
+    (nonzero amplitudes)^2 dim(rest), instead of dim(subset)^2 dim(rest).
     """
     _check_parties(reference, family)
     _check_parties(twin, family)
-    if reference.structure.local_dims != twin.structure.local_dims:
+    dims = reference.structure.local_dims
+    if dims != twin.structure.local_dims:
         raise ValueError("states have different local dimensions")
+    total = reference.structure.total_dim
+    support = np.flatnonzero((reference.amplitudes != 0)
+                             | (twin.amplitudes != 0))
+    # when every amplitude is nonzero in one state or the other, no row of
+    # any cut is dead
+    sparse = support.size < total
+    if sparse:
+        digits = np.unravel_index(support, dims)
+        positions = np.arange(total)
     ref_buffers, twin_buffers = {}, {}
     gap = 0.0
     for subset in family.subsets:
-        ref = _product(reference, subset, ref_buffers)
-        mat = _product(twin, subset, twin_buffers)
+        live = None
+        if sparse:
+            first = [p - 1 for p in subset]
+            rows = np.unique(np.ravel_multi_index(
+                [digits[i] for i in first], [dims[i] for i in first]))
+            if rows.size < math.prod(dims[i] for i in first):
+                live = _cut(positions, dims, first, rows=rows)
+        ref = _product(reference, subset, ref_buffers, live)
+        mat = _product(twin, subset, twin_buffers, live)
         # reference minus twin, written over the twin's spent product
         gap = max(gap, float(np.linalg.norm(np.subtract(ref, mat, out=mat))))
     return gap

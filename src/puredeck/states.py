@@ -104,16 +104,18 @@ class PartyStructure:
         return int(np.ravel_multi_index(digits, self.local_dims))
 
     def parse_basis_label(self, label: str) -> tuple[int, ...]:
-        """Parse a ket label, either contiguous digits ('0121') or comma separated."""
-        label = label.strip()
+        """Parse a ket label, either contiguous digits ('0121') or comma
+        separated ('0, 12, 1'); each digit is ASCII 0-9 only, so other
+        Unicode digits and signs are refused.  Spaces may surround the
+        label and each comma-separated part."""
+        label = label.strip(" ")
         if "," in label:
-            parts = [s.strip() for s in label.split(",")]
+            parts = [s.strip(" ") for s in label.split(",")]
         else:
             parts = list(label)
-        try:
-            digits = tuple(int(s) for s in parts)
-        except ValueError as exc:
-            raise ValueError(f"invalid basis label {label!r}") from exc
+        if not all(s.isascii() and s.isdigit() for s in parts):
+            raise ValueError(f"invalid basis label {label!r}")
+        digits = tuple(int(s) for s in parts)
         self.digits_to_index(digits)  # range validation
         return digits
 
@@ -124,26 +126,34 @@ class PartyStructure:
         return ",".join(str(x) for x in digits)
 
 
-def _cut(vectors: np.ndarray, dims, first, out=None) -> np.ndarray:
+def _cut(vectors: np.ndarray, dims, first, out=None,
+         rows=None) -> np.ndarray:
     """Flat vectors (..., prod(dims)) as matrices (..., d_first, d_rest).
 
     `dims` are the local dimensions of the vectors' parties in order, and
     `first` lists positions into `dims` (0-based) for the row index, in the
     given order; the other positions form the column index in ascending
-    order.  Leading stack axes are kept.  With `out`, a C-contiguous array
-    of the result's shape, the matrices are copied into it once and `out`
-    is returned.
+    order.  Leading stack axes are kept.  With `rows`, an integer array of
+    row indices and `first` nonempty, only those rows are gathered, in that
+    order, so the matrices are (..., len(rows), d_rest).  With `out`, a
+    C-contiguous array of the result's shape, the matrices are copied into
+    it once and `out` is returned.
     """
     lead = vectors.shape[:-1]
     rest = [i for i in range(len(dims)) if i not in first]
     skip = len(lead)
     d_first = math.prod(dims[i] for i in first)
+    d_rest = math.prod(dims) // d_first
     tensor = vectors.reshape(*lead, *dims).transpose(
         *range(skip), *(skip + i for i in first), *(skip + i for i in rest))
+    if rows is not None:
+        tensor = tensor[(slice(None),) * skip
+                        + np.unravel_index(rows, [dims[i] for i in first])]
+        d_first = len(rows)
     if out is not None:
         out.reshape(tensor.shape)[...] = tensor
         return out
-    return tensor.reshape(*lead, d_first, math.prod(dims) // d_first)
+    return tensor.reshape(*lead, d_first, d_rest)
 
 
 def _uncut(matrix: np.ndarray, dims, first) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for partial traces, decks, and deck comparison."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puredeck import (Deck, MarginalFamily, PartyStructure, PureState,
-                      compute_deck, deck_distance, ghz_state, partial_trace,
-                      sample_haar_state)
+                      compute_deck, deck_distance, fidelity_up_to_phase,
+                      ghz_state, partial_trace, sample_haar_state)
 from puredeck.arrays import (OA_9_4_3_2, OrthogonalArray,
-                             greedy_packing_array, qoa_state)
-from puredeck.marginals import _deck_gap, _product
+                             greedy_packing_array, non_udp_witness, qoa_state)
+from puredeck.certify import DISTINCT_TOL, verify_twin
+from puredeck.marginals import DECK_TOL, _deck_gap, _product
 from puredeck.states import Marginal, complement
 
 
@@ -121,13 +123,14 @@ class TestPartialTrace:
             assert np.max(np.abs(nz_a - nz_b)) <= 1e-10
 
 
-def reshaped_block(state, keep):
+def reshaped_block(state, keep, vector=None):
     """The state as a dim(keep) x dim(rest) matrix, built independently of
-    partial_trace (np.moveaxis instead of one transpose)."""
+    partial_trace (np.moveaxis instead of one transpose); with `vector`,
+    that flat vector on the state's parties in the same layout."""
     dims = state.structure.local_dims
     axes = [p - 1 for p in keep]
-    tensor = np.moveaxis(state.amplitudes.reshape(dims), axes,
-                         list(range(len(axes))))
+    vector = state.amplitudes if vector is None else vector
+    tensor = np.moveaxis(vector.reshape(dims), axes, list(range(len(axes))))
     return tensor.reshape(math.prod(dims[a] for a in axes), -1)
 
 
@@ -274,6 +277,119 @@ class TestStreamedDecks:
                 marg.matrix[0, 0] = 1.0
         first, second = deck.marginals[:2]
         assert not np.shares_memory(first.matrix, second.matrix)
+
+
+def dense_gap(a, b, family):
+    """Oracle: `deck_distance` of the two states' full decks."""
+    return deck_distance(compute_deck(a, family), compute_deck(b, family))
+
+
+def with_amplitude(state, index, amp):
+    """`state` plus `amp` on basis state `index`, renormalized."""
+    vec = state.amplitudes.copy()
+    vec[index] += amp
+    return PureState.from_amplitudes(state.structure, vec, normalize=True)
+
+
+class TestLiveRows:
+    """`_deck_gap` forms each product on the live rows of the cut: the rows
+    where either state's M has a nonzero entry.  It must report the dense
+    `deck_distance` up to rounding, whichever state is the sparse one."""
+
+    @staticmethod
+    def _union_cases():
+        n = 6
+        structure = PartyStructure.uniform(n, 2)
+        family = MarginalFamily.complete(n, n // 2)
+        zeros = PureState.basis_state(structure, (0,) * n)
+        ones = PureState.basis_state(structure, (1,) * n)
+        ghz = ghz_state(n, 2, 0.6, 0.8)
+        haar = sample_haar_state(structure, 11)
+        # the phase-flipped GHZ shares the deck; the extra basis state |010101>
+        # sits on rows that are dead in the reference for some subsets
+        flipped = PureState(structure, ghz.amplitudes * np.where(
+            np.arange(2 ** n) == 0, -1.0, 1.0))
+        extra = with_amplitude(flipped, int("010101", 2), 0.1)
+        yield "disjoint", zeros, ones, family
+        yield "sparse-vs-haar", ghz, haar, family
+        yield "haar-vs-sparse", haar, ghz, family
+        yield "ghz-vs-extra-basis-state", ghz, extra, family
+        # |1111> is dead in every cut of the qutrit GHZ 0.6|0000> + 0.8|2222>
+        ghz3 = ghz_state(4, 3, 0.6, 0.8)
+        yield "ghz-vs-dead-everywhere", ghz3, with_amplitude(
+            ghz3, int("1111", 3), 0.3), MarginalFamily.complete(4, 2)
+
+    def test_union_of_both_supports(self):
+        for name, ref, twin, family in self._union_cases():
+            want = dense_gap(ref, twin, family)
+            got = _deck_gap(ref, twin, family)
+            assert abs(got - want) <= 1e-15 * max(1.0, want), name
+            assert want > DECK_TOL, name
+            assert not verify_twin(ref, twin, family).verified, name
+
+    @staticmethod
+    def _twin_cases():
+        rng = np.random.default_rng(21)
+        for array in (greedy_packing_array(8, 3, 3, seed=1),
+                      greedy_packing_array(10, 2, 3, seed=0),
+                      OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2)):
+            rows = array.num_rows
+            amps = (rng.uniform(0.5, 1.5, rows)
+                    * np.exp(2j * np.pi * rng.random(rows)))
+            g = qoa_state(array, amps)
+            n = g.num_parties
+            family = MarginalFamily.complete(n, n - g.strength)
+            for flip in sorted({0, rows - 1, *rng.integers(rows, size=2)}):
+                yield (f"array-{n}-{g.strength}-flip{flip}", g.state,
+                       non_udp_witness(g, int(flip)).witness, family)
+        for n in (6, 8, 10):
+            ghz = ghz_state(n, 2, 0.6, 0.8)
+            family = MarginalFamily.complete(n, n // 2)
+            for phase in (np.pi, 2 * np.pi / 3, 1.0):
+                twist = np.where(np.arange(2 ** n) == 0, np.exp(1j * phase), 1)
+                yield (f"ghz-{n}q-{phase:.3f}", ghz,
+                       PureState(ghz.structure, ghz.amplitudes * twist), family)
+
+    def test_sparse_twins_agree_with_dense_decks(self):
+        for name, ref, twin, family in self._twin_cases():
+            want = dense_gap(ref, twin, family)
+            check = verify_twin(ref, twin, family)
+            assert abs(check.deck_distance - want) <= 1e-15, name
+            dense_verdict = (want <= DECK_TOL and fidelity_up_to_phase(
+                ref, twin) < 1.0 - DISTINCT_TOL)
+            assert check.verified == dense_verdict, name
+            assert check.verified, name
+
+    def test_live_product_is_the_live_block_of_rho(self):
+        # a dead row of M gives an exactly zero row and column of rho, and
+        # the product on the live rows is the live block up to rounding
+        dead_rows = 0
+        for name, ref, _, family in self._twin_cases():
+            for subset in family.subsets[:4]:
+                rho = partial_trace(ref, subset).matrix
+                live = reshaped_block(ref, subset).any(axis=1)
+                dead_rows += int(np.count_nonzero(~live))
+                assert not rho[~live].any() and not rho[:, ~live].any(), name
+                positions = reshaped_block(
+                    ref, subset, np.arange(ref.structure.total_dim))[live]
+                np.testing.assert_allclose(
+                    _product(ref, subset, {}, positions),
+                    rho[np.ix_(live, live)], rtol=0, atol=1e-15)
+        assert dead_rows > 0
+
+    def test_ten_qutrit_strength_three_witness_is_small(self):
+        # the dense check forms 120 products of 2187 x 27 x 2187 (each rho
+        # 76 MB); on the live rows each is at most 4 x 27 x 4
+        g = qoa_state(greedy_packing_array(10, 3, 3, seed=0))
+        tracemalloc.start()
+        try:
+            check = non_udp_witness(g, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.verified
+        assert check.deck_distance <= 1e-15
+        assert peak < 16 * 2 ** 20
 
 
 class TestMarginalFamily:

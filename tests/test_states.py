@@ -91,6 +91,22 @@ class TestPartyStructure:
             with pytest.raises(TypeError, match="digit must be int"):
                 PureState.basis_state(st_, value)
 
+    @pytest.mark.parametrize("label", [
+        "\u0661\u0660", " +1, 0", "1,\u0660", "-1,0", "\u00b20", "1 0",
+        "1\u20030", "1,\u20030", "0\t1", "1,,0"])
+    def test_basis_label_takes_ascii_digits_only(self, label):
+        # int() read the first three as (1, 0)
+        st_ = PartyStructure(2, (2, 2))
+        with pytest.raises(ValueError, match="invalid basis label"):
+            st_.parse_basis_label(label)
+        with pytest.raises(ValueError, match="invalid basis label"):
+            load_state({"num_parties": 2, "local_dims": [2, 2],
+                        "amplitudes": [{"basis": label, "re": 1}]})
+
+    @pytest.mark.parametrize("label", ["10", " 10 ", "1,0", " 1 , 0 "])
+    def test_basis_label_forms(self, label):
+        assert PartyStructure(2, (2, 2)).parse_basis_label(label) == (1, 0)
+
     def test_numpy_integer_digits_accepted(self):
         st_ = PartyStructure(2, (2, 3))
         assert st_.digits_to_index((np.int64(1), np.uint8(2))) == 5
@@ -160,6 +176,13 @@ class TestCutLayout:
         col = np.ravel_multi_index([digits[i] for i in rest],
                                    [dims[i] for i in rest])
         np.testing.assert_array_equal(mats[..., row, col], vectors)
+        # `rows` gathers exactly those rows of the full cut, in their order
+        if first:
+            picked = data.draw(st.lists(st.integers(0, d_first - 1),
+                                        unique=True))
+            np.testing.assert_array_equal(
+                _cut(vectors, dims, first, rows=np.array(picked, dtype=int)),
+                mats[..., picked, :])
         for item in np.ndindex(lead):
             np.testing.assert_array_equal(mats[item],
                                           _cut(vectors[item], dims, first))
