@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -564,25 +564,31 @@ class UdpVerdict:
 
 
 def _gamma_vector(phases: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Interleaved (Re, Im) gamma vector for a phase assignment, in the
-    column order of `GammaSystem`."""
+    """Interleaved (Re, Im) gamma vectors, in the column order of
+    `GammaSystem`, for a (c, r) batch of phase assignments: one row per
+    assignment, each computed entry by entry as for that row alone."""
     coeff = np.sqrt(lambdas)
     ii, jj = np.triu_indices(len(lambdas), 1)
-    g = (1.0 - np.exp(1j * (phases[ii] - phases[jj]))) * coeff[ii] * coeff[jj]
-    return np.stack([g.real, g.imag], axis=-1).ravel()
+    g = ((1.0 - np.exp(1j * (phases[:, ii] - phases[:, jj])))
+         * coeff[ii] * coeff[jj])
+    return np.stack([g.real, g.imag], axis=-1).reshape(len(phases),
+                                                        2 * len(ii))
 
 
-def _phase_candidates(rank: int, rng: np.random.Generator):
-    """Sign patterns (phases in {0, pi}) up to rank 12, then 64 random
-    phase vectors."""
-    if rank <= 12:
-        # the first pattern is all zeros, no twist at all
-        for bits in islice(product((0.0, math.pi), repeat=rank - 1), 1, None):
-            yield np.array((0.0,) + bits)
-    for _ in range(64):
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=rank)
-        phases[0] = 0.0
-        yield phases
+def _phase_candidates(rank: int, rng: np.random.Generator) -> np.ndarray:
+    """(c, rank) phase assignments: the sign patterns (phases in {0, pi})
+    up to rank 12, in lexicographic order, then 64 random phase vectors
+    drawn from `rng`.  Every row starts with phase 0."""
+    drawn = rng.uniform(0.0, 2.0 * math.pi, size=(64, rank))
+    drawn[:, 0] = 0.0
+    if rank > 12:
+        return drawn
+    # code 0, the all-zeros pattern, is no twist at all
+    codes = np.arange(1, 2 ** (rank - 1))[:, None]
+    signs = (codes >> np.arange(rank - 1)[::-1]) & 1
+    patterns = np.concatenate([np.zeros((len(codes), 1)), signs * math.pi],
+                              axis=1)
+    return np.concatenate([patterns, drawn])
 
 
 @dataclass(frozen=True)
@@ -620,28 +626,29 @@ def _search_phase_witness(state, dec, null, family, *, deck_tol,
     exactly when its basis is square) and that `verify_twin` accepts over
     `family`, or None.
 
-    Candidates off the null space by a relative residual above 1e-7 are
-    dropped; at most 16 of the rest are verified, closest first.
+    All candidates are scored as one batch.  Candidates off the null space
+    by a relative residual above 1e-7 are dropped; at most 16 of the rest
+    are verified, closest first, ties going to the lower predicted
+    fidelity and then to the earlier candidate.
     """
     lambdas = dec.lambdas
-    rng = np.random.default_rng(seed)
     basis = null.basis
-    full_null = basis.shape[0] == basis.shape[1]
-    candidates = []
-    for phases in _phase_candidates(dec.rank, rng):
-        gamma = _gamma_vector(phases, lambdas)
-        norm = np.linalg.norm(gamma)
-        if norm < 1e-14:
-            continue
-        residual = 0.0 if full_null else float(
-            np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
-        if residual > 1e-7:
-            continue
-        predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
-        candidates.append((residual, predicted_fid, phases))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    for _, _, phases in candidates[:16]:
-        check = verify_twin(state, phase_twist(dec, phases), family,
+    phases = _phase_candidates(dec.rank, np.random.default_rng(seed))
+    gammas = _gamma_vector(phases, lambdas)
+    norms = np.sqrt(np.vecdot(gammas, gammas))
+    kept = norms >= 1e-14
+    phases, gammas, norms = phases[kept], gammas[kept], norms[kept]
+    if basis.shape[0] == basis.shape[1]:
+        residuals = np.zeros(len(phases))
+    else:
+        off = gammas - np.matmul(
+            basis, np.matmul(basis.T, gammas[..., None]))[..., 0]
+        residuals = np.sqrt(np.vecdot(off, off)) / norms
+    predicted_fid = np.abs(np.sum(lambdas * np.exp(1j * phases), axis=-1))
+    order = np.lexsort((predicted_fid, residuals))
+    order = order[residuals[order] <= 1e-7]
+    for index in order[:16]:
+        check = verify_twin(state, phase_twist(dec, phases[index]), family,
                             deck_tol=deck_tol)
         if check.verified:
             return check

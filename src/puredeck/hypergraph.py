@@ -82,12 +82,12 @@ def counterexample_from_disconnection(state: PureState, family: MarginalFamily,
     then every twist has fidelity at least 2 lambda_max - 1 >= 1 - 1e-6.
     Returns None when no cut yields a twin.  `seed` has no effect.
     """
+    _check_parties(state, family)
     parts = components(family)
     if len(parts) < 2:
         if len(family) > 0:
             raise ValueError("family is connected; no separating cut exists")
         return None  # single uncovered vertex graph: no bipartition available
-    _check_parties(state, family)
     for part in parts[:-1]:
         dec = schmidt_decompose(state, part)
         if dec.rank < 2:

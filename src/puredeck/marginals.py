@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -15,6 +15,10 @@ from .states import Marginal, PureState, _cut, check_subset
 # double-precision error at the sizes handled here, far below any genuine
 # physical difference.
 DECK_TOL = 1e-9
+
+# Bytes per scratch array of one chunk of subsets in the pair kernel
+# (`_pair_gap`).
+_PAIR_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,7 @@ class Deck:
         return {"num_parties": self.family.num_parties, "marginals": cards}
 
 
-def _product(state: PureState, subset, buffers: dict,
-             live: np.ndarray | None = None) -> np.ndarray:
+def _product(state: PureState, subset, buffers: dict) -> np.ndarray:
     """rho = M M^dagger for the checked `subset`, M being `state` as a
     dim(subset) x dim(rest) matrix; the only place a marginal is computed.
 
@@ -93,29 +96,18 @@ def _product(state: PureState, subset, buffers: dict,
     owned by the caller, keeps by shape, so streaming a deck touches no
     fresh pages after the first marginal of each shape.  The next call with
     the same dict overwrites rho; a fresh dict gives a rho of its own.
-
-    `live`, when given, holds where some rows of M sit in the amplitude
-    vector: an integer array (rows kept, dim(rest)), as `_cut` gathers
-    those rows from np.arange(total_dim).  Only those entries are read, and
-    the product of M[live] with its conjugate, the live x live block of
-    rho, is formed by the same two steps in fresh arrays that `buffers`
-    does not keep.  Each entry of that block is the same sum as in the full
-    product; gemm may add its terms in another order.
     """
-    if live is not None:
-        mat, conj, rho = state.amplitudes[live], None, None
-    else:
-        dims = state.structure.local_dims
-        first = [p - 1 for p in subset]
-        rows = math.prod(dims[i] for i in first)
-        shape = (rows, state.structure.total_dim // rows)
-        if shape not in buffers:
-            buffers[shape] = (np.empty(shape, dtype=np.complex128),
-                              np.empty(shape, dtype=np.complex128),
-                              np.empty((rows, rows), dtype=np.complex128))
-        mat, conj, rho = buffers[shape]
-        _cut(state.amplitudes, dims, first, out=mat)
-    conj = np.conjugate(mat, out=conj)
+    dims = state.structure.local_dims
+    first = [p - 1 for p in subset]
+    rows = math.prod(dims[i] for i in first)
+    shape = (rows, state.structure.total_dim // rows)
+    if shape not in buffers:
+        buffers[shape] = (np.empty(shape, dtype=np.complex128),
+                          np.empty(shape, dtype=np.complex128),
+                          np.empty((rows, rows), dtype=np.complex128))
+    mat, conj, rho = buffers[shape]
+    _cut(state.amplitudes, dims, first, out=mat)
+    np.conjugate(mat, out=conj)
     return np.matmul(mat, conj.T, out=rho)
 
 
@@ -140,8 +132,9 @@ def partial_trace(state: PureState, keep) -> Marginal:
     Hermiticity error (2 ||E||_F), the trace error (|trace E| + NORM_TOL)
     and how far the smallest eigenvalue can fall below zero (||E||_2), each
     well inside MARGINAL_TOL (1e-10).  `compute_deck` builds its decks from
-    it; a twin check never calls it, but streams its marginals from the same
-    `_product` (`_deck_gap`), so the bound covers them too.
+    it; a twin check never calls it, but either streams its marginals from
+    the same `_product` or sums their nonzero terms in another order
+    (`_deck_gap`), so the bound covers them too.
     """
     keep = check_subset(keep, state.structure.num_parties)
     return Marginal._trusted(keep, _product(state, keep, {}))
@@ -157,58 +150,98 @@ def _deck_gap(reference: PureState, twin: PureState,
     """`deck_distance` of the decks of `reference` and `twin` on `family`,
     without building either deck.
 
-    The two states' marginals are streamed side by side: only one marginal
-    of each is alive at a time, in buffers reused across marginals of one
-    shape.  The arithmetic is that of `deck_distance`: each marginal's
-    product is the same gemm, each reference-minus-twin difference gets one
-    `np.linalg.norm`, and the maximum runs over the whole family, without
-    stopping early.
-
-    Each product is restricted to the live rows of the cut: the rows where
-    either state's M has a nonzero entry, read off the union of the two
-    states' nonzero amplitudes (an exact test, with no tolerance).  A dead
-    row of M gives an exactly zero row and column of rho in both states,
-    so the difference's norm is its norm over live x live, where every
-    entry is the same sum of the same nonzero terms as in the full product.
-    Only the order in which gemm and `norm` add those terms can change, and
-    `partial_trace`'s rounding bound holds for any order, so it covers the
-    gap too.  The live rows must be the union over both states: rows taken
-    from one state alone would drop the other's mass on the rest, and with
-    it part of the difference.  A cut with no dead row, as for any Haar
-    state, takes `_product`'s buffered path, so the gap is `deck_distance`
-    bit for bit.  A sparse pair, such as an array state and its twin or
-    GHZ, costs about (live rows)^2 dim(rest) per marginal, at most
-    (nonzero amplitudes)^2 dim(rest), instead of dim(subset)^2 dim(rest).
+    Let S be the union of the two states' supports, their nonzero
+    amplitudes (an exact test, with no tolerance).  When |S|^2 is at most
+    the total dimension, the gap comes from `_pair_gap`, which reads only
+    the amplitudes on S at a cost of about |S|^2 per subset K, no more than
+    the total dimension, while a dense marginal costs dim(K)^2 dim(rest) =
+    dim(K) total_dim.  Otherwise, and so for every pair with no zero
+    amplitude, such as any Haar pair, the two states' marginals are
+    streamed side by side: only one marginal of each is alive at a time, in
+    `_product`'s buffers reused across marginals of one shape.  The
+    arithmetic on that path is that of `deck_distance`, bit for bit: each
+    marginal's product is the same gemm, each reference-minus-twin
+    difference gets one `np.linalg.norm`, and the maximum runs over the
+    whole family, without stopping early.
     """
     _check_parties(reference, family)
     _check_parties(twin, family)
     dims = reference.structure.local_dims
     if dims != twin.structure.local_dims:
         raise ValueError("states have different local dimensions")
-    total = reference.structure.total_dim
     support = np.flatnonzero((reference.amplitudes != 0)
                              | (twin.amplitudes != 0))
-    # when every amplitude is nonzero in one state or the other, no row of
-    # any cut is dead
-    sparse = support.size < total
-    if sparse:
-        digits = np.unravel_index(support, dims)
-        positions = np.arange(total)
+    if support.size ** 2 <= reference.structure.total_dim:
+        return _pair_gap(reference.amplitudes[support],
+                         twin.amplitudes[support], support, dims, family)
     ref_buffers, twin_buffers = {}, {}
     gap = 0.0
     for subset in family.subsets:
-        live = None
-        if sparse:
-            first = [p - 1 for p in subset]
-            rows = np.unique(np.ravel_multi_index(
-                [digits[i] for i in first], [dims[i] for i in first]))
-            if rows.size < math.prod(dims[i] for i in first):
-                live = _cut(positions, dims, first, rows=rows)
-        ref = _product(reference, subset, ref_buffers, live)
-        mat = _product(twin, subset, twin_buffers, live)
+        ref = _product(reference, subset, ref_buffers)
+        mat = _product(twin, subset, twin_buffers)
         # reference minus twin, written over the twin's spent product
         gap = max(gap, float(np.linalg.norm(np.subtract(ref, mat, out=mat))))
     return gap
+
+
+def _pair_gap(a: np.ndarray, b: np.ndarray, support: np.ndarray, dims,
+              family: MarginalFamily) -> float:
+    """The largest Frobenius norm over `family` of the difference of the
+    marginals of two states that are zero off the basis indices `support`
+    and hold amplitudes `a` and `b` on it.
+
+    Entry (x_K, y_K) of the marginal on a subset K sums psi_x conj(psi_y)
+    over the basis pairs x, y that agree on every party outside K.  So the
+    difference is a group sum of w = a a^H - b b^H over the ordered pairs
+    of `support`: a pair reaches exactly the subsets that contain the
+    parties where its digits differ, and lands on the entry keyed by the
+    subset and its digits on the subset.  Those keys are summed with
+    `np.unique` and `np.bincount`, and each subset's squared entries are
+    summed the same way.  Both orders of a pair are kept, so an
+    off-diagonal entry counts as often as in the matrix.  A pair that
+    differs on more parties than the largest subset has reaches nothing and
+    is dropped first.  The family is walked in chunks of subsets, sized so
+    that no scratch array of a chunk exceeds `_PAIR_BYTES`.
+
+    Each entry sums the nonzero terms of the dense difference, only in
+    another order, and `partial_trace`'s rounding bound holds for any
+    order, so it covers the gap too.  The cost is about |S|^2 per subset,
+    against dim(K)^2 dim(rest) for a dense marginal.
+    """
+    n = len(dims)
+    total = math.prod(dims)
+    sizes = np.fromiter(map(len, family.subsets), dtype=np.intp,
+                        count=len(family))
+    member = np.zeros((len(family), n), dtype=bool)
+    member[np.repeat(np.arange(len(family)), sizes),
+           np.fromiter(chain.from_iterable(family.subsets), dtype=np.intp,
+                       count=int(sizes.sum())) - 1] = True
+    # bit i of a mask is set when party i + 1 is in the subset, or when the
+    # digits of party i + 1 differ in the pair
+    bits = 1 << np.arange(n)
+    masks = member @ bits
+    digits = np.stack(np.unravel_index(support, dims), axis=-1)
+    differ = digits[:, None, :] != digits[None, :, :]
+    x, y = np.nonzero(np.count_nonzero(differ, axis=-1)
+                      <= sizes.max(initial=0))
+    mismatch = differ[x, y] @ bits
+    w = a[x] * np.conjugate(a[y]) - b[x] * np.conjugate(b[y])
+    # x_K of a basis state: its index with the digits outside K zeroed
+    strides = total // np.cumprod(dims)
+    inside = member * strides
+    chunk = max(1, _PAIR_BYTES // (8 * x.size))
+    best = 0.0
+    for start in range(0, len(family), chunk):
+        stop = start + chunk
+        k, pair = np.nonzero((mismatch & ~masks[start:stop, None]) == 0)
+        codes = inside[start:stop] @ digits.T
+        key = (k * total + codes[k, x[pair]]) * total + codes[k, y[pair]]
+        entries, slot = np.unique(key, return_inverse=True)
+        square = (np.bincount(slot, w.real[pair]) ** 2
+                  + np.bincount(slot, w.imag[pair]) ** 2)
+        best = max(best, float(np.bincount(entries // total ** 2,
+                                           square).max()))
+    return math.sqrt(best)
 
 
 def deck_distance(a: Deck, b: Deck) -> float:

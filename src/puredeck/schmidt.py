@@ -50,7 +50,7 @@ def _untied(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """State written as sum_i c_i |left_i> |right_i| along a bipartition.
+    """State written as sum_i c_i |left_i> |right_i> along a bipartition.
 
     `coefficients` are the strictly positive singular values c_i = sqrt(lambda_i)
     in decreasing order; `left_basis[i]` / `right_basis[i]` are the orthonormal

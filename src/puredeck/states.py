@@ -126,18 +126,15 @@ class PartyStructure:
         return ",".join(str(x) for x in digits)
 
 
-def _cut(vectors: np.ndarray, dims, first, out=None,
-         rows=None) -> np.ndarray:
+def _cut(vectors: np.ndarray, dims, first, out=None) -> np.ndarray:
     """Flat vectors (..., prod(dims)) as matrices (..., d_first, d_rest).
 
     `dims` are the local dimensions of the vectors' parties in order, and
     `first` lists positions into `dims` (0-based) for the row index, in the
     given order; the other positions form the column index in ascending
-    order.  Leading stack axes are kept.  With `rows`, an integer array of
-    row indices and `first` nonempty, only those rows are gathered, in that
-    order, so the matrices are (..., len(rows), d_rest).  With `out`, a
-    C-contiguous array of the result's shape, the matrices are copied into
-    it once and `out` is returned.
+    order.  Leading stack axes are kept.  With `out`, a C-contiguous array
+    of the result's shape, the matrices are copied into it once and `out`
+    is returned.
     """
     lead = vectors.shape[:-1]
     rest = [i for i in range(len(dims)) if i not in first]
@@ -146,10 +143,6 @@ def _cut(vectors: np.ndarray, dims, first, out=None,
     d_rest = math.prod(dims) // d_first
     tensor = vectors.reshape(*lead, *dims).transpose(
         *range(skip), *(skip + i for i in first), *(skip + i for i in rest))
-    if rows is not None:
-        tensor = tensor[(slice(None),) * skip
-                        + np.unravel_index(rows, [dims[i] for i in first])]
-        d_first = len(rows)
     if out is not None:
         out.reshape(tensor.shape)[...] = tensor
         return out

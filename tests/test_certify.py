@@ -1,6 +1,7 @@
 """Tests for the cross-cut phase-system certifier."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import puredeck.certify as certify_module
+from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
 from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       Tolerances, UdpStatus, UdpVerdict,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
@@ -265,19 +267,23 @@ class TestGammaSystem:
     @pytest.mark.parametrize("rank", range(1, 14))
     def test_gamma_vector_matches_entrywise_reference(self, rank):
         # same arithmetic per entry, so equal to the last bit: the witness
-        # search ranks candidates by their residual against the null space
+        # search ranks candidates by their residual against the null space;
+        # a (c, r) batch gives each row exactly as for that row alone
         rng = np.random.default_rng(rank)
-        for _ in range(50):
+        for count in (1, 2, 7, 50):
             lambdas = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
-            phases = rng.uniform(0.0, 2.0 * math.pi, rank)
-            expected = []
-            for i in range(rank):
-                for j in range(i + 1, rank):
-                    g = ((1.0 - np.exp(1j * (phases[i] - phases[j])))
-                         * np.sqrt(lambdas[i]) * np.sqrt(lambdas[j]))
-                    expected += [g.real, g.imag]
-            np.testing.assert_array_equal(_gamma_vector(phases, lambdas),
-                                          np.array(expected, dtype=float))
+            batch = rng.uniform(0.0, 2.0 * math.pi, (count, rank))
+            got = _gamma_vector(batch, lambdas)
+            assert got.shape == (count, rank * (rank - 1))
+            for row, phases in zip(got, batch):
+                expected = []
+                for i in range(rank):
+                    for j in range(i + 1, rank):
+                        g = ((1.0 - np.exp(1j * (phases[i] - phases[j])))
+                             * np.sqrt(lambdas[i]) * np.sqrt(lambdas[j]))
+                        expected += [g.real, g.imag]
+                np.testing.assert_array_equal(row,
+                                              np.array(expected, dtype=float))
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
     def test_gram_matches_dense_system(self, n, d, blocks):
@@ -1019,14 +1025,137 @@ class TestNoReferenceDeck:
         assert calls == []
         assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
         assert verdict.witness is not None
-        # GHZ's cuts have dead rows, so the gap is formed on the live rows
-        # alone and may differ from the dense distance by rounding: here the
-        # twin's complex phase leaves an FMA residue of about 2e-33
+        # GHZ's support is two basis states, so the pair kernel gives the
+        # gap, summing the dense terms in another order; it may differ from
+        # the dense distance by rounding: here the twin's complex phase
+        # leaves an FMA residue of about 2e-33
         gap = verdict.witness_deck_distance
         assert gap <= 1e-12
         assert abs(gap - deck_distance(
             compute_deck(psi, family),
             compute_deck(verdict.witness, family))) <= 1e-15
+
+
+def oracle_phase_candidates(rank, rng):
+    """Test oracle: the candidate stream one phase vector at a time."""
+    if rank <= 12:
+        for bits in itertools.islice(
+                itertools.product((0.0, math.pi), repeat=rank - 1), 1, None):
+            yield np.array((0.0,) + bits)
+    for _ in range(64):
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=rank)
+        phases[0] = 0.0
+        yield phases
+
+
+def oracle_search(state, dec, null, family, *, deck_tol, seed):
+    """Test oracle: the witness search scoring one candidate at a time."""
+    lambdas = dec.lambdas
+    basis = null.basis
+    full_null = basis.shape[0] == basis.shape[1]
+    candidates = []
+    for phases in oracle_phase_candidates(dec.rank,
+                                          np.random.default_rng(seed)):
+        gamma = _gamma_vector(phases[None, :], lambdas)[0]
+        norm = np.linalg.norm(gamma)
+        if norm < 1e-14:
+            continue
+        residual = 0.0 if full_null else float(
+            np.linalg.norm(gamma - basis @ (basis.T @ gamma)) / norm)
+        if residual > 1e-7:
+            continue
+        predicted_fid = abs(np.sum(lambdas * np.exp(1j * phases)))
+        candidates.append((residual, predicted_fid, len(candidates), phases))
+    candidates.sort(key=lambda item: item[:3])
+    for *_, phases in candidates[:16]:
+        check = certify_module.verify_twin(
+            state, certify_module.phase_twist(dec, phases), family,
+            deck_tol=deck_tol)
+        if check.verified:
+            return check
+    return None
+
+
+def oa_state(seed):
+    """OA(9,4,3,2) state with moduli in [0.5, 1.5] and random phases; its
+    phase system's null space is not full (60 to 64 of 72)."""
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.5, 1.5, 9) * np.exp(2j * np.pi * rng.random(9))
+    return qoa_state(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2), amps).state
+
+
+class TestBatchedWitnessSearch:
+    """The witness search scores every candidate in one batch; it must try
+    the same twists in the same order, and return the same witness, as the
+    one-candidate-at-a-time loop."""
+
+    @staticmethod
+    def _cases():
+        for n, blocks in ((6, "A=1,2;B=3;C=4;D=5,6"),
+                          (8, "A=1,2;B=3,4;C=5,6;D=7,8"),
+                          (10, "A=1,2;B=3,4,5;C=6,7;D=8,9,10")):
+            yield (f"ghz-{n}q", ghz_state(n, 2, 0.6, 0.8),
+                   CrossCutSpec.parse(blocks, n),
+                   MarginalFamily.complete(n, n // 2))
+        spec = CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
+        for seed in (1, 2, 4):
+            yield (f"oa-{seed}", oa_state(seed), spec,
+                   spec.verification_family())
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 9, 12, 13, 16])
+    def test_candidates_are_the_oracle_stream(self, rank):
+        got = certify_module._phase_candidates(rank,
+                                               np.random.default_rng(rank))
+        want = list(oracle_phase_candidates(rank, np.random.default_rng(rank)))
+        assert got.shape == (len(want), rank)
+        np.testing.assert_array_equal(got, np.array(want))
+
+    def test_same_witness_as_per_candidate_loop(self):
+        null_dims = set()
+        for name, psi, spec, family in self._cases():
+            dec = schmidt_decompose(psi, spec.ab)
+            null = decide_null_space(assemble_gamma_system(
+                build_cross_matrices(dec, spec)), svd_tol=SVD_TOL)
+            null_dims.add((name[:3], null.basis.shape))
+            for seed in (0, 5):
+                got = certify_module._search_phase_witness(
+                    psi, dec, null, family, deck_tol=1e-9, seed=seed)
+                want = oracle_search(psi, dec, null, family, deck_tol=1e-9,
+                                     seed=seed)
+                assert got is not None and want is not None, name
+                assert np.array_equal(got.witness.amplitudes,
+                                      want.witness.amplitudes), name
+                assert (got.deck_distance, got.fidelity) == (
+                    want.deck_distance, want.fidelity), name
+        # the arrays' null spaces are not full, so their order rests on
+        # the residuals
+        assert any(name == "oa-" and shape[1] < shape[0]
+                   for name, shape in null_dims)
+
+    def test_same_twists_in_the_same_order(self, monkeypatch):
+        # with every check refused, both searches try their 16 closest
+        # candidates; the tries go through the module bindings
+        tried = []
+
+        def refuse(state, twin, family, *, deck_tol):
+            tried.append(twin.amplitudes)
+            return certify_module.WitnessCheck(twin, False, 1.0, 0.0)
+
+        monkeypatch.setattr(certify_module, "verify_twin", refuse)
+        for name, psi, spec, family in self._cases():
+            dec = schmidt_decompose(psi, spec.ab)
+            null = decide_null_space(assemble_gamma_system(
+                build_cross_matrices(dec, spec)), svd_tol=SVD_TOL)
+            tried.clear()
+            assert certify_module._search_phase_witness(
+                psi, dec, null, family, deck_tol=1e-9, seed=0) is None
+            batched = list(tried)
+            tried.clear()
+            assert oracle_search(psi, dec, null, family, deck_tol=1e-9,
+                                 seed=0) is None
+            assert len(batched) == len(tried) > 0, name
+            for a, b in zip(batched, tried):
+                assert np.array_equal(a, b), name
 
 
 class TestOverlapDependences:

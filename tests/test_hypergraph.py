@@ -180,6 +180,17 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="connected"):
             counterexample_from_disconnection(psi, MarginalFamily.complete(4, 2))
 
+    @pytest.mark.parametrize("family", [
+        MarginalFamily.complete(6, 3), MarginalFamily(6, ((1, 2, 3), (4, 5))),
+        MarginalFamily(6, ())], ids=["connected", "disconnected", "empty"])
+    def test_family_on_other_parties_refused(self, family):
+        # the party count is checked before connectivity, so a connected
+        # family on six parties is not reported as merely connected
+        psi = sample_haar_state(PartyStructure.uniform(4, 2), 1)
+        with pytest.raises(ValueError, match="family defined for a different "
+                                             "number of parties"):
+            counterexample_from_disconnection(psi, family)
+
     def test_product_across_unique_cut_gives_none(self):
         # |00> (x) bell: entangled, but product across the only separating cut
         structure = PartyStructure.uniform(4, 2)

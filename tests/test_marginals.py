@@ -123,14 +123,13 @@ class TestPartialTrace:
             assert np.max(np.abs(nz_a - nz_b)) <= 1e-10
 
 
-def reshaped_block(state, keep, vector=None):
+def reshaped_block(state, keep):
     """The state as a dim(keep) x dim(rest) matrix, built independently of
-    partial_trace (np.moveaxis instead of one transpose); with `vector`,
-    that flat vector on the state's parties in the same layout."""
+    partial_trace (np.moveaxis instead of one transpose)."""
     dims = state.structure.local_dims
     axes = [p - 1 for p in keep]
-    vector = state.amplitudes if vector is None else vector
-    tensor = np.moveaxis(vector.reshape(dims), axes, list(range(len(axes))))
+    tensor = np.moveaxis(state.amplitudes.reshape(dims), axes,
+                         list(range(len(axes))))
     return tensor.reshape(math.prod(dims[a] for a in axes), -1)
 
 
@@ -291,10 +290,45 @@ def with_amplitude(state, index, amp):
     return PureState.from_amplitudes(state.structure, vec, normalize=True)
 
 
-class TestLiveRows:
-    """`_deck_gap` forms each product on the live rows of the cut: the rows
-    where either state's M has a nonzero entry.  It must report the dense
-    `deck_distance` up to rounding, whichever state is the sparse one."""
+def sparse_pair(structure, support, seed):
+    """Two random states on one support: the basis indices `support`, or
+    that many drawn at random."""
+    rng = np.random.default_rng(seed)
+    if isinstance(support, int):
+        support = rng.choice(structure.total_dim, size=support, replace=False)
+    size = len(support)
+    pair = []
+    for _ in range(2):
+        vec = np.zeros(structure.total_dim, dtype=complex)
+        vec[support] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        pair.append(PureState.from_amplitudes(structure, vec, normalize=True))
+    return pair
+
+
+def shared_entries(ref, twin, subset):
+    """How many entries of the marginal difference on `subset` sum two or
+    more off-diagonal basis pairs of the union support."""
+    dims = ref.structure.local_dims
+    union = np.flatnonzero((ref.amplitudes != 0) | (twin.amplitudes != 0))
+    digits = np.unravel_index(union, dims)
+    inside = [p - 1 for p in subset]
+    outside = [i for i in range(len(dims)) if i not in inside]
+    keys = {}
+    for x in range(union.size):
+        for y in range(union.size):
+            if x != y and all(digits[i][x] == digits[i][y] for i in outside):
+                key = tuple(digits[i][x] for i in inside) + tuple(
+                    digits[i][y] for i in inside)
+                keys[key] = keys.get(key, 0) + 1
+    return sum(count > 1 for count in keys.values())
+
+
+class TestPairKernel:
+    """When the union support S of two states has |S|^2 <= total_dim,
+    `_deck_gap` group-sums w = a a^H - b b^H over the pairs of S for the
+    whole family, never forming a marginal; it must report the dense
+    `deck_distance` up to rounding, whichever state is the sparse one.
+    Larger supports take the dense path and equal it bit for bit."""
 
     @staticmethod
     def _union_cases():
@@ -306,7 +340,7 @@ class TestLiveRows:
         ghz = ghz_state(n, 2, 0.6, 0.8)
         haar = sample_haar_state(structure, 11)
         # the phase-flipped GHZ shares the deck; the extra basis state |010101>
-        # sits on rows that are dead in the reference for some subsets
+        # lies off the reference's support
         flipped = PureState(structure, ghz.amplitudes * np.where(
             np.arange(2 ** n) == 0, -1.0, 1.0))
         extra = with_amplitude(flipped, int("010101", 2), 0.1)
@@ -314,7 +348,7 @@ class TestLiveRows:
         yield "sparse-vs-haar", ghz, haar, family
         yield "haar-vs-sparse", haar, ghz, family
         yield "ghz-vs-extra-basis-state", ghz, extra, family
-        # |1111> is dead in every cut of the qutrit GHZ 0.6|0000> + 0.8|2222>
+        # |1111> is off the support of the qutrit GHZ 0.6|0000> + 0.8|2222>
         ghz3 = ghz_state(4, 3, 0.6, 0.8)
         yield "ghz-vs-dead-everywhere", ghz3, with_amplitude(
             ghz3, int("1111", 3), 0.3), MarginalFamily.complete(4, 2)
@@ -360,26 +394,127 @@ class TestLiveRows:
             assert check.verified == dense_verdict, name
             assert check.verified, name
 
-    def test_live_product_is_the_live_block_of_rho(self):
-        # a dead row of M gives an exactly zero row and column of rho, and
-        # the product on the live rows is the live block up to rounding
-        dead_rows = 0
-        for name, ref, _, family in self._twin_cases():
-            for subset in family.subsets[:4]:
-                rho = partial_trace(ref, subset).matrix
-                live = reshaped_block(ref, subset).any(axis=1)
-                dead_rows += int(np.count_nonzero(~live))
-                assert not rho[~live].any() and not rho[:, ~live].any(), name
-                positions = reshaped_block(
-                    ref, subset, np.arange(ref.structure.total_dim))[live]
-                np.testing.assert_allclose(
-                    _product(ref, subset, {}, positions),
-                    rho[np.ix_(live, live)], rtol=0, atol=1e-15)
-        assert dead_rows > 0
+    @staticmethod
+    def _kernel_cases():
+        for n in range(4, 11):
+            ghz = ghz_state(n, 2, 0.6, 0.8)
+            family = MarginalFamily.complete(n, n // 2)
+            twin = PureState(ghz.structure, ghz.amplitudes * np.where(
+                np.arange(2 ** n) == 0, np.exp(2j), 1))
+            yield f"ghz-{n}q-twin", ghz, twin, family
+            yield f"ghz-{n}q-other", ghz, ghz_state(n, 2, 0.8, 0.6), family
+        yield "empty-family", ghz, ghz_state(n, 2, 0.8, 0.6), \
+            MarginalFamily(n, ())
+        yield from TestPairKernel._twin_cases()
+        for case in TestPairKernel._union_cases():
+            if "haar" not in case[0]:
+                yield case
+        ghz3 = ghz_state(4, 3, 0.6, 0.8)
+        yield "qutrit-pair", ghz3, with_amplitude(
+            ghz3, int("0120", 3), 0.5j), MarginalFamily.complete(4, 2)
+        for n, size, seed in ((6, 8, 1), (6, 8, 2), (8, 16, 3), (8, 12, 4)):
+            ref, twin = sparse_pair(PartyStructure.uniform(n, 2), size, seed)
+            for k in (1, n // 2, n - 1):
+                yield (f"random-{n}q-{size}-{seed}-k{k}", ref, twin,
+                       MarginalFamily.complete(n, k))
+        ref, twin = sparse_pair(PartyStructure(4, (2, 3, 2, 3)), 6, 5)
+        yield "random-mixed", ref, twin, MarginalFamily.complete(4, 2)
+        # on party 1, the pairs (|0000>, |1000>) and (|0001>, |1001>) land
+        # on one entry
+        yield ("random-shared-4q",
+               *sparse_pair(PartyStructure.uniform(4, 2), [0, 8, 1, 9], 8),
+               MarginalFamily.complete(4, 1))
+
+    def test_gaps_match_dense_decks(self, monkeypatch):
+        # each of these supports has |S|^2 <= total_dim, so the pair kernel
+        # gives the gap
+        import puredeck.marginals as marginals_module
+        calls = []
+        kernel = marginals_module._pair_gap
+        monkeypatch.setattr(marginals_module, "_pair_gap",
+                            lambda *args: calls.append(args) or kernel(*args))
+        shared = 0
+        for name, ref, twin, family in self._kernel_cases():
+            want = dense_gap(ref, twin, family)
+            calls.clear()
+            got = _deck_gap(ref, twin, family)
+            assert len(calls) == 1, name
+            assert abs(got - want) <= 1e-15 * max(1.0, want), name
+            if name.startswith("random"):
+                assert want > 0.1, name
+                shared += sum(shared_entries(ref, twin, subset)
+                              for subset in family.subsets)
+        # some entries sum two pairs (x, y) and (x', y') with the same
+        # digits on the subset and other digits off it
+        assert shared > 0
+
+    def test_each_subset_gap_is_its_marginal_difference(self):
+        # the kernel's per-subset sums, alone and in chunks of one subset,
+        # are the Frobenius norms of the dense marginal differences
+        import puredeck.marginals as marginals_module
+        for name, ref, twin, family in self._kernel_cases():
+            if not name.startswith(("random", "qutrit", "ghz-6q-other")):
+                continue
+            gap = _deck_gap(ref, twin, family)
+            singles = []
+            for subset in family.subsets:
+                want = np.linalg.norm(partial_trace(ref, subset).matrix
+                                      - partial_trace(twin, subset).matrix)
+                got = _deck_gap(ref, twin, MarginalFamily(
+                    family.num_parties, (subset,)))
+                assert abs(got - want) <= 1e-15 * max(1.0, want), (name, subset)
+                singles.append(got)
+            assert gap == max(singles), name
+            saved = marginals_module._PAIR_BYTES
+            marginals_module._PAIR_BYTES = 1
+            try:
+                assert _deck_gap(ref, twin, family) == gap, name
+            finally:
+                marginals_module._PAIR_BYTES = saved
+
+    def test_dense_route_is_bit_equal(self, monkeypatch):
+        # |S|^2 > total_dim: every marginal is the buffered product, so the
+        # gap is deck_distance to the last bit
+        import puredeck.marginals as marginals_module
+        monkeypatch.setattr(marginals_module, "_pair_gap", None)
+        structure = PartyStructure.uniform(10, 2)
+        weights = np.array([bin(i).count("1") for i in range(2 ** 10)])
+        dicke = PureState.from_amplitudes(structure, (weights == 5) * 1.0,
+                                          normalize=True)
+        rng = np.random.default_rng(3)
+        phased = PureState(structure, dicke.amplitudes * np.exp(
+            2j * np.pi * rng.random(2 ** 10)))
+        assert np.count_nonzero(dicke.amplitudes) == 252
+        family = MarginalFamily.complete(10, 5)
+        assert _deck_gap(dicke, phased, family) == dense_gap(
+            dicke, phased, family)
+        ref, twin = sparse_pair(PartyStructure.uniform(4, 2), 5, 6)
+        family = MarginalFamily.complete(4, 2)
+        assert _deck_gap(ref, twin, family) == dense_gap(ref, twin, family)
+
+    def test_sixteen_qubit_pair_is_chunked(self):
+        # 256 support states give about 65536 pairs; unchunked, one mask of
+        # pairs by 300 subsets would take over 100 MB
+        structure = PartyStructure.uniform(16, 2)
+        ref, twin = sparse_pair(structure, 256, 7)
+        family = MarginalFamily(16, tuple(
+            combinations(range(1, 17), 8))[::43][:300])
+        assert len(family) == 300
+        tracemalloc.start()
+        try:
+            gap = _deck_gap(ref, twin, family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        head = MarginalFamily(16, family.subsets[:3])
+        want = dense_gap(ref, twin, head)
+        assert abs(_deck_gap(ref, twin, head) - want) <= 1e-15
+        assert gap >= want > 0.1
 
     def test_ten_qutrit_strength_three_witness_is_small(self):
         # the dense check forms 120 products of 2187 x 27 x 2187 (each rho
-        # 76 MB); on the live rows each is at most 4 x 27 x 4
+        # 76 MB); the pair kernel reads a few dozen basis pairs
         g = qoa_state(greedy_packing_array(10, 3, 3, seed=0))
         tracemalloc.start()
         try:

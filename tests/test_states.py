@@ -176,13 +176,10 @@ class TestCutLayout:
         col = np.ravel_multi_index([digits[i] for i in rest],
                                    [dims[i] for i in rest])
         np.testing.assert_array_equal(mats[..., row, col], vectors)
-        # `rows` gathers exactly those rows of the full cut, in their order
-        if first:
-            picked = data.draw(st.lists(st.integers(0, d_first - 1),
-                                        unique=True))
-            np.testing.assert_array_equal(
-                _cut(vectors, dims, first, rows=np.array(picked, dtype=int)),
-                mats[..., picked, :])
+        # `out` receives the same matrices and is returned
+        out = np.empty(mats.shape, dtype=complex)
+        assert _cut(vectors, dims, first, out=out) is out
+        np.testing.assert_array_equal(out, mats)
         for item in np.ndindex(lead):
             np.testing.assert_array_equal(mats[item],
                                           _cut(vectors[item], dims, first))
