@@ -287,13 +287,28 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
 
     With an integer `seed` the candidate order is shuffled; with seed=None the
     scan is lexicographic.  Stops at `max_rows` when given.  The counts are
-    read by `states._integer`: a float, bool or string raises TypeError.
+    read by `states._integer`: a float, bool or string raises TypeError;
+    `levels` and `max_rows` below 2 raise ValueError.
+
+    The scan visits only the rows it keeps: each one blocks the candidates
+    it agrees with in `strength` or more positions, and the scan jumps to
+    the next candidate still open.  Those candidates are the kept row plus
+    each shift with at most num_cols - strength nonzero digits, mod
+    `levels`, so each of their codes is a sum over the columns of one entry
+    per (column, digit) of a table built once.  A kept row then costs one
+    gather and sum over the shifts; a jump costs one search of the open
+    flags, which stops at the first open one, so the searches together read
+    each flag at most once.
     """
     num_cols = _integer(num_cols, "num_cols")
     levels = _integer(levels, "levels")
     strength = _integer(strength, "strength")
     if max_rows is not None:
         max_rows = _integer(max_rows, "max_rows")
+        if max_rows < 2:
+            raise ValueError(f"max_rows must be at least 2, got {max_rows}")
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2, got {levels}")
     if strength < 1 or strength > num_cols:
         raise ValueError(f"strength {strength} outside 1..{num_cols}")
     total = levels ** num_cols
@@ -302,19 +317,37 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     order = np.arange(total)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(total)
-    place = levels ** np.arange(num_cols - 1, -1, -1)
-    digits = np.arange(total)[:, None] // place % levels
-    # a kept row blocks the candidates it agrees with in >= strength positions
-    shifts = digits[np.count_nonzero(digits, axis=1) <= num_cols - strength]
-    blocked = np.zeros(total, dtype=bool)
+    # values stay below 2 * total <= 600000, so 32 bits hold every digit,
+    # table entry and code
+    digits = np.indices((levels,) * num_cols, dtype=np.uint32).reshape(
+        num_cols, total)
+    position = np.empty(total, dtype=np.intp)
+    position[order] = np.arange(total)
+    shifts = digits[:, np.count_nonzero(digits, axis=0) <= num_cols - strength]
+    place = levels ** np.arange(num_cols - 1, -1, -1, dtype=np.uint32)
+    # table[c, v]: column c's share of the code of each neighbour of a row
+    # whose digit in column c is v, ((v + shift) mod levels) place[c]; with
+    # unsigned wrap-around, a sum below levels minus levels exceeds the sum,
+    # so the smaller of the two products is the one mod levels
+    table = np.arange(levels, dtype=np.uint32)[:, None] + shifts[:, None, :]
+    table *= place[:, None, None]
+    np.minimum(table, table - levels * place[:, None, None], out=table)
+    table = table.reshape(num_cols * levels, -1)
+    slots = levels * np.arange(num_cols, dtype=np.uint32)
+    blocked = np.zeros(total, dtype=bool)  # by position in the scan
     kept = []
-    for idx in order.tolist():
-        if not blocked[idx]:
-            kept.append(idx)
-            if max_rows is not None and len(kept) >= max_rows:
+    start = 0
+    while start < total and (max_rows is None or len(kept) < max_rows):
+        if blocked[start]:  # jump to the next open candidate, if any
+            start += int(np.argmin(blocked[start:]))
+            if blocked[start]:
                 break
-            blocked[((digits[idx] + shifts) % levels) @ place] = True
-    return PackingArray(digits[kept], levels, strength)
+        row = order[start]
+        kept.append(row)
+        codes = table[slots + digits[:, row]].sum(axis=0, dtype=np.uint32)
+        blocked[position[codes]] = True
+        start += 1
+    return PackingArray(digits[:, kept].T, levels, strength)
 
 
 # ---------------------------------------------------------------------------

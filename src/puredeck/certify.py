@@ -657,11 +657,17 @@ def _search_phase_witness(state, dec, null, family, *, deck_tol,
 
 def _uncovered_cuts(spec: CrossCutSpec, family: MarginalFamily) -> list[str]:
     """Labels of the cut marginals AB, CD, AC, BD that lie inside no member
-    of `family`; a member's marginal fixes the marginals of its subsets only."""
-    members = [set(member) for member in family]
-    return [label for label, cut in (("AB", spec.ab), ("CD", spec.cd),
-                                     ("AC", spec.ac), ("BD", spec.bd))
-            if not any(set(cut) <= member for member in members)]
+    of `family`; a member's marginal fixes the marginals of its subsets only.
+    A cut lies inside a member when the member's bitmask holds every bit of
+    the cut's."""
+    masks = family._masks
+    uncovered = []
+    for label, cut in (("AB", spec.ab), ("CD", spec.cd), ("AC", spec.ac),
+                       ("BD", spec.bd)):
+        bits = sum(1 << (p - 1) for p in cut)
+        if not np.any((masks & bits) == bits):
+            uncovered.append(label)
+    return uncovered
 
 
 def certify_udp(state: PureState, spec: CrossCutSpec,

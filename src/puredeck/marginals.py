@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
 
-from .states import Marginal, PureState, _cut, check_subset
+from .states import Marginal, PureState, _cut, _integer, check_subset
 
 # Two aligned decks are called equal when no pair of corresponding marginals
 # differs by more than this in Frobenius norm.  Two orders above accumulated
@@ -38,10 +39,22 @@ class MarginalFamily:
 
     @classmethod
     def complete(cls, num_parties: int, k: int) -> "MarginalFamily":
-        """All C(N, k) k-subsets in lexicographic order."""
+        """All C(N, k) k-subsets in lexicographic order.
+
+        N and k are read by `states._integer`: a float, bool or string
+        raises TypeError.  The subsets skip the constructor's checks, as
+        `Marginal._trusted` does, since they are sorted, in range and
+        distinct by construction.
+        """
+        num_parties = _integer(num_parties, "num_parties")
+        k = _integer(k, "k")
         if k < 1 or k > num_parties:
             raise ValueError(f"k={k} outside 1..{num_parties}")
-        return cls(num_parties, tuple(combinations(range(1, num_parties + 1), k)))
+        family = object.__new__(cls)
+        object.__setattr__(family, "num_parties", num_parties)
+        object.__setattr__(family, "subsets", tuple(
+            combinations(range(1, num_parties + 1), k)))
+        return family
 
     @classmethod
     def parse(cls, num_parties: int, text: str) -> "MarginalFamily":
@@ -62,6 +75,18 @@ class MarginalFamily:
 
     def __iter__(self):
         return iter(self.subsets)
+
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        """Each member as an integer bitmask, bit p - 1 set for party p;
+        worked out on first use and kept."""
+        sizes = np.fromiter(map(len, self.subsets), dtype=np.intp,
+                            count=len(self))
+        member = np.zeros((len(self), self.num_parties), dtype=bool)
+        member[np.repeat(np.arange(len(self)), sizes),
+               np.fromiter(chain.from_iterable(self.subsets), dtype=np.intp,
+                           count=int(sizes.sum())) - 1] = True
+        return member @ (1 << np.arange(self.num_parties))
 
 
 @dataclass(frozen=True)
@@ -210,16 +235,12 @@ def _pair_gap(a: np.ndarray, b: np.ndarray, support: np.ndarray, dims,
     """
     n = len(dims)
     total = math.prod(dims)
-    sizes = np.fromiter(map(len, family.subsets), dtype=np.intp,
-                        count=len(family))
-    member = np.zeros((len(family), n), dtype=bool)
-    member[np.repeat(np.arange(len(family)), sizes),
-           np.fromiter(chain.from_iterable(family.subsets), dtype=np.intp,
-                       count=int(sizes.sum())) - 1] = True
     # bit i of a mask is set when party i + 1 is in the subset, or when the
     # digits of party i + 1 differ in the pair
     bits = 1 << np.arange(n)
-    masks = member @ bits
+    masks = family._masks
+    member = (masks[:, None] & bits) != 0
+    sizes = np.count_nonzero(member, axis=1)
     digits = np.stack(np.unravel_index(support, dims), axis=-1)
     differ = digits[:, None, :] != digits[None, :, :]
     x, y = np.nonzero(np.count_nonzero(differ, axis=-1)

@@ -402,6 +402,60 @@ class TestGreedyPacking:
         assert 2 <= pa.num_rows <= 4
 
 
+def full_scan_packing(num_cols, levels, strength, max_rows=None, seed=None):
+    """Oracle: the greedy builder's earlier full scan, which visits every
+    candidate in a Python loop and blocks a kept row's neighbours with one
+    integer matmul; returns the kept rows."""
+    total = levels ** num_cols
+    order = np.arange(total)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(total)
+    place = levels ** np.arange(num_cols - 1, -1, -1)
+    digits = np.arange(total)[:, None] // place % levels
+    shifts = digits[np.count_nonzero(digits, axis=1) <= num_cols - strength]
+    blocked = np.zeros(total, dtype=bool)
+    kept = []
+    for idx in order.tolist():
+        if not blocked[idx]:
+            kept.append(idx)
+            if max_rows is not None and len(kept) >= max_rows:
+                break
+            blocked[((digits[idx] + shifts) % levels) @ place] = True
+    return digits[kept]
+
+
+class TestGreedyScan:
+    """The scan over kept rows against the full scan it replaced."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("num_cols", range(1, 11))
+    def test_matches_full_scan(self, num_cols, levels):
+        for strength in range(1, num_cols + 1):
+            for seed in (None, 0, 1, 2, 3):
+                # a scan capped at m rows keeps the first m of the full one
+                rows = full_scan_packing(num_cols, levels, strength,
+                                         seed=seed)
+                for max_rows in (None, 2, 3, 7):
+                    got = greedy_packing_array(num_cols, levels, strength,
+                                               max_rows=max_rows, seed=seed)
+                    np.testing.assert_array_equal(got.rows, rows[:max_rows])
+                    assert got.rows.dtype == rows.dtype
+        capped = full_scan_packing(num_cols, levels, 1, max_rows=2, seed=0)
+        np.testing.assert_array_equal(capped, full_scan_packing(
+            num_cols, levels, 1, seed=0)[:2])
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"levels": 1}, "levels"), ({"levels": 0}, "levels"),
+        ({"levels": -2}, "levels"), ({"max_rows": 1}, "max_rows"),
+        ({"max_rows": 0}, "max_rows"), ({"max_rows": -4}, "max_rows")])
+    def test_counts_below_two_refused(self, kwargs, name):
+        # refused up front, not by the PackingArray check or by numpy
+        args = {"num_cols": 4, "levels": 3, "strength": 2, **kwargs}
+        with pytest.raises(ValueError, match=f"{name} must be at least 2, "
+                                             f"got {kwargs[name]}"):
+            greedy_packing_array(**args)
+
+
 class TestIntegerInputs:
     """Entries, counts and row indices are read as `states._integer` reads
     a count: integers (numpy ones too) pass; floats, bools and strings are

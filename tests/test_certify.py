@@ -956,6 +956,58 @@ class TestFamilyCoverage:
             == UdpStatus.CERTIFIED_UDP
 
 
+def set_uncovered_cuts(spec, family):
+    """Oracle: the set-based coverage rule the bitmask test replaced."""
+    members = [set(member) for member in family]
+    return [label for label, cut in (("AB", spec.ab), ("CD", spec.cd),
+                                     ("AC", spec.ac), ("BD", spec.bd))
+            if not any(set(cut) <= member for member in members)]
+
+
+class TestBitmaskCoverage:
+    """`_uncovered_cuts` by member bitmasks against the set-based rule."""
+
+    @staticmethod
+    def random_spec(n, rng):
+        """Four blocks, some of them empty, whose unions AB, CD, AC and BD
+        are all nonempty."""
+        while True:
+            labels = rng.integers(0, 4, size=n)
+            blocks = [tuple(np.flatnonzero(labels == b) + 1)
+                      for b in range(4)]
+            try:
+                return CrossCutSpec(*blocks, n)
+            except ValueError:
+                continue
+
+    def test_random_families(self):
+        rng = np.random.default_rng(12)
+        seen_empty, seen = False, set()
+        for trial in range(400):
+            n = int(rng.integers(2, 11))
+            spec = self.random_spec(n, rng)
+            seen_empty |= not all((spec.block_a, spec.block_b, spec.block_c,
+                                   spec.block_d))
+            members = {tuple(sorted(rng.choice(np.arange(1, n + 1),
+                                               size=rng.integers(1, n + 1),
+                                               replace=False).tolist()))
+                       for _ in range(int(rng.integers(0, 8)))}
+            family = MarginalFamily(n, tuple(members))
+            got = certify_module._uncovered_cuts(spec, family)
+            assert got == set_uncovered_cuts(spec, family)
+            seen.add(len(got))
+        assert seen_empty and seen == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("blocks", ["A=1;B=2;C=3;D=4", "A=1,2;B=;C=;D=3,4",
+                                        "A=;B=1,2;C=3;D=4"])
+    def test_complete_decks(self, blocks):
+        spec = CrossCutSpec.parse(blocks, 4)
+        for k in range(1, 5):
+            family = MarginalFamily.complete(4, k)
+            assert certify_module._uncovered_cuts(spec, family) \
+                == set_uncovered_cuts(spec, family)
+
+
 class TestVerifyTwin:
     FAMILY = MarginalFamily.complete(6, 3)
     PSI = ghz_state(6, 2, 0.6, 0.8)

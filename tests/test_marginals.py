@@ -547,6 +547,48 @@ class TestMarginalFamily:
             MarginalFamily(3, ((1, 4),))
 
 
+class TestCompleteFamily:
+    """`MarginalFamily.complete` builds its subsets without the
+    constructor's per-subset checks."""
+
+    def test_equals_validated_constructor(self):
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                checked = MarginalFamily(
+                    n, tuple(combinations(range(1, n + 1), k)))
+                fam = MarginalFamily.complete(n, k)
+                assert fam == checked
+                assert type(fam.num_parties) is int
+                assert all(type(p) is int for s in fam.subsets for p in s)
+        assert MarginalFamily.complete(np.int64(4), np.int32(2)) \
+            == MarginalFamily.complete(4, 2)
+
+    @pytest.mark.parametrize("n, k", [(3, True), (3, 2.0), (3.0, 2),
+                                      (True, 1), ("3", 2), (3, None)])
+    def test_non_integer_counts_refused(self, n, k):
+        # True once gave the 1-deck and 2.0 leaked itertools' TypeError
+        with pytest.raises(TypeError, match="must be int"):
+            MarginalFamily.complete(n, k)
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 1), (-2, -1)])
+    def test_out_of_range_k_refused(self, n, k):
+        with pytest.raises(ValueError, match=f"k={k} outside"):
+            MarginalFamily.complete(n, k)
+
+    def test_masks_match_members(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 11):
+            subsets = {tuple(sorted(rng.choice(np.arange(1, n + 1),
+                                               size=rng.integers(1, n + 1),
+                                               replace=False).tolist()))
+                       for _ in range(12)}
+            for fam in (MarginalFamily(n, tuple(subsets)),
+                        MarginalFamily.complete(n, (n + 1) // 2),
+                        MarginalFamily(n, ())):
+                assert fam._masks.tolist() == [sum(1 << (p - 1) for p in s)
+                                               for s in fam.subsets]
+
+
 class TestDecks:
     def test_complete_one_deck_of_00(self):
         psi = PureState.basis_state(PartyStructure.uniform(2, 2), (0, 0))
