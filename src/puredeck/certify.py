@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -27,8 +27,8 @@ from .marginals import DECK_TOL, MarginalFamily, _deck_gap
 from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       _genericity, _schmidt_factors, _untied,
                       classify_genericity, phase_twist, schmidt_decompose)
-from .states import (PartyStructure, PureState, _cut, check_subset,
-                     fidelity_up_to_phase)
+from .states import (PartyStructure, PureState, _cut, _freeze, _integer,
+                     check_subset, fidelity_up_to_phase)
 
 # Singular values below SVD_TOL times the largest count as zero when deciding
 # the rank of the assembled phase system.
@@ -271,7 +271,7 @@ class GammaSystem:
     where U and V stack the Khatri-Rao products of `factors` (the ac source,
     then bd).  Row 2r of the real `matrix` is its real part, row 2r+1 its
     imaginary part; column 2t holds Re gamma for the t-th pair (i, j), i < j,
-    in row-major order (`np.triu_indices`), column 2t+1 holds Im gamma.
+    in row-major order (`_pairs`), column 2t+1 holds Im gamma.
     gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
     so only the i < j entries appear.  The zero vector always solves the
     system.  Factors with leading axes hold a stack of systems of one shape,
@@ -391,27 +391,32 @@ def expected_equation_counts(structure: PartyStructure,
     return block_equation_counts(*spec.block_dims(structure))
 
 
-def _source_factors(outer: np.ndarray, inner: np.ndarray) -> SourceFactors:
-    """Factors of the equations from the (outer (x) inner) Kronecker blocks.
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of range(n) in row-major order, as read-only index
+    arrays: the phase system's column order and its block entries."""
+    return tuple(map(_freeze, np.triu_indices(n, 1)))
 
-    `outer` and `inner` are overlap operators (..., r, r, d, d).  For a < b
-    the (a, b) block of outer[i, j] (x) inner[i, j] gives U, and the (b, a)
-    block of its adjoint gives V; the last diagonal entry of each inner
-    block is dropped (see `assemble_gamma_system`).
-    """
-    ii, jj = np.triu_indices(outer.shape[-3], 1)
-    outer_ij = outer[..., ii, jj, :, :]
-    inner_ij = inner[..., ii, jj, :, :]
-    a, b = np.triu_indices(outer.shape[-1], 1)
-    flat = (*inner_ij.shape[:-2], inner.shape[-1] ** 2)
-    factors = SourceFactors(*(f.swapaxes(-1, -2) for f in (
-        outer_ij[..., a, b],
-        inner_ij.reshape(flat)[..., :-1],
-        outer_ij[..., b, a].conj(),
-        inner_ij.swapaxes(-1, -2).conj().reshape(flat)[..., :-1])))
-    for factor in factors:
-        factor.setflags(write=False)
-    return factors
+
+def _gamma_factors(matrices: CrossCutMatrices) -> tuple[SourceFactors, ...]:
+    """The ac source's factors, from Q (x) P, then the bd source's, from
+    L (x) M, of one system or a stack (see `assemble_gamma_system`): for
+    a < b the (a, b) block of outer[i, j] (x) inner[i, j] gives U and the
+    (b, a) block of its adjoint gives V, each inner block less its last
+    diagonal entry."""
+    ii, jj = _pairs(matrices.rank)
+    sources = []
+    for outer, inner in ((matrices.q, matrices.p), (matrices.l, matrices.m)):
+        outer_ij = outer[..., ii, jj, :, :]
+        inner_ij = inner[..., ii, jj, :, :]
+        a, b = _pairs(outer.shape[-1])
+        flat = (*inner_ij.shape[:-2], inner.shape[-1] ** 2)
+        sources.append(SourceFactors(*(_freeze(f.swapaxes(-1, -2)) for f in (
+            outer_ij[..., a, b],
+            inner_ij.reshape(flat)[..., :-1],
+            outer_ij[..., b, a].conj(),
+            inner_ij.swapaxes(-1, -2).conj().reshape(flat)[..., :-1]))))
+    return tuple(sources)
 
 
 def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
@@ -423,8 +428,7 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
     overlap operators are traceless, so one of them is redundant.  A block
     of dimension one has no entry left and contributes no equation.
     """
-    return GammaSystem((_source_factors(matrices.q, matrices.p),
-                        _source_factors(matrices.l, matrices.m)))
+    return GammaSystem(_gamma_factors(matrices))
 
 
 @dataclass(frozen=True)
@@ -568,7 +572,7 @@ def _gamma_vector(phases: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     `GammaSystem`, for a (c, r) batch of phase assignments: one row per
     assignment, each computed entry by entry as for that row alone."""
     coeff = np.sqrt(lambdas)
-    ii, jj = np.triu_indices(len(lambdas), 1)
+    ii, jj = _pairs(len(lambdas))
     g = ((1.0 - np.exp(1j * (phases[:, ii] - phases[:, jj])))
          * coeff[ii] * coeff[jj])
     return np.stack([g.real, g.imag], axis=-1).reshape(len(phases),
@@ -681,10 +685,14 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     when each of those four lies inside a member of `family`, and any
     emitted witness is verified against the deck of `family`.  The
     tolerances must pass `Tolerances`, and `family` must be defined on the
-    state's parties; otherwise ValueError.  The verdict is that of
-    `_certify_stack` on a stack of one.
+    state's parties; otherwise ValueError.  `seed` is read by
+    `states._integer` (TypeError) and must be at least 0 (ValueError).
+    The verdict is that of `_certify_stack` on a stack of one.
     """
     tol = Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     return _certify_stack([state], spec, family, seeds=(seed,), tol=tol)[0]
 
 
@@ -798,12 +806,11 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     the whole stack; one seed is read from `seeds` per state.
 
     An item gets its verdict from `_trivial_null_verdict` here when its
-    primary cut has full rank, no two of its coefficients lie in the
-    tie-break window (so its pairs come in `schmidt_decompose`'s order),
-    its system is tall and its shifted Cholesky succeeds.  Every other
-    item gets `_exact_verdict` with its seed.  An overlap identity that
-    fails for an item in the stack raises the `build_cross_matrices`
-    ValueError.
+    primary cut has full rank and is `_untied` (so its pairs come in
+    `schmidt_decompose`'s order), its system is tall and its shifted
+    Cholesky succeeds.  Every other item gets `_exact_verdict` with its
+    seed.  An overlap identity that fails for an item in the stack raises
+    the `build_cross_matrices` ValueError.
     """
     structure = states[0].structure
     s, left, right = _schmidt_factors(_cut(
@@ -814,10 +821,8 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
                           & _untied(s))
     certified = {}
     if kept.size:
-        matrices = _cross_matrices(left[kept], right[kept], spec, structure)
-        system = GammaSystem((_source_factors(matrices.q, matrices.p),
-                              _source_factors(matrices.l, matrices.m)))
-        del matrices  # the overlap products are not held through the Gram stage
+        system = GammaSystem(_gamma_factors(
+            _cross_matrices(left[kept], right[kept], spec, structure)))
         # a wide system's Gram is singular: only the exact SVD decides it
         if 2 * system.num_complex_equations >= system.num_real_variables:
             passed = _shifted_cholesky(*_lower_gram(system), tol.svd_tol)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
                       block_equation_counts, expected_equation_counts)
-from .states import PartyStructure, _checked, sample_haar_state
+from .states import (PartyStructure, _checked, _integer,
+                     sample_haar_state)
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,12 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        # read as `states._integer` reads them, so the report holds ints
+        for name, least in (("trials", 1), ("seed", 0)):
+            value = _integer(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
         if self.blocks.num_parties != self.num_parties:
             raise ValueError("block spec covers a different number of parties")
         # dimension-cap check happens here rather than at first sample

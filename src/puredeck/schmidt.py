@@ -7,15 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (PartyStructure, PureState, _cut, _uncut, check_subset,
-                     complement)
+from .states import (PartyStructure, PureState, _cut, _freeze, _uncut,
+                     check_subset, complement)
 
 # Singular values below RANK_TOL times the largest are treated as zero.
 RANK_TOL = 1e-10
 # Squared coefficients closer than GAP_TOL are treated as degenerate.
 GAP_TOL = 1e-8
-# Coefficients within _TIE_TOL times the largest count as equal when
-# `_tie_break_degenerate` orders their basis vectors.
+# Neighbouring coefficients within _TIE_TOL times the largest count as tied
+# (`_separated`).
 _TIE_TOL = 1e-12
 
 
@@ -40,12 +40,17 @@ def _schmidt_factors(mats: np.ndarray):
     return s, left / phase, vh * phase
 
 
+def _separated(coeffs: np.ndarray) -> np.ndarray:
+    """The tie rule: whether each coefficient (decreasing along the last
+    axis) is more than _TIE_TOL times the largest above the next, (..., k-1).
+    A run of neighbours that no gap separates is tied."""
+    return coeffs[..., :-1] - coeffs[..., 1:] > _TIE_TOL * coeffs[..., :1]
+
+
 def _untied(coeffs: np.ndarray) -> np.ndarray:
-    """Whether no two neighbouring coefficients (decreasing along the last
-    axis) lie within the tie-break window, i.e. `_tie_break_degenerate`
-    leaves their order alone."""
-    gaps = coeffs[..., :-1] - coeffs[..., 1:]
-    return np.all(gaps > _TIE_TOL * coeffs[..., :1], axis=-1)
+    """Whether no two neighbouring coefficients are tied, i.e.
+    `_tie_break_degenerate` leaves their order alone."""
+    return np.all(_separated(coeffs), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,19 @@ class SchmidtDecomposition:
         return PureState.from_amplitudes(self.structure, vec, normalize=True)
 
 
-def _tie_break_degenerate(coeffs, left, right, scale):
-    """Deterministic order among (numerically) equal singular values."""
+def _tie_break_degenerate(coeffs, left, right):
+    """Deterministic order among tied singular values: each tied run (see
+    `_separated`) sorted by its left vectors' entries rounded to 10 places."""
+    separated = _separated(coeffs)
+    if separated.all():
+        return coeffs, left, right
     order = list(range(len(coeffs)))
-    start = 0
-    while start < len(coeffs):
-        stop = start + 1
-        while (stop < len(coeffs)
-               and abs(coeffs[stop] - coeffs[start]) <= _TIE_TOL * scale):
-            stop += 1
-        if stop - start > 1:
-            block = sorted(
-                order[start:stop],
-                key=lambda i: tuple((round(z.real, 10), round(z.imag, 10))
-                                    for z in left[i]),
-            )
-            order[start:stop] = block
-        start = stop
-    order = np.asarray(order)
+    bounds = [0, *(np.flatnonzero(separated) + 1).tolist(), len(coeffs)]
+    for start, stop in zip(bounds, bounds[1:]):
+        order[start:stop] = sorted(
+            order[start:stop],
+            key=lambda i: tuple((round(z.real, 10), round(z.imag, 10))
+                                for z in left[i]))
     return coeffs[order], left[order], right[order]
 
 
@@ -128,10 +128,8 @@ def schmidt_decompose(state: PureState, cut) -> SchmidtDecomposition:
     s, left_vecs, right_vecs = _schmidt_factors(
         _cut(state.amplitudes, structure.local_dims, [p - 1 for p in left]))
     rank = _genericity(s[None], s.size, GAP_TOL)[0].rank
-    coeffs, left_basis, right_basis = _tie_break_degenerate(
-        s[:rank], left_vecs[:rank], right_vecs[:rank], s[0])
-    for arr in (coeffs, left_basis, right_basis):
-        arr.setflags(write=False)
+    coeffs, left_basis, right_basis = map(_freeze, _tie_break_degenerate(
+        s[:rank], left_vecs[:rank], right_vecs[:rank]))
     return SchmidtDecomposition(structure, left, right, coeffs, left_basis, right_basis)
 
 

@@ -20,7 +20,7 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
                               _certify_stack, _cross_matrices, _factorizes,
                               _gamma_vector, _khatri_rao, _lower_gram,
-                              _shifted_cholesky, _svd_null_space)
+                              _pairs, _shifted_cholesky, _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -263,6 +263,18 @@ class TestGammaSystem:
         np.testing.assert_allclose(
             system.matrix, reference, rtol=0,
             atol=4 * np.finfo(float).eps * np.max(np.abs(reference)))
+
+    def test_pairs_are_the_row_major_upper_triangle(self):
+        # one column order for assembly and the witness search, built once
+        # per size and shared, so no caller may write to it
+        for n in range(41):
+            pairs = _pairs(n)
+            assert _pairs(n) is pairs
+            for got, want in zip(pairs, np.triu_indices(n, 1), strict=True):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype and not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0
 
     @pytest.mark.parametrize("rank", range(1, 14))
     def test_gamma_vector_matches_entrywise_reference(self, rank):
@@ -821,6 +833,29 @@ class TestCertify:
         fid = fidelity_up_to_phase(psi, verdict.witness)
         assert fid < 1 - 1e-6
         assert fid == pytest.approx(0.28, abs=1e-9)
+
+    @pytest.mark.parametrize("seed, error, match", [
+        (True, TypeError, "seed must be int"),
+        (1.5, TypeError, "seed must be int"),
+        ("x", TypeError, "seed must be int"),
+        (None, TypeError, "seed must be int"),
+        (-1, ValueError, "seed must be at least 0"),
+    ], ids=["bool", "float", "str", "none", "negative"])
+    @pytest.mark.parametrize("kind", ["haar", "ghz"])
+    def test_seed_read_up_front(self, kind, seed, error, match):
+        # read before any stage: a certified state, whose verdict never
+        # draws a phase, is refused as the witnessed one is
+        psi = (sample_haar_state(SIX_QUBIT_STRUCTURE, 3) if kind == "haar"
+               else ghz_state(6, 2, 0.6, 0.8))
+        with pytest.raises(error, match=match):
+            certify_udp(psi, SIX_QUBIT_SPEC, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_same_witness(self):
+        psi = ghz_state(6, 2, 0.6, 0.8)
+        family = MarginalFamily.complete(6, 3)
+        a = certify_udp(psi, SIX_QUBIT_SPEC, family, seed=np.int64(5))
+        b = certify_udp(psi, SIX_QUBIT_SPEC, family, seed=5)
+        assert np.array_equal(a.witness.amplitudes, b.witness.amplitudes)
 
     def test_product_state_inconclusive_with_note(self):
         psi = PureState.basis_state(SIX_QUBIT_STRUCTURE, (0,) * 6)

@@ -120,6 +120,17 @@ class TestCertifyCommand:
         assert data["status"] == "INCONCLUSIVE" and data["null_dim"] == 0
         assert any("AB, CD, AC, BD" in note for note in data["notes"])
 
+    @pytest.mark.parametrize("kind", ["haar", "ghz"])
+    def test_negative_seed_is_domain_error(self, capsys, haar6_file,
+                                           ghz6_file, kind):
+        # the certified Haar state once exited 0, since its verdict never
+        # reached the witness search that refused the seed
+        path = haar6_file if kind == "haar" else ghz6_file
+        code, out, err = run_cli(capsys, "certify", path, "--blocks",
+                                 "A=1,2;B=3;C=4;D=5,6", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert "seed must be at least 0" in err
+
     def test_bad_blocks_is_domain_error(self, capsys, ghz6_file):
         code, _, err = run_cli(capsys, "certify", ghz6_file,
                                "--blocks", "A=1;B=1;C=2;D=3,4,5,6")

@@ -120,6 +120,25 @@ class TestExperiments:
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(4, 2, trials=0, seed=0, blocks=BALANCED_4)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "2", None],
+                             ids=["bool", "float", "str", "none"])
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    def test_trials_and_seed_must_be_int(self, name, value):
+        # True once ran one trial and wrote "trials": true into the report
+        settings = {"trials": 2, "seed": 0, name: value}
+        with pytest.raises(TypeError, match=f"{name} must be int"):
+            ExperimentConfig(4, 2, blocks=BALANCED_4, **settings)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            ExperimentConfig(4, 2, trials=1, seed=-3, blocks=BALANCED_4)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = ExperimentConfig(4, 2, trials=np.int64(2), seed=np.uint8(7),
+                                  blocks=BALANCED_4)
+        assert type(config.trials) is int and type(config.seed) is int
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
     def test_blocks_must_match_party_count(self):
         with pytest.raises(ValueError, match="parties"):
             ExperimentConfig(6, 2, trials=1, seed=0, blocks=BALANCED_4)

@@ -9,7 +9,9 @@ from puredeck import (MarginalFamily, PartyStructure, PureState,
                       classify_genericity, compute_deck, deck_distance,
                       fidelity_up_to_phase, ghz_state, partial_trace,
                       phase_twist, sample_haar_state, schmidt_decompose)
-from puredeck.schmidt import RANK_TOL, _genericity, _schmidt_factors
+from puredeck.schmidt import (_TIE_TOL, RANK_TOL, _genericity,
+                              _schmidt_factors, _tie_break_degenerate,
+                              _untied)
 from puredeck.states import _cut
 
 
@@ -112,6 +114,115 @@ class TestDecomposition:
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
         np.testing.assert_array_equal(a.left_basis, b.left_basis)
         np.testing.assert_array_equal(a.right_basis, b.right_basis)
+
+
+def run_start_tie_break(coeffs, left, right, scale):
+    """Oracle: the earlier tie-break, which measured each coefficient
+    against the first of its run; for runs spanning less than the window
+    it forms the runs the neighbour rule forms."""
+    order = list(range(len(coeffs)))
+    start = 0
+    while start < len(coeffs):
+        stop = start + 1
+        while (stop < len(coeffs)
+               and abs(coeffs[stop] - coeffs[start]) <= _TIE_TOL * scale):
+            stop += 1
+        if stop - start > 1:
+            block = sorted(
+                order[start:stop],
+                key=lambda i: tuple((round(z.real, 10), round(z.imag, 10))
+                                    for z in left[i]),
+            )
+            order[start:stop] = block
+        start = stop
+    order = np.asarray(order)
+    return coeffs[order], left[order], right[order]
+
+
+def tied_spectrum(rng, k):
+    """k decreasing coefficients in runs of 1 to 4, each run spanning less
+    than 0.9 of the tie window and the runs 1e-3 or more apart."""
+    sizes = []
+    while sum(sizes) < k:
+        sizes.append(int(rng.integers(1, 5)))
+    sizes[-1] -= sum(sizes) - k
+    levels = 1.0 - 0.01 * np.arange(len(sizes)) - rng.uniform(0, 5e-3,
+                                                              len(sizes))
+    levels[0] = 1.0
+    coeffs = [level - np.sort(np.r_[0.0, rng.uniform(
+        0.0, 0.9 * _TIE_TOL, size - 1)]) for level, size in zip(levels, sizes)]
+    return np.concatenate(coeffs)
+
+
+class TestTieRule:
+    """One tie rule: a run of neighbours each within _TIE_TOL times the
+    largest coefficient of the next is tied, in `_untied` and in the
+    tie-break alike."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_run_start_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k, d = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        coeffs = tied_spectrum(rng, k)
+        assert np.all(np.diff(coeffs) <= 0.0)
+        # entries from a small set, so sort keys often tie on early entries
+        values = np.array([-0.5, 0.0, 0.5])
+        left = (rng.choice(values, (k, d))
+                + 1j * rng.choice(values, (k, d)))
+        right = rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+        got = _tie_break_degenerate(coeffs, left, right)
+        want = run_start_tie_break(coeffs, left, right, coeffs[0])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_neighbour_chain_is_one_run(self):
+        # each gap is 0.6e-12, within the window, but the run spans 1.2e-12:
+        # the neighbour rule ties all three, where the run-start oracle split
+        # them after the second
+        coeffs = np.array([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12, 0.5])
+        left = np.array([[0.3], [0.2], [0.1], [0.0]], dtype=complex)
+        right = np.eye(4, dtype=complex)
+        assert not _untied(coeffs)
+        _, _, got = _tie_break_degenerate(coeffs, left, right)
+        assert np.argmax(got.real, axis=1).tolist() == [2, 1, 0, 3]
+        _, _, old = run_start_tie_break(coeffs, left, right, coeffs[0])
+        assert np.argmax(old.real, axis=1).tolist() == [1, 0, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_untied_items_keep_their_order(self, seed):
+        # the promise the stacked kernel rests on: an untied row comes back
+        # as given, the very arrays, and only a tied one is gathered anew
+        rng = np.random.default_rng(seed)
+        coeffs = np.stack([tied_spectrum(rng, 6) for _ in range(4)])
+        coeffs[0] = np.linspace(1.0, 0.5, 6)
+        untied = _untied(coeffs)
+        assert untied[0]
+        left = rng.standard_normal((6, 4)) + 0j
+        for row, flag in zip(coeffs, untied.tolist()):
+            assert _untied(row) == flag
+            got = _tie_break_degenerate(row, left, left)
+            assert all(g is a for g, a in zip(got, (row, left, left))) == flag
+
+    def test_tied_states_keep_the_oracle_order(self):
+        # GHZ and maximally entangled cuts: every tie is far inside the window
+        bell = np.zeros(16, dtype=complex)
+        bell[[0, 5, 10, 15]] = 0.5
+        states = [ghz_state(4), ghz_state(5, 3),
+                  PureState.from_amplitudes(PartyStructure.uniform(4, 2),
+                                            bell)]
+        for psi in states:
+            n = psi.structure.num_parties
+            for cut in ((1,), (1, 2), (1, 3), tuple(range(1, n))):
+                structure = psi.structure
+                s, left, right = _schmidt_factors(_cut(
+                    psi.amplitudes, structure.local_dims,
+                    [p - 1 for p in cut]))
+                dec = schmidt_decompose(psi, cut)
+                want = run_start_tie_break(s[:dec.rank], left[:dec.rank],
+                                           right[:dec.rank], s[0])
+                for g, w in zip((dec.coefficients, dec.left_basis,
+                                 dec.right_basis), want):
+                    np.testing.assert_array_equal(g, w)
 
 
 class TestGenericity:

@@ -1,8 +1,9 @@
 """Static checks of the package source with the standard library's `ast`:
 no unused imports, no private module-level function that nothing in the
 package calls, one home for the certification rule, one certification
-route, benchmark layer targets that resolve, and every named threshold
-documented in README."""
+route, one tie rule, one phase-system assembly and column order, benchmark
+layer targets that resolve, and every named threshold documented in
+README."""
 
 import ast
 import importlib
@@ -98,6 +99,12 @@ def test_perfbench_targets_resolve():
     assert missing == [], f"perfbench/layers.py TARGETS name {missing}"
 
 
+def function_node(tree, name):
+    node, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
 def functions_using(tree, name):
     """Names of the functions whose bodies read or call `name`."""
     return {node.name for node in ast.walk(tree)
@@ -155,9 +162,7 @@ def test_one_in_place_cholesky():
     # fresh factor np.linalg.cholesky allocates
     trees = {path.name: parse(path) for path in MODULES}
     source = (PACKAGE / "certify.py").read_text()
-    factorizes, = [node for node in trees["certify.py"].body
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "_factorizes"]
+    factorizes = function_node(trees["certify.py"], "_factorizes")
     named = ast.get_source_segment(source, factorizes).count("_umath_linalg")
     assert named > 0
     assert sum(path.read_text().count("_umath_linalg")
@@ -184,3 +189,36 @@ def test_every_named_threshold_is_in_readme():
     assert len(names) >= 10
     missing = [name for name in names if f"`{name}`" not in readme]
     assert missing == [], f"README does not name {missing}"
+
+
+def test_one_column_order():
+    # the pairs i < j are built by `_pairs` alone and cached there, so
+    # assembly and the witness search read one column order
+    source = (PACKAGE / "certify.py").read_text()
+    pairs = function_node(ast.parse(source), "_pairs")
+    named = ast.get_source_segment(source, pairs).count("triu_indices")
+    assert named > 0
+    assert sum(path.read_text().count("triu_indices")
+               for path in MODULES) == named
+
+
+def test_one_assembly():
+    # one function turns overlap operators into the two sources' factors;
+    # the stack calls it directly, not the public name the tracer wraps
+    trees = {path.name: parse(path) for path in MODULES}
+    assert callers(trees, "SourceFactors") == {"certify.py:_gamma_factors"}
+    assert callers(trees, "_gamma_factors") == {
+        "certify.py:assemble_gamma_system", "certify.py:_stack_verdicts"}
+    assert callers(trees, "assemble_gamma_system") == {
+        "certify.py:_exact_verdict"}
+
+
+def test_one_tie_rule():
+    # `_separated` alone reads the tie window; `_untied` and the tie-break
+    # both decide ties by its neighbour-gap test
+    trees = {path.name: parse(path) for path in MODULES}
+    assert {f"{module}:{name}" for module, tree in trees.items()
+            for name in functions_using(tree, "_TIE_TOL")} == {
+        "schmidt.py:_separated"}
+    assert callers(trees, "_separated") == {
+        "schmidt.py:_untied", "schmidt.py:_tie_break_degenerate"}
