@@ -334,20 +334,25 @@ def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
         conj(I_u)^T T^T (I_u^H)^T = I_u^H T conj(I_u).
     So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
     Rows 2s, 2s+1 are conj P + Q, i (conj P - Q) as complex pairs, formed
-    in tiles of rows fixed from n alone, each up to its last column.
-    ||G||_F is summed from the tiles: pairs s, t give a 2 x 2 real block of
-    squared norm 2 (|P_st|^2 + |Q_st|^2); P is Hermitian, Q symmetric, so a
-    tile's columns left of its first row count twice, its diagonal block once.
+    in tiles of rows fixed from n and the factors' precision alone, each
+    up to its last column.  The Gram takes the factors' precision: complex64
+    factors give a float32 Gram, complex128 ones a float64 Gram.
+    ||G||_F is summed in float64 from the tiles: pairs s, t give a 2 x 2
+    real block of squared norm 2 (|P_st|^2 + |Q_st|^2); P is Hermitian, Q
+    symmetric, so a tile's columns left of its first row count twice, its
+    diagonal block once.
     """
     *lead, _, n = system.factors[0].outer_u.shape
-    tile = max(1, min(n, _TILE_BYTES // (16 * n or 1)))
+    dtype = system.factors[0].outer_u.dtype
+    tile = max(1, min(n, _TILE_BYTES // (dtype.itemsize * n or 1)))
     terms = []  # per source conj P, Q: outer and inner factors, unswapped
     for o_u, i_u, o_v, i_v in system.factors:
         outer = np.concatenate([o_u, o_v.conj()], axis=-2)
         outer_c, inner_c = outer.conj(), i_u.conj()
         terms += [(outer, outer_c, i_u, inner_c), (outer_c, np.concatenate(
             [o_v, o_u.conj()], axis=-2), inner_c, i_v)]
-    scratch = [np.empty((*lead, tile * n), dtype=complex) for _ in range(2)]
+    scratch = [np.empty((*lead, tile * n), dtype=dtype) for _ in range(2)]
+    real = scratch[0].real.dtype  # the Gram's float32 or float64
     gram = None  # made once the first tile's products are freed
     squares = np.zeros(lead)
     for start in range(0, max(n, 1), tile):  # once even without pairs
@@ -363,13 +368,15 @@ def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
                 acc += term
             del term  # freed before the next product is made
         for part in (p, q):  # by rows, so a stack sums each item as alone
-            flat = part.view(float)
+            flat = part.view(real)
             left, block = flat[..., :2 * start], flat[..., 2 * start:]
-            squares += (2.0 * np.einsum("...ij,...ij->...i", left, left)
-                        + np.einsum("...ij,...ij->...i", block, block)).sum(-1)
+            squares += (
+                2.0 * np.einsum("...ij,...ij->...i", left, left, dtype=float)
+                + np.einsum("...ij,...ij->...i", block, block, dtype=float)
+            ).sum(-1)
         if gram is None:
-            gram = np.empty((*lead, 2 * n, 2 * n))
-        rows = gram.view(complex)[..., 2 * start:2 * stop, :stop]
+            gram = np.empty((*lead, 2 * n, 2 * n), dtype=real)
+        rows = gram.view(dtype)[..., 2 * start:2 * stop, :stop]
         np.add(p, q, out=rows[..., 0::2, :])
         np.subtract(p, q, out=rows[..., 1::2, :])
         rows[..., 1::2, :] *= 1j
@@ -478,44 +485,102 @@ def decide_null_space(system: GammaSystem, *,
     return _svd_null_space(system.matrix, svd_tol)
 
 
-def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray,
-                      svd_tol: float) -> np.ndarray:
+def _factor_rows(system: GammaSystem) -> int:
+    """m of `_shifted_cholesky`: the most rows a factor Gram of
+    `_lower_gram` sums over, the stacked outer factors or an inner one."""
+    return max(max(2 * f.outer_u.shape[-2], f.inner_u.shape[-2])
+               for f in system.factors)
+
+
+@cache
+def _roundoff(dtype) -> tuple[float, float]:
+    """The unit roundoff u and the smallest normal number of the precision
+    of `dtype` (float32 and complex64 share theirs)."""
+    info = np.finfo(dtype)
+    return float(info.eps) / 2, float(info.smallest_normal)
+
+
+def _shift_coefficient(n: int, rows: int, dtype) -> float:
+    """c of `_shifted_cholesky`'s shift for n x n Grams built and factored
+    in the precision of `dtype`, whose factor Grams sum at most `rows`
+    rows: c = gamma_{n+1} + 8 (rows + 5) u, u the unit roundoff and
+    gamma_k = k u / (1 - k u); inf once (n + 1) u reaches 1/2.  From the
+    dimensions alone."""
+    u, _ = _roundoff(dtype)
+    if (n + 1) * u >= 0.5:
+        return math.inf
+    return (n + 1) * u / (1 - (n + 1) * u) + 8 * (rows + 5) * u
+
+
+def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray, svd_tol: float,
+                      rows: int) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
     certifies a trivial null space; a zero Gram never does.  Shifts the
     diagonal of `gram` in place, the only part read here, and `_factorizes`
     writes each item's factor over it (NaN where it fails) in one call.
 
-    G is the symmetric matrix whose lower triangle `_lower_gram` fills and
-    LAPACK's Cholesky reads.  The shift is s = (tau + (n+1)^2 eps) ||G||_F,
-    eps the float64 machine epsilon, tau = max(4 svd_tol^2, GRAM_MIN_RATIO)
-    and ||G||_F the `norm` summed in the tiles that built G.  Why success
-    certifies what the exact SVD of `decide_null_space` would decide: by
-    the backward error of Cholesky (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), a factorization that completes is
-    exact for H + E with ||E||_2 <~ n(n+1) u ||H||_2, u = eps / 2, where
-    H = G - s I; so H + E is positive definite and lambda_min(G) > s -
-    ||E||_2.  With ||H||_2 <= ||G||_F the shift term (n+1)^2 eps ||G||_F
-    covers ||E||_2 with (n+1)(n+2)/2 eps ||G||_F to spare, which covers
-    G's own rounding while m <= n, m the most rows a factor Gram sums over
-    (2 C(d_A, 2), d_C^2 - 1, ...): an entry of P or Q for pairs s, t is one
-    such sum times one factor-Gram entry plus three additions (tiles do not
-    change how it is rounded), off by about (m + 3) u sqrt(P_ss P_tt) <=
-    (m + 3) u ||G||_2 (P_ss is the mean of G's two diagonal entries for
-    pair s), so G is off by n times that in norm, about 1e-15 ||G|| in
-    practice; `norm`'s tiles differ from the stored G by one rounded
-    addition per entry, so it is ||G||_F (1 + O(n u)), moving s by tau
-    O(n u) ||G||_F.  As lambda_max <= ||G||_F, success proves lambda_min >
-    tau lambda_max, i.e. sigma_min >= sqrt(tau) sigma_max with sqrt(tau) >=
-    max(2 svd_tol, 1e-4), so the exact SVD, accurate to about 1e-16
-    sigma_max, keeps every singular value too.  Squaring the condition
-    number is why the ratio never goes below 1e-8: the Gram cannot resolve
-    svd_tol = 1e-9 itself.
+    One rule serves float32 and float64 Grams, with u the unit roundoff of
+    `gram` (2^-24 or 2^-53).  H is the symmetric matrix whose lower triangle
+    `_lower_gram` fills from the factors rounded to that precision, and G
+    the exact Gram of the complex128 factors, the system the exact SVD of
+    `decide_null_space` reads.  m = `rows` is the most rows a factor Gram
+    sums over (2 C(d_A, 2), d_C^2 - 1, ...).  The shift is
+
+        s = tau (1 + 8 n u) ||H||_F + c tr H + 32 n (n + m)^2 t,
+        c = gamma_{n+1} + 8 (m + 5) u                (`_shift_coefficient`),
+
+    tau = max(4 svd_tol^2, GRAM_MIN_RATIO), gamma_k = k u / (1 - k u), t
+    the smallest normal number of the precision, ||H||_F the `norm` summed
+    in float64 in the tiles that built H and tr H summed in float64 here.
+    Success proves lambda_min(G) > tau ||G||_F >= tau lambda_max(G), i.e.
+    sigma_min >= sqrt(tau) sigma_max with sqrt(tau) >= max(2 svd_tol,
+    1e-4), so the exact SVD, accurate to about 1e-16 sigma_max, keeps every
+    singular value too.  Each term covers one error source (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.6
+    and 10.1; Rump, "Verification of positive definiteness", BIT 46, 2006):
+
+    1. The Gram: |H - G| <= (6m + 30) u (d d^T (x) J), J the 2 x 2 ones
+       and d_s^2 = P_ss = sum over the sources of D_s = ||O_s||^2 ||I_s||^2
+       (columns of the factors in `_lower_gram`; O' and I_v have the
+       column norms of O and I_u).  Rounding the factors to complex64 moves
+       each entry by at most u relatively, and a factor-Gram entry, a
+       complex inner product of at most m terms, is then off by
+       (sqrt2 gamma_{m+2} + 2u) ||x|| ||y|| (section 3.6, and |x|^T |y| <=
+       ||x|| ||y|| by Cauchy-Schwarz); the Hadamard product doubles that
+       and adds sqrt2 gamma_2, the sum over sources adds u (Cauchy-Schwarz
+       over them gives sqrt(P_ss P_tt)), and P +- Q doubles it and adds 2u.
+       The majorant has rank one and norm 2 sum_s P_ss = tr G, so
+       ||H - G||_2 and ||H - G||_F are at most (6m + 30) u tr G.
+    2. The Cholesky: a factor R that completes has R^T R = H' + E with
+       |E| <= gamma_{n+1} |R^T| |R| (Thm 10.3, for any order of the inner
+       products), H' = fl(H - s I) rounding each diagonal entry once.
+       Success leaves H'_ii > 0, so that rounding is at most u (tr H - n s)
+       in norm, and ||E||_2 <= gamma_{n+1} || |R| ||_F^2 = gamma_{n+1}
+       tr(R^T R) <= gamma_{n+1} (1 + u) (tr H - n s) / (1 - gamma_{n+1});
+       as s >= gamma_{n+1} tr H, the two are below (gamma_{n+1} + 2u) tr H.
+    3. The sums and underflow: ||H||_F comes within a relative
+       gamma_{5n} of float64 plus u (H holds P +- Q rounded), which
+       1 + 8 n u covers; every product that underflows errs by at most t,
+       and entries of the factors are at most 1 in modulus, so underflow
+       moves H by at most 32 n m^2 t and R^T R by n (n + 1 + tr H) t in
+       norm.
+    Then H' + E > 0 gives lambda_min(G) > s - (gamma_{n+1} + 2u) tr H
+    - (6m + 30) u tr G - ... >= tau ||G||_F, as ||G||_F <= ||H||_F +
+    (6m + 30) u tr G and tr G <= tr H / (1 - (6m + 30) u): the 2m + 8 u
+    left in c covers tau (6m + 30) u (tau < 4e-4), the float64 trace's
+    rounding (c n < 1) and a kernel that divides by a rounded reciprocal.
+    Squaring the condition number is why the ratio never goes below 1e-8:
+    the Gram cannot resolve svd_tol = 1e-9 itself.
     """
     n = gram.shape[-1]
     tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
-    eps = np.finfo(float).eps
+    u, tiny = _roundoff(gram.dtype)
     diag = gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1]
-    diag -= ((tau + (n + 1) ** 2 * eps) * norm)[..., None]
+    shift = (tau * (1 + 8 * n * u) * norm
+             + _shift_coefficient(n, rows, gram.dtype)
+             * diag.sum(-1, dtype=float)
+             + 32 * n * (n + rows) ** 2 * tiny)
+    diag -= shift[..., None]
     return (norm > 0.0) & _factorizes(gram)
 
 
@@ -529,9 +594,10 @@ def _factorizes(gram: np.ndarray) -> np.ndarray:
     new n x n array.  A failed item is filled with NaN and the others are
     kept, so every item is decided by one call.
     """
-    view = gram.swapaxes(-1, -2)
+    view, code = gram.swapaxes(-1, -2), gram.dtype.char
     with np.errstate(invalid="ignore"):  # the failed items' NaN
-        np.linalg._umath_linalg.cholesky_up(view, out=view, signature="d->d")
+        np.linalg._umath_linalg.cholesky_up(view, out=view,
+                                            signature=f"{code}->{code}")
     return ~np.isnan(gram[..., 0, 0])
 
 
@@ -761,9 +827,10 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
     Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
     products and their identity checks; and 64 n^2 for its Gram stage:
-    the real Gram (32 n^2), which the factor overwrites, and the working
-    copy numpy factors it in (32 n^2), as much as building the Gram takes
-    at its peak (four n x n complex arrays for a stack in one tile).
+    the float64 real Gram (32 n^2), which the factor overwrites, and the
+    working copy numpy factors it in (32 n^2), as much as building the Gram
+    takes at its peak (four n x n complex arrays for a stack in one tile);
+    the float32 rung takes half of that, and is freed before float64 runs.
     As many whole trials as fit _STACK_BYTES go in one stack, at least one.
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
@@ -808,9 +875,12 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     An item gets its verdict from `_trivial_null_verdict` here when its
     primary cut has full rank and is `_untied` (so its pairs come in
     `schmidt_decompose`'s order), its system is tall and its shifted
-    Cholesky succeeds.  Every other item gets `_exact_verdict` with its
-    seed.  An overlap identity that fails for an item in the stack raises
-    the `build_cross_matrices` ValueError.
+    Cholesky succeeds in float32 or, for the items float32 left, in
+    float64.  A precision whose shift coefficient c has c n >= 1, n the
+    real unknowns, is skipped before its Gram is built: lambda_min <=
+    tr G / n, so its Cholesky must fail.  Every other item gets
+    `_exact_verdict` with its seed.  An overlap identity that fails for an
+    item in the stack raises the `build_cross_matrices` ValueError.
     """
     structure = states[0].structure
     s, left, right = _schmidt_factors(_cut(
@@ -823,13 +893,28 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     if kept.size:
         system = GammaSystem(_gamma_factors(
             _cross_matrices(left[kept], right[kept], spec, structure)))
+        n, rows = system.num_real_variables, _factor_rows(system)
+        counts = _verdict_counts(system)
         # a wide system's Gram is singular: only the exact SVD decides it
-        if 2 * system.num_complex_equations >= system.num_real_variables:
-            passed = _shifted_cholesky(*_lower_gram(system), tol.svd_tol)
-            counts = _verdict_counts(system)
-            certified = {item: _trivial_null_verdict(reports[item], uncovered,
-                                                     dict(counts))
-                         for item in kept[passed].tolist()}
+        tall = 2 * system.num_complex_equations >= n
+        undecided = np.arange(kept.size if tall else 0)
+        for dtype in (np.complex64, np.complex128):
+            if (not undecided.size
+                    or _shift_coefficient(n, rows, dtype) * n >= 1):
+                continue
+            # every item still undecided: the factors as they are, no copy
+            pick = (slice(None) if undecided.size == kept.size
+                    else undecided)
+            rung = GammaSystem(tuple(
+                source._make(f[pick].astype(dtype, copy=False)
+                             for f in source)
+                for source in system.factors))
+            passed = _shifted_cholesky(*_lower_gram(rung), tol.svd_tol, rows)
+            certified.update(
+                (item, _trivial_null_verdict(reports[item], uncovered,
+                                             dict(counts)))
+                for item in kept[undecided[passed]].tolist())
+            undecided = undecided[~passed]
     return [certified[item] if item in certified
             else _exact_verdict(state, spec, family, uncovered, tol, seed)
             for item, (state, seed) in enumerate(zip(states, seeds))]
@@ -843,7 +928,8 @@ class OverlapDependenceReport:
 
 
 def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
-                               trials: int, seed) -> OverlapDependenceReport:
+                               trials: int,
+                               seed: int) -> OverlapDependenceReport:
     """Sample random orthonormal basis pairs and measure the rank of the
     stacked (Q, L, P, M) entry tuples.
 
@@ -853,8 +939,12 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
     satisfies the four trace-zero identities, so with enough samples the
     stack has rank T - 4 (T = total entry count) exactly when no further
     dependence exists.  `spec` must cover the parties of `structure`,
-    else ValueError.
+    else ValueError.  `trials` and `seed` are read by `states._integer`
+    (TypeError), and `seed` must be at least 0 (ValueError).
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if spec.num_parties != structure.num_parties:
         raise ValueError("spec covers a different number of parties")
     da, db, dc, dd = spec.block_dims(structure)

@@ -25,7 +25,10 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        # read as `states._integer` reads them, so the report holds ints
+        # read as `states._integer` reads them, so the report holds ints;
+        # `PartyStructure.uniform` below bounds the two dimensions
+        for name in ("num_parties", "local_dim"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name, least in (("trials", 1), ("seed", 0)):
             value = _integer(getattr(self, name), name)
             if value < least:

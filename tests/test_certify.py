@@ -18,9 +18,11 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _certify_stack, _cross_matrices, _factorizes,
-                              _gamma_vector, _khatri_rao, _lower_gram,
-                              _pairs, _shifted_cholesky, _svd_null_space)
+                              GammaSystem, _certify_stack, _cross_matrices,
+                              _factor_rows, _factorizes, _gamma_vector,
+                              _khatri_rao, _lower_gram, _pairs,
+                              _shift_coefficient, _shifted_cholesky,
+                              _svd_null_space)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -46,6 +48,13 @@ def full_gram(system):
     gram, _ = _lower_gram(system)
     return np.where(np.tri(gram.shape[-1], dtype=bool), gram,
                     gram.swapaxes(-1, -2))
+
+
+def at_precision(system, dtype):
+    """`system` with its factors rounded to `dtype`, as a rung of the
+    stack's ladder reads them."""
+    return GammaSystem(tuple(source._make(f.astype(dtype) for f in source)
+                             for source in system.factors))
 
 
 def reference_matrix(matrices):
@@ -369,24 +378,32 @@ class TestGramKernel:
     ])
     def test_stacked_gram_matches_items_bit_for_bit(self, monkeypatch, n, d,
                                                      blocks):
+        for rung in (np.complex64, np.complex128):
+            with monkeypatch.context() as patch:
+                self._check_rung(patch, n, d, blocks, rung)
+
+    @staticmethod
+    def _check_rung(monkeypatch, n, d, blocks, rung):
         # the stack certifies an item from the stacked Gram, so what decides
         # it must be what `certify_udp` decides that item by, to the last
-        # bit: every entry the Cholesky reads, before and after the shift,
-        # the norm the shift is made of, and the factor written over it;
-        # the strict upper triangle is read by neither
+        # bit, in each precision: every entry the Cholesky reads, before
+        # and after the shift, the norm the shift is made of, and the
+        # factor written over it; the strict upper triangle is read by
+        # neither.  The float64 rung is reached by skipping float32.
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         seeds = range(60, 64)
         states = [sample_haar_state(structure, s) for s in seeds]
         tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
         grams, norms, factors = [], [], []
-        real, real_factorizes = (certify_module._shifted_cholesky,
-                                 certify_module._factorizes)
+        real, real_factorizes, real_coefficient = (
+            certify_module._shifted_cholesky, certify_module._factorizes,
+            certify_module._shift_coefficient)
 
-        def spy(gram, norm, svd_tol):
+        def spy(gram, norm, svd_tol, rows):
             grams.append(gram.copy())
             norms.append(norm.copy())
-            return real(gram, norm, svd_tol)
+            return real(gram, norm, svd_tol, rows)
 
         def spy_factorizes(gram):
             shifted = gram.copy()
@@ -396,6 +413,11 @@ class TestGramKernel:
 
         monkeypatch.setattr(certify_module, "_shifted_cholesky", spy)
         monkeypatch.setattr(certify_module, "_factorizes", spy_factorizes)
+        if rung is np.complex128:
+            monkeypatch.setattr(
+                certify_module, "_shift_coefficient",
+                lambda n, rows, dtype: math.inf if dtype is np.complex64
+                else real_coefficient(n, rows, dtype))
         with monkeypatch.context() as patch:
             # one stack of all four, also where the memory budget holds one
             patch.setattr(certify_module, "_stack_size",
@@ -403,47 +425,60 @@ class TestGramKernel:
             _certify_stack(states, spec, seeds=seeds, tol=tol)
         for state, seed in zip(states, seeds):
             _certify_stack([state], spec, seeds=[seed], tol=tol)
+        # each Haar item is decided by the first rung it reaches
+        real_dtype = np.finfo(rung).dtype
+        assert [g.dtype for g in grams] == [real_dtype] * (1 + len(seeds))
         stacked, *items = grams
         stacked_norm, *item_norms = norms
         (shifted, factor), *items_factored = factors
         assert stacked.shape[0] == len(items) == len(seeds)
         size = stacked.shape[-1]
         lower = np.tril_indices(size)
-        scale = ((GRAM_MIN_RATIO + (size + 1) ** 2 * np.finfo(float).eps)
-                 * np.array([np.linalg.norm(np.tril(g) + np.tril(g, -1).T)
-                             for g in stacked]))
         for item, (seed, alone, alone_norm, (alone_shifted, alone_factor)) \
                 in enumerate(zip(seeds, items, item_norms, items_factored)):
             np.testing.assert_array_equal(stacked[item][lower],
                                           alone[0][lower])
             assert stacked_norm[item] == alone_norm[0]
+            system = haar_system(n, d, blocks, seed)
             np.testing.assert_array_equal(
                 stacked[item][lower],
-                full_gram(haar_system(n, d, blocks, seed))[lower])
+                full_gram(at_precision(system, rung))[lower])
             np.testing.assert_array_equal(shifted[item][lower],
                                           alone_shifted[0][lower])
             np.testing.assert_array_equal(factor[item][lower],
                                           alone_factor[0][lower])
-            # the shift is the norm of the symmetric matrix of the lower
-            # triangle, scaled as `_shifted_cholesky` documents (read back
-            # to within the rounding of the diagonal it was taken from)
-            diag = np.diagonal(stacked[item])
+            # the shift is the one `_shifted_cholesky` documents, from the
+            # norm of the symmetric matrix of the lower triangle and the
+            # trace (read back to within the rounding of the diagonal)
+            gram = stacked[item].astype(float)
+            dims = gram.shape[-1]
+            want = (GRAM_MIN_RATIO * (1 + 4 * dims * float(np.finfo(rung).eps))
+                    * np.linalg.norm(np.tril(gram) + np.tril(gram, -1).T)
+                    + real_coefficient(dims, _factor_rows(system), rung)
+                    * np.trace(gram))
+            diag = np.diagonal(gram)
             np.testing.assert_allclose(
-                diag - np.diagonal(shifted[item]), scale[item], rtol=1e-12,
-                atol=4 * np.finfo(float).eps * np.max(np.abs(diag)))
+                diag - np.diagonal(shifted[item]), want, rtol=1e-6,
+                atol=4 * np.finfo(real_dtype).eps * np.max(np.abs(diag)))
 
     def test_ten_qubit_gram_peak(self):
         # P, Q and one pair of factor-Gram products, then P, Q and the real
-        # Gram: four n x n complex arrays, below the bound of 4.5
+        # Gram: four n x n complex arrays, below the bound of 4.5; in float32
+        # about half of that (the Gram and its tiles halve, the boolean mask
+        # `full_gram` mirrors by does not)
         system = haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3)
         n = system.num_complex_variables
-        tracemalloc.start()
-        try:
-            full_gram(system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * 16 * n * n
+        peaks = {}
+        for dtype in (np.complex64, np.complex128):
+            rung = at_precision(system, dtype)
+            tracemalloc.start()
+            try:
+                full_gram(rung)
+                _, peaks[dtype] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[np.complex128] < 4.5 * 16 * n * n
+        assert peaks[np.complex64] < 0.55 * peaks[np.complex128]
 
 
 def same_verdicts(got, want):
@@ -490,11 +525,11 @@ class TestLowerTriangle:
         for poison in (False, True):
             decided = []
 
-            def spy(gram, norm, svd_tol):
+            def spy(gram, norm, svd_tol, rows):
                 if poison:
                     gram[(..., *np.triu_indices(gram.shape[-1], 1))] = np.nan
-                passed = real(gram, norm, svd_tol)
-                decided.append(passed.tolist())
+                passed = real(gram, norm, svd_tol, rows)
+                decided.append((gram.dtype.char, passed.tolist()))
                 return passed
 
             with monkeypatch.context() as patch:
@@ -504,10 +539,11 @@ class TestLowerTriangle:
             runs[poison] = verdicts, decided, calls
         (clean, decided, calls), (dirty, *evidence) = runs[False], runs[True]
         same_verdicts(dirty, clean)
-        # the same items certified by the Cholesky, the same left for the
-        # SVD; every spec with equations reaches the Cholesky and certifies
+        # the same items certified by each rung's Cholesky, the same left
+        # for the SVD; every spec with equations reaches the Cholesky and
+        # certifies
         assert evidence == [decided, calls]
-        assert any(map(any, decided)) == any(
+        assert any(any(passed) for _, passed in decided) == any(
             expected_equation_counts(structure, spec).values())
 
     @pytest.mark.parametrize("n, d, blocks, within_one", [
@@ -563,16 +599,35 @@ class TestInPlaceCholesky:
 
     @pytest.mark.filterwarnings("error")
     def test_factor_overwrites_each_item(self):
-        grams = np.stack([full_gram(haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6",
+        # in the Gram's own precision: LAPACK's spotrf or dpotrf
+        exact = np.stack([full_gram(haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6",
                                                  seed))
                           for seed in (80, 81, 82)])
-        grams[1] -= 2 * np.trace(grams[1]) * np.eye(grams.shape[-1])
+        exact[1] -= 2 * np.trace(exact[1]) * np.eye(exact.shape[-1])
+        for dtype in (np.float32, np.float64):
+            self._check_factor(exact.astype(dtype))
+
+    @staticmethod
+    def _check_factor(grams):
+        dtype = grams.dtype.type
         before = grams.copy()
         assert _factorizes(grams).tolist() == [True, False, True]
+        n = grams.shape[-1]
+        gamma = (n + 1) * np.finfo(dtype).eps / 2
         for item in (0, 2):
-            np.testing.assert_array_equal(
-                grams[item].swapaxes(-1, -2),
-                np.linalg.cholesky(before[item].swapaxes(-1, -2), upper=True))
+            r = grams[item].swapaxes(-1, -2).astype(float)
+            assert np.all(np.tril(r, -1) == 0.0)
+            # error source 2 of `_shifted_cholesky`: R^T R is the Gram up
+            # to gamma_{n+1} |R^T| |R| entrywise (Higham, Thm 10.3), plus
+            # the rounding of R^T R in float64 here
+            gram = before[item].astype(float)
+            slack = n * np.finfo(float).eps
+            assert np.all(np.abs(r.T @ r - gram)
+                          <= (gamma + slack) * (np.abs(r).T @ np.abs(r)))
+            if dtype is np.float64:  # numpy computes float32 in float64
+                np.testing.assert_array_equal(
+                    grams[item].swapaxes(-1, -2), np.linalg.cholesky(
+                        before[item].swapaxes(-1, -2), upper=True))
         assert np.isnan(grams[1]).all()
 
     def test_ten_qubit_factor_allocates_no_matrix(self):
@@ -712,7 +767,10 @@ class TestGramFastPath:
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
         assert np.all(full_gram(system) == 0.0)
-        assert not _shifted_cholesky(*_lower_gram(system), SVD_TOL)
+        for dtype in (np.complex64, np.complex128):
+            assert not _shifted_cholesky(
+                *_lower_gram(at_precision(system, dtype)), SVD_TOL,
+                _factor_rows(system))
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
@@ -730,27 +788,54 @@ class TestGramFastPath:
         s = exact.singular_values
         assert s[-1] / s[0] >= math.sqrt(GRAM_MIN_RATIO)
 
-    @pytest.mark.parametrize("case", ["above-shift", "below-tau", "singular"])
+    @pytest.mark.parametrize("case", ["above-shift", "between-shifts",
+                                      "below-tau", "singular"])
     def test_certificate_direction_on_synthetic_grams(self, monkeypatch, case):
+        # Q diag(lam) Q^T with lam_max = 1 stands in for each rung's Gram,
+        # rounded to the rung's precision: lam_min above the float32 shift
+        # certifies in float32, between the float64 and the float32 shift
+        # in float64, and below tau or at zero in neither
+        decided_by = {"above-shift": "f", "between-shifts": "d"}.get(case,
+                                                                    "svd")
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 31)
-        n = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31).num_real_variables
-        # the shift for lambda_max = 1, where ||G||_F is sqrt(n) at most
-        shift = (GRAM_MIN_RATIO + (n + 1) ** 2 * np.finfo(float).eps) * math.sqrt(n)
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
+        n, rows = system.num_real_variables, _factor_rows(system)
+        # each rung's shift for a trace of n and ||G||_F of sqrt(n) at most
+        shift = {dtype: GRAM_MIN_RATIO * 2 * math.sqrt(n)
+                 + _shift_coefficient(n, rows, dtype) * n
+                 for dtype in (np.complex64, np.complex128)}
+        assert 1e3 * shift[np.complex128] < shift[np.complex64]
         lam = np.ones(n)
-        lam[-1] = {"above-shift": 10 * shift, "below-tau": GRAM_MIN_RATIO / 10,
-                   "singular": 0.0}[case]
+        lam[-1] = {"above-shift": 10 * shift[np.complex64],
+                   "between-shifts": math.sqrt(shift[np.complex64]
+                                              * shift[np.complex128]),
+                   "below-tau": GRAM_MIN_RATIO / 10, "singular": 0.0}[case]
         q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
         gram = (q * lam) @ q.T  # Q diag(lam) Q^T
-        # the stack of one reads the synthetic Gram as its only item
-        monkeypatch.setattr(certify_module, "_lower_gram", lambda system: (
-            gram[None].copy(), np.array([np.linalg.norm(gram)])))
+
+        def synthetic(rung):
+            # the stack of one reads the synthetic Gram as its only item
+            precision = np.finfo(rung.factors[0].outer_u.dtype).dtype
+            rounded = gram.astype(precision)
+            return rounded[None].copy(), np.array([np.linalg.norm(
+                rounded.astype(float))])
+
+        monkeypatch.setattr(certify_module, "_lower_gram", synthetic)
+        tried, real = [], certify_module._factorizes
+        monkeypatch.setattr(
+            certify_module, "_factorizes", lambda g: tried.append(
+                (g.dtype.char, bool(passed := real(g)[0])))
+            or np.array([passed]))
         calls = spy_on_exact_path(monkeypatch)
         verdict = stack_verdict(psi)
-        if case == "above-shift":
+        rungs = {"f": [("f", True)], "d": [("f", False), ("d", True)],
+                 "svd": [("f", False), ("d", False)]}
+        assert tried == rungs[decided_by]
+        if decided_by == "svd":
+            assert calls == [SVD_TOL]  # never certified from the Gram
+        else:
             assert calls == []
             assert verdict.status == UdpStatus.CERTIFIED_UDP
-        else:
-            assert calls == [SVD_TOL]  # never certified from the Gram
 
     def test_margin_straddle_falls_back_to_exact(self, monkeypatch):
         psi = near_singular_state()
@@ -762,16 +847,19 @@ class TestGramFastPath:
         calls, tried = spy_on_exact_path(monkeypatch), []
         real = certify_module._shifted_cholesky
         monkeypatch.setattr(certify_module, "_shifted_cholesky",
-                            lambda gram, norm, tol: tried.append(tol)
-                            or real(gram, norm, tol))
+                            lambda gram, norm, tol, rows:
+                            tried.append((gram.dtype.char, tol))
+                            or real(gram, norm, tol, rows))
         results = {}
         for factor in (0.9, 1.1):
             tol = factor * ratio
             results[factor] = stack_verdict(psi, svd_tol=tol)
             assert results[factor].null_dim == \
                 _svd_null_space(system.matrix, tol).null_dim
-        # the stack tried its Cholesky both times, and both fell back
-        assert tried == calls == [0.9 * ratio, 1.1 * ratio]
+        # the stack tried its Cholesky in both precisions both times, and
+        # both fell back
+        assert calls == [0.9 * ratio, 1.1 * ratio]
+        assert tried == [(char, tol) for tol in calls for char in "fd"]
         assert results[0.9].null_dim == 0
         assert results[1.1].null_dim >= 1
 
@@ -810,6 +898,127 @@ class TestGramFastPath:
             tracemalloc.stop()
         assert verdict.status == UdpStatus.CERTIFIED_UDP
         assert peak < 72e6
+
+
+LADDER_SPECS = {
+    "6q": (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+    "4qt": (4, 3, "A=1;B=2;C=3;D=4"),
+    "8q": (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
+    "10q": (10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10"),
+    "6qt": (6, 3, "A=1;B=2,3;C=4;D=5,6"),
+    "12q": (12, 2, "A=1,2,3;B=4,5,6;C=7,8,9;D=10,11,12"),
+    "12q-wide": (12, 2, "A=1,2;B=3,4,5,6;C=7,8;D=9,10,11,12"),
+    "14q": (14, 2, "A=1,2,3;B=4,5,6,7;C=8,9,10;D=11,12,13,14"),
+}
+
+
+def ladder_dimensions(n, d, blocks):
+    """The real unknowns and the factor rows m of a full-rank spec, from
+    its block dimensions alone."""
+    spec = CrossCutSpec.parse(blocks, n)
+    da, db, dc, dd = spec.block_dims(PartyStructure.uniform(n, d))
+    unknowns = 2 * math.comb(min(da * db, dc * dd), 2)
+    rows = max(2 * math.comb(da, 2), dc * dc - 1, 2 * math.comb(db, 2),
+               dd * dd - 1)
+    return unknowns, rows
+
+
+class TestPrecisionLadder:
+    """The stack's fast path tries a float32 Gram and Cholesky first, then
+    float64 on the items float32 left, then the exact SVD."""
+
+    @pytest.mark.parametrize("name, seeds", [
+        ("6q", range(200)), ("4qt", range(200)), ("8q", range(200)),
+        ("10q", range(1))])
+    def test_float32_certificates_hold_for_the_exact_svd(self, monkeypatch,
+                                                         name, seeds):
+        # every item the float32 rung certifies has a float64 system whose
+        # exact singular values bear out the certified ratio sqrt(tau)
+        n, d, blocks = LADDER_SPECS[name]
+        spec = CrossCutSpec.parse(blocks, n)
+        structure = PartyStructure.uniform(n, d)
+        decided, real = [], certify_module._factorizes
+        monkeypatch.setattr(
+            certify_module, "_factorizes", lambda g: decided.append(
+                (g.dtype.char, (passed := real(g)).tolist())) or passed)
+        certified_in_float32 = []
+        for seed in seeds:
+            decided.clear()
+            verdict = certify_udp(sample_haar_state(structure, seed), spec)
+            if decided[0] == ("f", [True]):
+                assert verdict.status == UdpStatus.CERTIFIED_UDP
+                certified_in_float32.append(seed)
+        # generic margins are wide: no Haar item needs float64 here
+        assert certified_in_float32 == list(seeds)
+        for seed in certified_in_float32:
+            s = np.linalg.svd(haar_system(n, d, blocks, seed).matrix,
+                              compute_uv=False)
+            assert s[-1] >= math.sqrt(GRAM_MIN_RATIO) * s[0]
+
+    @pytest.mark.parametrize("name", ["6q", "4qt", "8q", "6qt"])
+    def test_float32_gram_within_its_majorant(self, name):
+        # error source 1 of `_shifted_cholesky`: entrywise, the float32
+        # Gram is within (6m + 30) u sqrt(P_ss P_tt) of the float64 one
+        n, d, blocks = LADDER_SPECS[name]
+        system = haar_system(n, d, blocks, 5)
+        exact = full_gram(system)
+        rounded = full_gram(at_precision(system, np.complex64)).astype(float)
+        diag = np.diagonal(exact)
+        d_s = np.repeat(np.sqrt((diag[0::2] + diag[1::2]) / 2), 2)
+        u = np.finfo(np.float32).eps / 2
+        bound = (6 * _factor_rows(system) + 30) * u * np.outer(d_s, d_s)
+        assert np.all(np.abs(rounded - exact) <= bound)
+        # the majorant has norm tr G
+        assert math.isclose(np.linalg.norm(np.outer(d_s, d_s), 2),
+                            np.trace(exact), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("name, skips_float32", [
+        ("6q", False), ("4qt", False), ("8q", False), ("10q", False),
+        ("6qt", False), ("12q", True), ("12q-wide", True), ("14q", True)])
+    def test_skip_rule_from_dimensions_alone(self, name, skips_float32):
+        # lambda_min <= tr G / n, so a shift coefficient c with c n >= 1
+        # cannot certify; the rule reads dimensions, and no system of the
+        # larger specs is built here
+        unknowns, rows = ladder_dimensions(*LADDER_SPECS[name])
+        tracemalloc.start()
+        try:
+            single, double = (
+                _shift_coefficient(unknowns, rows, dtype) * unknowns
+                for dtype in (np.complex64, np.complex128))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        assert (single >= 1) == skips_float32
+        assert double < 1e-6
+        if name == "10q":
+            assert 0.05 < single < 0.2
+
+    @pytest.mark.parametrize("name", ["6q", "4qt", "8q"])
+    def test_factor_rows_match_the_dimensions(self, name):
+        n, d, blocks = LADDER_SPECS[name]
+        assert _factor_rows(haar_system(n, d, blocks, 3)) == \
+            ladder_dimensions(n, d, blocks)[1]
+
+    @pytest.mark.parametrize("margin, rungs", [(1.0, "d"), (0.999, "fd")])
+    def test_skipped_rung_builds_no_gram(self, monkeypatch, margin, rungs):
+        # a float32 coefficient of 1/n skips float32 before its Gram is
+        # built; just below it, the rung is tried and, unable to pass,
+        # leaves the item to float64
+        real = certify_module._shift_coefficient
+        monkeypatch.setattr(
+            certify_module, "_shift_coefficient",
+            lambda n, rows, dtype: margin / n if np.finfo(dtype).bits == 32
+            else real(n, rows, dtype))
+        built, real_gram = [], certify_module._lower_gram
+        monkeypatch.setattr(certify_module, "_lower_gram", lambda system: (
+            built.append(system.factors[0].outer_u.dtype.char)
+            or real_gram(system)))
+        calls = spy_on_exact_path(monkeypatch)
+        verdict = stack_verdict(sample_haar_state(SIX_QUBIT_STRUCTURE, 3))
+        assert "".join(built) == rungs.upper()
+        assert calls == []
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
 
 
 class TestCertify:
@@ -898,7 +1107,9 @@ class TestCertify:
     def test_golden_lopsided_ghz_witness(self):
         # sha256 of the witness amplitudes, recorded before both witness
         # searches shared one twist-and-verify loop (numpy 2.4 with its
-        # OpenBLAS, x86-64, 1 and 2 BLAS threads)
+        # OpenBLAS, x86-64, 1 and 2 BLAS threads); its 0.6 and 0.8 and
+        # exact zeros are the same bytes under every OpenBLAS kernel tried
+        # (SkylakeX, Haswell, Sandybridge, Prescott), so it stays exact
         verdict = certify_udp(ghz_state(8, 2, 0.6, 0.8),
                               CrossCutSpec.parse("A=1,2;B=3,4;C=5,6;D=7,8", 8),
                               MarginalFamily.complete(8, 4))
@@ -1265,6 +1476,26 @@ class TestOverlapDependences:
         with pytest.raises(ValueError, match="different number of parties"):
             verify_overlap_dependences(SIX_QUBIT_STRUCTURE, spec, trials=64,
                                        seed=0)
+
+    @pytest.mark.parametrize("settings, error, message", [
+        ({"trials": 40.5}, TypeError, "trials must be int"),
+        ({"trials": True}, TypeError, "trials must be int"),
+        ({"seed": 1.5}, TypeError, "seed must be int"),
+        ({"seed": -1}, ValueError, "seed must be at least 0"),
+    ], ids=["float-trials", "bool-trials", "float-seed", "negative-seed"])
+    def test_trials_and_seed_read_as_certify_udp_reads_seed(
+            self, settings, error, message):
+        # these once failed late, in Python or numpy, or (True) ran one trial
+        with pytest.raises(error, match=message):
+            verify_overlap_dependences(SIX_QUBIT_STRUCTURE, SIX_QUBIT_SPEC,
+                                       **{"trials": 80, "seed": 1, **settings})
+
+    def test_numpy_integer_trials_and_seed(self):
+        want = verify_overlap_dependences(SIX_QUBIT_STRUCTURE, SIX_QUBIT_SPEC,
+                                          trials=80, seed=1)
+        assert verify_overlap_dependences(
+            SIX_QUBIT_STRUCTURE, SIX_QUBIT_SPEC, trials=np.int64(80),
+            seed=np.uint8(1)) == want
 
     def test_trials_too_small(self):
         with pytest.raises(ValueError, match="trials"):

@@ -139,6 +139,26 @@ class TestExperiments:
         assert type(config.trials) is int and type(config.seed) is int
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    def test_numpy_dimensions_round_trip_to_json(self):
+        # numpy dimensions were kept as given, and the report's JSON then
+        # raised "Object of type int64 is not JSON serializable"
+        config = ExperimentConfig(np.int64(4), np.int64(2), trials=1, seed=0,
+                                  blocks=BALANCED_4)
+        assert type(config.num_parties) is int
+        assert type(config.local_dim) is int
+        data = json.loads(run_experiment(config, verbose=False).to_json())
+        assert (data["config"]["num_parties"], data["config"]["local_dim"]) \
+            == (4, 2)
+        assert ExperimentConfig.from_dict(data["config"]) == config
+
+    @pytest.mark.parametrize("value", [True, 4.0, "4"],
+                             ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("name", ["num_parties", "local_dim"])
+    def test_dimensions_must_be_int(self, name, value):
+        settings = {"num_parties": 4, "local_dim": 2, name: value}
+        with pytest.raises(TypeError, match=f"{name} must be int"):
+            ExperimentConfig(trials=1, seed=0, blocks=BALANCED_4, **settings)
+
     def test_blocks_must_match_party_count(self):
         with pytest.raises(ValueError, match="parties"):
             ExperimentConfig(6, 2, trials=1, seed=0, blocks=BALANCED_4)

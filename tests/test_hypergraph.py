@@ -1,6 +1,5 @@
 """Tests for hypergraph connectivity and disconnection counterexamples."""
 
-import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +13,8 @@ from puredeck import (MarginalFamily, PartyStructure, PureState, components,
                       is_connected, marginal_number_lower_bound,
                       sample_haar_state, verify_twin)
 from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
+
+from digests import amplitude_digest
 
 FOUR_MARGINAL_FAMILY = MarginalFamily(6, ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6)))
 
@@ -218,28 +219,28 @@ class TestCounterexample:
 
     def test_golden_ten_qubit_twin(self):
         # complete 3-decks of parties 1..5 and 6..10, as in the benchmark;
-        # sha256 of the twin's amplitudes, recorded before both witness
-        # searches shared one twist-and-verify loop (numpy 2.4 with its
-        # OpenBLAS, x86-64, 1 and 2 BLAS threads): it pins the cut and the
-        # twist that yield the twin
+        # the twin is the one found before both witness searches shared one
+        # twist-and-verify loop, and its digest (`digests.amplitude_digest`,
+        # the same under OpenBLAS's SkylakeX, Haswell, Sandybridge and
+        # Prescott kernels) pins the cut and the twist that yield it
         psi = sample_haar_state(PartyStructure.uniform(10, 2), 11)
         fam = MarginalFamily(10, tuple(combinations(range(1, 6), 3))
                              + tuple(combinations(range(6, 11), 3)))
         twin = counterexample_from_disconnection(psi, fam, seed=0)
-        assert hashlib.sha256(twin.amplitudes.tobytes()).hexdigest() == \
-            "dfbd9f0de638d169c3e87509e1b34fc106262060f1d140b35997be9ebd43111c"
+        assert amplitude_digest(twin.amplitudes) == \
+            "a6fc62c3872f857666b6174f868544ed65ec2c19691d47d66eea88abbae5b9f6"
 
     def test_golden_nine_qubit_twin_three_components(self):
-        # complete 2-decks of {1,2,3}, {4,5,6} and {7,8,9}; the hash is the
-        # same when every grouping of components is tried (numpy 2.4 with its
-        # OpenBLAS, x86-64, 1 and 2 BLAS threads)
+        # complete 2-decks of {1,2,3}, {4,5,6} and {7,8,9}; the digest is
+        # the same when every grouping of components is tried, and under
+        # OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernels
         psi = sample_haar_state(PartyStructure.uniform(9, 2), 13)
         fam = MarginalFamily(9, tuple(pair for group in ((1, 2, 3), (4, 5, 6),
                                                           (7, 8, 9))
                                       for pair in combinations(group, 2)))
         twin = counterexample_from_disconnection(psi, fam)
-        assert hashlib.sha256(twin.amplitudes.tobytes()).hexdigest() == \
-            "3b871fb22606a4f48e65bfb9e72ebf29a26da2596a13cec7e3f68982f86cc13d"
+        assert amplitude_digest(twin.amplitudes) == \
+            "0a4af9bdf4c17ffe80c2b602268cf79426b57066ded19bf687cdc9d7d90937f4"
 
     def test_first_component_product_second_entangled(self):
         # |0> (x) bell(2,3) (x) |0>: product across {1}|{2,3,4}, entangled

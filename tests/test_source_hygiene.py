@@ -140,10 +140,12 @@ def callers(trees, name):
 
 def test_one_certification_route():
     trees = {path.name: parse(path) for path in MODULES}
-    # only the stacked kernel issues the Cholesky certificate, and only
-    # the exact decision runs the SVD
+    # only the stacked kernel issues the Cholesky certificate, from the
+    # Grams its one loop over precisions builds, and only the exact
+    # decision runs the SVD
     assert callers(trees, "_shifted_cholesky") == {
         "certify.py:_stack_verdicts"}
+    assert callers(trees, "_lower_gram") == {"certify.py:_stack_verdicts"}
     assert callers(trees, "_svd_null_space") == {
         "certify.py:decide_null_space"}
     # certify_udp is a stack of one, and no route leads back into it; the
@@ -168,6 +170,8 @@ def test_one_in_place_cholesky():
     assert sum(path.read_text().count("_umath_linalg")
                for path in MODULES) == named
     assert callers(trees, "cholesky") == set()
+    # its signature comes from the Gram, so one call serves both rungs
+    assert "d->d" not in source and "f->f" not in source
 
 
 def test_one_gram_tiling():
@@ -176,6 +180,20 @@ def test_one_gram_tiling():
     source = (PACKAGE / "certify.py").read_text()
     assert functions_using(ast.parse(source), "_TILE_BYTES") == {"_lower_gram"}
     assert "int64" not in source
+
+
+def test_one_shift_rule():
+    # one rule shifts both rungs, and the skip test reads its coefficient;
+    # roundoff is read from the precision only there, and one loop names
+    # the precisions
+    tree = parse(PACKAGE / "certify.py")
+    assert functions_using(tree, "_shift_coefficient") == {
+        "_shifted_cholesky", "_stack_verdicts"}
+    assert functions_using(tree, "finfo") == {"_roundoff"}
+    assert functions_using(tree, "_roundoff") == {"_shift_coefficient",
+                                                  "_shifted_cholesky"}
+    assert functions_using(tree, "complex64") == {"_stack_verdicts"}
+    assert functions_using(tree, "GRAM_MIN_RATIO") == {"_shifted_cholesky"}
 
 
 def test_every_named_threshold_is_in_readme():
@@ -207,6 +225,8 @@ def test_one_assembly():
     # the stack calls it directly, not the public name the tracer wraps
     trees = {path.name: parse(path) for path in MODULES}
     assert callers(trees, "SourceFactors") == {"certify.py:_gamma_factors"}
+    # the precision ladder re-types and subsets those factors, no more
+    assert callers(trees, "_make") == {"certify.py:_stack_verdicts"}
     assert callers(trees, "_gamma_factors") == {
         "certify.py:assemble_gamma_system", "certify.py:_stack_verdicts"}
     assert callers(trees, "assemble_gamma_system") == {

@@ -2,7 +2,6 @@
 `run_experiment` against the exact SVD on each state: verdicts field by
 field, whole reports, and memory."""
 
-import hashlib
 import json
 import math
 import tracemalloc
@@ -18,6 +17,8 @@ from puredeck import (CrossCutSpec, ExperimentConfig, PartyStructure, PureState,
                       run_experiment, sample_haar_state)
 from puredeck.certify import _certify_stack, _stack_size
 from puredeck.cli import main
+
+from digests import report_digest
 
 SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 STRUCTURE = PartyStructure.uniform(6, 2)
@@ -113,7 +114,7 @@ class TestDifferential:
             return real_exact(state, *args)
 
         def spy_factorizes(mats):
-            factorized.append(mats.ndim)
+            factorized.append((mats.dtype.char, len(mats)))
             return real_factorizes(mats)
 
         monkeypatch.setattr(certify_module, "_exact_verdict", spy_exact)
@@ -135,12 +136,13 @@ class TestDifferential:
         assert sorted(per_state) == sorted(
             n for n in names
             if not n.startswith("haar") and n != "near-degenerate")
-        # the kernel reads the 16 states as stacks of 15 and 1, each
-        # factorized once: the first keeps 11 items, and the one whose
-        # Cholesky fails leaves it while the other 10 pass; the exact
+        # the kernel reads the 16 states as stacks of 15 and 1: the first
+        # keeps 11 items, whose float32 Cholesky passes 10; the float64 one
+        # gets only the item float32 left, fails it too, and the item leaves
+        # the stack; the second stack's item passes in float32; the exact
         # verdicts of the items that leave a stack run no Cholesky
         assert _stack_size(STRUCTURE, SPEC) == 15
-        assert factorized == [3, 3]
+        assert factorized == [("f", 11), ("d", 1), ("f", 1)]
 
     def test_partial_last_stack_matches_per_state_route(self, monkeypatch):
         batch = [state for _, state in mixed_batch()]
@@ -240,23 +242,20 @@ class TestDifferential:
             "trace identity violated for Q blocks"
 
 
-# sha256 of `run_experiment(...).to_json(include_timing=False)`, recorded
-# with one `certify_udp` call per trial, before trials were stacked (numpy
-# 2.4 with its OpenBLAS, x86-64); min_spectral_gap is printed to the last
-# digit, so a LAPACK build that rounds the Schmidt SVD differently changes
-# the digests without any change here
+# `digests.report_digest` of the experiment report's JSON, timing left out:
+# statuses, counts, ranks, null dims and equation counts exactly, floats such
+# as min_spectral_gap to 10 significant digits.  The verdicts are those one
+# `certify_udp` call per trial gave before trials were stacked; the digests
+# are the same under OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott
+# kernels, which round the Schmidt SVD's last digits differently
 GOLDEN = [
     (6, 2, "A=1,2;B=3;C=4;D=5,6", 200, 2026,
-     "694c11f3fdeefeac2e5b93dcae2050f2539d1696b553325eb21979b73c5a718c"),
+     "35f41b3228c9f8dba09b8c5f2254b41f5259738a0458daa57c94000a847c52ad"),
     (4, 3, "A=1;B=2;C=3;D=4", 200, 2027,
-     "7955ac3da4b1b67710a2edf485c06d917aa416dd2224fc4549796da3273478f6"),
+     "b56616afb446f94035a3dd1e86803ce9b8ed6da829bfb2dd62c2d79f8961ae7a"),
     (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8", 20, 2028,
-     "05de329b9c5d2dc87a23da055314ba2c2eb000a018aef52c20c871b64823baae"),
+     "31976d6d9e209c8482aed6b3cdf5d32ed73d88656d39b58ed9c6473f01d3e44b"),
 ]
-
-
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("n, d, blocks, trials, seed, digest", GOLDEN,
@@ -266,7 +265,7 @@ class TestGoldenReports:
         config = ExperimentConfig(n, d, trials=trials, seed=seed,
                                   blocks=CrossCutSpec.parse(blocks, n))
         report = run_experiment(config, verbose=False)
-        assert sha256(report.to_json(include_timing=False)) == digest
+        assert report_digest(report.to_json(include_timing=False)) == digest
 
     def test_cli_json(self, capsys, n, d, blocks, trials, seed, digest):
         assert main(["experiment", "--n", str(n), "--d", str(d),
@@ -274,7 +273,7 @@ class TestGoldenReports:
                      "--blocks", blocks, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         del data["timing"]
-        assert sha256(json.dumps(data, indent=2, sort_keys=True)) == digest
+        assert report_digest(json.dumps(data)) == digest
 
 
 class TestMemory:
