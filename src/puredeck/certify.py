@@ -167,18 +167,16 @@ def _operator_blocks(product: np.ndarray, rank: int) -> np.ndarray:
                            d).swapaxes(-3, -2)
 
 
-def _identity_errors(product: np.ndarray,
-                     rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest deviations of the operators O[i, j] in an overlap product
-    from Tr O[i, j] = delta_ij and from O[j, i] = O[i, j]^H, one value per
-    item.  The adjoint identity for all (i, j) says the product is
-    Hermitian."""
+def _trace_errors(product: np.ndarray, rank: int) -> np.ndarray:
+    """Largest deviation of the operators O[i, j] in an overlap product
+    from Tr O[i, j] = delta_ij, one value per item: the basis rows'
+    orthonormality.  O[j, i] = O[i, j]^H needs no check, as R R^H is
+    Hermitian by construction, and the phase system reads only the blocks
+    i < j (`_gamma_factors`)."""
     d = product.shape[-1] // rank
     blocks = product.reshape(*product.shape[:-2], rank, d, rank, d)
     traces = np.einsum("...iaja->...ij", blocks) - np.eye(rank)
-    adjoint_gap = product - product.conj().swapaxes(-1, -2)
-    return (np.abs(traces).max(axis=(-2, -1)),
-            np.abs(adjoint_gap).max(axis=(-2, -1)))
+    return np.abs(traces).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
     """Overlap operators of orthonormal basis rows (..., rank, dim), one
     state or a stack: the left rows split as A x B, the right ones as C x D.
 
-    Raises ValueError when any item breaks the trace or adjoint identity.
+    Raises ValueError when any item breaks the trace identity.
     """
     products = []
     for basis, parties, first in ((left, spec.ab, spec.block_a),
@@ -214,10 +212,8 @@ def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
             _cut(basis, dims, [parties.index(p) for p in first]))
     rank = left.shape[-2]
     for name, product in zip("QLPM", products):
-        for kind, err in zip(("trace", "adjoint"),
-                             _identity_errors(product, rank)):
-            if np.any(err > TRACE_IDENTITY_TOL):
-                raise ValueError(f"{kind} identity violated for {name} blocks")
+        if np.any(_trace_errors(product, rank) > TRACE_IDENTITY_TOL):
+            raise ValueError(f"trace identity violated for {name} blocks")
     q, l, p, m = (_operator_blocks(product, rank) for product in products)
     for arr in (q, l, p, m):
         arr.setflags(write=False)
@@ -275,7 +271,7 @@ class GammaSystem:
     gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
     so only the i < j entries appear.  The zero vector always solves the
     system.  Factors with leading axes hold a stack of systems of one shape,
-    whose Grams `_lower_gram` builds with the same leading axes; `matrix`
+    whose Grams `_upper_gram` builds with the same leading axes; `matrix`
     needs one system.
     """
 
@@ -317,8 +313,8 @@ class GammaSystem:
         return matrix
 
 
-def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The lower triangle of the real Gram of `system`: with A = U + V and
+def _upper_gram(system: GammaSystem) -> np.ndarray:
+    """The upper triangle of the real Gram of `system`: with A = U + V and
     B = i(U - V) the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
     = [[Re(P + Q), Im(Q - P)], [Im(Q + P), Re(P - Q)]] in the interleaved
     order, for P = U^H U + conj(V^H V) and Q = U^H V + (U^H V)^T summed
@@ -333,14 +329,13 @@ def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
       I_u^H I_v = I_u^H T conj(I_u) is symmetric, as its transpose is
         conj(I_u)^T T^T (I_u^H)^T = I_u^H T conj(I_u).
     So conj(V^H V) and (U^H V)^T are the conj O_v rows' share of P, Q.
-    Rows 2s, 2s+1 are conj P + Q, i (conj P - Q) as complex pairs, formed
-    in tiles of rows fixed from n and the factors' precision alone, each
-    up to its last column.  The Gram takes the factors' precision: complex64
-    factors give a float32 Gram, complex128 ones a float64 Gram.
-    ||G||_F is summed in float64 from the tiles: pairs s, t give a 2 x 2
-    real block of squared norm 2 (|P_st|^2 + |Q_st|^2); P is Hermitian, Q
-    symmetric, so a tile's columns left of its first row count twice, its
-    diagonal block once.
+    Rows 2s, 2s+1 are conj P + Q, i (conj P - Q) as complex pairs, the
+    second written through its real and imaginary parts, formed in tiles
+    of rows fixed from n and the factors' precision alone, each from its
+    first row's column on; the strict lower triangle is left unset but for
+    the lower entry of each diagonal 2 x 2 block.  The Gram takes the
+    factors' precision: complex64 factors give a float32 Gram, complex128
+    ones a float64 Gram.
     """
     *lead, _, n = system.factors[0].outer_u.shape
     dtype = system.factors[0].outer_u.dtype
@@ -352,35 +347,27 @@ def _lower_gram(system: GammaSystem) -> tuple[np.ndarray, np.ndarray]:
         terms += [(outer, outer_c, i_u, inner_c), (outer_c, np.concatenate(
             [o_v, o_u.conj()], axis=-2), inner_c, i_v)]
     scratch = [np.empty((*lead, tile * n), dtype=dtype) for _ in range(2)]
-    real = scratch[0].real.dtype  # the Gram's float32 or float64
     gram = None  # made once the first tile's products are freed
-    squares = np.zeros(lead)
     for start in range(0, max(n, 1), tile):  # once even without pairs
         stop = min(start + tile, n)
-        p, q = (buf[..., :(stop - start) * stop].reshape(
-            *lead, stop - start, stop) for buf in scratch)
+        p, q = (buf[..., :(stop - start) * (n - start)].reshape(
+            *lead, stop - start, n - start) for buf in scratch)
         for k, (o_l, o_r, i_l, i_r) in enumerate(terms):
             acc = (p, q)[k % 2]  # the first source's terms start them
             term = np.matmul(o_l[..., start:stop].swapaxes(-1, -2),
-                             o_r[..., :stop], out=acc if k < 2 else None)
-            term *= i_l[..., start:stop].swapaxes(-1, -2) @ i_r[..., :stop]
+                             o_r[..., start:], out=acc if k < 2 else None)
+            term *= i_l[..., start:stop].swapaxes(-1, -2) @ i_r[..., start:]
             if k >= 2:
                 acc += term
             del term  # freed before the next product is made
-        for part in (p, q):  # by rows, so a stack sums each item as alone
-            flat = part.view(real)
-            left, block = flat[..., :2 * start], flat[..., 2 * start:]
-            squares += (
-                2.0 * np.einsum("...ij,...ij->...i", left, left, dtype=float)
-                + np.einsum("...ij,...ij->...i", block, block, dtype=float)
-            ).sum(-1)
         if gram is None:
-            gram = np.empty((*lead, 2 * n, 2 * n), dtype=real)
-        rows = gram.view(dtype)[..., 2 * start:2 * stop, :stop]
+            gram = np.empty((*lead, 2 * n, 2 * n), dtype=p.real.dtype)
+        rows = gram.view(dtype)[..., 2 * start:2 * stop, start:]
         np.add(p, q, out=rows[..., 0::2, :])
-        np.subtract(p, q, out=rows[..., 1::2, :])
-        rows[..., 1::2, :] *= 1j
-    return gram, np.sqrt(2.0 * squares)
+        odd = rows[..., 1::2, :]  # i (conj P - Q), without a product
+        np.subtract(q.imag, p.imag, out=odd.real)
+        np.subtract(p.real, q.real, out=odd.imag)
+    return gram
 
 
 def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
@@ -487,7 +474,7 @@ def decide_null_space(system: GammaSystem, *,
 
 def _factor_rows(system: GammaSystem) -> int:
     """m of `_shifted_cholesky`: the most rows a factor Gram of
-    `_lower_gram` sums over, the stacked outer factors or an inner one."""
+    `_upper_gram` sums over, the stacked outer factors or an inner one."""
     return max(max(2 * f.outer_u.shape[-2], f.inner_u.shape[-2])
                for f in system.factors)
 
@@ -504,15 +491,16 @@ def _shift_coefficient(n: int, rows: int, dtype) -> float:
     """c of `_shifted_cholesky`'s shift for n x n Grams built and factored
     in the precision of `dtype`, whose factor Grams sum at most `rows`
     rows: c = gamma_{n+1} + 8 (rows + 5) u, u the unit roundoff and
-    gamma_k = k u / (1 - k u); inf once (n + 1) u reaches 1/2.  From the
+    gamma_k = k u / (1 - k u); inf once (n + 1) u reaches 1/2 or
+    (6 rows + 30) u exceeds 1/5, where the shift's proof ends.  From the
     dimensions alone."""
     u, _ = _roundoff(dtype)
-    if (n + 1) * u >= 0.5:
+    if (n + 1) * u >= 0.5 or (6 * rows + 30) * u > 0.2:
         return math.inf
     return (n + 1) * u / (1 - (n + 1) * u) + 8 * (rows + 5) * u
 
 
-def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray, svd_tol: float,
+def _shifted_cholesky(gram: np.ndarray, svd_tol: float,
                       rows: int) -> np.ndarray:
     """Whether the Cholesky of each shifted Gram (..., n, n) succeeds, which
     certifies a trivial null space; a zero Gram never does.  Shifts the
@@ -520,28 +508,28 @@ def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray, svd_tol: float,
     writes each item's factor over it (NaN where it fails) in one call.
 
     One rule serves float32 and float64 Grams, with u the unit roundoff of
-    `gram` (2^-24 or 2^-53).  H is the symmetric matrix whose lower triangle
-    `_lower_gram` fills from the factors rounded to that precision, and G
+    `gram` (2^-24 or 2^-53).  H is the symmetric matrix whose upper triangle
+    `_upper_gram` fills from the factors rounded to that precision, and G
     the exact Gram of the complex128 factors, the system the exact SVD of
     `decide_null_space` reads.  m = `rows` is the most rows a factor Gram
     sums over (2 C(d_A, 2), d_C^2 - 1, ...).  The shift is
 
-        s = tau (1 + 8 n u) ||H||_F + c tr H + 32 n (n + m)^2 t,
+        s = (tau + c) tr H + 32 n (n + m)^2 t,
         c = gamma_{n+1} + 8 (m + 5) u                (`_shift_coefficient`),
 
     tau = max(4 svd_tol^2, GRAM_MIN_RATIO), gamma_k = k u / (1 - k u), t
-    the smallest normal number of the precision, ||H||_F the `norm` summed
-    in float64 in the tiles that built H and tr H summed in float64 here.
-    Success proves lambda_min(G) > tau ||G||_F >= tau lambda_max(G), i.e.
-    sigma_min >= sqrt(tau) sigma_max with sqrt(tau) >= max(2 svd_tol,
-    1e-4), so the exact SVD, accurate to about 1e-16 sigma_max, keeps every
-    singular value too.  Each term covers one error source (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.6
-    and 10.1; Rump, "Verification of positive definiteness", BIT 46, 2006):
+    the smallest normal number of the precision and tr H summed in float64
+    here.  Success proves lambda_min(G) > tau tr G >= tau ||G||_F >= tau
+    lambda_max(G), i.e. sigma_min >= sqrt(tau) sigma_max with sqrt(tau) >=
+    max(2 svd_tol, 1e-4), so the exact SVD, accurate to about 1e-16
+    sigma_max, keeps every singular value too.  Each term covers one error
+    source (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.6 and 10.1; Rump, "Verification of positive definiteness",
+    BIT 46, 2006):
 
     1. The Gram: |H - G| <= (6m + 30) u (d d^T (x) J), J the 2 x 2 ones
        and d_s^2 = P_ss = sum over the sources of D_s = ||O_s||^2 ||I_s||^2
-       (columns of the factors in `_lower_gram`; O' and I_v have the
+       (columns of the factors in `_upper_gram`; O' and I_v have the
        column norms of O and I_u).  Rounding the factors to complex64 moves
        each entry by at most u relatively, and a factor-Gram entry, a
        complex inner product of at most m terms, is then off by
@@ -550,7 +538,7 @@ def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray, svd_tol: float,
        and adds sqrt2 gamma_2, the sum over sources adds u (Cauchy-Schwarz
        over them gives sqrt(P_ss P_tt)), and P +- Q doubles it and adds 2u.
        The majorant has rank one and norm 2 sum_s P_ss = tr G, so
-       ||H - G||_2 and ||H - G||_F are at most (6m + 30) u tr G.
+       ||H - G||_2 and |tr H - tr G| are at most (6m + 30) u tr G.
     2. The Cholesky: a factor R that completes has R^T R = H' + E with
        |E| <= gamma_{n+1} |R^T| |R| (Thm 10.3, for any order of the inner
        products), H' = fl(H - s I) rounding each diagonal entry once.
@@ -558,45 +546,42 @@ def _shifted_cholesky(gram: np.ndarray, norm: np.ndarray, svd_tol: float,
        in norm, and ||E||_2 <= gamma_{n+1} || |R| ||_F^2 = gamma_{n+1}
        tr(R^T R) <= gamma_{n+1} (1 + u) (tr H - n s) / (1 - gamma_{n+1});
        as s >= gamma_{n+1} tr H, the two are below (gamma_{n+1} + 2u) tr H.
-    3. The sums and underflow: ||H||_F comes within a relative
-       gamma_{5n} of float64 plus u (H holds P +- Q rounded), which
-       1 + 8 n u covers; every product that underflows errs by at most t,
-       and entries of the factors are at most 1 in modulus, so underflow
-       moves H by at most 32 n m^2 t and R^T R by n (n + 1 + tr H) t in
-       norm.
+    3. Underflow: every product that underflows errs by at most t, and
+       entries of the factors are at most 1 in modulus, so underflow moves
+       H by at most 32 n m^2 t and R^T R by n (n + 1 + tr H) t in norm.
     Then H' + E > 0 gives lambda_min(G) > s - (gamma_{n+1} + 2u) tr H
-    - (6m + 30) u tr G - ... >= tau ||G||_F, as ||G||_F <= ||H||_F +
-    (6m + 30) u tr G and tr G <= tr H / (1 - (6m + 30) u): the 2m + 8 u
-    left in c covers tau (6m + 30) u (tau < 4e-4), the float64 trace's
-    rounding (c n < 1) and a kernel that divides by a rounded reciprocal.
-    Squaring the condition number is why the ratio never goes below 1e-8:
-    the Gram cannot resolve svd_tol = 1e-9 itself.
+    - (6m + 30) u tr G - ... >= tau tr G, as tr G <= tr H / (1 - (6m + 30)
+    u) by 1; and tr G >= ||G||_F for G >= 0, its eigenvalues' sum against
+    their 2-norm.  The (2m + 8) u left in c covers tau (6m + 30) u (tau <
+    4e-4) and the second-order terms, as (6m + 30) u <= 1/5 (c is inf
+    beyond), the float64 trace's rounding (c n < 1) and a kernel that
+    divides by a rounded reciprocal.  Squaring the condition number is why the ratio
+    never goes below 1e-8: the Gram cannot resolve svd_tol = 1e-9 itself.
     """
     n = gram.shape[-1]
     tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
-    u, tiny = _roundoff(gram.dtype)
+    _, tiny = _roundoff(gram.dtype)
     diag = gram.reshape(*gram.shape[:-2], n * n)[..., ::n + 1]
-    shift = (tau * (1 + 8 * n * u) * norm
-             + _shift_coefficient(n, rows, gram.dtype)
-             * diag.sum(-1, dtype=float)
-             + 32 * n * (n + rows) ** 2 * tiny)
-    diag -= shift[..., None]
-    return (norm > 0.0) & _factorizes(gram)
+    trace = diag.sum(-1, dtype=float)
+    diag -= ((tau + _shift_coefficient(n, rows, gram.dtype)) * trace
+             + 32 * n * (n + rows) ** 2 * tiny)[..., None]
+    return (trace > 0.0) & _factorizes(gram)
 
 
 def _factorizes(gram: np.ndarray) -> np.ndarray:
-    """Whether LAPACK's Cholesky of the lower triangle of each matrix of
+    """Whether LAPACK's Cholesky of the upper triangle of each matrix of
     `gram` (..., n, n) succeeds; the factor overwrites `gram`.
 
-    This is the gufunc np.linalg.cholesky(upper=True) calls, on the
-    transposed view: that view's upper triangle is `gram`'s lower one, and
-    its upper factor R, with R^T R the Gram, goes back over it without a
+    This is the gufunc np.linalg.cholesky calls (uplo 'L', which OpenBLAS
+    runs faster than 'U'), on the transposed view: that view is
+    F-contiguous, its lower triangle is `gram`'s upper one, and its lower
+    factor L, with L L^T the Gram, goes back over it as R = L^T without a
     new n x n array.  A failed item is filled with NaN and the others are
     kept, so every item is decided by one call.
     """
     view, code = gram.swapaxes(-1, -2), gram.dtype.char
     with np.errstate(invalid="ignore"):  # the failed items' NaN
-        np.linalg._umath_linalg.cholesky_up(view, out=view,
+        np.linalg._umath_linalg.cholesky_lo(view, out=view,
                                             signature=f"{code}->{code}")
     return ~np.isnan(gram[..., 0, 0])
 
@@ -826,7 +811,8 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
     Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
-    products and their identity checks; and 64 n^2 for its Gram stage:
+    products (half of that; their trace check takes k^2 entries each) and
+    the factors gathered from them; and 64 n^2 for its Gram stage:
     the float64 real Gram (32 n^2), which the factor overwrites, and the
     working copy numpy factors it in (32 n^2), as much as building the Gram
     takes at its peak (four n x n complex arrays for a stack in one tile);
@@ -879,7 +865,7 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     float64.  A precision whose shift coefficient c has c n >= 1, n the
     real unknowns, is skipped before its Gram is built: lambda_min <=
     tr G / n, so its Cholesky must fail.  Every other item gets
-    `_exact_verdict` with its seed.  An overlap identity that fails for an
+    `_exact_verdict` with its seed.  A trace identity that fails for an
     item in the stack raises the `build_cross_matrices` ValueError.
     """
     structure = states[0].structure
@@ -909,7 +895,7 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
                 source._make(f[pick].astype(dtype, copy=False)
                              for f in source)
                 for source in system.factors))
-            passed = _shifted_cholesky(*_lower_gram(rung), tol.svd_tol, rows)
+            passed = _shifted_cholesky(_upper_gram(rung), tol.svd_tol, rows)
             certified.update(
                 (item, _trivial_null_verdict(reports[item], uncovered,
                                              dict(counts)))

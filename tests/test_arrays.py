@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -402,26 +403,68 @@ class TestGreedyPacking:
         assert 2 <= pa.num_rows <= 4
 
 
+@cache
+def candidate_rows(num_cols, levels):
+    """Every candidate row's digits in code order (uint8) and its one-hot
+    row (float32), whose products count agreeing columns exactly; both
+    read-only, shared by the scans of one shape."""
+    codes = np.arange(levels ** num_cols)
+    digits = (codes[:, None] // levels ** np.arange(num_cols - 1, -1, -1)
+              % levels).astype(np.uint8)
+    onehot = np.equal.outer(digits, np.arange(levels)).reshape(
+        len(codes), -1).astype(np.float32)
+    for arr in (digits, onehot):
+        arr.setflags(write=False)
+    return digits, onehot
+
+
 def full_scan_packing(num_cols, levels, strength, max_rows=None, seed=None):
-    """Oracle: the greedy builder's earlier full scan, which visits every
-    candidate in a Python loop and blocks a kept row's neighbours with one
-    integer matmul; returns the kept rows."""
-    total = levels ** num_cols
+    """Oracle: the greedy full scan, with the open candidates decided a
+    batch at a time in the scan order instead of one by one; returns the
+    kept rows.
+
+    A candidate is kept exactly when no kept candidate before it in the
+    scan agrees with it in `strength` or more columns.  Every candidate
+    before a batch of the first open ones is decided, so the batch decides
+    itself, in rounds: a row whose earlier conflicts in the batch are all
+    dropped is kept, a row with a kept earlier conflict is dropped, and the
+    first undecided row is kept in every round.  The batch's kept rows then
+    close the candidates after it that agree with them in `strength` or
+    more columns: by listing each kept row's neighbours, the row plus each
+    shift with at most num_cols - strength nonzero digits, mod `levels`,
+    or, where the open rows are fewer than the shifts, by comparing them
+    with the kept rows.
+    """
+    digits, onehot = candidate_rows(num_cols, levels)
+    total = len(digits)
     order = np.arange(total)
     if seed is not None:
         order = np.random.default_rng(seed).permutation(total)
     place = levels ** np.arange(num_cols - 1, -1, -1)
-    digits = np.arange(total)[:, None] // place % levels
     shifts = digits[np.count_nonzero(digits, axis=1) <= num_cols - strength]
+    earlier = np.tri(256, k=-1, dtype=bool)  # row i against rows j < i
     blocked = np.zeros(total, dtype=bool)
-    kept = []
-    for idx in order.tolist():
-        if not blocked[idx]:
-            kept.append(idx)
-            if max_rows is not None and len(kept) >= max_rows:
-                break
-            blocked[((digits[idx] + shifts) % levels) @ place] = True
-    return digits[kept]
+    open_rows, kept = order, []
+    while open_rows.size and (max_rows is None or len(kept) < max_rows):
+        batch, rest = open_rows[:256], open_rows[256:]
+        size = len(batch)
+        conflict = ((onehot[batch] @ onehot[batch].T >= strength)
+                    & earlier[:size, :size])
+        keep = np.zeros(size, dtype=bool)
+        drop = np.zeros(size, dtype=bool)
+        while not np.all(keep | drop):
+            undecided = ~(keep | drop)
+            keep |= undecided & ~np.any(conflict & ~drop, axis=1)
+            drop |= ~keep & np.any(conflict & keep, axis=1)
+        new = batch[keep]
+        kept.extend(new.tolist())
+        if len(shifts) < len(rest):
+            blocked[((digits[new, None, :] + shifts) % levels) @ place] = True
+            open_rows = rest[~blocked[rest]]
+        else:
+            agree = onehot[rest] @ onehot[new].T
+            open_rows = rest[~np.any(agree >= strength, axis=1)]
+    return digits[kept[:max_rows]].astype(int)
 
 
 class TestGreedyScan:

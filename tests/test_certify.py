@@ -20,9 +20,9 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
                               GammaSystem, _certify_stack, _cross_matrices,
                               _factor_rows, _factorizes, _gamma_vector,
-                              _khatri_rao, _lower_gram, _pairs,
-                              _shift_coefficient, _shifted_cholesky,
-                              _svd_null_space)
+                              _khatri_rao, _pairs, _shift_coefficient,
+                              _shifted_cholesky, _svd_null_space,
+                              _upper_gram)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -44,9 +44,9 @@ def haar_system(n, d, blocks, seed):
 
 
 def full_gram(system):
-    """Oracle: the real Gram matrix.T @ matrix, `_lower_gram` mirrored."""
-    gram, _ = _lower_gram(system)
-    return np.where(np.tri(gram.shape[-1], dtype=bool), gram,
+    """Oracle: the real Gram matrix.T @ matrix, `_upper_gram` mirrored."""
+    gram = _upper_gram(system)
+    return np.where(np.tri(gram.shape[-1], dtype=bool).T, gram,
                     gram.swapaxes(-1, -2))
 
 
@@ -340,7 +340,7 @@ def adjoint_product(x, y):
 
 
 class TestGramKernel:
-    """The identities `_lower_gram` rests on, its stack/item
+    """The identities `_upper_gram` rests on, its stack/item
     agreement and its memory."""
 
     @staticmethod
@@ -387,23 +387,22 @@ class TestGramKernel:
         # the stack certifies an item from the stacked Gram, so what decides
         # it must be what `certify_udp` decides that item by, to the last
         # bit, in each precision: every entry the Cholesky reads, before
-        # and after the shift, the norm the shift is made of, and the
-        # factor written over it; the strict upper triangle is read by
-        # neither.  The float64 rung is reached by skipping float32.
+        # and after the shift, and the factor written over it; the strict
+        # lower triangle is read by neither.  The float64 rung is reached
+        # by skipping float32.
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         seeds = range(60, 64)
         states = [sample_haar_state(structure, s) for s in seeds]
         tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
-        grams, norms, factors = [], [], []
+        grams, factors = [], []
         real, real_factorizes, real_coefficient = (
             certify_module._shifted_cholesky, certify_module._factorizes,
             certify_module._shift_coefficient)
 
-        def spy(gram, norm, svd_tol, rows):
+        def spy(gram, svd_tol, rows):
             grams.append(gram.copy())
-            norms.append(norm.copy())
-            return real(gram, norm, svd_tol, rows)
+            return real(gram, svd_tol, rows)
 
         def spy_factorizes(gram):
             shifted = gram.copy()
@@ -429,37 +428,39 @@ class TestGramKernel:
         real_dtype = np.finfo(rung).dtype
         assert [g.dtype for g in grams] == [real_dtype] * (1 + len(seeds))
         stacked, *items = grams
-        stacked_norm, *item_norms = norms
         (shifted, factor), *items_factored = factors
         assert stacked.shape[0] == len(items) == len(seeds)
         size = stacked.shape[-1]
-        lower = np.tril_indices(size)
-        for item, (seed, alone, alone_norm, (alone_shifted, alone_factor)) \
-                in enumerate(zip(seeds, items, item_norms, items_factored)):
-            np.testing.assert_array_equal(stacked[item][lower],
-                                          alone[0][lower])
-            assert stacked_norm[item] == alone_norm[0]
+        upper = np.triu_indices(size)
+        for item, (seed, alone, (alone_shifted, alone_factor)) \
+                in enumerate(zip(seeds, items, items_factored)):
+            np.testing.assert_array_equal(stacked[item][upper],
+                                          alone[0][upper])
             system = haar_system(n, d, blocks, seed)
             np.testing.assert_array_equal(
-                stacked[item][lower],
-                full_gram(at_precision(system, rung))[lower])
-            np.testing.assert_array_equal(shifted[item][lower],
-                                          alone_shifted[0][lower])
-            np.testing.assert_array_equal(factor[item][lower],
-                                          alone_factor[0][lower])
+                stacked[item][upper],
+                full_gram(at_precision(system, rung))[upper])
+            np.testing.assert_array_equal(shifted[item][upper],
+                                          alone_shifted[0][upper])
+            np.testing.assert_array_equal(factor[item][upper],
+                                          alone_factor[0][upper])
             # the shift is the one `_shifted_cholesky` documents, from the
-            # norm of the symmetric matrix of the lower triangle and the
-            # trace (read back to within the rounding of the diagonal)
+            # trace alone (read back to within the rounding of the diagonal)
             gram = stacked[item].astype(float)
             dims = gram.shape[-1]
-            want = (GRAM_MIN_RATIO * (1 + 4 * dims * float(np.finfo(rung).eps))
-                    * np.linalg.norm(np.tril(gram) + np.tril(gram, -1).T)
-                    + real_coefficient(dims, _factor_rows(system), rung)
+            want = ((GRAM_MIN_RATIO
+                     + real_coefficient(dims, _factor_rows(system), rung))
                     * np.trace(gram))
             diag = np.diagonal(gram)
             np.testing.assert_allclose(
                 diag - np.diagonal(shifted[item]), want, rtol=1e-6,
                 atol=4 * np.finfo(real_dtype).eps * np.max(np.abs(diag)))
+            if rung is np.complex128:
+                # the factor is LAPACK's lower one of the shifted Gram,
+                # transposed, to the last bit
+                mirrored = np.triu(shifted[item]) + np.triu(shifted[item], 1).T
+                np.testing.assert_array_equal(
+                    factor[item], np.linalg.cholesky(mirrored).T)
 
     def test_ten_qubit_gram_peak(self):
         # P, Q and one pair of factor-Gram products, then P, Q and the real
@@ -495,10 +496,65 @@ def same_verdicts(got, want):
                                           b.witness.amplitudes)
 
 
+class TestLowerBlocksUnread:
+    """No reader takes a block i > j of an overlap product R R^H: it is the
+    adjoint of block (j, i) by construction, so it is neither checked nor
+    used."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, d, blocks", [
+        (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+        (4, 3, "A=1;B=2;C=3;D=4"),
+    ] + EMPTY_INNER_BLOCK_CASES)
+    def test_nan_lower_blocks_change_no_verdict(self, monkeypatch, n, d,
+                                                blocks):
+        spec = CrossCutSpec.parse(blocks, n)
+        structure = PartyStructure.uniform(n, d)
+        states = [sample_haar_state(structure, seed) for seed in range(90, 93)]
+        if (n, d) == (6, 2):
+            # the exact path, a witness search and a degenerate spectrum
+            states += [ghz_state(6, 2, 0.6, 0.8), near_singular_state(),
+                       PureState(SIX_QUBIT_STRUCTURE,
+                                 np.eye(8).ravel().astype(complex) / 8 ** 0.5)]
+        tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
+        seeds = range(len(states))
+        trials = 2 * sum(dim * dim for dim in spec.block_dims(structure))
+        runs = []
+        for poison in (False, True):
+            with monkeypatch.context() as patch:
+                if poison:
+                    patch.setattr(certify_module, "_overlap_products",
+                                  with_nan_lower_blocks(
+                                      certify_module._overlap_products))
+                runs.append((
+                    _certify_stack(states, spec, seeds=seeds, tol=tol),
+                    verify_overlap_dependences(structure, spec, trials, 3)))
+        (clean, clean_rank), (dirty, dirty_rank) = runs
+        same_verdicts(dirty, clean)
+        assert dirty_rank == clean_rank
+
+
+def with_nan_lower_blocks(overlap_products):
+    """`overlap_products` (an `_overlap_products`) with every block i > j
+    of both products it returns set to NaN."""
+    def poisoned(factor):
+        rank = factor.shape[-3]
+        products = overlap_products(factor)
+        for product in products:
+            d = product.shape[-1] // rank
+            below = np.tri(rank, k=-1, dtype=bool).repeat(d, 0).repeat(d, 1)
+            product[..., below] = np.nan
+        return products
+    return poisoned
+
+
 class TestLowerTriangle:
-    """Only the lower triangle of the Gram decides a verdict: `_lower_gram`
-    leaves the strict upper one unset, and `_shifted_cholesky` reads none
-    of it."""
+    """Only the lower triangle of the matrix LAPACK factors decides a
+    verdict: `_factorizes` hands it the transposed view of the Gram, whose
+    lower triangle is the upper one `_upper_gram` fills.  The strict upper
+    triangle of that view, the Gram's strict lower one, is left unset but
+    for the diagonal 2 x 2 blocks, and `_shifted_cholesky` reads none of
+    it."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, d, blocks", [
@@ -525,10 +581,11 @@ class TestLowerTriangle:
         for poison in (False, True):
             decided = []
 
-            def spy(gram, norm, svd_tol, rows):
-                if poison:
-                    gram[(..., *np.triu_indices(gram.shape[-1], 1))] = np.nan
-                passed = real(gram, norm, svd_tol, rows)
+            def spy(gram, svd_tol, rows):
+                if poison:  # the view's strict upper triangle
+                    view = gram.swapaxes(-1, -2)
+                    view[(..., *np.triu_indices(gram.shape[-1], 1))] = np.nan
+                passed = real(gram, svd_tol, rows)
                 decided.append((gram.dtype.char, passed.tolist()))
                 return passed
 
@@ -561,14 +618,22 @@ class TestLowerTriangle:
             assert pairs > tile and pairs % tile != 0
         dense = system.matrix.T @ system.matrix
         lower = np.tril_indices(2 * pairs)
+        view = _upper_gram(system).swapaxes(-1, -2)  # as LAPACK reads it
         np.testing.assert_allclose(
-            certify_module._lower_gram(system)[0][lower], dense[lower], rtol=0,
+            view[lower], dense[lower], rtol=0,
             atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
 
 
+def gram_trace(gram):
+    """tr H of each Gram (..., n, n), summed in float64 as the shift of
+    `_shifted_cholesky` sums it."""
+    return np.trace(gram, axis1=-2, axis2=-1, dtype=float)
+
+
 class TestTileNorm:
-    """`_lower_gram` sums ||G||_F from its P and Q tiles, which the shift of
-    `_shifted_cholesky` is made of; no entry of G is read back for it."""
+    """The shift of `_shifted_cholesky` is made of the trace norm tr H, the
+    diagonal `_upper_gram` writes in its tiles of rows; the tiles sum no
+    other norm."""
 
     @pytest.mark.parametrize("n, d, blocks", [
         (6, 2, "A=1,2;B=3;C=4;D=5,6"),      # one tile of rows
@@ -578,24 +643,28 @@ class TestTileNorm:
     def test_norm_matches_dense_gram(self, n, d, blocks):
         for seed in (7, 8):
             system = haar_system(n, d, blocks, seed)
-            want = np.linalg.norm(system.matrix.T @ system.matrix)
-            _, norm = _lower_gram(system)
-            assert norm.shape == ()
-            assert abs(norm - want) <= 8 * np.finfo(float).eps * want
+            want = np.trace(system.matrix.T @ system.matrix)
+            trace = gram_trace(_upper_gram(system))
+            assert trace.shape == ()
+            assert abs(trace - want) <= 8 * np.finfo(float).eps * want
+            # a PSD Gram's trace bounds its Frobenius norm, the bound the
+            # certificate rests on
+            assert np.linalg.norm(system.matrix.T @ system.matrix) <= want
 
     def test_norm_vanishes_with_the_gram(self):
         psi = ghz_state(6, 2, 0.6, 0.8)
         system = assemble_gamma_system(build_cross_matrices(
             schmidt_decompose(psi, SIX_QUBIT_SPEC.ab), SIX_QUBIT_SPEC))
-        gram, norm = _lower_gram(system)
-        assert np.all(gram[np.tril_indices(gram.shape[-1])] == 0.0)
-        assert norm == 0.0
+        gram = _upper_gram(system)
+        assert np.all(gram[np.triu_indices(gram.shape[-1])] == 0.0)
+        assert gram_trace(gram) == 0.0
 
 
 class TestInPlaceCholesky:
     """`_factorizes` leans on numpy's private LAPACK gufunc: it writes the
-    factor np.linalg.cholesky would return over the Gram, fills a failed
-    item with NaN without a warning, and allocates no n x n array."""
+    transpose of the factor np.linalg.cholesky would return over the Gram,
+    fills a failed item with NaN without a warning, and allocates no n x n
+    array."""
 
     @pytest.mark.filterwarnings("error")
     def test_factor_overwrites_each_item(self):
@@ -615,7 +684,7 @@ class TestInPlaceCholesky:
         n = grams.shape[-1]
         gamma = (n + 1) * np.finfo(dtype).eps / 2
         for item in (0, 2):
-            r = grams[item].swapaxes(-1, -2).astype(float)
+            r = grams[item].astype(float)
             assert np.all(np.tril(r, -1) == 0.0)
             # error source 2 of `_shifted_cholesky`: R^T R is the Gram up
             # to gamma_{n+1} |R^T| |R| entrywise (Higham, Thm 10.3), plus
@@ -626,8 +695,8 @@ class TestInPlaceCholesky:
                           <= (gamma + slack) * (np.abs(r).T @ np.abs(r)))
             if dtype is np.float64:  # numpy computes float32 in float64
                 np.testing.assert_array_equal(
-                    grams[item].swapaxes(-1, -2), np.linalg.cholesky(
-                        before[item].swapaxes(-1, -2), upper=True))
+                    grams[item].swapaxes(-1, -2),
+                    np.linalg.cholesky(before[item]))
         assert np.isnan(grams[1]).all()
 
     def test_ten_qubit_factor_allocates_no_matrix(self):
@@ -768,9 +837,10 @@ class TestGramFastPath:
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
         assert np.all(full_gram(system) == 0.0)
         for dtype in (np.complex64, np.complex128):
-            assert not _shifted_cholesky(
-                *_lower_gram(at_precision(system, dtype)), SVD_TOL,
-                _factor_rows(system))
+            gram = _upper_gram(at_precision(system, dtype))
+            # `trace > 0` refuses it, whatever LAPACK makes of a zero Gram
+            assert gram_trace(gram) == 0.0
+            assert not _shifted_cholesky(gram, SVD_TOL, _factor_rows(system))
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
@@ -800,10 +870,9 @@ class TestGramFastPath:
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 31)
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
         n, rows = system.num_real_variables, _factor_rows(system)
-        # each rung's shift for a trace of n and ||G||_F of sqrt(n) at most
-        shift = {dtype: GRAM_MIN_RATIO * 2 * math.sqrt(n)
-                 + _shift_coefficient(n, rows, dtype) * n
-                 for dtype in (np.complex64, np.complex128)}
+        # each rung's shift for a trace of n at most
+        shift = {dtype: (GRAM_MIN_RATIO + _shift_coefficient(n, rows, dtype))
+                 * n for dtype in (np.complex64, np.complex128)}
         assert 1e3 * shift[np.complex128] < shift[np.complex64]
         lam = np.ones(n)
         lam[-1] = {"above-shift": 10 * shift[np.complex64],
@@ -816,11 +885,9 @@ class TestGramFastPath:
         def synthetic(rung):
             # the stack of one reads the synthetic Gram as its only item
             precision = np.finfo(rung.factors[0].outer_u.dtype).dtype
-            rounded = gram.astype(precision)
-            return rounded[None].copy(), np.array([np.linalg.norm(
-                rounded.astype(float))])
+            return gram.astype(precision)[None].copy()
 
-        monkeypatch.setattr(certify_module, "_lower_gram", synthetic)
+        monkeypatch.setattr(certify_module, "_upper_gram", synthetic)
         tried, real = [], certify_module._factorizes
         monkeypatch.setattr(
             certify_module, "_factorizes", lambda g: tried.append(
@@ -847,9 +914,9 @@ class TestGramFastPath:
         calls, tried = spy_on_exact_path(monkeypatch), []
         real = certify_module._shifted_cholesky
         monkeypatch.setattr(certify_module, "_shifted_cholesky",
-                            lambda gram, norm, tol, rows:
+                            lambda gram, tol, rows:
                             tried.append((gram.dtype.char, tol))
-                            or real(gram, norm, tol, rows))
+                            or real(gram, tol, rows))
         results = {}
         for factor in (0.9, 1.1):
             tol = factor * ratio
@@ -862,6 +929,25 @@ class TestGramFastPath:
         assert tried == [(char, tol) for tol in calls for char in "fd"]
         assert results[0.9].null_dim == 0
         assert results[1.1].null_dim >= 1
+        # the float64 Cholesky's own threshold, lambda_min = (tau + c) tr G:
+        # just inside it the Cholesky certifies; just outside, where the
+        # earlier shift tau ||G||_F (||G||_F = 0.32 tr G here) would still
+        # have certified, the SVD decides the same verdict
+        dense = system.matrix.T @ system.matrix
+        edge = (np.linalg.eigvalsh(dense)[0] / np.trace(dense)
+                - _shift_coefficient(system.num_real_variables,
+                                     _factor_rows(system), np.complex128))
+        assert np.linalg.norm(dense) < 0.9 / 1.1 * np.trace(dense)
+        for factor, exact in ((0.9, False), (1.1, True)):
+            calls.clear()
+            tried.clear()
+            tol = math.sqrt(factor * edge / 4)  # tau = factor * edge
+            assert 4 * tol * tol > GRAM_MIN_RATIO
+            verdict = stack_verdict(psi, svd_tol=tol)
+            assert (verdict.status, verdict.null_dim) == (
+                results[0.9].status, 0)
+            assert tried == [("f", tol), ("d", tol)]
+            assert calls == ([tol] if exact else [])
 
     @pytest.mark.parametrize("svd_tol", [math.nan, math.inf])
     def test_non_finite_tolerance_refused(self, monkeypatch, svd_tol):
@@ -898,6 +984,94 @@ class TestGramFastPath:
             tracemalloc.stop()
         assert verdict.status == UdpStatus.CERTIFIED_UDP
         assert peak < 72e6
+
+
+def frobenius_rule(gram, svd_tol, rows):
+    """Oracle: the earlier shift, tau (1 + 8 n u) ||H||_F + c tr H plus the
+    underflow term, ||H||_F that of the symmetric matrix of the upper
+    triangle in float64; whether each item's Cholesky passes it, and the
+    shifts."""
+    n = gram.shape[-1]
+    tau = max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
+    info = np.finfo(gram.dtype)
+    u, tiny = float(info.eps) / 2, float(info.smallest_normal)
+    wide = gram.astype(float)
+    norm = np.linalg.norm(np.triu(wide) + np.triu(wide, 1).swapaxes(-1, -2),
+                          axis=(-2, -1))
+    shift = (tau * (1 + 8 * n * u) * norm
+             + _shift_coefficient(n, rows, gram.dtype) * gram_trace(gram)
+             + 32 * n * (n + rows) ** 2 * tiny)
+    shifted = gram.copy()
+    shifted[..., range(n), range(n)] -= shift[..., None]
+    return (norm > 0.0) & _factorizes(shifted), shift
+
+
+def synthetic_ladder(n, precision):
+    """Q diag(lam) Q^T with lam_max = 1 and lam_min from 1 down to 1e-13 in
+    half decades, each with the rest of lam at 1 (tr H about n ||H||_F /
+    sqrt(n)) and at lam_min (tr H and ||H||_F both about 1), rounded to
+    `precision`."""
+    q, _ = np.linalg.qr(np.random.default_rng(41).standard_normal((n, n)))
+    grams = []
+    for lam_min in 10.0 ** -np.arange(0.0, 13.5, 0.5):
+        for rest in (1.0, lam_min):
+            lam = np.full(n, rest)
+            lam[0], lam[-1] = 1.0, lam_min
+            grams.append((q * lam) @ q.T)
+    return np.stack(grams).astype(precision)
+
+
+class TestTraceShift:
+    """The shift on the trace alone, (tau + c) tr H, certifies a subset of
+    what the earlier (1 + 8 n u) tau ||H||_F + c tr H did: wherever the
+    earlier shift passes, tr H - ||H||_F >= (n - 1) lambda_min / 2 exceeds
+    8 n u ||H||_F, so the new shift is the larger."""
+
+    @staticmethod
+    def _compare(grams, svd_tol, rows):
+        old, old_shift = frobenius_rule(grams, svd_tol, rows)
+        new = _shifted_cholesky(grams.copy(), svd_tol, rows)
+        assert not np.any(new & ~old)
+        # and where the earlier shift passes, the new one is the larger
+        n, tau = grams.shape[-1], max(4.0 * svd_tol * svd_tol, GRAM_MIN_RATIO)
+        new_shift = ((tau + _shift_coefficient(n, rows, grams.dtype))
+                     * gram_trace(grams))
+        assert np.all(new_shift[old] >= old_shift[old])
+        return old, new
+
+    @pytest.mark.parametrize("rung", [np.float32, np.float64])
+    def test_synthetic_ladder(self, rung):
+        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
+        grams = synthetic_ladder(system.num_real_variables, rung)
+        for svd_tol in (SVD_TOL, 1e-4):
+            old, new = self._compare(grams, svd_tol, _factor_rows(system))
+            assert new.any() and not new.all()
+            if rung is np.float64 and svd_tol == SVD_TOL:
+                # lambda_min between tau ||H||_F and tau tr H: the earlier
+                # shift certified these, the exact SVD decides them now
+                assert np.any(old & ~new)
+
+    @pytest.mark.parametrize("name, seeds", [
+        ("6q", range(8)), ("4qt", range(8)), ("8q", range(2))])
+    def test_haar_and_ghz_grams(self, name, seeds):
+        n, d, blocks = LADDER_SPECS[name]
+        stacks = [[haar_system(n, d, blocks, seed) for seed in seeds]]
+        if name == "6q":
+            # GHZ Grams vanish (rank 2); the near-singular one is full rank
+            stacks[0].append(assemble_gamma_system(build_cross_matrices(
+                schmidt_decompose(near_singular_state(), SIX_QUBIT_SPEC.ab),
+                SIX_QUBIT_SPEC)))
+            stacks.append([assemble_gamma_system(build_cross_matrices(
+                schmidt_decompose(psi, SIX_QUBIT_SPEC.ab), SIX_QUBIT_SPEC))
+                for psi in (ghz_state(6), ghz_state(6, 2, 0.6, 0.8))])
+        for dtype in (np.complex64, np.complex128):
+            (_, haar_new), *ghz = [self._compare(
+                np.stack([_upper_gram(at_precision(system, dtype))
+                          for system in systems]),
+                SVD_TOL, _factor_rows(systems[0])) for systems in stacks]
+            # every Haar item passes in both precisions, a GHZ Gram in none
+            assert haar_new[:len(seeds)].all()
+            assert not any(old.any() for old, _ in ghz)
 
 
 LADDER_SPECS = {
@@ -994,6 +1168,17 @@ class TestPrecisionLadder:
         if name == "10q":
             assert 0.05 < single < 0.2
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_rung_skipped_where_the_shift_proof_ends(self, dtype):
+        # the shift's proof needs (6m + 30) u <= 1/5, which c n < 1 alone
+        # does not give at n = 2 (a Schmidt rank of 2): c is inf beyond it
+        u = np.finfo(dtype).eps / 2
+        edge = math.floor((0.2 / u - 30) / 6)  # the largest m within 1/5
+        assert math.isfinite(_shift_coefficient(2, edge, dtype))
+        assert _shift_coefficient(2, edge + 1, dtype) == math.inf
+        if dtype is np.complex64:  # c n < 1 would have let it through
+            assert _shift_coefficient(2, edge, dtype) * 2 < 1
+
     @pytest.mark.parametrize("name", ["6q", "4qt", "8q"])
     def test_factor_rows_match_the_dimensions(self, name):
         n, d, blocks = LADDER_SPECS[name]
@@ -1010,8 +1195,8 @@ class TestPrecisionLadder:
             certify_module, "_shift_coefficient",
             lambda n, rows, dtype: margin / n if np.finfo(dtype).bits == 32
             else real(n, rows, dtype))
-        built, real_gram = [], certify_module._lower_gram
-        monkeypatch.setattr(certify_module, "_lower_gram", lambda system: (
+        built, real_gram = [], certify_module._upper_gram
+        monkeypatch.setattr(certify_module, "_upper_gram", lambda system: (
             built.append(system.factors[0].outer_u.dtype.char)
             or real_gram(system)))
         calls = spy_on_exact_path(monkeypatch)

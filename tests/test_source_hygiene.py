@@ -145,7 +145,7 @@ def test_one_certification_route():
     # decision runs the SVD
     assert callers(trees, "_shifted_cholesky") == {
         "certify.py:_stack_verdicts"}
-    assert callers(trees, "_lower_gram") == {"certify.py:_stack_verdicts"}
+    assert callers(trees, "_upper_gram") == {"certify.py:_stack_verdicts"}
     assert callers(trees, "_svd_null_space") == {
         "certify.py:decide_null_space"}
     # certify_udp is a stack of one, and no route leads back into it; the
@@ -175,10 +175,9 @@ def test_one_in_place_cholesky():
 
 
 def test_one_gram_tiling():
-    # the Gram's norm is summed in the tiles that build it, so only
-    # `_lower_gram` sizes tiles, and the shift reads no integer view
+    # only `_upper_gram` sizes tiles, and the shift reads no integer view
     source = (PACKAGE / "certify.py").read_text()
-    assert functions_using(ast.parse(source), "_TILE_BYTES") == {"_lower_gram"}
+    assert functions_using(ast.parse(source), "_TILE_BYTES") == {"_upper_gram"}
     assert "int64" not in source
 
 
