@@ -21,8 +21,7 @@ from .marginals import (Deck, MarginalFamily, compute_deck, deck_distance,
                         decks_equal, partial_trace)
 from .schmidt import (GenericityReport, SchmidtDecomposition,
                       classify_genericity, phase_twist, schmidt_decompose)
-from .certify import (CrossCutMatrices, CrossCutSpec, GammaSystem,
-                      NullSpaceResult, OverlapDependenceReport, Tolerances,
+from .certify import (CrossCutSpec, OverlapDependenceReport, Tolerances,
                       UdpStatus, UdpVerdict, WitnessCheck,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
                       decide_null_space, expected_equation_counts,

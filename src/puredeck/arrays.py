@@ -18,7 +18,7 @@ import numpy as np
 
 from .certify import WitnessCheck, verify_twin
 from .marginals import DECK_TOL, MarginalFamily
-from .states import PartyStructure, PureState, _integer
+from .states import PartyStructure, PureState, _integer, _text_integer
 
 # Amplitudes this small (after normalization) void the all-nonzero hypothesis.
 AMP_FLOOR = 1e-12
@@ -365,7 +365,8 @@ def parse_array_text(text: str):
         raise ValueError("header must be 'OA r N d k' or 'PA r N d k'")
     kind = header[0].upper()
     try:
-        r, n_cols, levels, strength = (int(x) for x in header[1:])
+        r, n_cols, levels, strength = (_text_integer(x, "header number")
+                                       for x in header[1:])
     except ValueError as exc:
         raise ValueError(f"bad header numbers in {lines[0]!r}") from exc
     if len(lines) - 1 != r:
@@ -373,7 +374,7 @@ def parse_array_text(text: str):
     rows = []
     for ln in lines[1:]:
         parts = ln.split() if " " in ln or "\t" in ln else list(ln)
-        row = [int(x) for x in parts]
+        row = [_text_integer(x, "array entry") for x in parts]
         if len(row) != n_cols:
             raise ValueError(f"row {ln!r} has {len(row)} entries, expected {n_cols}")
         rows.append(row)

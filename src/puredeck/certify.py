@@ -15,7 +15,7 @@ is searched for an explicit second state with the same marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, islice
@@ -28,7 +28,8 @@ from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       _genericity, _schmidt_factors, _untied,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .states import (PartyStructure, PureState, _cut, _freeze, _integer,
-                     check_subset, fidelity_up_to_phase)
+                     _text_integer, _tolerance, check_subset,
+                     fidelity_up_to_phase)
 
 # Singular values below SVD_TOL times the largest count as zero when deciding
 # the rank of the assembled phase system.
@@ -59,9 +60,8 @@ class Tolerances:
     deck_tol: float = DECK_TOL
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not 0.0 < value < 1e-2:
-                raise ValueError(f"{name}={value} outside (0, 1e-2)")
+        for field in fields(self):
+            _tolerance(getattr(self, field.name), field.name)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class CrossCutSpec:
                 raise ValueError(f"unknown block {name!r}")
             if name in blocks:
                 raise ValueError(f"block {name} given twice")
-            blocks[name] = tuple(int(p) for p in parties.split(",") if p.strip())
+            blocks[name] = tuple(_text_integer(p, f"party of block {name}")
+                                 for p in parties.split(",") if p.strip())
         return cls(*(blocks.get(name, ()) for name in "ABCD"), num_parties)
 
     @property
@@ -192,10 +193,6 @@ class CrossCutMatrices:
     l: np.ndarray
     m: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return self.q.shape[-3]
-
 
 def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
                     structure: PartyStructure) -> CrossCutMatrices:
@@ -248,10 +245,6 @@ class SourceFactors(NamedTuple):
     outer_v: np.ndarray
     inner_v: np.ndarray
 
-    @property
-    def num_equations(self) -> int:
-        return self.outer_u.shape[-2] * self.inner_u.shape[-2]
-
 
 def _khatri_rao(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product: row (r, s) is outer[r] * inner[s]."""
@@ -270,30 +263,11 @@ class GammaSystem:
     in row-major order (`_pairs`), column 2t+1 holds Im gamma.
     gamma_ii = 0 and gamma_ji = conj(gamma_ij) are eliminated structurally,
     so only the i < j entries appear.  The zero vector always solves the
-    system.  Factors with leading axes hold a stack of systems of one shape,
-    whose Grams `_upper_gram` builds with the same leading axes; `matrix`
-    needs one system.
+    system.  It holds one system; a stack of systems is a tuple of
+    factors with leading axes, which the stack passes around bare.
     """
 
     factors: tuple[SourceFactors, ...]
-
-    @property
-    def equation_counts(self) -> dict:
-        """Complex equations per source: {"ac": ..., "bd": ...}."""
-        ac, bd = self.factors
-        return {"ac": ac.num_equations, "bd": bd.num_equations}
-
-    @property
-    def num_complex_variables(self) -> int:
-        return self.factors[0].outer_u.shape[-1]
-
-    @property
-    def num_real_variables(self) -> int:
-        return 2 * self.num_complex_variables
-
-    @property
-    def num_complex_equations(self) -> int:
-        return sum(f.num_equations for f in self.factors)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -313,9 +287,10 @@ class GammaSystem:
         return matrix
 
 
-def _upper_gram(system: GammaSystem) -> np.ndarray:
-    """The upper triangle of the real Gram of `system`: with A = U + V and
-    B = i(U - V) the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
+def _upper_gram(factors: tuple[SourceFactors, ...]) -> np.ndarray:
+    """The upper triangle of the real Gram of each system of `factors`
+    (`GammaSystem`, one or a stack): with A = U + V and B = i(U - V)
+    the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
     = [[Re(P + Q), Im(Q - P)], [Im(Q + P), Re(P - Q)]] in the interleaved
     order, for P = U^H U + conj(V^H V) and Q = U^H V + (U^H V)^T summed
     over both sources (Re conj X = Re X, Im conj X = -Im X, V^H U =
@@ -337,11 +312,11 @@ def _upper_gram(system: GammaSystem) -> np.ndarray:
     factors' precision: complex64 factors give a float32 Gram, complex128
     ones a float64 Gram.
     """
-    *lead, _, n = system.factors[0].outer_u.shape
-    dtype = system.factors[0].outer_u.dtype
+    *lead, _, n = factors[0].outer_u.shape
+    dtype = factors[0].outer_u.dtype
     tile = max(1, min(n, _TILE_BYTES // (dtype.itemsize * n or 1)))
     terms = []  # per source conj P, Q: outer and inner factors, unswapped
-    for o_u, i_u, o_v, i_v in system.factors:
+    for o_u, i_u, o_v, i_v in factors:
         outer = np.concatenate([o_u, o_v.conj()], axis=-2)
         outer_c, inner_c = outer.conj(), i_u.conj()
         terms += [(outer, outer_c, i_u, inner_c), (outer_c, np.concatenate(
@@ -398,7 +373,7 @@ def _gamma_factors(matrices: CrossCutMatrices) -> tuple[SourceFactors, ...]:
     a < b the (a, b) block of outer[i, j] (x) inner[i, j] gives U and the
     (b, a) block of its adjoint gives V, each inner block less its last
     diagonal entry."""
-    ii, jj = _pairs(matrices.rank)
+    ii, jj = _pairs(matrices.q.shape[-3])
     sources = []
     for outer, inner in ((matrices.q, matrices.p), (matrices.l, matrices.m)):
         outer_ij = outer[..., ii, jj, :, :]
@@ -462,21 +437,22 @@ def decide_null_space(system: GammaSystem, *,
                       svd_tol: float = SVD_TOL) -> NullSpaceResult:
     """Numerical null space of the phase system from the exact SVD of the
     dense matrix; a system without unknowns or equations needs none.
-    `svd_tol` must pass `Tolerances`, else ValueError."""
-    Tolerances(svd_tol=svd_tol)
-    n_cols = system.num_real_variables
+    `svd_tol` must lie in (0, 1e-2), else ValueError."""
+    _tolerance(svd_tol, "svd_tol")
+    counts = _verdict_counts(system.factors)
+    n_cols = 2 * counts["complex_variables"]
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
-    if system.num_complex_equations == 0:
+    if counts["complex_equations"] == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
     return _svd_null_space(system.matrix, svd_tol)
 
 
-def _factor_rows(system: GammaSystem) -> int:
+def _factor_rows(factors: tuple[SourceFactors, ...]) -> int:
     """m of `_shifted_cholesky`: the most rows a factor Gram of
     `_upper_gram` sums over, the stacked outer factors or an inner one."""
     return max(max(2 * f.outer_u.shape[-2], f.inner_u.shape[-2])
-               for f in system.factors)
+               for f in factors)
 
 
 @cache
@@ -666,9 +642,9 @@ def verify_twin(state: PureState, twin: PureState, family: MarginalFamily,
     `state` is below 1 - DISTINCT_TOL, i.e. it shares the deck and differs
     from `state` beyond a global phase.  Both states' marginals are
     streamed one at a time (`marginals._deck_gap`); neither deck is built.
-    `deck_tol` must pass `Tolerances`, else ValueError.
+    `deck_tol` must lie in (0, 1e-2), else ValueError.
     """
-    Tolerances(deck_tol=deck_tol)
+    _tolerance(deck_tol, "deck_tol")
     dist = _deck_gap(state, twin, family)
     fid = fidelity_up_to_phase(state, twin)
     return WitnessCheck(twin, dist <= deck_tol and fid < 1.0 - DISTINCT_TOL,
@@ -757,7 +733,7 @@ def _exact_verdict(state: PureState, spec: CrossCutSpec,
     genericity = classify_genericity(dec, gap_tol=tol.gap_tol)
     system = assemble_gamma_system(build_cross_matrices(dec, spec))
     null = decide_null_space(system, svd_tol=tol.svd_tol)
-    counts = _verdict_counts(system)
+    counts = _verdict_counts(system.factors)
     if null.null_dim == 0:
         return _trivial_null_verdict(genericity, uncovered, counts)
     found = _search_phase_witness(state, dec, null, family,
@@ -798,11 +774,14 @@ def _trivial_null_verdict(genericity: GenericityReport, uncovered: list[str],
     return UdpVerdict(status, 0, genericity, counts, notes=tuple(notes))
 
 
-def _verdict_counts(system: GammaSystem) -> dict:
-    """Equation and variable counts as a verdict reports them."""
-    return {**system.equation_counts,
-            "complex_variables": system.num_complex_variables,
-            "complex_equations": system.num_complex_equations}
+def _verdict_counts(factors: tuple[SourceFactors, ...]) -> dict:
+    """Equation and variable counts as a verdict reports them, from the
+    factor shapes of one system or a stack: per source, outer rows times
+    inner rows complex equations; one complex unknown per pair i < j."""
+    ac, bd = (f.outer_u.shape[-2] * f.inner_u.shape[-2] for f in factors)
+    return {"ac": ac, "bd": bd,
+            "complex_variables": factors[0].outer_u.shape[-1],
+            "complex_equations": ac + bd}
 
 
 def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
@@ -877,12 +856,12 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
                           & _untied(s))
     certified = {}
     if kept.size:
-        system = GammaSystem(_gamma_factors(
-            _cross_matrices(left[kept], right[kept], spec, structure)))
-        n, rows = system.num_real_variables, _factor_rows(system)
-        counts = _verdict_counts(system)
+        factors = _gamma_factors(
+            _cross_matrices(left[kept], right[kept], spec, structure))
+        counts = _verdict_counts(factors)
+        n, rows = 2 * counts["complex_variables"], _factor_rows(factors)
         # a wide system's Gram is singular: only the exact SVD decides it
-        tall = 2 * system.num_complex_equations >= n
+        tall = 2 * counts["complex_equations"] >= n
         undecided = np.arange(kept.size if tall else 0)
         for dtype in (np.complex64, np.complex128):
             if (not undecided.size
@@ -891,10 +870,8 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
             # every item still undecided: the factors as they are, no copy
             pick = (slice(None) if undecided.size == kept.size
                     else undecided)
-            rung = GammaSystem(tuple(
-                source._make(f[pick].astype(dtype, copy=False)
-                             for f in source)
-                for source in system.factors))
+            rung = tuple(source._make(f[pick].astype(dtype, copy=False)
+                                      for f in source) for source in factors)
             passed = _shifted_cholesky(_upper_gram(rung), tol.svd_tol, rows)
             certified.update(
                 (item, _trivial_null_verdict(reports[item], uncovered,

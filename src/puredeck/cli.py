@@ -22,7 +22,8 @@ from .experiments import ExperimentConfig, check_counting_table, run_experiment
 from .hypergraph import is_connected, marginal_number_lower_bound
 from .marginals import MarginalFamily, _deck_gap, compute_deck
 from .schmidt import classify_genericity, schmidt_decompose
-from .states import load_state, save_state, state_to_json_dict
+from .states import (_text_integer, load_state, save_state,
+                     state_to_json_dict)
 
 
 def _dumps(data: dict) -> str:
@@ -154,7 +155,7 @@ def _cmd_deck_export(args) -> int:
 def _cmd_schmidt(args) -> int:
     tol = Tolerances(**_tolerance_flags(args))
     state = load_state(args.state)
-    cut = tuple(int(p) for p in args.cut.split(","))
+    cut = tuple(_text_integer(p, "party") for p in args.cut.split(","))
     dec = schmidt_decompose(state, cut)
     report = classify_genericity(dec, gap_tol=tol.gap_tol)
     data = {

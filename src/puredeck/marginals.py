@@ -9,7 +9,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .states import Marginal, PureState, _cut, _integer, check_subset
+from .states import (Marginal, PureState, _cut, _integer, _text_integer,
+                     check_subset)
 
 # Two aligned decks are called equal when no pair of corresponding marginals
 # differs by more than this in Frobenius norm.  Two orders above accumulated
@@ -61,13 +62,14 @@ class MarginalFamily:
         """Parse 'k=<int>' (complete k-deck) or '1,2,3;4,5,6;...'."""
         text = text.strip()
         if text.startswith("k="):
-            return cls.complete(num_parties, int(text[2:]))
+            return cls.complete(num_parties, _text_integer(text[2:], "k"))
         subsets = []
         for chunk in text.split(";"):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            subsets.append(tuple(int(p) for p in chunk.split(",")))
+            subsets.append(tuple(_text_integer(p, "party")
+                                 for p in chunk.split(",")))
         return cls(num_parties, tuple(subsets))
 
     def __len__(self) -> int:

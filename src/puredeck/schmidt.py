@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (PartyStructure, PureState, _cut, _freeze, _uncut,
-                     check_subset, complement)
+from .states import (PartyStructure, PureState, _cut, _freeze, _tolerance,
+                     _uncut, check_subset, complement)
 
 # Singular values below RANK_TOL times the largest are treated as zero.
 RANK_TOL = 1e-10
@@ -170,11 +170,10 @@ def classify_genericity(dec: SchmidtDecomposition, *,
     """Full-rank / distinct-spectrum report for a decomposition.
 
     Full rank means min(dim_left, dim_right), the largest rank the cut admits.
-    `gap_tol` must pass `Tolerances`, else ValueError.
+    `gap_tol` must lie in (0, 1e-2), else ValueError.
     """
-    from .certify import Tolerances  # certify imports this module
     return _genericity(dec.coefficients[None], min(dec.dim_left, dec.dim_right),
-                       Tolerances(gap_tol=gap_tol).gap_tol)[0]
+                       _tolerance(gap_tol, "gap_tol"))[0]
 
 
 def phase_twist(dec: SchmidtDecomposition, phases) -> PureState:

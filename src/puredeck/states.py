@@ -109,13 +109,9 @@ class PartyStructure:
         Unicode digits and signs are refused.  Spaces may surround the
         label and each comma-separated part."""
         label = label.strip(" ")
-        if "," in label:
-            parts = [s.strip(" ") for s in label.split(",")]
-        else:
-            parts = list(label)
-        if not all(s.isascii() and s.isdigit() for s in parts):
-            raise ValueError(f"invalid basis label {label!r}")
-        digits = tuple(int(s) for s in parts)
+        parts = label.split(",") if "," in label else list(label)
+        digits = tuple(_text_integer(s, f"basis label {label!r} digit")
+                       for s in parts)
         self.digits_to_index(digits)  # range validation
         return digits
 
@@ -348,6 +344,23 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be int, got {value!r}")
+
+
+def _text_integer(text: str, name: str) -> int:
+    """The integer `text` writes in ASCII digits 0-9, spaces around it
+    allowed; anything else (a sign, an underscore, another script's
+    digits) is ValueError."""
+    digits = text.strip(" ")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid {name} {text!r}: expected digits 0-9")
+    return int(digits)
+
+
+def _tolerance(value, name: str):
+    """`value` if it lies in (0, 1e-2), else ValueError (NaN never does)."""
+    if not 0.0 < value < 1e-2:
+        raise ValueError(f"{name}={value} outside (0, 1e-2)")
+    return value
 
 
 def state_from_json_dict(data: dict) -> PureState:

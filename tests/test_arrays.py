@@ -567,6 +567,18 @@ class TestTextFormat:
         assert isinstance(pa, PackingArray)
         np.testing.assert_array_equal(pa.rows, [[0, 5, 11], [1, 4, 2]])
 
+    @pytest.mark.parametrize("old, new", [
+        ("OA 9 ", "OA 0_9 "), ("OA 9 ", "OA +9 "), ("OA 9 ", "OA \u0669 "),
+        ("\n0000\n", "\n\u0660000\n"), ("\n0000\n", "\n0 0 0 +0\n")],
+        ids=["header-underscore", "header-sign", "header-arabic-indic",
+             "row-arabic-indic", "row-sign"])
+    def test_numbers_take_ascii_digits_only(self, old, new):
+        # int() read each of these as the plain number: "0_9" gave 9 rows
+        text = format_array_text(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
+        assert old in text
+        with pytest.raises(ValueError, match="header numbers|array entry"):
+            parse_array_text(text.replace(old, new, 1))
+
     def test_header_row_count_must_match(self):
         with pytest.raises(ValueError, match="rows"):
             parse_array_text("OA 3 4 3 2\n0000\n0111\n")

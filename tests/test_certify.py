@@ -18,11 +18,12 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       ghz_state, sample_haar_state, schmidt_decompose,
                       verify_overlap_dependences, verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              GammaSystem, _certify_stack, _cross_matrices,
-                              _factor_rows, _factorizes, _gamma_vector,
+                              _certify_stack, _cross_matrices, _factor_rows,
+                              _factorizes, _gamma_factors, _gamma_vector,
                               _khatri_rao, _pairs, _shift_coefficient,
                               _shifted_cholesky, _svd_null_space,
-                              _upper_gram)
+                              _upper_gram, _verdict_counts,
+                              block_equation_counts)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -43,18 +44,23 @@ def haar_system(n, d, blocks, seed):
     return assemble_gamma_system(build_cross_matrices(dec, spec))
 
 
-def full_gram(system):
+def real_unknowns(system):
+    """The real unknowns of `system`, twice its complex ones."""
+    return 2 * _verdict_counts(system.factors)["complex_variables"]
+
+
+def full_gram(factors):
     """Oracle: the real Gram matrix.T @ matrix, `_upper_gram` mirrored."""
-    gram = _upper_gram(system)
+    gram = _upper_gram(factors)
     return np.where(np.tri(gram.shape[-1], dtype=bool).T, gram,
                     gram.swapaxes(-1, -2))
 
 
 def at_precision(system, dtype):
-    """`system` with its factors rounded to `dtype`, as a rung of the
+    """The factors of `system` rounded to `dtype`, as a rung of the
     stack's ladder reads them."""
-    return GammaSystem(tuple(source._make(f.astype(dtype) for f in source)
-                             for source in system.factors))
+    return tuple(source._make(f.astype(dtype) for f in source)
+                 for source in system.factors)
 
 
 def reference_matrix(matrices):
@@ -64,7 +70,7 @@ def reference_matrix(matrices):
     holds gamma * Out[a, b] In[c, e] + conj(gamma) * conj(Out[b, a] In[e, c])
     for each pair, split into (Re, Im) rows and (Re gamma, Im gamma) columns.
     """
-    rank = matrices.rank
+    rank = matrices.q.shape[0]
     pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
     rows = []
     for outer, inner in ((matrices.q, matrices.p), (matrices.l, matrices.m)):
@@ -161,6 +167,16 @@ class TestCrossCutSpec:
         spec = CrossCutSpec.parse("A=1;B=;C=2;D=3", 3)
         assert spec.ab == (1,) and spec.bd == (3,)
 
+    @pytest.mark.parametrize("text", [
+        "A=\u0661;B=2;C=3;D=4", "A=+1;B=2;C=3;D=4", "A=0_1;B=2;C=3;D=4",
+        "A=\u20031;B=2;C=3;D=4"])
+    def test_parties_take_ascii_digits_only(self, text):
+        # int() read each of these as party 1
+        with pytest.raises(ValueError, match="invalid party of block A"):
+            CrossCutSpec.parse(text, 4)
+        assert CrossCutSpec.parse(" A = 1 , 2 ;B=3;C=4;D=5,6", 6) == \
+            SIX_QUBIT_SPEC
+
     def test_verification_family_order(self):
         fam = SIX_QUBIT_SPEC.verification_family()
         assert fam.subsets == ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6))
@@ -222,7 +238,7 @@ class TestCrossMatrices:
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 4)
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
-        zero = np.zeros(system.num_real_variables)
+        zero = np.zeros(real_unknowns(system))
         assert np.linalg.norm(system.matrix @ zero) == 0.0
 
 
@@ -231,9 +247,9 @@ class TestGammaSystem:
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 5)
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
-        assert system.num_complex_variables == 28
-        assert system.num_complex_equations == 33
-        assert system.equation_counts == {"ac": 18, "bd": 15}
+        assert _verdict_counts(system.factors) == {
+            "ac": 18, "bd": 15, "complex_variables": 28,
+            "complex_equations": 33}
         assert system.matrix.shape == (66, 56)
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
@@ -242,10 +258,31 @@ class TestGammaSystem:
         spec = CrossCutSpec.parse(blocks, n)
         psi = sample_haar_state(structure, 7)
         dec = schmidt_decompose(psi, spec.ab)
-        system = assemble_gamma_system(build_cross_matrices(dec, spec))
+        counts = _verdict_counts(assemble_gamma_system(
+            build_cross_matrices(dec, spec)).factors)
         expected = expected_equation_counts(structure, spec)
-        assert system.equation_counts == expected
-        assert system.num_complex_equations == expected["ac"] + expected["bd"]
+        assert {k: counts[k] for k in ("ac", "bd")} == expected
+        assert counts["complex_equations"] == expected["ac"] + expected["bd"]
+
+    @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
+    def test_verdict_counts_of_one_system_and_a_stack(self, n, d, blocks):
+        # the closed-form equations and C(rank, 2) unknowns, from the factor
+        # shapes alone, with or without a leading stack axis
+        structure = PartyStructure.uniform(n, d)
+        spec = CrossCutSpec.parse(blocks, n)
+        da, db, dc, dd = spec.block_dims(structure)
+        expected = block_equation_counts(da, db, dc, dd)
+        expected["complex_variables"] = math.comb(min(da * db, dc * dd), 2)
+        expected["complex_equations"] = expected["ac"] + expected["bd"]
+        decs = [schmidt_decompose(sample_haar_state(structure, seed), spec.ab)
+                for seed in (7, 8, 9)]
+        one = assemble_gamma_system(build_cross_matrices(decs[0], spec))
+        stack = _gamma_factors(_cross_matrices(
+            np.stack([dec.left_basis for dec in decs]),
+            np.stack([dec.right_basis for dec in decs]), spec, structure))
+        assert stack[0].outer_u.shape[0] == len(decs)
+        assert _verdict_counts(one.factors) == expected
+        assert _verdict_counts(stack) == expected
 
     def test_empty_block_spec_assembles(self):
         # B empty: no equations from the L/M side
@@ -254,9 +291,9 @@ class TestGammaSystem:
         psi = sample_haar_state(structure, 9)
         dec = schmidt_decompose(psi, spec.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, spec))
-        assert system.equation_counts["bd"] == 0
-        assert system.equation_counts["ac"] == \
-            expected_equation_counts(structure, spec)["ac"]
+        counts = _verdict_counts(system.factors)
+        assert counts["bd"] == 0
+        assert counts["ac"] == expected_equation_counts(structure, spec)["ac"]
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES[:4] + [
         (4, 2, "A=1;B=2;C=;D=3,4"),
@@ -310,7 +347,7 @@ class TestGammaSystem:
     def test_gram_matches_dense_system(self, n, d, blocks):
         system = haar_system(n, d, blocks, 7)
         dense = system.matrix.T @ system.matrix
-        np.testing.assert_allclose(full_gram(system), dense,
+        np.testing.assert_allclose(full_gram(system.factors), dense,
                                    atol=1e-12 * np.max(np.abs(dense)), rtol=0)
 
     @pytest.mark.parametrize("blocks, counts", [
@@ -449,7 +486,8 @@ class TestGramKernel:
             gram = stacked[item].astype(float)
             dims = gram.shape[-1]
             want = ((GRAM_MIN_RATIO
-                     + real_coefficient(dims, _factor_rows(system), rung))
+                     + real_coefficient(dims, _factor_rows(system.factors),
+                                        rung))
                     * np.trace(gram))
             diag = np.diagonal(gram)
             np.testing.assert_allclose(
@@ -468,7 +506,7 @@ class TestGramKernel:
         # about half of that (the Gram and its tiles halve, the boolean mask
         # `full_gram` mirrors by does not)
         system = haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3)
-        n = system.num_complex_variables
+        n = real_unknowns(system) // 2
         peaks = {}
         for dtype in (np.complex64, np.complex128):
             rung = at_precision(system, dtype)
@@ -610,7 +648,7 @@ class TestLowerTriangle:
     def test_lower_triangle_matches_dense_oracle(self, n, d, blocks,
                                                  within_one):
         system = haar_system(n, d, blocks, 7)
-        pairs = system.num_complex_variables
+        pairs = real_unknowns(system) // 2
         tile = certify_module._TILE_BYTES // (16 * pairs)
         if within_one:
             assert pairs < tile
@@ -618,7 +656,8 @@ class TestLowerTriangle:
             assert pairs > tile and pairs % tile != 0
         dense = system.matrix.T @ system.matrix
         lower = np.tril_indices(2 * pairs)
-        view = _upper_gram(system).swapaxes(-1, -2)  # as LAPACK reads it
+        # as LAPACK reads it
+        view = _upper_gram(system.factors).swapaxes(-1, -2)
         np.testing.assert_allclose(
             view[lower], dense[lower], rtol=0,
             atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
@@ -644,7 +683,7 @@ class TestTileNorm:
         for seed in (7, 8):
             system = haar_system(n, d, blocks, seed)
             want = np.trace(system.matrix.T @ system.matrix)
-            trace = gram_trace(_upper_gram(system))
+            trace = gram_trace(_upper_gram(system.factors))
             assert trace.shape == ()
             assert abs(trace - want) <= 8 * np.finfo(float).eps * want
             # a PSD Gram's trace bounds its Frobenius norm, the bound the
@@ -655,7 +694,7 @@ class TestTileNorm:
         psi = ghz_state(6, 2, 0.6, 0.8)
         system = assemble_gamma_system(build_cross_matrices(
             schmidt_decompose(psi, SIX_QUBIT_SPEC.ab), SIX_QUBIT_SPEC))
-        gram = _upper_gram(system)
+        gram = _upper_gram(system.factors)
         assert np.all(gram[np.triu_indices(gram.shape[-1])] == 0.0)
         assert gram_trace(gram) == 0.0
 
@@ -670,7 +709,7 @@ class TestInPlaceCholesky:
     def test_factor_overwrites_each_item(self):
         # in the Gram's own precision: LAPACK's spotrf or dpotrf
         exact = np.stack([full_gram(haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6",
-                                                 seed))
+                                                 seed).factors)
                           for seed in (80, 81, 82)])
         exact[1] -= 2 * np.trace(exact[1]) * np.eye(exact.shape[-1])
         for dtype in (np.float32, np.float64):
@@ -701,7 +740,7 @@ class TestInPlaceCholesky:
 
     def test_ten_qubit_factor_allocates_no_matrix(self):
         gram = full_gram(
-            haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3))
+            haar_system(10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 3).factors)
         n = gram.shape[-1]
         tracemalloc.start()
         try:
@@ -735,8 +774,9 @@ class TestNullSpace:
     def test_zero_row_system_is_unconstrained(self):
         # qutrits, C and B empty: 3 pairs, 6 real variables and no equations
         system = haar_system(3, 3, "A=1;B=;C=;D=2,3", 5)
-        assert system.num_complex_variables == 3
-        assert system.num_complex_equations == 0
+        counts = _verdict_counts(system.factors)
+        assert counts["complex_variables"] == 3
+        assert counts["complex_equations"] == 0
         result = decide_null_space(system)
         assert result.null_dim == 6
         np.testing.assert_array_equal(result.basis, np.eye(6))
@@ -835,12 +875,13 @@ class TestGramFastPath:
         psi = ghz_state(6, 2, 0.6, 0.8)
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
-        assert np.all(full_gram(system) == 0.0)
+        assert np.all(full_gram(system.factors) == 0.0)
         for dtype in (np.complex64, np.complex128):
             gram = _upper_gram(at_precision(system, dtype))
             # `trace > 0` refuses it, whatever LAPACK makes of a zero Gram
             assert gram_trace(gram) == 0.0
-            assert not _shifted_cholesky(gram, SVD_TOL, _factor_rows(system))
+            assert not _shifted_cholesky(gram, SVD_TOL,
+                                         _factor_rows(system.factors))
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
@@ -869,7 +910,7 @@ class TestGramFastPath:
                                                                     "svd")
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 31)
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
-        n, rows = system.num_real_variables, _factor_rows(system)
+        n, rows = real_unknowns(system), _factor_rows(system.factors)
         # each rung's shift for a trace of n at most
         shift = {dtype: (GRAM_MIN_RATIO + _shift_coefficient(n, rows, dtype))
                  * n for dtype in (np.complex64, np.complex128)}
@@ -884,7 +925,7 @@ class TestGramFastPath:
 
         def synthetic(rung):
             # the stack of one reads the synthetic Gram as its only item
-            precision = np.finfo(rung.factors[0].outer_u.dtype).dtype
+            precision = np.finfo(rung[0].outer_u.dtype).dtype
             return gram.astype(precision)[None].copy()
 
         monkeypatch.setattr(certify_module, "_upper_gram", synthetic)
@@ -935,8 +976,9 @@ class TestGramFastPath:
         # have certified, the SVD decides the same verdict
         dense = system.matrix.T @ system.matrix
         edge = (np.linalg.eigvalsh(dense)[0] / np.trace(dense)
-                - _shift_coefficient(system.num_real_variables,
-                                     _factor_rows(system), np.complex128))
+                - _shift_coefficient(real_unknowns(system),
+                                     _factor_rows(system.factors),
+                                     np.complex128))
         assert np.linalg.norm(dense) < 0.9 / 1.1 * np.trace(dense)
         for factor, exact in ((0.9, False), (1.1, True)):
             calls.clear()
@@ -1042,9 +1084,10 @@ class TestTraceShift:
     @pytest.mark.parametrize("rung", [np.float32, np.float64])
     def test_synthetic_ladder(self, rung):
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
-        grams = synthetic_ladder(system.num_real_variables, rung)
+        grams = synthetic_ladder(real_unknowns(system), rung)
         for svd_tol in (SVD_TOL, 1e-4):
-            old, new = self._compare(grams, svd_tol, _factor_rows(system))
+            old, new = self._compare(grams, svd_tol,
+                                     _factor_rows(system.factors))
             assert new.any() and not new.all()
             if rung is np.float64 and svd_tol == SVD_TOL:
                 # lambda_min between tau ||H||_F and tau tr H: the earlier
@@ -1068,7 +1111,8 @@ class TestTraceShift:
             (_, haar_new), *ghz = [self._compare(
                 np.stack([_upper_gram(at_precision(system, dtype))
                           for system in systems]),
-                SVD_TOL, _factor_rows(systems[0])) for systems in stacks]
+                SVD_TOL, _factor_rows(systems[0].factors))
+                for systems in stacks]
             # every Haar item passes in both precisions, a GHZ Gram in none
             assert haar_new[:len(seeds)].all()
             assert not any(old.any() for old, _ in ghz)
@@ -1135,12 +1179,13 @@ class TestPrecisionLadder:
         # Gram is within (6m + 30) u sqrt(P_ss P_tt) of the float64 one
         n, d, blocks = LADDER_SPECS[name]
         system = haar_system(n, d, blocks, 5)
-        exact = full_gram(system)
+        exact = full_gram(system.factors)
         rounded = full_gram(at_precision(system, np.complex64)).astype(float)
         diag = np.diagonal(exact)
         d_s = np.repeat(np.sqrt((diag[0::2] + diag[1::2]) / 2), 2)
         u = np.finfo(np.float32).eps / 2
-        bound = (6 * _factor_rows(system) + 30) * u * np.outer(d_s, d_s)
+        bound = ((6 * _factor_rows(system.factors) + 30) * u
+                 * np.outer(d_s, d_s))
         assert np.all(np.abs(rounded - exact) <= bound)
         # the majorant has norm tr G
         assert math.isclose(np.linalg.norm(np.outer(d_s, d_s), 2),
@@ -1182,7 +1227,7 @@ class TestPrecisionLadder:
     @pytest.mark.parametrize("name", ["6q", "4qt", "8q"])
     def test_factor_rows_match_the_dimensions(self, name):
         n, d, blocks = LADDER_SPECS[name]
-        assert _factor_rows(haar_system(n, d, blocks, 3)) == \
+        assert _factor_rows(haar_system(n, d, blocks, 3).factors) == \
             ladder_dimensions(n, d, blocks)[1]
 
     @pytest.mark.parametrize("margin, rungs", [(1.0, "d"), (0.999, "fd")])
@@ -1196,9 +1241,9 @@ class TestPrecisionLadder:
             lambda n, rows, dtype: margin / n if np.finfo(dtype).bits == 32
             else real(n, rows, dtype))
         built, real_gram = [], certify_module._upper_gram
-        monkeypatch.setattr(certify_module, "_upper_gram", lambda system: (
-            built.append(system.factors[0].outer_u.dtype.char)
-            or real_gram(system)))
+        monkeypatch.setattr(certify_module, "_upper_gram", lambda factors: (
+            built.append(factors[0].outer_u.dtype.char)
+            or real_gram(factors)))
         calls = spy_on_exact_path(monkeypatch)
         verdict = stack_verdict(sample_haar_state(SIX_QUBIT_STRUCTURE, 3))
         assert "".join(built) == rungs.upper()

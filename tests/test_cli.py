@@ -131,6 +131,20 @@ class TestCertifyCommand:
         assert (code, out) == (1, "")
         assert "seed must be at least 0" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["certify", "{path}", "--blocks", "A=\u0661,2;B=3;C=4;D=5,6"],
+         "invalid party of block A"),
+        (["certify", "{path}", "--blocks", "A=1,2;B=3;C=4;D=5,6",
+          "--family", "k=0_3"], "invalid k"),
+        (["schmidt", "{path}", "--cut", "+1,2"], "invalid party"),
+    ], ids=["blocks", "family", "cut"])
+    def test_non_ascii_digits_are_domain_errors(self, capsys, haar6_file,
+                                                argv, named):
+        code, out, err = run_cli(capsys, *(a.format(path=haar6_file)
+                                           for a in argv))
+        assert (code, out) == (1, "")
+        assert named in err
+
     def test_bad_blocks_is_domain_error(self, capsys, ghz6_file):
         code, _, err = run_cli(capsys, "certify", ghz6_file,
                                "--blocks", "A=1;B=1;C=2;D=3,4,5,6")

@@ -541,6 +541,16 @@ class TestMarginalFamily:
         fam = MarginalFamily.parse(6, "1,2,3;4,5,6")
         assert fam.subsets == ((1, 2, 3), (4, 5, 6))
         assert MarginalFamily.parse(4, "k=3") == MarginalFamily.complete(4, 3)
+        assert MarginalFamily.parse(4, " k= 3 ") == MarginalFamily.complete(4, 3)
+        assert MarginalFamily.parse(6, "1, 2 ,3").subsets == ((1, 2, 3),)
+
+    @pytest.mark.parametrize("text, named", [
+        ("1_0,2", "party"), ("\u0661,2", "party"), ("+1,2", "party"),
+        ("1,,2", "party"), ("k=0_3", "k"), ("k=\u0663", "k"), ("k=+3", "k")])
+    def test_parse_takes_ascii_digits_only(self, text, named):
+        # int() read "1_0,2" as (2, 10) and "k=0_3" as the complete 3-deck
+        with pytest.raises(ValueError, match=f"invalid {named} "):
+            MarginalFamily.parse(10, text)
 
     def test_out_of_range_subset(self):
         with pytest.raises(ValueError):

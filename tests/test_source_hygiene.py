@@ -1,12 +1,13 @@
 """Static checks of the package source with the standard library's `ast`:
-no unused imports, no private module-level function that nothing in the
-package calls, one home for the certification rule, one certification
-route, one tie rule, one phase-system assembly and column order, benchmark
-layer targets that resolve, and every named threshold documented in
-README."""
+no unused imports and none inside a function, no private module-level
+function that nothing in the package calls, one home for the certification
+rule, one certification route, one tie rule, one phase-system assembly,
+column order and count, benchmark layer targets that resolve, every named
+threshold documented in README, and a pinned list of public names."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,49 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def test_no_import_inside_a_function():
+    # every import is made once, at module level, where a cycle between
+    # modules shows at import time
+    local = [f"{path.name}:{node.name}" for path in MODULES
+             for node in ast.walk(parse(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                     for inner in ast.walk(node))]
+    assert local == [], f"imports inside {local}"
+
+
+PUBLIC_NAMES = [
+    "CountingTable", "CrossCutSpec", "DIM_CAP", "Deck", "ExperimentConfig",
+    "ExperimentReport", "GeneralizedQoaState", "GenericityReport",
+    "Marginal", "MarginalFamily", "OA_9_4_3_2", "OaCheck", "OrthogonalArray",
+    "OverlapDependenceReport", "PackingArray", "PartyStructure", "PureState",
+    "SchmidtDecomposition", "Tolerances", "UdpStatus", "UdpVerdict",
+    "WitnessCheck", "assemble_gamma_system", "build_cross_matrices",
+    "certify_udp", "check_counting_table", "classify_genericity",
+    "components", "compute_deck", "counterexample_from_disconnection",
+    "decide_null_space", "deck_distance", "decks_equal",
+    "equations_for_split", "expected_equation_counts",
+    "fidelity_up_to_phase", "format_array_text", "ghz_state",
+    "greedy_packing_array", "inner_product", "is_connected", "load_state",
+    "marginal_number_lower_bound", "non_udp_witness", "parse_array_text",
+    "partial_trace", "phase_twist", "qoa_state", "run_experiment",
+    "sample_haar_state", "save_state", "schmidt_decompose",
+    "state_from_json_dict", "state_to_json_dict", "verify_oa",
+    "verify_overlap_dependences", "verify_pa", "verify_twin",
+    "worst_case_surplus_closed_form",
+]
+
+
+def test_public_names_are_pinned():
+    # adding or dropping a package export is a deliberate edit of this
+    # list; the stage records (CrossCutMatrices, GammaSystem,
+    # NullSpaceResult) live in `puredeck.certify` only
+    package = importlib.import_module("puredeck")
+    public = sorted(name for name, value in vars(package).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == PUBLIC_NAMES
 
 
 def test_every_private_function_is_referenced():
@@ -230,6 +274,27 @@ def test_one_assembly():
         "certify.py:assemble_gamma_system", "certify.py:_stack_verdicts"}
     assert callers(trees, "assemble_gamma_system") == {
         "certify.py:_exact_verdict"}
+    # a GammaSystem is one system, made by the public assembly alone; the
+    # stack's Gram and factor rows read its factor tuple
+    assert callers(trees, "GammaSystem") == {
+        "certify.py:assemble_gamma_system"}
+
+
+def test_one_count_of_the_phase_system():
+    # one function derives the equation and unknown counts from the factor
+    # shapes, and the three routes that report or decide by them call it
+    trees = {path.name: parse(path) for path in MODULES}
+    assert callers(trees, "_verdict_counts") == {
+        "certify.py:decide_null_space", "certify.py:_stack_verdicts",
+        "certify.py:_exact_verdict"}
+    removed = {"equation_counts", "num_complex_variables",
+               "num_real_variables", "num_complex_equations",
+               "num_equations", "rank"}
+    defined = {f"{node.name}.{item.name}"
+               for node in ast.walk(trees["certify.py"])
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name in removed}
+    assert defined == set()
 
 
 def test_one_tie_rule():
