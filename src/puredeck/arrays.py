@@ -298,7 +298,8 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     per (column, digit) of a table built once.  A kept row then costs one
     gather and sum over the shifts; a jump costs one search of the open
     flags, which stops at the first open one, so the searches together read
-    each flag at most once.
+    each flag at most once.  At strength = num_cols a row blocks only
+    itself, so the kept rows are the scan order itself, up to `max_rows`.
     """
     num_cols = _integer(num_cols, "num_cols")
     levels = _integer(levels, "levels")
@@ -321,6 +322,8 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     # table entry and code
     digits = np.indices((levels,) * num_cols, dtype=np.uint32).reshape(
         num_cols, total)
+    if strength == num_cols:  # a row blocks itself alone: all are kept
+        return PackingArray(digits[:, order[:max_rows]].T, levels, strength)
     position = np.empty(total, dtype=np.intp)
     position[order] = np.arange(total)
     shifts = digits[:, np.count_nonzero(digits, axis=0) <= num_cols - strength]

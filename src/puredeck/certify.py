@@ -100,19 +100,19 @@ class CrossCutSpec:
         """Parse 'A=1,2;B=3;C=4;D=5,6' (an empty block is 'B=')."""
         blocks = {}
         for chunk in text.split(";"):
-            chunk = chunk.strip()
+            chunk = chunk.strip(" ")
             if not chunk:
                 continue
             if "=" not in chunk:
                 raise ValueError(f"bad block chunk {chunk!r}, expected NAME=parties")
             name, _, parties = chunk.partition("=")
-            name = name.strip().upper()
+            name = name.strip(" ").upper()
             if name not in ("A", "B", "C", "D"):
                 raise ValueError(f"unknown block {name!r}")
             if name in blocks:
                 raise ValueError(f"block {name} given twice")
             blocks[name] = tuple(_text_integer(p, f"party of block {name}")
-                                 for p in parties.split(",") if p.strip())
+                                 for p in parties.split(",") if p.strip(" "))
         return cls(*(blocks.get(name, ()) for name in "ABCD"), num_parties)
 
     @property
@@ -734,6 +734,7 @@ def _exact_verdict(state: PureState, spec: CrossCutSpec,
     system = assemble_gamma_system(build_cross_matrices(dec, spec))
     null = decide_null_space(system, svd_tol=tol.svd_tol)
     counts = _verdict_counts(system.factors)
+    del system  # and the dense matrix it caches, before the witness search
     if null.null_dim == 0:
         return _trivial_null_verdict(genericity, uncovered, counts)
     found = _search_phase_witness(state, dec, null, family,
@@ -796,6 +797,10 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     working copy numpy factors it in (32 n^2), as much as building the Gram
     takes at its peak (four n x n complex arrays for a stack in one tile);
     the float32 rung takes half of that, and is freed before float64 runs.
+    The sum stays an upper bound, as the stages are not all alive at once:
+    the overlap products are freed once the factors are gathered and the
+    factors once the Gram is built, so the Cholesky runs beside the Gram
+    and its working copy alone (`_stack_verdicts`).
     As many whole trials as fit _STACK_BYTES go in one stack, at least one.
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
@@ -846,6 +851,16 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     tr G / n, so its Cholesky must fail.  Every other item gets
     `_exact_verdict` with its seed.  A trace identity that fails for an
     item in the stack raises the `build_cross_matrices` ValueError.
+
+    What is alive, stage by stage, besides the Schmidt rows: the overlap
+    products until `_gamma_factors` has gathered the complex128 factors of
+    the kept items; those factors until the float32 rung has its complex64
+    copy, or, where float32 is skipped, until their own Gram is built; a
+    rung's factors until its Gram is built, so only the Gram, with numpy's
+    working copy, is alive through its Cholesky.  The float64 rung after
+    float32 rebuilds complex128 factors for the items float32 left from
+    the Schmidt rows, by the same kernel, so they and their Grams are the
+    whole stack's, bit for bit.
     """
     structure = states[0].structure
     s, left, right = _schmidt_factors(_cut(
@@ -867,12 +882,18 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
             if (not undecided.size
                     or _shift_coefficient(n, rows, dtype) * n >= 1):
                 continue
-            # every item still undecided: the factors as they are, no copy
-            pick = (slice(None) if undecided.size == kept.size
-                    else undecided)
-            rung = tuple(source._make(f[pick].astype(dtype, copy=False)
-                                      for f in source) for source in factors)
-            passed = _shifted_cholesky(_upper_gram(rung), tol.svd_tol, rows)
+            if factors is None:  # an earlier rung dropped them
+                items = kept[undecided]
+                factors = _gamma_factors(_cross_matrices(
+                    left[items], right[items], spec, structure))
+            # the rung replaces the factors (complex128 ones as they are)
+            # and is dropped once its Gram is built, before the Cholesky
+            factors = tuple(source._make(f.astype(dtype, copy=False)
+                                         for f in source)
+                            for source in factors)
+            gram, factors = _upper_gram(factors), None
+            passed = _shifted_cholesky(gram, tol.svd_tol, rows)
+            del gram  # not alive beside the next rung's factors
             certified.update(
                 (item, _trivial_null_verdict(reports[item], uncovered,
                                              dict(counts)))

@@ -60,12 +60,12 @@ class MarginalFamily:
     @classmethod
     def parse(cls, num_parties: int, text: str) -> "MarginalFamily":
         """Parse 'k=<int>' (complete k-deck) or '1,2,3;4,5,6;...'."""
-        text = text.strip()
+        text = text.strip(" ")
         if text.startswith("k="):
             return cls.complete(num_parties, _text_integer(text[2:], "k"))
         subsets = []
         for chunk in text.split(";"):
-            chunk = chunk.strip()
+            chunk = chunk.strip(" ")
             if not chunk:
                 continue
             subsets.append(tuple(_text_integer(p, "party")

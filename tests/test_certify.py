@@ -177,6 +177,17 @@ class TestCrossCutSpec:
         assert CrossCutSpec.parse(" A = 1 , 2 ;B=3;C=4;D=5,6", 6) == \
             SIX_QUBIT_SPEC
 
+    @pytest.mark.parametrize("text, error", [
+        ("A=1\u2003;B=2;C=3;D=4", "invalid party of block A"),
+        ("A=1,\u2003,2;B=3;C=4;D=5,6", "invalid party of block A"),
+        ("A=1\t;B=2;C=3;D=4", "invalid party of block A"),
+        ("\u2003A=1;B=2;C=3;D=4", "unknown block")])
+    def test_only_ascii_spaces_are_stripped(self, text, error):
+        # str.strip() took the em space off a chunk's end, and a party of
+        # one em space was dropped: "A=1,\u2003,2" read as A = (1, 2)
+        with pytest.raises(ValueError, match=error):
+            CrossCutSpec.parse(text, 4 if text.endswith("D=4") else 6)
+
     def test_verification_family_order(self):
         fam = SIX_QUBIT_SPEC.verification_family()
         assert fam.subsets == ((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6))
@@ -1027,6 +1038,44 @@ class TestGramFastPath:
         assert verdict.status == UdpStatus.CERTIFIED_UDP
         assert peak < 72e6
 
+    def test_exact_tail_frees_the_dense_system(self, monkeypatch):
+        # sum_i c_i |i>_AB |i>_CD in product bases fails its Cholesky, so
+        # the exact path decides it; the witness search that follows holds
+        # the null basis, not the dense system the SVD read (360 x 240)
+        structure = PartyStructure.uniform(8, 2)
+        spec = CrossCutSpec.parse("A=1,2;B=3,4;C=5,6;D=7,8", 8)
+        coeffs = np.sqrt(np.arange(1, 17) / 136.0)
+        psi = PureState(structure, np.diag(coeffs).ravel().astype(complex))
+        held, nulls = [], []
+        real_search, real_decide = (certify_module._search_phase_witness,
+                                    certify_module.decide_null_space)
+
+        def spy_decide(system, **kwargs):
+            nulls.append((null := real_decide(system, **kwargs),
+                          system.matrix.nbytes))
+            return null
+
+        def spy_search(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, "decide_null_space", spy_decide)
+        monkeypatch.setattr(certify_module, "_search_phase_witness",
+                            spy_search)
+        certify_udp(psi, spec)  # warm caches first
+        held.clear()
+        nulls.clear()
+        tracemalloc.start()
+        try:
+            verdict = certify_udp(psi, spec)
+        finally:
+            tracemalloc.stop()
+        [(null, matrix_bytes)] = nulls
+        assert verdict.null_dim == null.null_dim > 0
+        assert matrix_bytes == 360 * 240 * 8
+        assert len(held) == 1
+        assert held[0] < null.basis.nbytes + matrix_bytes // 4
+
 
 def frobenius_rule(gram, svd_tol, rows):
     """Oracle: the earlier shift, tau (1 + 8 n u) ||H||_F + c tr H plus the
@@ -1249,6 +1298,72 @@ class TestPrecisionLadder:
         assert "".join(built) == rungs.upper()
         assert calls == []
         assert verdict.status == UdpStatus.CERTIFIED_UDP
+
+    @pytest.mark.parametrize("rung", ["f", "d"])
+    def test_only_the_gram_is_alive_through_the_cholesky(self, monkeypatch,
+                                                         rung):
+        # the rung's factors (1.8 MB in complex128, 0.9 MB in complex64 at
+        # 10 qubits) are dropped once its Gram is built; the float64 rung is
+        # reached by skipping float32
+        n, d, blocks = LADDER_SPECS["10q"]
+        spec = CrossCutSpec.parse(blocks, n)
+        psi = sample_haar_state(PartyStructure.uniform(n, d), 3)
+        if rung == "d":
+            real_coefficient = certify_module._shift_coefficient
+            monkeypatch.setattr(
+                certify_module, "_shift_coefficient",
+                lambda n, rows, dtype: math.inf if dtype is np.complex64
+                else real_coefficient(n, rows, dtype))
+        entries, real = [], certify_module._factorizes
+
+        def spy(gram):
+            entries.append((gram.dtype.char, gram.nbytes,
+                            tracemalloc.get_traced_memory()[0]))
+            return real(gram)
+
+        monkeypatch.setattr(certify_module, "_factorizes", spy)
+        certify_udp(psi, spec)  # warm caches first
+        entries.clear()
+        tracemalloc.start()
+        try:
+            verdict = certify_udp(psi, spec)
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
+        [(char, gram_bytes, held)] = entries
+        assert char == rung
+        assert gram_bytes == 992 * 992 * {"f": 4, "d": 8}[rung]
+        assert held <= gram_bytes + 128 * 1024
+
+    def test_float64_rung_rebuilds_the_factors_it_reads(self, monkeypatch):
+        # the near-singular item fails its float32 Cholesky between two Haar
+        # items that pass; the float64 rung rebuilds its factors from the
+        # stack's Schmidt rows, the slice of the whole stack's to the bit,
+        # and certifies it
+        states = [sample_haar_state(SIX_QUBIT_STRUCTURE, 5),
+                  near_singular_state(),
+                  sample_haar_state(SIX_QUBIT_STRUCTURE, 6)]
+        built, passed = [], []
+        real_factors, real_factorizes = (certify_module._gamma_factors,
+                                         certify_module._factorizes)
+        monkeypatch.setattr(certify_module, "_gamma_factors",
+                            lambda m: built.append(real_factors(m))
+                            or built[-1])
+        monkeypatch.setattr(certify_module, "_factorizes", lambda g: (
+            passed.append((g.dtype.char, (ok := real_factorizes(g)).tolist()))
+            or ok))
+        tol = Tolerances(svd_tol=SVD_TOL, deck_tol=1e-9, gap_tol=1e-8)
+        calls = spy_on_exact_path(monkeypatch)
+        verdicts = _certify_stack(states, SIX_QUBIT_SPEC, seeds=(0, 1, 2),
+                                  tol=tol)
+        assert passed == [("f", [True, False, True]), ("d", [True])]
+        assert calls == []
+        assert [v.status for v in verdicts] == [UdpStatus.CERTIFIED_UDP] * 3
+        whole, rebuilt = built
+        for stacked, alone in zip(whole, rebuilt):
+            for field, got in zip(stacked, alone):
+                assert got.shape == field[1:2].shape
+                assert got.tobytes() == field[1:2].tobytes()
 
 
 class TestCertify:

@@ -137,7 +137,11 @@ class TestCertifyCommand:
         (["certify", "{path}", "--blocks", "A=1,2;B=3;C=4;D=5,6",
           "--family", "k=0_3"], "invalid k"),
         (["schmidt", "{path}", "--cut", "+1,2"], "invalid party"),
-    ], ids=["blocks", "family", "cut"])
+        (["certify", "{path}", "--blocks", "A=1,2\u2003;B=3;C=4;D=5,6"],
+         "invalid party of block A"),
+        (["certify", "{path}", "--blocks", "A=1,2;B=3;C=4;D=5,6",
+          "--family", "\u20031,2,3;4,5,6"], "invalid party"),
+    ], ids=["blocks", "family", "cut", "blocks-em-space", "family-em-space"])
     def test_non_ascii_digits_are_domain_errors(self, capsys, haar6_file,
                                                 argv, named):
         code, out, err = run_cli(capsys, *(a.format(path=haar6_file)

@@ -546,9 +546,12 @@ class TestMarginalFamily:
 
     @pytest.mark.parametrize("text, named", [
         ("1_0,2", "party"), ("\u0661,2", "party"), ("+1,2", "party"),
-        ("1,,2", "party"), ("k=0_3", "k"), ("k=\u0663", "k"), ("k=+3", "k")])
+        ("1,,2", "party"), ("k=0_3", "k"), ("k=\u0663", "k"), ("k=+3", "k"),
+        ("\u20031,2;3,4\u2003", "party"), ("1,2\t;3,4", "party"),
+        ("1,\u2003,2", "party"), ("k=3\u2003", "k")])
     def test_parse_takes_ascii_digits_only(self, text, named):
-        # int() read "1_0,2" as (2, 10) and "k=0_3" as the complete 3-deck
+        # int() read "1_0,2" as (2, 10) and "k=0_3" as the complete 3-deck;
+        # str.strip() took Unicode spaces off the text and each chunk
         with pytest.raises(ValueError, match=f"invalid {named} "):
             MarginalFamily.parse(10, text)
 
