@@ -24,8 +24,8 @@ from .schmidt import (GenericityReport, SchmidtDecomposition,
 from .certify import (CrossCutSpec, OverlapDependenceReport, Tolerances,
                       UdpStatus, UdpVerdict, WitnessCheck,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
-                      decide_null_space, expected_equation_counts,
-                      verify_overlap_dependences, verify_twin)
+                      decide_null_space, verify_overlap_dependences,
+                      verify_twin)
 from .hypergraph import (components, counterexample_from_disconnection,
                          is_connected, marginal_number_lower_bound)
 from .arrays import (OA_9_4_3_2, GeneralizedQoaState, OaCheck, OrthogonalArray,

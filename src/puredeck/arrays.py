@@ -355,15 +355,18 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
 
 # ---------------------------------------------------------------------------
 # Text format: header "OA r N d k" or "PA r N d k", then one row per line,
-# written either as contiguous digits (levels <= 10) or whitespace separated.
+# written either as contiguous digits (levels <= 10) or parted by spaces/tabs.
 # ---------------------------------------------------------------------------
 
 def parse_array_text(text: str):
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()
-             and not ln.strip().startswith("#")]
+    """Lines end at "\n" (after a dropped "\r") and fields at ASCII spaces
+    and tabs only: other whitespace fails as a number (ValueError)."""
+    lines = [ln for ln in (raw.removesuffix("\r").replace("\t", " ")
+                           .strip(" ") for raw in text.split("\n"))
+             if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty array file")
-    header = lines[0].split()
+    header = [x for x in lines[0].split(" ") if x]
     if len(header) != 5 or header[0].upper() not in ("OA", "PA"):
         raise ValueError("header must be 'OA r N d k' or 'PA r N d k'")
     kind = header[0].upper()
@@ -376,7 +379,7 @@ def parse_array_text(text: str):
         raise ValueError(f"header promises {r} rows, file has {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split() if " " in ln or "\t" in ln else list(ln)
+        parts = [x for x in ln.split(" ") if x] if " " in ln else list(ln)
         row = [_text_integer(x, "array entry") for x in parts]
         if len(row) != n_cols:
             raise ValueError(f"row {ln!r} has {len(row)} entries, expected {n_cols}")

@@ -79,16 +79,18 @@ class CrossCutSpec:
     num_parties: int
 
     def __post_init__(self):
+        num_parties = _integer(self.num_parties, "num_parties")
+        object.__setattr__(self, "num_parties", num_parties)
         blocks = []
         for name in ("block_a", "block_b", "block_c", "block_d"):
-            block = check_subset(getattr(self, name), self.num_parties,
+            block = check_subset(getattr(self, name), num_parties,
                                  allow_empty=True)
             object.__setattr__(self, name, block)
             blocks.append(block)
         flat = [p for block in blocks for p in block]
         if len(set(flat)) != len(flat):
             raise ValueError("blocks A, B, C, D must be pairwise disjoint")
-        if set(flat) != set(range(1, self.num_parties + 1)):
+        if set(flat) != set(range(1, num_parties + 1)):
             raise ValueError("blocks must cover all parties")
         for pair, label in ((self.ab, "AB"), (self.cd, "CD"),
                             (self.ac, "AC"), (self.bd, "BD")):
@@ -345,19 +347,20 @@ def _upper_gram(factors: tuple[SourceFactors, ...]) -> np.ndarray:
     return gram
 
 
-def block_equation_counts(da: int, db: int, dc: int, dd: int) -> dict:
-    """Closed-form complex-equation counts for blocks of dimensions
-    d_A, d_B, d_C, d_D: C(d_A, 2)(d_C^2 - 1) and C(d_B, 2)(d_D^2 - 1)."""
-    return {
-        "ac": math.comb(da, 2) * (dc * dc - 1),
-        "bd": math.comb(db, 2) * (dd * dd - 1),
-    }
-
-
-def expected_equation_counts(structure: PartyStructure,
-                             spec: CrossCutSpec) -> dict:
-    """Closed-form complex-equation counts for a cross-cut specification."""
-    return block_equation_counts(*spec.block_dims(structure))
+def _system_size(dims: tuple[int, int, int, int],
+                 rank: int) -> tuple[dict, int]:
+    """The phase system of blocks of dimensions d_A..d_D at Schmidt rank k,
+    from those alone, as `_gamma_factors` shapes it: a verdict's
+    `equation_counts` (C(d_A, 2)(d_C^2 - 1) ac and C(d_B, 2)(d_D^2 - 1) bd
+    complex equations, C(k, 2) complex unknowns) and m of
+    `_shifted_cholesky`, the most rows a factor Gram sums over."""
+    da, db, dc, dd = dims
+    ac = math.comb(da, 2) * (dc * dc - 1)
+    bd = math.comb(db, 2) * (dd * dd - 1)
+    counts = {"ac": ac, "bd": bd, "complex_variables": math.comb(rank, 2),
+              "complex_equations": ac + bd}
+    return counts, max(2 * math.comb(da, 2), dc * dc - 1,
+                       2 * math.comb(db, 2), dd * dd - 1)
 
 
 @cache
@@ -439,20 +442,12 @@ def decide_null_space(system: GammaSystem, *,
     dense matrix; a system without unknowns or equations needs none.
     `svd_tol` must lie in (0, 1e-2), else ValueError."""
     _tolerance(svd_tol, "svd_tol")
-    counts = _verdict_counts(system.factors)
-    n_cols = 2 * counts["complex_variables"]
+    n_rows, n_cols = system.matrix.shape
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
-    if counts["complex_equations"] == 0:
+    if n_rows == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
     return _svd_null_space(system.matrix, svd_tol)
-
-
-def _factor_rows(factors: tuple[SourceFactors, ...]) -> int:
-    """m of `_shifted_cholesky`: the most rows a factor Gram of
-    `_upper_gram` sums over, the stacked outer factors or an inner one."""
-    return max(max(2 * f.outer_u.shape[-2], f.inner_u.shape[-2])
-               for f in factors)
 
 
 @cache
@@ -725,7 +720,8 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
 
 def _exact_verdict(state: PureState, spec: CrossCutSpec,
                    family: MarginalFamily, uncovered: list[str],
-                   tol: Tolerances, seed: int) -> UdpVerdict:
+                   dims: tuple[int, int, int, int], tol: Tolerances,
+                   seed: int) -> UdpVerdict:
     """The verdict of an item `_certify_stack` does not certify, from its
     exact null space: Schmidt pairs in tie-broken order, the SVD, then the
     witness search against the deck of `family`."""
@@ -733,8 +729,8 @@ def _exact_verdict(state: PureState, spec: CrossCutSpec,
     genericity = classify_genericity(dec, gap_tol=tol.gap_tol)
     system = assemble_gamma_system(build_cross_matrices(dec, spec))
     null = decide_null_space(system, svd_tol=tol.svd_tol)
-    counts = _verdict_counts(system.factors)
     del system  # and the dense matrix it caches, before the witness search
+    counts, _ = _system_size(dims, dec.rank)
     if null.null_dim == 0:
         return _trivial_null_verdict(genericity, uncovered, counts)
     found = _search_phase_witness(state, dec, null, family,
@@ -775,39 +771,30 @@ def _trivial_null_verdict(genericity: GenericityReport, uncovered: list[str],
     return UdpVerdict(status, 0, genericity, counts, notes=tuple(notes))
 
 
-def _verdict_counts(factors: tuple[SourceFactors, ...]) -> dict:
-    """Equation and variable counts as a verdict reports them, from the
-    factor shapes of one system or a stack: per source, outer rows times
-    inner rows complex equations; one complex unknown per pair i < j."""
-    ac, bd = (f.outer_u.shape[-2] * f.inner_u.shape[-2] for f in factors)
-    return {"ac": ac, "bd": bd,
-            "complex_variables": factors[0].outer_u.shape[-1],
-            "complex_equations": ac + bd}
-
-
 def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     """States per stack of `_certify_stack`, from the dimensions alone.
 
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
-    n = C(k, 2), one trial takes at most, in bytes: 96 D for its state and
-    Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 + d_D^2) for its overlap
-    products (half of that; their trace check takes k^2 entries each) and
-    the factors gathered from them; and 64 n^2 for its Gram stage:
-    the float64 real Gram (32 n^2), which the factor overwrites, and the
-    working copy numpy factors it in (32 n^2), as much as building the Gram
-    takes at its peak (four n x n complex arrays for a stack in one tile);
-    the float32 rung takes half of that, and is freed before float64 runs.
-    The sum stays an upper bound, as the stages are not all alive at once:
-    the overlap products are freed once the factors are gathered and the
-    factors once the Gram is built, so the Cholesky runs beside the Gram
-    and its working copy alone (`_stack_verdicts`).
+    n = C(k, 2) (`_system_size`), one trial takes at most, in bytes: 96 D
+    for its state and Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 +
+    d_D^2) for its overlap products (half of that; their trace check takes
+    k^2 entries each) and the factors gathered from them; and 64 n^2 for
+    its Gram stage: the float64 real Gram (32 n^2), which the factor
+    overwrites, and the working copy numpy factors it in (32 n^2), as much
+    as building the Gram takes at its peak (four n x n complex arrays for a
+    stack in one tile); the float32 rung takes half of that, and is freed
+    before float64 runs.  The sum stays an upper bound, as the stages are
+    not all alive at once: a rung frees its overlap products once its
+    factors are gathered and those once its Gram is built, so the Cholesky
+    runs beside the Gram and its working copy alone (`_stack_verdicts`).
     As many whole trials as fit _STACK_BYTES go in one stack, at least one.
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
     rank = min(da * db, dc * dd)
+    counts, _ = _system_size(dims, rank)
     per_trial = (96 * structure.total_dim
                  + 32 * rank ** 2 * sum(d * d for d in dims)
-                 + 64 * math.comb(rank, 2) ** 2)
+                 + 64 * counts["complex_variables"] ** 2)
     return max(1, _STACK_BYTES // per_trial)
 
 
@@ -846,61 +833,53 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     primary cut has full rank and is `_untied` (so its pairs come in
     `schmidt_decompose`'s order), its system is tall and its shifted
     Cholesky succeeds in float32 or, for the items float32 left, in
-    float64.  A precision whose shift coefficient c has c n >= 1, n the
-    real unknowns, is skipped before its Gram is built: lambda_min <=
-    tr G / n, so its Cholesky must fail.  Every other item gets
-    `_exact_verdict` with its seed.  A trace identity that fails for an
-    item in the stack raises the `build_cross_matrices` ValueError.
+    float64.  The system's size comes from the dimensions alone
+    (`_system_size`), so a wide stack gathers no factors, and a precision
+    whose shift coefficient c has c n >= 1, n the real unknowns, is
+    skipped before its factors are gathered: lambda_min <= tr G / n, so
+    its Cholesky must fail.  Every other item gets `_exact_verdict` with
+    its seed.  A trace identity that fails raises the
+    `build_cross_matrices` ValueError, in a rung or in `_exact_verdict`.
 
-    What is alive, stage by stage, besides the Schmidt rows: the overlap
-    products until `_gamma_factors` has gathered the complex128 factors of
-    the kept items; those factors until the float32 rung has its complex64
-    copy, or, where float32 is skipped, until their own Gram is built; a
-    rung's factors until its Gram is built, so only the Gram, with numpy's
-    working copy, is alive through its Cholesky.  The float64 rung after
-    float32 rebuilds complex128 factors for the items float32 left from
-    the Schmidt rows, by the same kernel, so they and their Grams are the
-    whole stack's, bit for bit.
+    Each rung gathers the complex128 factors of the items it decides from
+    the Schmidt rows by one kernel, so they and their Grams are the whole
+    stack's, bit for bit.  Alive besides the Schmidt rows: the overlap
+    products until the factors are gathered; those until the rung's copy
+    in its precision exists (at float64 they are it); the copy until its
+    Gram is built, so only the Gram, with numpy's working copy, is alive
+    through its Cholesky.
     """
     structure = states[0].structure
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
     reports = _genericity(s, s.shape[1], tol.gap_tol)
-    kept = np.flatnonzero(np.array([r.full_rank for r in reports])
-                          & _untied(s))
+    dims = spec.block_dims(structure)
+    counts, rows = _system_size(dims, s.shape[1])
+    n = 2 * counts["complex_variables"]
+    # a wide system's Gram is singular: only the exact SVD decides it
+    tall = 2 * counts["complex_equations"] >= n
+    undecided = np.flatnonzero(np.array([r.full_rank for r in reports])
+                               & _untied(s) & tall)
     certified = {}
-    if kept.size:
-        factors = _gamma_factors(
-            _cross_matrices(left[kept], right[kept], spec, structure))
-        counts = _verdict_counts(factors)
-        n, rows = 2 * counts["complex_variables"], _factor_rows(factors)
-        # a wide system's Gram is singular: only the exact SVD decides it
-        tall = 2 * counts["complex_equations"] >= n
-        undecided = np.arange(kept.size if tall else 0)
-        for dtype in (np.complex64, np.complex128):
-            if (not undecided.size
-                    or _shift_coefficient(n, rows, dtype) * n >= 1):
-                continue
-            if factors is None:  # an earlier rung dropped them
-                items = kept[undecided]
-                factors = _gamma_factors(_cross_matrices(
-                    left[items], right[items], spec, structure))
-            # the rung replaces the factors (complex128 ones as they are)
-            # and is dropped once its Gram is built, before the Cholesky
-            factors = tuple(source._make(f.astype(dtype, copy=False)
-                                         for f in source)
-                            for source in factors)
-            gram, factors = _upper_gram(factors), None
-            passed = _shifted_cholesky(gram, tol.svd_tol, rows)
-            del gram  # not alive beside the next rung's factors
-            certified.update(
-                (item, _trivial_null_verdict(reports[item], uncovered,
-                                             dict(counts)))
-                for item in kept[undecided[passed]].tolist())
-            undecided = undecided[~passed]
+    for dtype in (np.complex64, np.complex128):
+        if not undecided.size or _shift_coefficient(n, rows, dtype) * n >= 1:
+            continue
+        factors = _gamma_factors(_cross_matrices(
+            left[undecided], right[undecided], spec, structure))
+        factors = tuple(source._make(f.astype(dtype, copy=False)
+                                     for f in source) for source in factors)
+        gram, factors = _upper_gram(factors), None
+        passed = _shifted_cholesky(gram, tol.svd_tol, rows)
+        del gram  # not alive beside the next rung's factors
+        certified.update(
+            (item, _trivial_null_verdict(reports[item], uncovered,
+                                         dict(counts)))
+            for item in undecided[passed].tolist())
+        undecided = undecided[~passed]
     return [certified[item] if item in certified
-            else _exact_verdict(state, spec, family, uncovered, tol, seed)
+            else _exact_verdict(state, spec, family, uncovered, dims, tol,
+                                seed)
             for item, (state, seed) in enumerate(zip(states, seeds))]
 
 

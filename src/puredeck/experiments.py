@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
-                      block_equation_counts, expected_equation_counts)
+                      _system_size)
 from .states import (PartyStructure, _checked, _integer,
                      sample_haar_state)
 
@@ -89,8 +89,8 @@ class ExperimentReport:
     equation_counts: dict
     runtime_ms: float
 
-    def to_json_dict(self, *, include_timing: bool = True) -> dict:
-        data = {
+    def to_json_dict(self) -> dict:
+        return {
             "config": self.config,
             "summary": {
                 "trials": len(self.trials),
@@ -103,15 +103,12 @@ class ExperimentReport:
             "counts": self.counts,
             "spectral_gap": self.spectral_gap,
             "equation_counts": self.equation_counts,
-        }
-        if include_timing:
             # wall clock is the only nondeterministic field; keep it isolated
-            data["timing"] = {"runtime_ms": self.runtime_ms}
-        return data
+            "timing": {"runtime_ms": self.runtime_ms},
+        }
 
-    def to_json(self, *, include_timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timing=include_timing),
-                          indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> ExperimentReport:
@@ -151,15 +148,16 @@ def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> Experim
         "max": max(finite) if finite else None,
         "mean": sum(finite) / len(finite) if finite else None,
     }
-    eq_expected = expected_equation_counts(structure, config.blocks)
+    expected, _ = _system_size(
+        config.blocks.block_dims(structure),
+        min(structure.subset_dim(config.blocks.ab),
+            structure.subset_dim(config.blocks.cd)))
     equation_counts = {
-        "expected_ac": eq_expected["ac"],
-        "expected_bd": eq_expected["bd"],
-        "expected_total": eq_expected["ac"] + eq_expected["bd"],
+        "expected_ac": expected["ac"],
+        "expected_bd": expected["bd"],
+        "expected_total": expected["complex_equations"],
         "observed_total": records[0]["complex_equations"],
-        "variables_full_rank": math.comb(
-            min(structure.subset_dim(config.blocks.ab),
-                structure.subset_dim(config.blocks.cd)), 2),
+        "variables_full_rank": expected["complex_variables"],
     }
     report = ExperimentReport(config.to_dict(), tuple(records), counts,
                               spectral, equation_counts, runtime_ms)
@@ -177,16 +175,22 @@ def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> Experim
 # Equation counting: direct combinatorics against the closed-form worst case.
 # ---------------------------------------------------------------------------
 
+def _split_counts(n: int, d: int, a_size: int) -> dict:
+    """Counts of blocks |A|=|D|=a, |B|=|C|=n-a at full rank d^n."""
+    d_a, d_c = d ** a_size, d ** (n - a_size)
+    return _system_size((d_a, d_c, d_c, d_a), d ** n)[0]
+
+
 def equations_for_split(n: int, d: int, a_size: int) -> int:
     """Complex equations for half-body blocks |A|=a, |B|=|C|=n-a, |D|=a."""
     if not 1 <= a_size <= n - 1:
         raise ValueError("block size must satisfy 1 <= |A| <= n-1")
-    d_a, d_c = d ** a_size, d ** (n - a_size)
-    return sum(block_equation_counts(d_a, d_c, d_c, d_a).values())
+    return _split_counts(n, d, a_size)["complex_equations"]
 
 
 def worst_case_surplus_closed_form(n: int, d: int) -> int:
     """Closed-form surplus (equations - variables) at the most unbalanced split."""
+    n, d = _integer(n, "n"), _integer(d, "d")
     numerator = (d ** (2 * n) - d ** (2 * n - 1) - d ** (2 * n - 2)
                  - d ** (n + 1) + d ** n + d ** (n - 1) - d ** 2 + d)
     if numerator % 2 != 0:
@@ -251,11 +255,12 @@ def check_counting_table(max_n: int, max_d: int) -> CountingTable:
     summaries = []
     for n in range(2, max_n + 1):
         for d in range(2, max_d + 1):
-            variables = math.comb(d ** n, 2)
             closed = worst_case_surplus_closed_form(n, d)
             by_a = {}
             for a_size in range(1, n):
-                eqs = equations_for_split(n, d, a_size)
+                counts = _split_counts(n, d, a_size)
+                variables, eqs = (counts["complex_variables"],
+                                  counts["complex_equations"])
                 by_a[a_size] = eqs
                 extreme = a_size in (1, n - 1)
                 surplus = eqs - variables

@@ -20,7 +20,7 @@ import numpy as np
 from .certify import verify_twin
 from .marginals import MarginalFamily, _check_parties
 from .schmidt import phase_twist, schmidt_decompose
-from .states import PureState
+from .states import PureState, _integer
 
 
 def components(family: MarginalFamily) -> list[tuple[int, ...]]:
@@ -49,8 +49,9 @@ def marginal_number_lower_bound(num_parties: int, k: int) -> int:
     """Minimum number of k-body marginals any determining family must contain.
 
     A connected covering family of k-subsets needs at least
-    ceil((N - 1) / (k - 1)) edges.
+    ceil((N - 1) / (k - 1)) edges.  N and k are read by `states._integer`.
     """
+    num_parties, k = _integer(num_parties, "num_parties"), _integer(k, "k")
     if k < 2:
         raise ValueError("bound requires subset size k >= 2")
     if k > num_parties:

@@ -31,9 +31,11 @@ class MarginalFamily:
     subsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.num_parties < 1:
+        num_parties = _integer(self.num_parties, "num_parties")
+        if num_parties < 1:
             raise ValueError("need at least one party")
-        subsets = tuple(check_subset(s, self.num_parties) for s in self.subsets)
+        object.__setattr__(self, "num_parties", num_parties)
+        subsets = tuple(check_subset(s, num_parties) for s in self.subsets)
         if len(set(subsets)) != len(subsets):
             raise ValueError("family contains duplicate subsets")
         object.__setattr__(self, "subsets", subsets)

@@ -579,6 +579,29 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="header numbers|array entry"):
             parse_array_text(text.replace(old, new, 1))
 
+    @pytest.mark.parametrize("old, new", [
+        ("\n0000\n", "\n0000\u2003\n"), ("OA 9 4", "OA 9\u00a04"),
+        ("\n0000\n", "\n0000\u2028"), ("\n0000\n", "\n0000\x0c\n")],
+        ids=["row-em-space", "header-no-break-space", "line-separator",
+             "form-feed"])
+    def test_only_ascii_spaces_and_tabs_part_fields(self, old, new):
+        # str.strip(), split() and splitlines() took each of these as
+        # whitespace or a line break, and the array parsed
+        text = format_array_text(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
+        assert old in text
+        with pytest.raises(ValueError,
+                           match="header|array entry|entries|rows"):
+            parse_array_text(text.replace(old, new, 1))
+
+    def test_ascii_spacing_and_comments_parse(self):
+        text = format_array_text(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2))
+        header, *rows = text.splitlines()
+        spaced = "\r\n".join(
+            ["# OA(9, 4, 3, 2)", "", "\t" + header.replace(" ", " \t ")]
+            + [" \t".join(row) + " " for row in rows] + ["  # end", ""])
+        np.testing.assert_array_equal(parse_array_text(spaced).rows,
+                                      parse_array_text(text).rows)
+
     def test_header_row_count_must_match(self):
         with pytest.raises(ValueError, match="rows"):
             parse_array_text("OA 3 4 3 2\n0000\n0111\n")

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import puredeck.certify as certify_module
 from puredeck.arrays import OA_9_4_3_2, OrthogonalArray, qoa_state
@@ -14,16 +16,14 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       Tolerances, UdpStatus, UdpVerdict,
                       assemble_gamma_system, build_cross_matrices, certify_udp,
                       compute_deck, deck_distance, decide_null_space,
-                      expected_equation_counts, fidelity_up_to_phase,
-                      ghz_state, sample_haar_state, schmidt_decompose,
-                      verify_overlap_dependences, verify_twin)
+                      fidelity_up_to_phase, ghz_state, sample_haar_state,
+                      schmidt_decompose, verify_overlap_dependences,
+                      verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _certify_stack, _cross_matrices, _factor_rows,
-                              _factorizes, _gamma_factors, _gamma_vector,
-                              _khatri_rao, _pairs, _shift_coefficient,
-                              _shifted_cholesky, _svd_null_space,
-                              _upper_gram, _verdict_counts,
-                              block_equation_counts)
+                              _certify_stack, _cross_matrices, _factorizes,
+                              _gamma_factors, _gamma_vector, _khatri_rao,
+                              _pairs, _shift_coefficient, _shifted_cholesky,
+                              _svd_null_space, _system_size, _upper_gram)
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -44,9 +44,34 @@ def haar_system(n, d, blocks, seed):
     return assemble_gamma_system(build_cross_matrices(dec, spec))
 
 
+def shape_counts(factors):
+    """Oracle: a verdict's counts read off the factor shapes of one system
+    or a stack: per source, outer rows times inner rows complex equations;
+    one complex unknown per pair i < j."""
+    ac, bd = (f.outer_u.shape[-2] * f.inner_u.shape[-2] for f in factors)
+    return {"ac": ac, "bd": bd,
+            "complex_variables": factors[0].outer_u.shape[-1],
+            "complex_equations": ac + bd}
+
+
+def shape_rows(factors):
+    """Oracle: m of `_shifted_cholesky` read off the factor shapes, the
+    most rows a factor Gram sums over, the stacked outer factors or an
+    inner one."""
+    return max(max(2 * f.outer_u.shape[-2], f.inner_u.shape[-2])
+               for f in factors)
+
+
+def system_size(n, d, blocks):
+    """`_system_size` of a spec at full rank, from its block dimensions."""
+    spec = CrossCutSpec.parse(blocks, n)
+    da, db, dc, dd = dims = spec.block_dims(PartyStructure.uniform(n, d))
+    return _system_size(dims, min(da * db, dc * dd))
+
+
 def real_unknowns(system):
     """The real unknowns of `system`, twice its complex ones."""
-    return 2 * _verdict_counts(system.factors)["complex_variables"]
+    return 2 * shape_counts(system.factors)["complex_variables"]
 
 
 def full_gram(factors):
@@ -163,6 +188,16 @@ class TestCrossCutSpec:
         with pytest.raises(ValueError, match="nonempty"):
             CrossCutSpec.parse("A=1;B=2;C=;D=", 2)
 
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_non_integer_num_parties_refused(self, n):
+        with pytest.raises(TypeError, match="num_parties must be int"):
+            CrossCutSpec((1,), (2,), (3,), (4,), n)
+
+    def test_numpy_num_parties_stored_as_int(self):
+        spec = CrossCutSpec((1,), (2,), (3,), (4,), np.int64(4))
+        assert type(spec.num_parties) is int
+        assert spec == CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
+
     def test_empty_block_allowed_when_unions_nonempty(self):
         spec = CrossCutSpec.parse("A=1;B=;C=2;D=3", 3)
         assert spec.ab == (1,) and spec.bd == (3,)
@@ -258,9 +293,12 @@ class TestGammaSystem:
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 5)
         dec = schmidt_decompose(psi, SIX_QUBIT_SPEC.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, SIX_QUBIT_SPEC))
-        assert _verdict_counts(system.factors) == {
+        counts, rows = _system_size(
+            SIX_QUBIT_SPEC.block_dims(SIX_QUBIT_STRUCTURE), dec.rank)
+        assert counts == shape_counts(system.factors) == {
             "ac": 18, "bd": 15, "complex_variables": 28,
             "complex_equations": 33}
+        assert rows == shape_rows(system.factors) == 15
         assert system.matrix.shape == (66, 56)
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
@@ -269,22 +307,26 @@ class TestGammaSystem:
         spec = CrossCutSpec.parse(blocks, n)
         psi = sample_haar_state(structure, 7)
         dec = schmidt_decompose(psi, spec.ab)
-        counts = _verdict_counts(assemble_gamma_system(
+        counts = shape_counts(assemble_gamma_system(
             build_cross_matrices(dec, spec)).factors)
-        expected = expected_equation_counts(structure, spec)
-        assert {k: counts[k] for k in ("ac", "bd")} == expected
+        expected, _ = _system_size(spec.block_dims(structure), dec.rank)
+        assert counts == expected
         assert counts["complex_equations"] == expected["ac"] + expected["bd"]
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES)
     def test_verdict_counts_of_one_system_and_a_stack(self, n, d, blocks):
-        # the closed-form equations and C(rank, 2) unknowns, from the factor
-        # shapes alone, with or without a leading stack axis
+        # the closed-form equations and C(rank, 2) unknowns, from the block
+        # dimensions alone, are the factor shapes with or without a leading
+        # stack axis
         structure = PartyStructure.uniform(n, d)
         spec = CrossCutSpec.parse(blocks, n)
         da, db, dc, dd = spec.block_dims(structure)
-        expected = block_equation_counts(da, db, dc, dd)
-        expected["complex_variables"] = math.comb(min(da * db, dc * dd), 2)
-        expected["complex_equations"] = expected["ac"] + expected["bd"]
+        ac, bd = (math.comb(da, 2) * (dc * dc - 1),
+                  math.comb(db, 2) * (dd * dd - 1))
+        expected = {"ac": ac, "bd": bd,
+                    "complex_variables": math.comb(min(da * db, dc * dd), 2),
+                    "complex_equations": ac + bd}
+        assert system_size(n, d, blocks)[0] == expected
         decs = [schmidt_decompose(sample_haar_state(structure, seed), spec.ab)
                 for seed in (7, 8, 9)]
         one = assemble_gamma_system(build_cross_matrices(decs[0], spec))
@@ -292,8 +334,36 @@ class TestGammaSystem:
             np.stack([dec.left_basis for dec in decs]),
             np.stack([dec.right_basis for dec in decs]), spec, structure))
         assert stack[0].outer_u.shape[0] == len(decs)
-        assert _verdict_counts(one.factors) == expected
-        assert _verdict_counts(stack) == expected
+        assert shape_counts(one.factors) == expected
+        assert shape_counts(stack) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([(), (2,), (3,), (4,), (2, 2)]),
+                    min_size=4, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_system_size_is_the_factor_shapes(self, blocks, seed):
+        # from the block dimensions and the rank alone, at every rank from
+        # 1 to full and with empty blocks: the shapes of the factors
+        # `_gamma_factors` gathers for a stack of two, read by the oracles
+        a, b, c, d = blocks
+        assume(a + b and c + d and a + c and b + d)
+        local = a + b + c + d
+        labels = iter(range(1, len(local) + 1))
+        spec = CrossCutSpec(*(tuple(next(labels) for _ in block)
+                              for block in blocks), len(local))
+        structure = PartyStructure(len(local), local)
+        dims = spec.block_dims(structure)
+        rng = np.random.default_rng(seed)
+        d_ab, d_cd = dims[0] * dims[1], dims[2] * dims[3]
+        for rank in range(1, min(d_ab, d_cd) + 1):
+            left, right = (np.linalg.qr(
+                rng.standard_normal((2, dim, rank))
+                + 1j * rng.standard_normal((2, dim, rank)))[0].swapaxes(-1, -2)
+                for dim in (d_ab, d_cd))
+            factors = _gamma_factors(_cross_matrices(left, right, spec,
+                                                     structure))
+            assert _system_size(dims, rank) == (shape_counts(factors),
+                                                shape_rows(factors))
 
     def test_empty_block_spec_assembles(self):
         # B empty: no equations from the L/M side
@@ -302,9 +372,10 @@ class TestGammaSystem:
         psi = sample_haar_state(structure, 9)
         dec = schmidt_decompose(psi, spec.ab)
         system = assemble_gamma_system(build_cross_matrices(dec, spec))
-        counts = _verdict_counts(system.factors)
+        counts = shape_counts(system.factors)
         assert counts["bd"] == 0
-        assert counts["ac"] == expected_equation_counts(structure, spec)["ac"]
+        assert counts == _system_size(spec.block_dims(structure),
+                                      dec.rank)[0]
 
     @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES[:4] + [
         (4, 2, "A=1;B=2;C=;D=3,4"),
@@ -372,8 +443,9 @@ class TestGammaSystem:
         spec = CrossCutSpec.parse(blocks, 4)
         verdict = certify_udp(sample_haar_state(structure, 11), spec)
         assert verdict.status in tuple(UdpStatus)
-        assert expected_equation_counts(structure, spec) == counts
-        assert {k: verdict.equation_counts[k] for k in counts} == counts
+        expected, _ = system_size(4, 2, blocks)
+        assert {k: expected[k] for k in counts} == counts
+        assert verdict.equation_counts == expected
 
 
 EMPTY_INNER_BLOCK_CASES = [
@@ -497,7 +569,7 @@ class TestGramKernel:
             gram = stacked[item].astype(float)
             dims = gram.shape[-1]
             want = ((GRAM_MIN_RATIO
-                     + real_coefficient(dims, _factor_rows(system.factors),
+                     + real_coefficient(dims, system_size(n, d, blocks)[1],
                                         rung))
                     * np.trace(gram))
             diag = np.diagonal(gram)
@@ -649,8 +721,8 @@ class TestLowerTriangle:
         # for the SVD; every spec with equations reaches the Cholesky and
         # certifies
         assert evidence == [decided, calls]
-        assert any(any(passed) for _, passed in decided) == any(
-            expected_equation_counts(structure, spec).values())
+        assert any(any(passed) for _, passed in decided) == bool(
+            system_size(n, d, blocks)[0]["complex_equations"])
 
     @pytest.mark.parametrize("n, d, blocks, within_one", [
         (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8", False),
@@ -785,7 +857,8 @@ class TestNullSpace:
     def test_zero_row_system_is_unconstrained(self):
         # qutrits, C and B empty: 3 pairs, 6 real variables and no equations
         system = haar_system(3, 3, "A=1;B=;C=;D=2,3", 5)
-        counts = _verdict_counts(system.factors)
+        counts, _ = system_size(3, 3, "A=1;B=;C=;D=2,3")
+        assert shape_counts(system.factors) == counts
         assert counts["complex_variables"] == 3
         assert counts["complex_equations"] == 0
         result = decide_null_space(system)
@@ -891,8 +964,8 @@ class TestGramFastPath:
             gram = _upper_gram(at_precision(system, dtype))
             # `trace > 0` refuses it, whatever LAPACK makes of a zero Gram
             assert gram_trace(gram) == 0.0
-            assert not _shifted_cholesky(gram, SVD_TOL,
-                                         _factor_rows(system.factors))
+            assert not _shifted_cholesky(
+                gram, SVD_TOL, system_size(6, 2, "A=1,2;B=3;C=4;D=5,6")[1])
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
         assert calls == [SVD_TOL]
@@ -920,8 +993,8 @@ class TestGramFastPath:
         decided_by = {"above-shift": "f", "between-shifts": "d"}.get(case,
                                                                     "svd")
         psi = sample_haar_state(SIX_QUBIT_STRUCTURE, 31)
-        system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
-        n, rows = real_unknowns(system), _factor_rows(system.factors)
+        counts, rows = system_size(6, 2, "A=1,2;B=3;C=4;D=5,6")
+        n = 2 * counts["complex_variables"]
         # each rung's shift for a trace of n at most
         shift = {dtype: (GRAM_MIN_RATIO + _shift_coefficient(n, rows, dtype))
                  * n for dtype in (np.complex64, np.complex128)}
@@ -988,7 +1061,7 @@ class TestGramFastPath:
         dense = system.matrix.T @ system.matrix
         edge = (np.linalg.eigvalsh(dense)[0] / np.trace(dense)
                 - _shift_coefficient(real_unknowns(system),
-                                     _factor_rows(system.factors),
+                                     shape_rows(system.factors),
                                      np.complex128))
         assert np.linalg.norm(dense) < 0.9 / 1.1 * np.trace(dense)
         for factor, exact in ((0.9, False), (1.1, True)):
@@ -1136,7 +1209,7 @@ class TestTraceShift:
         grams = synthetic_ladder(real_unknowns(system), rung)
         for svd_tol in (SVD_TOL, 1e-4):
             old, new = self._compare(grams, svd_tol,
-                                     _factor_rows(system.factors))
+                                     system_size(*LADDER_SPECS["6q"])[1])
             assert new.any() and not new.all()
             if rung is np.float64 and svd_tol == SVD_TOL:
                 # lambda_min between tau ||H||_F and tau tr H: the earlier
@@ -1160,7 +1233,7 @@ class TestTraceShift:
             (_, haar_new), *ghz = [self._compare(
                 np.stack([_upper_gram(at_precision(system, dtype))
                           for system in systems]),
-                SVD_TOL, _factor_rows(systems[0].factors))
+                SVD_TOL, system_size(n, d, blocks)[1])
                 for systems in stacks]
             # every Haar item passes in both precisions, a GHZ Gram in none
             assert haar_new[:len(seeds)].all()
@@ -1182,12 +1255,8 @@ LADDER_SPECS = {
 def ladder_dimensions(n, d, blocks):
     """The real unknowns and the factor rows m of a full-rank spec, from
     its block dimensions alone."""
-    spec = CrossCutSpec.parse(blocks, n)
-    da, db, dc, dd = spec.block_dims(PartyStructure.uniform(n, d))
-    unknowns = 2 * math.comb(min(da * db, dc * dd), 2)
-    rows = max(2 * math.comb(da, 2), dc * dc - 1, 2 * math.comb(db, 2),
-               dd * dd - 1)
-    return unknowns, rows
+    counts, rows = system_size(n, d, blocks)
+    return 2 * counts["complex_variables"], rows
 
 
 class TestPrecisionLadder:
@@ -1233,7 +1302,7 @@ class TestPrecisionLadder:
         diag = np.diagonal(exact)
         d_s = np.repeat(np.sqrt((diag[0::2] + diag[1::2]) / 2), 2)
         u = np.finfo(np.float32).eps / 2
-        bound = ((6 * _factor_rows(system.factors) + 30) * u
+        bound = ((6 * system_size(n, d, blocks)[1] + 30) * u
                  * np.outer(d_s, d_s))
         assert np.all(np.abs(rounded - exact) <= bound)
         # the majorant has norm tr G
@@ -1276,7 +1345,7 @@ class TestPrecisionLadder:
     @pytest.mark.parametrize("name", ["6q", "4qt", "8q"])
     def test_factor_rows_match_the_dimensions(self, name):
         n, d, blocks = LADDER_SPECS[name]
-        assert _factor_rows(haar_system(n, d, blocks, 3).factors) == \
+        assert shape_rows(haar_system(n, d, blocks, 3).factors) == \
             ladder_dimensions(n, d, blocks)[1]
 
     @pytest.mark.parametrize("margin, rungs", [(1.0, "d"), (0.999, "fd")])

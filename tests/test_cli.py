@@ -351,6 +351,18 @@ class TestOaCommands:
         code, _, err = run_cli(capsys, "oa", "verify", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("\n0000\n", "\n0000\u2003\n"), ("OA 9 4", "OA 9\u00a04"),
+        ("\n0000\n", "\n0000\u2028")],
+        ids=["row-em-space", "header-no-break-space", "line-separator"])
+    def test_verify_rejects_unicode_whitespace(self, capsys, tmp_path, old,
+                                               new):
+        path = tmp_path / "array.txt"
+        path.write_text(OA_TEXT.replace(old, new, 1), encoding="utf-8")
+        code, out, err = run_cli(capsys, "oa", "verify", str(path))
+        assert code == 1
+        assert out == "" and err
+
     def test_state_output(self, capsys, oa_file, tmp_path):
         out_path = tmp_path / "state.json"
         code, _, _ = run_cli(capsys, "oa", "state", oa_file,

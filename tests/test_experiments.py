@@ -70,6 +70,13 @@ class TestCountingTable:
                 else:
                     assert surplus > 0
 
+    @pytest.mark.parametrize("n, d", [(3, 2.5), (3.0, 2), (3, True),
+                                      ("3", 2)])
+    def test_closed_form_takes_integers_only(self, n, d):
+        # (3, 2.5) once raised "closed form not even", an ArithmeticError
+        with pytest.raises(TypeError, match="must be int"):
+            worst_case_surplus_closed_form(n, d)
+
     def test_equations_for_split_range_checked(self):
         with pytest.raises(ValueError):
             equations_for_split(3, 2, 0)
@@ -98,7 +105,18 @@ class TestExperiments:
         config = ExperimentConfig(4, 2, trials=4, seed=9, blocks=BALANCED_4)
         a = run_experiment(config, verbose=False)
         b = run_experiment(config, verbose=False)
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
+        a, b = (json.loads(report.to_json()) for report in (a, b))
+        a.pop("timing")
+        b.pop("timing")
+        assert a == b
+
+    def test_report_always_carries_its_timing(self):
+        # the one JSON form; a caller drops `timing` itself
+        config = ExperimentConfig(4, 2, trials=1, seed=1, blocks=BALANCED_4)
+        report = run_experiment(config, verbose=False)
+        assert set(json.loads(report.to_json())["timing"]) == {"runtime_ms"}
+        with pytest.raises(TypeError):
+            report.to_json_dict(include_timing=False)
 
     def test_report_round_trips_through_json(self):
         config = ExperimentConfig(4, 2, trials=3, seed=1, blocks=BALANCED_4)

@@ -138,6 +138,13 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             marginal_number_lower_bound(4, 1)
 
+    @pytest.mark.parametrize("n, k", [(10, 2.5), (10.0, 3), (True, 2),
+                                      (10, "3"), (10, None)])
+    def test_non_integer_arguments_refused(self, n, k):
+        # (10, 2.5) once gave 6
+        with pytest.raises(TypeError, match="must be int"):
+            marginal_number_lower_bound(n, k)
+
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
             marginal_number_lower_bound(3, 4)

@@ -559,6 +559,18 @@ class TestMarginalFamily:
         with pytest.raises(ValueError):
             MarginalFamily(3, ((1, 4),))
 
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_non_integer_num_parties_refused(self, n):
+        # 4.0 once built a family that `compute_deck` accepted and
+        # `certify_udp` failed on late, in Python's own TypeError
+        with pytest.raises(TypeError, match="num_parties must be int"):
+            MarginalFamily(n, ((1, 2), (3, 4)))
+
+    def test_numpy_num_parties_stored_as_int(self):
+        fam = MarginalFamily(np.int64(4), ((1, 2), (3, 4)))
+        assert type(fam.num_parties) is int
+        assert fam == MarginalFamily(4, ((1, 2), (3, 4)))
+
 
 class TestCompleteFamily:
     """`MarginalFamily.complete` builds its subsets without the

@@ -88,9 +88,9 @@ PUBLIC_NAMES = [
     "certify_udp", "check_counting_table", "classify_genericity",
     "components", "compute_deck", "counterexample_from_disconnection",
     "decide_null_space", "deck_distance", "decks_equal",
-    "equations_for_split", "expected_equation_counts",
-    "fidelity_up_to_phase", "format_array_text", "ghz_state",
-    "greedy_packing_array", "inner_product", "is_connected", "load_state",
+    "equations_for_split", "fidelity_up_to_phase", "format_array_text",
+    "ghz_state", "greedy_packing_array", "inner_product", "is_connected",
+    "load_state",
     "marginal_number_lower_bound", "non_udp_witness", "parse_array_text",
     "partial_trace", "phase_twist", "qoa_state", "run_experiment",
     "sample_haar_state", "save_state", "schmidt_decompose",
@@ -281,12 +281,21 @@ def test_one_assembly():
 
 
 def test_one_count_of_the_phase_system():
-    # one function derives the equation and unknown counts from the factor
-    # shapes, and the three routes that report or decide by them call it
+    # one function sizes the phase system, from the block dimensions and
+    # the rank alone: only it counts pairs with math.comb in `certify` and
+    # `experiments`, and no function reads the counts off factor shapes
     trees = {path.name: parse(path) for path in MODULES}
-    assert callers(trees, "_verdict_counts") == {
-        "certify.py:decide_null_space", "certify.py:_stack_verdicts",
-        "certify.py:_exact_verdict"}
+    assert {f"{module}:{name}" for module in ("certify.py", "experiments.py")
+            for name in functions_using(trees[module], "comb")} == {
+        "certify.py:_system_size"}
+    assert callers(trees, "_system_size") == {
+        "certify.py:_exact_verdict", "certify.py:_stack_size",
+        "certify.py:_stack_verdicts", "experiments.py:run_experiment",
+        "experiments.py:_split_counts"}
+    gone = {"_verdict_counts", "_factor_rows", "block_equation_counts",
+            "expected_equation_counts"}
+    assert {node.name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)} & gone == set()
     removed = {"equation_counts", "num_complex_variables",
                "num_real_variables", "num_complex_equations",
                "num_equations", "rank"}

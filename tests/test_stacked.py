@@ -4,6 +4,7 @@ field, whole reports, and memory."""
 
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -84,6 +85,13 @@ def mixed_batch():
     return batch
 
 
+def without_timing(report):
+    """A report's JSON document less its wall-clock `timing` field."""
+    data = report.to_json_dict()
+    del data["timing"]
+    return data
+
+
 def assert_same_verdict(got, want):
     assert got.status == want.status
     assert got.null_dim == want.null_dim
@@ -155,8 +163,7 @@ class TestDifferential:
         monkeypatch.setattr(experiments_module, "_certify_stack",
                             per_state_route)
         reference = run_experiment(config, verbose=False)
-        assert (stacked.to_json(include_timing=False)
-                == reference.to_json(include_timing=False))
+        assert without_timing(stacked) == without_timing(reference)
         assert stacked.counts["certified"] == 10
 
     def test_tied_coefficients_leave_the_stack(self, monkeypatch):
@@ -203,8 +210,31 @@ class TestDifferential:
                             per_state_route)
         reference = run_experiment(config, verbose=False)
         assert stacked.counts["witnessed"] == 12
-        assert (stacked.to_json(include_timing=False)
-                == reference.to_json(include_timing=False))
+        assert without_timing(stacked) == without_timing(reference)
+
+    @pytest.mark.parametrize("n, d, blocks", [
+        (2, 3, "A=1;B=;C=;D=2"), (4, 2, "A=1;B=;C=;D=2,3,4")],
+        ids=["2qt", "4q"])
+    def test_wide_stack_gathers_no_factors(self, monkeypatch, n, d, blocks):
+        # the system's size comes from the dimensions before any factor
+        # exists, so a wide stack gathers no overlap operators: only each
+        # item's exact verdict does, through `build_cross_matrices`
+        structure = PartyStructure.uniform(n, d)
+        spec = CrossCutSpec.parse(blocks, n)
+        seeds = range(60, 66)
+        states = [sample_haar_state(structure, seed) for seed in seeds]
+        want = per_state_route(states, spec, seeds=seeds, tol=TOL)
+        callers, real = [], certify_module._cross_matrices
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(certify_module, "_cross_matrices", spy)
+        got = _certify_stack(states, spec, seeds=seeds, tol=TOL)
+        assert callers == ["build_cross_matrices"] * len(states)
+        for verdict, expected in zip(got, want, strict=True):
+            assert_same_verdict(verdict, expected)
 
     def test_one_check_per_call(self, monkeypatch):
         # 200 four-qutrit trials are 19 stacks of at most 11, read by one
@@ -265,7 +295,7 @@ class TestGoldenReports:
         config = ExperimentConfig(n, d, trials=trials, seed=seed,
                                   blocks=CrossCutSpec.parse(blocks, n))
         report = run_experiment(config, verbose=False)
-        assert report_digest(report.to_json(include_timing=False)) == digest
+        assert report_digest(json.dumps(without_timing(report))) == digest
 
     def test_cli_json(self, capsys, n, d, blocks, trials, seed, digest):
         assert main(["experiment", "--n", str(n), "--d", str(d),
