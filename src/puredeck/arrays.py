@@ -360,7 +360,8 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
 
 def parse_array_text(text: str):
     """Lines end at "\n" (after a dropped "\r") and fields at ASCII spaces
-    and tabs only: other whitespace fails as a number (ValueError)."""
+    and tabs only: other whitespace fails as a number (ValueError).  A row
+    without spaces is one digit a character, or one entry in one column."""
     lines = [ln for ln in (raw.removesuffix("\r").replace("\t", " ")
                            .strip(" ") for raw in text.split("\n"))
              if ln and not ln.startswith("#")]
@@ -379,7 +380,8 @@ def parse_array_text(text: str):
         raise ValueError(f"header promises {r} rows, file has {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        parts = [x for x in ln.split(" ") if x] if " " in ln else list(ln)
+        parts = ([x for x in ln.split(" ") if x] if " " in ln or n_cols == 1
+                 else list(ln))
         row = [_text_integer(x, "array entry") for x in parts]
         if len(row) != n_cols:
             raise ValueError(f"row {ln!r} has {len(row)} entries, expected {n_cols}")

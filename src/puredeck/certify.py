@@ -153,7 +153,7 @@ def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix X_i, so Tr_rest |i><j| = X_i X_j^H and Tr_first |i><j| =
     X_i^T conj(X_j).  Stacking the X_i (or X_i^T) as rows of R gives
     G = R R^H of shape (..., r d, r d), with G[(i, a), (j, b)] the (a, b)
-    entry of the (i, j) operator; `_operator_blocks` reads it as blocks.
+    entry of the (i, j) operator; `_cross_matrices` reads it as blocks.
     """
     *lead, r, _, _ = factor.shape
     products = []
@@ -163,23 +163,18 @@ def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return products[0], products[1]
 
 
-def _operator_blocks(product: np.ndarray, rank: int) -> np.ndarray:
-    """An overlap product (..., r d, r d) as operators (..., r, r, d, d)."""
-    d = product.shape[-1] // rank
-    return product.reshape(*product.shape[:-2], rank, d, rank,
-                           d).swapaxes(-3, -2)
-
-
-def _trace_errors(product: np.ndarray, rank: int) -> np.ndarray:
-    """Largest deviation of the operators O[i, j] in an overlap product
-    from Tr O[i, j] = delta_ij, one value per item: the basis rows'
-    orthonormality.  O[j, i] = O[i, j]^H needs no check, as R R^H is
-    Hermitian by construction, and the phase system reads only the blocks
-    i < j (`_gamma_factors`)."""
-    d = product.shape[-1] // rank
-    blocks = product.reshape(*product.shape[:-2], rank, d, rank, d)
-    traces = np.einsum("...iaja->...ij", blocks) - np.eye(rank)
-    return np.abs(traces).max(axis=(-2, -1))
+def _orthonormality_defects(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each item's largest entry of |R R^H - I| for the AB rows `left` and
+    the CD rows `right` (..., rank, dim), as (..., 2): the trace identity
+    Tr O[i, j] = <j|i> = delta_ij of q, l and of p, m, which lets the phase
+    system drop one diagonal entry per block.  ValueError names the first
+    basis whose defect exceeds TRACE_IDENTITY_TOL."""
+    defects = np.stack([np.abs(rows @ rows.conj().swapaxes(-1, -2) - np.eye(
+        rows.shape[-2])).max(axis=(-2, -1)) for rows in (left, right)], -1)
+    for k, side in enumerate(("AB", "CD")):
+        if np.any(defects[..., k] > TRACE_IDENTITY_TOL):
+            raise ValueError(f"Schmidt rows on {side} are not orthonormal")
+    return defects
 
 
 @dataclass(frozen=True)
@@ -198,35 +193,32 @@ class CrossCutMatrices:
 
 def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
                     structure: PartyStructure) -> CrossCutMatrices:
-    """Overlap operators of orthonormal basis rows (..., rank, dim), one
-    state or a stack: the left rows split as A x B, the right ones as C x D.
-
-    Raises ValueError when any item breaks the trace identity.
-    """
-    products = []
+    """Overlap operators of basis rows (..., rank, dim), one state or a
+    stack, as read-only blocks (..., rank, rank, d, d): the left rows split
+    as A x B, the right ones as C x D.  Nothing checks the rows here."""
+    rank, blocks = left.shape[-2], []
     for basis, parties, first in ((left, spec.ab, spec.block_a),
                                   (right, spec.cd, spec.block_c)):
         dims = [structure.local_dims[p - 1] for p in parties]
-        products += _overlap_products(
-            _cut(basis, dims, [parties.index(p) for p in first]))
-    rank = left.shape[-2]
-    for name, product in zip("QLPM", products):
-        if np.any(_trace_errors(product, rank) > TRACE_IDENTITY_TOL):
-            raise ValueError(f"trace identity violated for {name} blocks")
-    q, l, p, m = (_operator_blocks(product, rank) for product in products)
-    for arr in (q, l, p, m):
-        arr.setflags(write=False)
+        for product in _overlap_products(
+                _cut(basis, dims, [parties.index(p) for p in first])):
+            d = product.shape[-1] // rank
+            blocks.append(_freeze(product.reshape(
+                *product.shape[:-2], rank, d, rank, d).swapaxes(-3, -2)))
+    q, l, p, m = blocks
     return CrossCutMatrices(q, p, l, m)
 
 
 def build_cross_matrices(dec: SchmidtDecomposition,
                          spec: CrossCutSpec) -> CrossCutMatrices:
-    """Overlap operators of the Schmidt bases across the secondary cut."""
+    """Overlap operators of the Schmidt bases across the secondary cut,
+    once the bases pass `_orthonormality_defects` (else ValueError)."""
     if dec.left_parties != spec.ab or dec.right_parties != spec.cd:
         raise ValueError(
             f"decomposition cut {dec.left_parties}|{dec.right_parties} does not "
             f"match the primary cut {spec.ab}|{spec.cd}"
         )
+    _orthonormality_defects(dec.left_basis, dec.right_basis)
     return _cross_matrices(dec.left_basis, dec.right_basis, spec,
                            dec.structure)
 
@@ -375,7 +367,8 @@ def _gamma_factors(matrices: CrossCutMatrices) -> tuple[SourceFactors, ...]:
     L (x) M, of one system or a stack (see `assemble_gamma_system`): for
     a < b the (a, b) block of outer[i, j] (x) inner[i, j] gives U and the
     (b, a) block of its adjoint gives V, each inner block less its last
-    diagonal entry."""
+    diagonal entry, as the rows' trace identity fixes it
+    (`_orthonormality_defects`)."""
     ii, jj = _pairs(matrices.q.shape[-3])
     sources = []
     for outer, inner in ((matrices.q, matrices.p), (matrices.l, matrices.m)):
@@ -777,8 +770,8 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     With D amplitudes, block dimensions d_A..d_D, full Schmidt rank k and
     n = C(k, 2) (`_system_size`), one trial takes at most, in bytes: 96 D
     for its state and Schmidt factors; 32 k^2 (d_A^2 + d_B^2 + d_C^2 +
-    d_D^2) for its overlap products (half of that; their trace check takes
-    k^2 entries each) and the factors gathered from them; and 64 n^2 for
+    d_D^2) for its overlap products (half of that; the row check before
+    them, 2 k^2 entries) and the factors gathered from them; and 64 n^2 for
     its Gram stage: the float64 real Gram (32 n^2), which the factor
     overwrites, and the working copy numpy factors it in (32 n^2), as much
     as building the Gram takes at its peak (four n x n complex arrays for a
@@ -838,8 +831,8 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     whose shift coefficient c has c n >= 1, n the real unknowns, is
     skipped before its factors are gathered: lambda_min <= tr G / n, so
     its Cholesky must fail.  Every other item gets `_exact_verdict` with
-    its seed.  A trace identity that fails raises the
-    `build_cross_matrices` ValueError, in a rung or in `_exact_verdict`.
+    its seed.  The stack's rows pass `_orthonormality_defects` once, before
+    the float32 rung, or raise the ValueError `build_cross_matrices` does.
 
     Each rung gathers the complex128 factors of the items it decides from
     the Schmidt rows by one kernel, so they and their Grams are the whole
@@ -853,6 +846,7 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
+    _orthonormality_defects(left, right)
     reports = _genericity(s, s.shape[1], tol.gap_tol)
     dims = spec.block_dims(structure)
     counts, rows = _system_size(dims, s.shape[1])

@@ -183,6 +183,7 @@ def _split_counts(n: int, d: int, a_size: int) -> dict:
 
 def equations_for_split(n: int, d: int, a_size: int) -> int:
     """Complex equations for half-body blocks |A|=a, |B|=|C|=n-a, |D|=a."""
+    n, d, a_size = map(_integer, (n, d, a_size), ("n", "d", "a_size"))
     if not 1 <= a_size <= n - 1:
         raise ValueError("block size must satisfy 1 <= |A| <= n-1")
     return _split_counts(n, d, a_size)["complex_equations"]
@@ -249,6 +250,7 @@ def check_counting_table(max_n: int, max_d: int) -> CountingTable:
     extreme splits; any mismatch or non-positive surplus is recorded in the
     table rather than suppressed.  Direct counting is the authority.
     """
+    max_n, max_d = _integer(max_n, "max_n"), _integer(max_d, "max_d")
     if max_n < 2 or max_d < 2:
         raise ValueError("need max_n >= 2 and max_d >= 2")
     rows = []

@@ -104,12 +104,13 @@ class PartyStructure:
         return int(np.ravel_multi_index(digits, self.local_dims))
 
     def parse_basis_label(self, label: str) -> tuple[int, ...]:
-        """Parse a ket label, either contiguous digits ('0121') or comma
-        separated ('0, 12, 1'); each digit is ASCII 0-9 only, so other
-        Unicode digits and signs are refused.  Spaces may surround the
-        label and each comma-separated part."""
+        """Parse a ket label, either contiguous digits ('0121'; one digit
+        for one party) or comma separated ('0, 12, 1'); each digit is ASCII
+        0-9 only, so other Unicode digits and signs are refused.  Spaces
+        may surround the label and each comma-separated part."""
         label = label.strip(" ")
-        parts = label.split(",") if "," in label else list(label)
+        parts = (label.split(",") if "," in label or self.num_parties == 1
+                 else list(label))
         digits = tuple(_text_integer(s, f"basis label {label!r} digit")
                        for s in parts)
         self.digits_to_index(digits)  # range validation

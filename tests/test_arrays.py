@@ -561,6 +561,14 @@ class TestTextFormat:
         np.testing.assert_array_equal(back.rows, oa.rows)
         assert back.index_lambda == 1
 
+    @pytest.mark.parametrize("levels", [11, 12, 3])
+    def test_one_column_round_trip(self, levels):
+        # `format_array_text` writes entry 10 of one column as "10", which
+        # was once read back as the two entries 1 and 0 and refused
+        pa = PackingArray(np.arange(levels)[:, None], levels, 1)
+        back = parse_array_text(format_array_text(pa))
+        np.testing.assert_array_equal(back.rows, pa.rows)
+
     def test_whitespace_rows(self):
         text = "PA 2 3 12 1\n0 5 11\n1 4 2\n"
         pa = parse_array_text(text)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,10 +21,14 @@ from puredeck import (CrossCutSpec, MarginalFamily, PartyStructure, PureState,
                       schmidt_decompose, verify_overlap_dependences,
                       verify_twin)
 from puredeck.certify import (DISTINCT_TOL, GRAM_MIN_RATIO, SVD_TOL,
-                              _certify_stack, _cross_matrices, _factorizes,
-                              _gamma_factors, _gamma_vector, _khatri_rao,
+                              TRACE_IDENTITY_TOL, _certify_stack,
+                              _cross_matrices, _factorizes, _gamma_factors,
+                              _gamma_vector, _khatri_rao,
+                              _orthonormality_defects, _overlap_products,
                               _pairs, _shift_coefficient, _shifted_cholesky,
                               _svd_null_space, _system_size, _upper_gram)
+from puredeck.schmidt import SchmidtDecomposition, _schmidt_factors
+from puredeck.states import _cut
 
 SIX_QUBIT_SPEC = CrossCutSpec.parse("A=1,2;B=3;C=4;D=5,6", 6)
 SIX_QUBIT_STRUCTURE = PartyStructure.uniform(6, 2)
@@ -453,6 +458,141 @@ EMPTY_INNER_BLOCK_CASES = [
     (4, 2, "A=1,2;B=3;C=4;D="),
     (4, 2, "A=1;B=;C=;D=2,3,4"),
 ]
+
+
+def trace_errors_oracle(left, right, spec, structure):
+    """Oracle: the four-product trace check the kernel once ran, the
+    largest |Tr O[i, j] - delta_ij| over the operators q and l of the AB
+    rows and over p and m of the CD rows, per item, (..., 2)."""
+    rank = left.shape[-2]
+    sides = []
+    for basis, parties, first in ((left, spec.ab, spec.block_a),
+                                  (right, spec.cd, spec.block_c)):
+        dims = [structure.local_dims[p - 1] for p in parties]
+        errors = []
+        for product in _overlap_products(
+                _cut(basis, dims, [parties.index(p) for p in first])):
+            d = product.shape[-1] // rank
+            blocks = product.reshape(*product.shape[:-2], rank, d, rank, d)
+            traces = np.einsum("...iaja->...ij", blocks) - np.eye(rank)
+            errors.append(np.abs(traces).max(axis=(-2, -1)))
+        sides.append(np.maximum(*errors))
+    return np.stack(sides, axis=-1)
+
+
+def assert_defects_match_oracle(states, spec):
+    """The row defects of `states`, one at a time from `schmidt_decompose`
+    and stacked from `_schmidt_factors`, against the trace oracle."""
+    structure = states[0].structure
+    for psi in states:
+        dec = schmidt_decompose(psi, spec.ab)
+        got = _orthonormality_defects(dec.left_basis, dec.right_basis)
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, trace_errors_oracle(
+            dec.left_basis, dec.right_basis, spec, structure),
+            rtol=0, atol=1e-14)
+    _, left, right = _schmidt_factors(_cut(
+        np.stack([psi.amplitudes for psi in states]), structure.local_dims,
+        [p - 1 for p in spec.ab]))
+    got = _orthonormality_defects(left, right)
+    assert got.shape == (len(states), 2)
+    np.testing.assert_allclose(
+        got, trace_errors_oracle(left, right, spec, structure),
+        rtol=0, atol=1e-14)
+    assert np.all(got <= TRACE_IDENTITY_TOL)
+
+
+class TestOrthonormality:
+    """Each Schmidt basis's orthonormality, |R R^H - I|, is the trace
+    identity of all four overlap operators; it is checked where rows enter
+    the kernel, once per stack and once per `build_cross_matrices`."""
+
+    @pytest.mark.parametrize("n, d, blocks", COUNTING_LAW_CASES + [
+        (6, 2, "A=2,5;B=1;C=3;D=4,6")] + EMPTY_INNER_BLOCK_CASES)
+    def test_haar_defects_match_trace_oracle(self, n, d, blocks):
+        structure = PartyStructure.uniform(n, d)
+        states = [sample_haar_state(structure, seed) for seed in range(3)]
+        assert_defects_match_oracle(states, CrossCutSpec.parse(blocks, n))
+
+    def test_ghz_and_array_defects_match_trace_oracle(self):
+        # rank-deficient cuts: the stack's rows include those of zero
+        # singular values, which `schmidt_decompose` drops
+        assert_defects_match_oracle(
+            [ghz_state(6, 2, 0.6, 0.8), ghz_state(6),
+             sample_haar_state(SIX_QUBIT_STRUCTURE, 4)], SIX_QUBIT_SPEC)
+        assert_defects_match_oracle(
+            [oa_state(seed) for seed in range(3)]
+            + [qoa_state(OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2)).state],
+            CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([(), (2,), (3,), (2, 2)]),
+                    min_size=4, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_drawn_specs_match_trace_oracle(self, blocks, seed):
+        a, b, c, d = blocks
+        assume(a + b and c + d and a + c and b + d)
+        local = a + b + c + d
+        labels = iter(range(1, len(local) + 1))
+        spec = CrossCutSpec(*(tuple(next(labels) for _ in block)
+                              for block in blocks), len(local))
+        structure = PartyStructure(len(local), local)
+        assert_defects_match_oracle(
+            [sample_haar_state(structure, seed + k) for k in range(2)], spec)
+
+    @pytest.mark.parametrize("side, scale", [
+        ("AB", 1 + 1e-10), ("CD", 1 + 1e-10), ("AB", 1 + 1e-6),
+        ("CD", 1 - 1e-6)])
+    def test_non_orthonormal_rows_refused(self, side, scale):
+        # a row scaled by 1 + e puts 2e on the diagonal of R R^H
+        dec = schmidt_decompose(sample_haar_state(SIX_QUBIT_STRUCTURE, 5),
+                                SIX_QUBIT_SPEC.ab)
+        bases = [dec.left_basis.copy(), dec.right_basis.copy()]
+        bases[side == "CD"][3] *= scale
+        broken = SchmidtDecomposition(dec.structure, dec.left_parties,
+                                      dec.right_parties, dec.coefficients,
+                                      *bases)
+        with pytest.raises(ValueError,
+                           match=f"^Schmidt rows on {side} are not "
+                                 "orthonormal$"):
+            build_cross_matrices(broken, SIX_QUBIT_SPEC)
+
+    def test_defect_below_the_tolerance_passes(self):
+        dec = schmidt_decompose(sample_haar_state(SIX_QUBIT_STRUCTURE, 5),
+                                SIX_QUBIT_SPEC.ab)
+        left = dec.left_basis.copy()
+        left[3] *= 1 + 2e-11
+        nearly = SchmidtDecomposition(dec.structure, dec.left_parties,
+                                      dec.right_parties, dec.coefficients,
+                                      left, dec.right_basis)
+        defects = _orthonormality_defects(left, dec.right_basis)
+        assert 3e-11 < defects[0] < TRACE_IDENTITY_TOL
+        build_cross_matrices(nearly, SIX_QUBIT_SPEC)
+
+    def test_checked_once_per_stack_not_per_rung(self, monkeypatch):
+        # a stack whose float32 rung leaves one item to float64 and one
+        # item to the exact path: the stack checks its rows once, and the
+        # exact item's `build_cross_matrices` checks its decomposition
+        callers, real = [], certify_module._orthonormality_defects
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        rungs = []
+        real_factorizes = certify_module._factorizes
+        monkeypatch.setattr(certify_module, "_orthonormality_defects", spy)
+        monkeypatch.setattr(certify_module, "_factorizes", lambda gram: (
+            rungs.append(gram.dtype.char) or real_factorizes(gram)))
+        states = [sample_haar_state(SIX_QUBIT_STRUCTURE, 1),
+                  near_singular_state(), ghz_state(6, 2, 0.6, 0.8)]
+        verdicts = _certify_stack(states, SIX_QUBIT_SPEC, seeds=range(3),
+                                  tol=Tolerances())
+        assert rungs == ["f", "d"]
+        assert callers == ["_stack_verdicts", "build_cross_matrices"]
+        assert [v.status for v in verdicts] == [
+            UdpStatus.CERTIFIED_UDP, UdpStatus.CERTIFIED_UDP,
+            UdpStatus.NOT_UDP_WITNESSED]
 
 
 def adjoint_product(x, y):

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from puredeck import PureState, ghz_state, sample_haar_state, save_state
+from puredeck import (PackingArray, PureState, format_array_text, ghz_state,
+                      sample_haar_state, save_state)
 from puredeck.certify import SVD_TOL
 from puredeck.cli import _tolerance_flags, build_parser, main
 from puredeck.experiments import Tolerances
@@ -344,6 +345,17 @@ class TestOaCommands:
         assert code == 0
         data = json.loads(out)
         assert data["index_lambda"] == 1 and data["irredundant"]
+
+    def test_verify_one_column_array_above_ten_levels(self, capsys,
+                                                       tmp_path):
+        # the file `format_array_text` writes; its row "10" once failed as
+        # two entries
+        path = tmp_path / "array.txt"
+        path.write_text(format_array_text(
+            PackingArray(np.array([[0], [10]]), 11, 1)))
+        code, out, _ = run_cli(capsys, "oa", "verify", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["levels"] == 11
 
     def test_verify_rejects_broken_array(self, capsys, tmp_path):
         path = tmp_path / "broken.txt"

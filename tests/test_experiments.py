@@ -77,6 +77,27 @@ class TestCountingTable:
         with pytest.raises(TypeError, match="must be int"):
             worst_case_surplus_closed_form(n, d)
 
+    @pytest.mark.parametrize("args, name", [
+        ((3, True, 1), "d"), ((3, 2, True), "a_size"), ((3.0, 2, 1), "n"),
+        ((3, 2.0, 1), "d"), ((3, 2, 1.0), "a_size"), (("3", 2, 1), "n")])
+    def test_equations_for_split_takes_integers_only(self, args, name):
+        # (3, True, 1) once returned 0 and (3, 2, True) 33; floats failed
+        # late, in `range` or `math.comb`
+        with pytest.raises(TypeError, match=f"^{name} must be int"):
+            equations_for_split(*args)
+        assert equations_for_split(np.int64(3), np.uint8(2),
+                                   np.int32(2)) == 33
+
+    @pytest.mark.parametrize("args, name", [
+        ((True, 3), "max_n"), ((3, True), "max_d"), ((3.0, 3), "max_n"),
+        ((3, 2.5), "max_d"), ((3, "3"), "max_d")])
+    def test_counting_table_takes_integers_only(self, args, name):
+        # (True, 3) once raised "need max_n >= 2", a ValueError
+        with pytest.raises(TypeError, match=f"^{name} must be int"):
+            check_counting_table(*args)
+        assert check_counting_table(np.int64(3), np.int64(2)) == \
+            check_counting_table(3, 2)
+
     def test_equations_for_split_range_checked(self):
         with pytest.raises(ValueError):
             equations_for_split(3, 2, 0)

@@ -2,8 +2,9 @@
 no unused imports and none inside a function, no private module-level
 function that nothing in the package calls, one home for the certification
 rule, one certification route, one tie rule, one phase-system assembly,
-column order and count, benchmark layer targets that resolve, every named
-threshold documented in README, and a pinned list of public names."""
+column order and count, one orthonormality check of the Schmidt rows,
+benchmark layer targets that resolve, every named threshold documented in
+README, and a pinned list of public names."""
 
 import ast
 import importlib
@@ -315,3 +316,21 @@ def test_one_tie_rule():
         "schmidt.py:_separated"}
     assert callers(trees, "_separated") == {
         "schmidt.py:_untied", "schmidt.py:_tie_break_degenerate"}
+
+
+def test_one_orthonormality_check():
+    # the trace identity of q, l, p and m is the Schmidt rows'
+    # orthonormality: one function checks it, where rows enter the kernel
+    # (once per stack, once per decomposition given to
+    # `build_cross_matrices`), and the overlap kernel raises nothing
+    trees = {path.name: parse(path) for path in MODULES}
+    gone = {"_trace_errors", "_operator_blocks"}
+    assert {node.name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)} & gone == set()
+    assert {f"{module}:{name}" for module, tree in trees.items()
+            for name in functions_using(tree, "TRACE_IDENTITY_TOL")} == {
+        "certify.py:_orthonormality_defects"}
+    assert callers(trees, "_orthonormality_defects") == {
+        "certify.py:_stack_verdicts", "certify.py:build_cross_matrices"}
+    cross = function_node(trees["certify.py"], "_cross_matrices")
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(cross))

@@ -269,7 +269,7 @@ class TestDifferential:
         with pytest.raises(ValueError) as stacked:
             _certify_stack(states, SPEC, seeds=range(3), tol=TOL)
         assert str(stacked.value) == str(per_state.value) == \
-            "trace identity violated for Q blocks"
+            "Schmidt rows on AB are not orthonormal"
 
 
 # `digests.report_digest` of the experiment report's JSON, timing left out:

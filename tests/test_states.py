@@ -376,6 +376,30 @@ class TestJsonFormat:
         back = load_state(path)
         assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-15
 
+    @pytest.mark.parametrize("dims", [(12,), (11,), (3,)])
+    def test_one_party_labels_round_trip(self, tmp_path, dims):
+        # `basis_label` writes digit 11 of a one-party structure as "11",
+        # which was once read back as the two digits (1, 1) and refused
+        structure = PartyStructure(1, dims)
+        amplitudes = np.arange(1, dims[0] + 1) * np.exp(1j * np.arange(
+            dims[0]))
+        psi = PureState.from_amplitudes(structure, amplitudes, normalize=True)
+        path = tmp_path / "state.json"
+        save_state(psi, path)
+        back = load_state(path)
+        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-15
+        for index in range(dims[0]):
+            label = structure.basis_label(index)
+            assert structure.parse_basis_label(label) == (index,)
+
+    def test_labels_of_two_parties_keep_one_digit_a_character(self):
+        assert PartyStructure(2, (2, 2)).parse_basis_label("11") == (1, 1)
+        wide = PartyStructure(2, (12, 2))
+        assert wide.basis_label(23) == "11,1"
+        assert wide.parse_basis_label("11,1") == (11, 1)
+        with pytest.raises(ValueError, match="expected 2 digits, got 3"):
+            wide.parse_basis_label("111")
+
     def test_omitted_entries_are_zero(self):
         data = state_to_json_dict(ghz_state(3))
         assert len(data["amplitudes"]) == 2  # six zero entries dropped
