@@ -15,6 +15,7 @@ is searched for an explicit second state with the same marginals.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
@@ -47,8 +48,34 @@ TRACE_IDENTITY_TOL = 1e-10
 # the sampled overlap-entry rank of `verify_overlap_dependences`.
 OVERLAP_RANK_TOL = 1e-8
 # Bytes the trials of one `_certify_stack` call may take; see `_stack_size`.
+# Only a lone trial's rung can have overlap products or a Gram that alone
+# take more; such a rung borrows its thread's buffer (`_lent`), which holds
+# the products, then the Gram and its factor, and is kept between verdicts.
+# numpy's working copy of the Gram stays on the heap.
 _STACK_BYTES = 2 << 20
+# Most bytes `_lent` holds per thread, glibc's largest dynamic mmap
+# threshold: a rung that needs more (a 12-qubit float64 Gram, 130 MB)
+# allocates its products and Gram as a stack does.
+_LENT_BYTES = 32 << 20
+_LENT = threading.local()
 _TILE_BYTES = 128 << 10  # per scratch buffer of a tile of Gram rows
+
+
+def _lent(nbytes: int) -> np.ndarray:
+    """This thread's byte buffer, at least `nbytes` long: kept between
+    calls, so its pages stay mapped, and regrown when a rung needs more."""
+    if getattr(_LENT, "buffer", None) is None or _LENT.buffer.size < nbytes:
+        _LENT.buffer = None  # the short one is freed before the new one
+        _LENT.buffer = np.empty(nbytes, dtype=np.uint8)
+    return _LENT.buffer
+
+
+def _carve(buffer: np.ndarray, shape: tuple[int, ...],
+           dtype: np.dtype) -> np.ndarray:
+    """A C-contiguous `dtype` array of `shape` over the first bytes of the
+    byte buffer `buffer`."""
+    return buffer[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(
+        shape)
 
 
 @dataclass(frozen=True)
@@ -145,7 +172,8 @@ class CrossCutSpec:
             (self.ab, self.cd, self.ac, self.bd))))
 
 
-def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _overlap_products(factor: np.ndarray, out: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Tr_rest |i><j| and Tr_first |i><j| of split basis rows, each as one
     matrix product.
 
@@ -154,12 +182,18 @@ def _overlap_products(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X_i^T conj(X_j).  Stacking the X_i (or X_i^T) as rows of R gives
     G = R R^H of shape (..., r d, r d), with G[(i, a), (j, b)] the (a, b)
     entry of the (i, j) operator; `_cross_matrices` reads it as blocks.
+    Given a byte buffer `out`, the two products fill it from its start,
+    one after the other; else each is a new array.
     """
     *lead, r, _, _ = factor.shape
-    products = []
+    products, used = [], 0
     for x in (factor, factor.swapaxes(-1, -2)):
         rows = x.reshape(*lead, r * x.shape[-2], x.shape[-1])
-        products.append(rows @ rows.conj().swapaxes(-1, -2))
+        dest = None if out is None else _carve(
+            out[used:], (*lead, rows.shape[-2], rows.shape[-2]), rows.dtype)
+        products.append(np.matmul(rows, rows.conj().swapaxes(-1, -2),
+                                  out=dest))
+        used += products[-1].nbytes
     return products[0], products[1]
 
 
@@ -192,16 +226,22 @@ class CrossCutMatrices:
 
 
 def _cross_matrices(left: np.ndarray, right: np.ndarray, spec: CrossCutSpec,
-                    structure: PartyStructure) -> CrossCutMatrices:
+                    structure: PartyStructure,
+                    out: np.ndarray | None = None) -> CrossCutMatrices:
     """Overlap operators of basis rows (..., rank, dim), one state or a
     stack, as read-only blocks (..., rank, rank, d, d): the left rows split
-    as A x B, the right ones as C x D.  Nothing checks the rows here."""
-    rank, blocks = left.shape[-2], []
+    as A x B, the right ones as C x D.  Nothing checks the rows here.  The
+    blocks are views of the four overlap products, which fill the byte
+    buffer `out` from its start when one is given (16 rank^2 (d_A^2 +
+    d_B^2 + d_C^2 + d_D^2) bytes per item)."""
+    rank, blocks, used = left.shape[-2], [], 0
     for basis, parties, first in ((left, spec.ab, spec.block_a),
                                   (right, spec.cd, spec.block_c)):
         dims = [structure.local_dims[p - 1] for p in parties]
         for product in _overlap_products(
-                _cut(basis, dims, [parties.index(p) for p in first])):
+                _cut(basis, dims, [parties.index(p) for p in first]),
+                None if out is None else out[used:]):
+            used += product.nbytes
             d = product.shape[-1] // rank
             blocks.append(_freeze(product.reshape(
                 *product.shape[:-2], rank, d, rank, d).swapaxes(-3, -2)))
@@ -281,7 +321,8 @@ class GammaSystem:
         return matrix
 
 
-def _upper_gram(factors: tuple[SourceFactors, ...]) -> np.ndarray:
+def _upper_gram(factors: tuple[SourceFactors, ...],
+                out: np.ndarray | None = None) -> np.ndarray:
     """The upper triangle of the real Gram of each system of `factors`
     (`GammaSystem`, one or a stack): with A = U + V and B = i(U - V)
     the Gram is [[Re A^H A, Re A^H B], [Re B^H A, Re B^H B]]
@@ -304,7 +345,15 @@ def _upper_gram(factors: tuple[SourceFactors, ...]) -> np.ndarray:
     first row's column on; the strict lower triangle is left unset but for
     the lower entry of each diagonal 2 x 2 block.  The Gram takes the
     factors' precision: complex64 factors give a float32 Gram, complex128
-    ones a float64 Gram.
+    ones a float64 Gram.  Given a byte buffer `out`, which the factors
+    must not share, the Gram fills it from its start and its strict lower
+    triangle keeps whatever bytes lay there; else it is a new array.
+    `_stack_verdicts` passes its thread's buffer (`_lent`, at most
+    _LENT_BYTES) only for a lone trial's rung whose products or Gram
+    overflow _STACK_BYTES; the buffer held that rung's overlap products
+    until its factors were gathered, and then holds the Gram and, once
+    `_factorizes` has run, its factor.  The tiles' scratch buffers and
+    numpy's working copy of the Gram are on the heap either way.
     """
     *lead, _, n = factors[0].outer_u.shape
     dtype = factors[0].outer_u.dtype
@@ -330,7 +379,9 @@ def _upper_gram(factors: tuple[SourceFactors, ...]) -> np.ndarray:
                 acc += term
             del term  # freed before the next product is made
         if gram is None:
-            gram = np.empty((*lead, 2 * n, 2 * n), dtype=p.real.dtype)
+            shape, real = (*lead, 2 * n, 2 * n), p.real.dtype
+            gram = (np.empty(shape, dtype=real) if out is None
+                    else _carve(out, shape, real))
         rows = gram.view(dtype)[..., 2 * start:2 * stop, start:]
         np.add(p, q, out=rows[..., 0::2, :])
         odd = rows[..., 1::2, :]  # i (conj P - Q), without a product
@@ -773,14 +824,18 @@ def _stack_size(structure: PartyStructure, spec: CrossCutSpec) -> int:
     d_D^2) for its overlap products (half of that; the row check before
     them, 2 k^2 entries) and the factors gathered from them; and 64 n^2 for
     its Gram stage: the float64 real Gram (32 n^2), which the factor
-    overwrites, and the working copy numpy factors it in (32 n^2), as much
-    as building the Gram takes at its peak (four n x n complex arrays for a
-    stack in one tile); the float32 rung takes half of that, and is freed
-    before float64 runs.  The sum stays an upper bound, as the stages are
-    not all alive at once: a rung frees its overlap products once its
-    factors are gathered and those once its Gram is built, so the Cholesky
-    runs beside the Gram and its working copy alone (`_stack_verdicts`).
-    As many whole trials as fit _STACK_BYTES go in one stack, at least one.
+    overwrites, and 32 n^2 for the working copy numpy factors it in, as
+    much as building the Gram takes at its peak (four n x n complex arrays
+    for a stack in one tile); the float32 rung takes half of that, and is
+    freed before float64 runs.  numpy's Cholesky mallocs one working
+    matrix per call, not one per trial, so that term is a looser bound
+    still.  The sum stays an upper bound, as the stages are not all alive
+    at once: a rung frees its overlap products once its factors are
+    gathered and those once its Gram is built, so the Cholesky runs beside
+    the Gram and its working copy alone (`_stack_verdicts`).  As many whole
+    trials as fit _STACK_BYTES go in one stack, at least one; so only a
+    lone trial can have a rung whose products or Gram alone overflow the
+    budget, the rungs that borrow their thread's buffer (`_lent`).
     """
     da, db, dc, dd = dims = spec.block_dims(structure)
     rank = min(da * db, dc * dd)
@@ -841,6 +896,15 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     in its precision exists (at float64 they are it); the copy until its
     Gram is built, so only the Gram, with numpy's working copy, is alive
     through its Cholesky.
+
+    A rung whose overlap products or Gram alone take more than
+    _STACK_BYTES, and at most _LENT_BYTES, is lent its thread's buffer
+    (`_lent`, kept between verdicts, at most _LENT_BYTES per thread): it
+    holds the products until the factors are gathered onto the heap, then
+    the Gram, over which the factor is written.  numpy's working copy, the
+    factors and everything a verdict returns stay on the heap.  Only a
+    lone trial has such a rung (`_stack_size`); other stacks and rungs
+    over _LENT_BYTES allocate as they did.
     """
     structure = states[0].structure
     s, left, right = _schmidt_factors(_cut(
@@ -855,15 +919,20 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     tall = 2 * counts["complex_equations"] >= n
     undecided = np.flatnonzero(np.array([r.full_rank for r in reports])
                                & _untied(s) & tall)
+    # one item's complex128 overlap products, in bytes
+    products = 16 * s.shape[1] ** 2 * sum(d * d for d in dims)
     certified = {}
     for dtype in (np.complex64, np.complex128):
         if not undecided.size or _shift_coefficient(n, rows, dtype) * n >= 1:
             continue
+        need = undecided.size * max(products,
+                                    n * n * np.dtype(dtype).itemsize // 2)
+        out = _lent(need) if _STACK_BYTES < need <= _LENT_BYTES else None
         factors = _gamma_factors(_cross_matrices(
-            left[undecided], right[undecided], spec, structure))
+            left[undecided], right[undecided], spec, structure, out))
         factors = tuple(source._make(f.astype(dtype, copy=False)
                                      for f in source) for source in factors)
-        gram, factors = _upper_gram(factors), None
+        gram, factors = _upper_gram(factors, out), None
         passed = _shifted_cholesky(gram, tol.svd_tol, rows)
         del gram  # not alive beside the next rung's factors
         certified.update(

@@ -798,9 +798,9 @@ class TestLowerBlocksUnread:
 def with_nan_lower_blocks(overlap_products):
     """`overlap_products` (an `_overlap_products`) with every block i > j
     of both products it returns set to NaN."""
-    def poisoned(factor):
+    def poisoned(factor, out=None):
         rank = factor.shape[-3]
-        products = overlap_products(factor)
+        products = overlap_products(factor, out)
         for product in products:
             d = product.shape[-1] // rank
             below = np.tri(rank, k=-1, dtype=bool).repeat(d, 0).repeat(d, 1)
@@ -1147,8 +1147,10 @@ class TestGramFastPath:
         q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((n, n)))
         gram = (q * lam) @ q.T  # Q diag(lam) Q^T
 
-        def synthetic(rung):
-            # the stack of one reads the synthetic Gram as its only item
+        def synthetic(rung, out):
+            # the stack of one reads the synthetic Gram as its only item; a
+            # six-qubit rung borrows no buffer
+            assert out is None
             precision = np.finfo(rung[0].outer_u.dtype).dtype
             return gram.astype(precision)[None].copy()
 
@@ -1343,6 +1345,23 @@ class TestTraceShift:
         assert np.all(new_shift[old] >= old_shift[old])
         return old, new
 
+    def test_underflow_term_refuses_a_gram_at_the_underflow_scale(self):
+        # a well-conditioned float32 Gram near float32's smallest normal t:
+        # (tau + c) tr H is about 3.5e-40, far below lambda_min = 1e-35,
+        # but each product that underflows may err by t, and the term
+        # 32 n (n + m)^2 t, about 3.6e-34, exceeds lambda_min
+        n, rows = 8, 3
+        tiny = float(np.finfo(np.float32).smallest_normal)
+        gram = 1e-35 * np.eye(n, dtype=np.float32)
+        trace_term = ((GRAM_MIN_RATIO + _shift_coefficient(n, rows,
+                                                           gram.dtype))
+                      * gram_trace(gram))
+        assert trace_term < 1e-38
+        assert 32 * n * (n + rows) ** 2 * tiny > 10 * 1e-35
+        assert not _shifted_cholesky(gram, SVD_TOL, rows)
+        # the same Gram at unit scale is certified
+        assert _shifted_cholesky(np.eye(n, dtype=np.float32), SVD_TOL, rows)
+
     @pytest.mark.parametrize("rung", [np.float32, np.float64])
     def test_synthetic_ladder(self, rung):
         system = haar_system(6, 2, "A=1,2;B=3;C=4;D=5,6", 31)
@@ -1499,9 +1518,10 @@ class TestPrecisionLadder:
             lambda n, rows, dtype: margin / n if np.finfo(dtype).bits == 32
             else real(n, rows, dtype))
         built, real_gram = [], certify_module._upper_gram
-        monkeypatch.setattr(certify_module, "_upper_gram", lambda factors: (
-            built.append(factors[0].outer_u.dtype.char)
-            or real_gram(factors)))
+        monkeypatch.setattr(certify_module, "_upper_gram",
+                            lambda factors, out: (
+                                built.append(factors[0].outer_u.dtype.char)
+                                or real_gram(factors, out)))
         calls = spy_on_exact_path(monkeypatch)
         verdict = stack_verdict(sample_haar_state(SIX_QUBIT_STRUCTURE, 3))
         assert "".join(built) == rungs.upper()

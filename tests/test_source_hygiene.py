@@ -3,8 +3,9 @@ no unused imports and none inside a function, no private module-level
 function that nothing in the package calls, one home for the certification
 rule, one certification route, one tie rule, one phase-system assembly,
 column order and count, one orthonormality check of the Schmidt rows,
-benchmark layer targets that resolve, every named threshold documented in
-README, and a pinned list of public names."""
+one lender of the per-thread Gram buffer, benchmark layer targets that
+resolve, every named threshold documented in README, and a pinned list of
+public names."""
 
 import ast
 import importlib
@@ -201,6 +202,29 @@ def test_one_certification_route():
     # the kernel alone sizes its stacks and runs them
     assert callers(trees, "_stack_size") == {"certify.py:_certify_stack"}
     assert callers(trees, "_stack_verdicts") == {"certify.py:_certify_stack"}
+
+
+def test_one_lender():
+    # the per-thread buffer is held by `_lent` alone and lent by
+    # `_stack_verdicts` alone: no other caller hands `_cross_matrices` or
+    # `_upper_gram` a buffer, so the exact path, `build_cross_matrices` and
+    # `verify_overlap_dependences` allocate their own arrays
+    trees = {path.name: parse(path) for path in MODULES}
+    assert callers(trees, "_lent") == {"certify.py:_stack_verdicts"}
+    assert {module for module, tree in trees.items()
+            if {"_LENT", "_LENT_BYTES"} & referenced_names(tree)} == {
+        "certify.py"}
+    tree = trees["certify.py"]
+    assert functions_using(tree, "_LENT") == {"_lent"}
+    assert functions_using(tree, "_LENT_BYTES") == {"_stack_verdicts"}
+    lending = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) in ("_cross_matrices",
+                                                      "_upper_gram")
+               and len(call.args) + len(call.keywords) > {
+                   "_cross_matrices": 4, "_upper_gram": 1}[call.func.id]}
+    assert lending == {"_stack_verdicts"}
 
 
 def test_one_in_place_cholesky():

@@ -5,7 +5,9 @@ field, whole reports, and memory."""
 import json
 import math
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -338,3 +340,177 @@ class TestMemory:
                             stacks_of_one)
         per_state = traced_peak()
         assert stacked <= per_state + certify_module._STACK_BYTES
+
+
+TEN_QUBITS = (PartyStructure.uniform(10, 2),
+              CrossCutSpec.parse("A=1,2;B=3,4,5;C=6,7;D=8,9,10", 10))
+TEN_QUBIT_GRAM = 992 * 992  # entries of its real Gram, 2 C(32, 2) squared
+
+
+def lent_buffer():
+    """The buffer `certify._lent` holds for the calling thread, or None."""
+    return getattr(certify_module._LENT, "buffer", None)
+
+
+def spy_on_gram_buffers(monkeypatch):
+    """(factor precision, `out`) of every `_upper_gram` call, in order."""
+    calls, real = [], certify_module._upper_gram
+    monkeypatch.setattr(certify_module, "_upper_gram", lambda factors, out: (
+        calls.append((factors[0].outer_u.dtype.char, out))
+        or real(factors, out)))
+    return calls
+
+
+class TestLentBuffer:
+    """A rung of a lone trial whose overlap products or Gram alone take more
+    than _STACK_BYTES borrows its thread's buffer (`certify._lent`, at most
+    _LENT_BYTES), which outlives the verdict; every other rung, the exact
+    path and the public stage functions allocate as before."""
+
+    def test_second_verdict_factors_in_the_held_buffer(self, monkeypatch):
+        structure, spec = TEN_QUBITS
+        entries, real = [], certify_module._factorizes
+
+        def spy(gram):
+            entries.append((gram.dtype.char,
+                            np.may_share_memory(gram, lent_buffer()),
+                            tracemalloc.get_traced_memory()[0]))
+            return real(gram)
+
+        monkeypatch.setattr(certify_module, "_factorizes", spy)
+        certify_udp(sample_haar_state(structure, 1), spec)
+        state = sample_haar_state(structure, 2)
+        entries.clear()
+        tracemalloc.start()
+        try:
+            verdict = certify_udp(state, spec)
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
+        # the 3.9 MB float32 Gram lies in the buffer the first call left
+        [(char, shared, held)] = entries
+        assert (char, shared) == ("f", True)
+        assert held <= 128 * 1024
+
+    def test_factors_never_share_the_buffer(self, monkeypatch):
+        # the products fill the buffer, the factors are gathered from them
+        # onto the heap, and the Gram then goes over the products
+        structure, spec = TEN_QUBITS
+        seen, real_factors = [], certify_module._gamma_factors
+
+        def spy_factors(matrices):
+            seen.append(("products", all(
+                np.may_share_memory(block, lent_buffer())
+                for block in (matrices.q, matrices.l, matrices.p,
+                              matrices.m))))
+            factors = real_factors(matrices)
+            seen.append(("factors", any(
+                np.may_share_memory(f, lent_buffer())
+                for source in factors for f in source)))
+            return factors
+
+        monkeypatch.setattr(certify_module, "_gamma_factors", spy_factors)
+        grams = spy_on_gram_buffers(monkeypatch)
+        verdict = certify_udp(sample_haar_state(structure, 3), spec)
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
+        assert seen == [("products", True), ("factors", False)]
+        [(char, out)] = grams
+        assert char == "F" and out is lent_buffer()
+        assert out.nbytes >= 4 * TEN_QUBIT_GRAM
+
+    @pytest.mark.parametrize("n, d, blocks, trials", [
+        (6, 2, "A=1,2;B=3;C=4;D=5,6", 15),
+        (4, 3, "A=1;B=2;C=3;D=4", 11),
+        (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8", 2),
+        (10, 2, "A=1,2;B=3,4,5;C=6,7;D=8,9,10", 1),
+    ])
+    def test_other_rungs_borrow_nothing(self, monkeypatch, n, d, blocks,
+                                        trials):
+        # haar-batch's stacks, whose Grams fit _STACK_BYTES, and a 10-qubit
+        # Gram over a cap lowered to 1 MiB allocate their products and
+        # Grams as before
+        structure, spec = (PartyStructure.uniform(n, d),
+                           CrossCutSpec.parse(blocks, n))
+        if n == 10:
+            monkeypatch.setattr(certify_module, "_LENT_BYTES", 1 << 20)
+        lent, real = [], certify_module._lent
+        monkeypatch.setattr(certify_module, "_lent",
+                            lambda nbytes: lent.append(nbytes) or real(nbytes))
+        grams, real_gram = [], certify_module._upper_gram
+
+        def spy_gram(factors, out):
+            grams.append((out, (gram := real_gram(factors, out)).nbytes))
+            return gram
+
+        monkeypatch.setattr(certify_module, "_upper_gram", spy_gram)
+        states = [sample_haar_state(structure, seed) for seed in range(trials)]
+        verdicts = _certify_stack(states, spec, seeds=range(trials), tol=TOL)
+        assert [v.status for v in verdicts] == [UdpStatus.CERTIFIED_UDP] * trials
+        assert lent == [] and grams
+        assert all(out is None for out, _ in grams)
+        fits = [nbytes <= certify_module._STACK_BYTES for _, nbytes in grams]
+        assert all(fits) == (n != 10)
+
+    def test_float64_rung_regrows_the_buffer(self, monkeypatch):
+        # a float32 coefficient just under 1/n: that rung is tried and
+        # cannot pass, so float64 decides the 10-qubit item, in a buffer
+        # regrown to its 7.9 MB Gram in a thread that held none before
+        structure, spec = TEN_QUBITS
+        state = sample_haar_state(structure, 4)
+        real = certify_module._shift_coefficient
+        monkeypatch.setattr(
+            certify_module, "_shift_coefficient",
+            lambda n, rows, dtype: 0.999 / n if np.finfo(dtype).bits == 32
+            else real(n, rows, dtype))
+        grams = spy_on_gram_buffers(monkeypatch)
+        with ThreadPoolExecutor(1) as pool:
+            verdict, held = pool.submit(
+                lambda: (certify_udp(state, spec), lent_buffer())).result(
+                    timeout=120)
+        [(low, first), (high, second)] = grams
+        assert low + high == "FD"
+        assert first.nbytes == 4 * TEN_QUBIT_GRAM
+        assert second.nbytes == 8 * TEN_QUBIT_GRAM and held is second
+        assert verdict.status == UdpStatus.CERTIFIED_UDP
+        # the verdict of the same item with nothing lent
+        monkeypatch.setattr(certify_module, "_LENT_BYTES", 0)
+        grams.clear()
+        assert certify_udp(state, spec) == verdict
+        assert [out for _, out in grams] == [None, None]
+
+    def test_threads_certify_as_serial_calls_do(self, monkeypatch):
+        # three threads on two cores, each certifying its own 10-qubit
+        # state three times with a short switch interval, each in a buffer
+        # of its own
+        structure, spec = TEN_QUBITS
+        states = [sample_haar_state(structure, seed) for seed in (5, 6, 7)]
+        serial = [certify_udp(state, spec) for state in states]
+        owners, lock = {}, threading.Lock()
+        real_gram = certify_module._upper_gram
+
+        def spy_gram(factors, out):
+            with lock:
+                owners.setdefault(threading.get_ident(), set()).add(
+                    out.ctypes.data)
+            return real_gram(factors, out)
+
+        monkeypatch.setattr(certify_module, "_upper_gram", spy_gram)
+        barrier = threading.Barrier(len(states), timeout=60)
+
+        def certify_thrice(state):
+            barrier.wait()
+            return [certify_udp(state, spec) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(states)) as pool:
+                futures = [pool.submit(certify_thrice, state)
+                           for state in states]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[verdict] * 3 for verdict in serial]
+        assert len(owners) == len(states)
+        assert all(len(addresses) == 1 for addresses in owners.values())
+        assert len(set.union(*owners.values())) == len(states)
