@@ -154,7 +154,8 @@ class OrthogonalArray(_RowArray):
 class PackingArray(_RowArray):
     """r x N array over {0..d-1} where every strength-subset of columns sees
     each tuple at most once; 2 <= r <= d^strength.  Verified on
-    construction."""
+    construction; `greedy_packing_array` builds its arrays through
+    `_trusted` instead, since its scan proves both."""
 
     def __post_init__(self):
         mat = _as_row_matrix(self.rows, self.levels, self.strength)
@@ -168,6 +169,20 @@ class PackingArray(_RowArray):
             )
         mat.setflags(write=False)
         object.__setattr__(self, "rows", mat)
+
+    @classmethod
+    def _trusted(cls, rows: np.ndarray, levels: int,
+                 strength: int) -> "PackingArray":
+        """Wrap rows that already form a packing array of 2 to
+        levels^strength rows, without the constructor's `verify_pa`; they
+        are stored as the constructor stores them, int and read-only."""
+        mat = rows.astype(int)
+        mat.setflags(write=False)
+        array = object.__new__(cls)
+        object.__setattr__(array, "rows", mat)
+        object.__setattr__(array, "levels", levels)
+        object.__setattr__(array, "strength", strength)
+        return array
 
 
 # The strength-2 array on nine qutrit rows whose uniform superposition has
@@ -228,10 +243,18 @@ def qoa_state(array, amplitudes=None) -> GeneralizedQoaState:
     """State sum_i a_i |row_i> from an array; uniform amplitudes by default.
 
     For an index-1 orthogonal array with uniform amplitudes, every
-    strength-body marginal of the result is maximally mixed.
+    strength-body marginal of the result is maximally mixed.  An array
+    with repeated rows is refused (ValueError).  The rows are scanned for
+    repeats only when the array's own invariant leaves them possible: a
+    `PackingArray`'s rows pairwise agree in fewer than strength <= N
+    columns, and an irredundant `OrthogonalArray`'s in fewer than N, so
+    neither can repeat one.
     """
     r = array.num_rows
-    if not _distinct_on_every(array.rows, array.levels, array.num_cols):
+    distinct = isinstance(array, PackingArray) or (
+        isinstance(array, OrthogonalArray) and array.irredundant)
+    if not (distinct or _distinct_on_every(array.rows, array.levels,
+                                           array.num_cols)):
         raise ValueError("array has repeated rows; amplitudes would merge")
     if amplitudes is None:
         amps = np.full(r, 1.0 / math.sqrt(r), dtype=np.complex128)
@@ -300,6 +323,16 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     flags, which stops at the first open one, so the searches together read
     each flag at most once.  At strength = num_cols a row blocks only
     itself, so the kept rows are the scan order itself, up to `max_rows`.
+
+    The rows come back through `PackingArray._trusted`, without the
+    constructor's `verify_pa`, as the scan proves what it checks:
+    - each kept row blocks every later candidate that agrees with it in
+      `strength` or more columns, so kept rows pairwise agree in fewer;
+    - 2 <= r <= levels^strength: the first row is kept, and a row that
+      differs from it in every column agrees with it in none, so it stays
+      open while the scan may take a second row (max_rows >= 2); and rows
+      that pairwise agree in fewer than `strength` columns differ on the
+      first `strength` columns, which take levels^strength values.
     """
     num_cols = _integer(num_cols, "num_cols")
     levels = _integer(levels, "levels")
@@ -323,7 +356,8 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     digits = np.indices((levels,) * num_cols, dtype=np.uint32).reshape(
         num_cols, total)
     if strength == num_cols:  # a row blocks itself alone: all are kept
-        return PackingArray(digits[:, order[:max_rows]].T, levels, strength)
+        return PackingArray._trusted(digits[:, order[:max_rows]].T, levels,
+                                     strength)
     position = np.empty(total, dtype=np.intp)
     position[order] = np.arange(total)
     shifts = digits[:, np.count_nonzero(digits, axis=0) <= num_cols - strength]
@@ -350,7 +384,7 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
         codes = table[slots + digits[:, row]].sum(axis=0, dtype=np.uint32)
         blocked[position[codes]] = True
         start += 1
-    return PackingArray(digits[:, kept].T, levels, strength)
+    return PackingArray._trusted(digits[:, kept].T, levels, strength)
 
 
 # ---------------------------------------------------------------------------

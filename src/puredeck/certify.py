@@ -58,7 +58,7 @@ _STACK_BYTES = 2 << 20
 # allocates its products and Gram as a stack does.
 _LENT_BYTES = 32 << 20
 _LENT = threading.local()
-_TILE_BYTES = 128 << 10  # per scratch buffer of a tile of Gram rows
+_TILE_BYTES = 256 << 10  # per scratch buffer of a tile of Gram rows
 
 
 def _lent(nbytes: int) -> np.ndarray:
@@ -453,7 +453,8 @@ class NullSpaceResult:
 
     `singular_values` are the exact SVD's, in descending order, and empty
     for a system without unknowns or without equations, which needs no
-    SVD.  Both arrays are made read-only.
+    SVD; a system whose factors are all exactly zero gets the SVD's
+    min(rows, columns) zeros without one.  Both arrays are made read-only.
     """
 
     null_dim: int
@@ -483,14 +484,23 @@ def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
 def decide_null_space(system: GammaSystem, *,
                       svd_tol: float = SVD_TOL) -> NullSpaceResult:
     """Numerical null space of the phase system from the exact SVD of the
-    dense matrix; a system without unknowns or equations needs none.
+    dense matrix.  Three cases need no SVD and build no dense matrix, as
+    its shape is read off the factors: a system without unknowns, one
+    without equations, and one whose factors are all exactly zero (a GHZ
+    cut's, say), so that its matrix is too.  The last gets what the SVD
+    gives a zero matrix, s = 0 and V^T = 1, field for field.
     `svd_tol` must lie in (0, 1e-2), else ValueError."""
     _tolerance(svd_tol, "svd_tol")
-    n_rows, n_cols = system.matrix.shape
+    n_rows = 2 * sum(f.outer_u.shape[0] * f.inner_u.shape[0]
+                     for f in system.factors)
+    n_cols = 2 * system.factors[0].outer_u.shape[1]
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
     if n_rows == 0:
         return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
+    if not any(np.any(f) for source in system.factors for f in source):
+        return NullSpaceResult(n_cols, np.eye(n_cols),
+                               np.zeros(min(n_rows, n_cols)))
     return _svd_null_space(system.matrix, svd_tol)
 
 

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import puredeck.arrays as arrays_module
 from puredeck import (MarginalFamily, compute_deck, deck_distance,
                       ghz_state, partial_trace)
 from puredeck.arrays import (OA_9_4_3_2, OaCheck, OrthogonalArray,
@@ -295,8 +296,29 @@ class TestQoaState:
     def test_repeated_rows_rejected(self):
         oa = OrthogonalArray.from_rows([(0, 0), (0, 1), (1, 0), (1, 1)] * 2,
                                        2, 2)
+        # an index-2 array with repeated rows is not irredundant, so it is
+        # still scanned
+        assert not oa.irredundant
         with pytest.raises(ValueError, match="repeated rows"):
             qoa_state(oa)
+
+    @pytest.mark.parametrize("make_array", [
+        lambda: OrthogonalArray.from_rows(OA_9_4_3_2, 3, 2),
+        lambda: PackingArray([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 3, 1),
+        lambda: greedy_packing_array(8, 3, 3, seed=1),
+    ], ids=["irredundant-oa", "packing-array", "greedy"])
+    def test_distinct_rows_by_invariant_not_rescanned(self, monkeypatch,
+                                                      make_array):
+        # these rows pairwise agree in fewer than N columns by the array's
+        # own invariant, so they cannot repeat
+        array = make_array()
+        assert not isinstance(array, OrthogonalArray) or array.irredundant
+
+        def refuse(rows, levels, width):
+            raise AssertionError("rows scanned for repeats again")
+        monkeypatch.setattr(arrays_module, "_distinct_on_every", refuse)
+        g = qoa_state(array)
+        assert np.count_nonzero(g.state.amplitudes) == array.num_rows
 
 
 class TestWitness:
@@ -401,6 +423,36 @@ class TestGreedyPacking:
         # no packing beyond d^k rows is possible; greedy stays within
         pa = greedy_packing_array(4, 2, 2, max_rows=None, seed=5)
         assert 2 <= pa.num_rows <= 4
+
+    @pytest.mark.parametrize("levels, widths", [(2, range(1, 11)),
+                                                (3, range(1, 8)),
+                                                (4, range(1, 6))])
+    def test_trusted_rows_pass_verify_pa(self, levels, widths):
+        # the arrays skip the constructor's check; its checks hold anyway
+        for num_cols in widths:
+            for strength in range(1, num_cols + 1):
+                for seed in (None, 0, 1):
+                    pa = greedy_packing_array(num_cols, levels, strength,
+                                              seed=seed)
+                    assert verify_pa(pa.rows, levels, strength)
+                    assert 2 <= pa.num_rows <= levels ** strength
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((8, 3, 3), {"seed": 1}), ((4, 3, 2), {"max_rows": 5}),
+        ((3, 2, 3), {}), ((5, 2, 2), {"seed": 0})])
+    def test_trusted_stores_what_the_constructor_stores(self, args, kwargs):
+        trusted = greedy_packing_array(*args, **kwargs)
+        _, levels, strength = args
+        for rows in (trusted.rows, trusted.rows.astype(np.uint32)):
+            checked = PackingArray(rows, levels, strength)
+            got = PackingArray._trusted(rows, levels, strength)
+            for pa in (trusted, got):
+                assert np.array_equal(pa.rows, checked.rows)
+                assert pa.rows.dtype == checked.rows.dtype
+                assert not pa.rows.flags.writeable
+                assert (pa.levels, pa.strength) == (levels, strength)
+                assert (pa.num_rows, pa.num_cols) == (checked.num_rows,
+                                                      checked.num_cols)
 
 
 @cache

@@ -826,6 +826,8 @@ class TestLowerTriangle:
     ] + EMPTY_INNER_BLOCK_CASES)
     def test_poisoned_upper_triangle_changes_no_verdict(self, monkeypatch,
                                                          n, d, blocks):
+        if (n, d) in ((8, 2), (6, 3)):  # float32 tiles of 64 KiB rows
+            monkeypatch.setattr(certify_module, "_TILE_BYTES", 64 << 10)
         spec = CrossCutSpec.parse(blocks, n)
         structure = PartyStructure.uniform(n, d)
         states = [sample_haar_state(structure, seed)
@@ -868,10 +870,12 @@ class TestLowerTriangle:
         (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8", False),
         (6, 2, "A=1,2;B=3;C=4;D=5,6", True),
     ] + [(*case, True) for case in EMPTY_INNER_BLOCK_CASES])
-    def test_lower_triangle_matches_dense_oracle(self, n, d, blocks,
-                                                 within_one):
+    def test_lower_triangle_matches_dense_oracle(self, monkeypatch, n, d,
+                                                 blocks, within_one):
         system = haar_system(n, d, blocks, 7)
         pairs = real_unknowns(system) // 2
+        if not within_one:  # complex128 tiles of 128 KiB rows: 68 and 52
+            monkeypatch.setattr(certify_module, "_TILE_BYTES", 128 << 10)
         tile = certify_module._TILE_BYTES // (16 * pairs)
         if within_one:
             assert pairs < tile
@@ -902,7 +906,9 @@ class TestTileNorm:
         (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),  # tiles of 68 and 52 pairs
         (6, 3, "A=1;B=2,3;C=4;D=5,6"),      # 351 pairs: 15 tiles and a part
     ] + EMPTY_INNER_BLOCK_CASES)
-    def test_norm_matches_dense_gram(self, n, d, blocks):
+    def test_norm_matches_dense_gram(self, monkeypatch, n, d, blocks):
+        if (n, d) in ((8, 2), (6, 3)):  # complex128 tiles of 128 KiB rows
+            monkeypatch.setattr(certify_module, "_TILE_BYTES", 128 << 10)
         for seed in (7, 8):
             system = haar_system(n, d, blocks, seed)
             want = np.trace(system.matrix.T @ system.matrix)
@@ -1043,6 +1049,63 @@ class TestNullSpace:
         assert np.linalg.norm(system.matrix @ basis) <= 1e-12
 
 
+GHZ_SPECS = [(6, "A=1,2;B=3;C=4;D=5,6"), (8, "A=1,2;B=3,4;C=5,6;D=7,8"),
+             (10, "A=1,2;B=3,4,5;C=6,7;D=8,9,10")]
+
+
+def ghz_system(n, blocks, a, b):
+    spec = CrossCutSpec.parse(blocks, n)
+    dec = schmidt_decompose(ghz_state(n, 2, a, b), spec.ab)
+    return assemble_gamma_system(build_cross_matrices(dec, spec))
+
+
+def assert_same_result(got, want):
+    """Field for field: null dimension, and each array's values, dtype,
+    shape and read-only flag."""
+    assert got.null_dim == want.null_dim
+    for name in ("basis", "singular_values"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert np.array_equal(g, w) and not g.flags.writeable, name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+
+class TestZeroSystem:
+    """A system whose factors are all exactly zero, a GHZ cut's, is decided
+    from the factors: the SVD's result of its zero matrix, s = 0 and
+    V^T = 1, without the dense matrix or the SVD."""
+
+    @pytest.mark.parametrize("n, blocks", GHZ_SPECS)
+    @pytest.mark.parametrize("a, b", [(1 / math.sqrt(2), 1 / math.sqrt(2)),
+                                      (0.6, 0.8)], ids=["ghz", "lopsided"])
+    def test_matches_svd_without_the_matrix(self, monkeypatch, n, blocks, a,
+                                            b):
+        system = ghz_system(n, blocks, a, b)
+        with monkeypatch.context() as patch:
+            def refuse(outer, inner):
+                raise AssertionError("the dense matrix was built")
+            patch.setattr(certify_module, "_khatri_rao", refuse)
+            calls = spy_on_exact_path(patch)
+            got = decide_null_space(system)
+        assert calls == [] and "matrix" not in vars(system)
+        assert got.null_dim == real_unknowns(system) == 2
+        assert_same_result(got, _svd_null_space(system.matrix, SVD_TOL))
+
+    def test_subnormal_entry_takes_the_svd(self, monkeypatch):
+        # no tolerance: one factor entry of 5e-324 sends the system to the
+        # SVD, though every product with it still vanishes
+        ac, bd = ghz_system(6, "A=1,2;B=3;C=4;D=5,6", 0.6, 0.8).factors
+        inner = ac.inner_u.copy()
+        inner[0, 0] = 5e-324
+        system = certify_module.GammaSystem((ac._replace(inner_u=inner), bd))
+        calls = spy_on_exact_path(monkeypatch)
+        got = decide_null_space(system)
+        assert calls == [SVD_TOL]
+        assert_same_result(got, _svd_null_space(system.matrix, SVD_TOL))
+
+
 class TestGramFastPath:
     DIFFERENTIAL_HAAR = [
         (4, 2, "A=1;B=2;C=3;D=4"),
@@ -1106,9 +1169,10 @@ class TestGramFastPath:
             assert gram_trace(gram) == 0.0
             assert not _shifted_cholesky(
                 gram, SVD_TOL, system_size(6, 2, "A=1,2;B=3;C=4;D=5,6")[1])
+        # the exact path decides its zero factors without the SVD
         calls = spy_on_exact_path(monkeypatch)
         assert decide_null_space(system).null_dim == 2
-        assert calls == [SVD_TOL]
+        assert calls == []
 
     def test_fast_path_singular_values_match_svd(self, monkeypatch):
         # the stack certifies without a spectrum; the exact SVD of the same

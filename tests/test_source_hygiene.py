@@ -3,9 +3,9 @@ no unused imports and none inside a function, no private module-level
 function that nothing in the package calls, one home for the certification
 rule, one certification route, one tie rule, one phase-system assembly,
 column order and count, one orthonormality check of the Schmidt rows,
-one lender of the per-thread Gram buffer, benchmark layer targets that
-resolve, every named threshold documented in README, and a pinned list of
-public names."""
+one lender of the per-thread Gram buffer, one caller of the unchecked
+packing-array wrapper, benchmark layer targets that resolve, every named
+threshold documented in README, and a pinned list of public names."""
 
 import ast
 import importlib
@@ -309,6 +309,7 @@ def test_one_count_of_the_phase_system():
     # one function sizes the phase system, from the block dimensions and
     # the rank alone: only it counts pairs with math.comb in `certify` and
     # `experiments`, and no function reads the counts off factor shapes
+    # (`decide_null_space` reads its dense matrix's shape off them alone)
     trees = {path.name: parse(path) for path in MODULES}
     assert {f"{module}:{name}" for module in ("certify.py", "experiments.py")
             for name in functions_using(trees[module], "comb")} == {
@@ -358,3 +359,19 @@ def test_one_orthonormality_check():
         "certify.py:_stack_verdicts", "certify.py:build_cross_matrices"}
     cross = function_node(trees["certify.py"], "_cross_matrices")
     assert not any(isinstance(node, ast.Raise) for node in ast.walk(cross))
+
+
+def test_one_trusted_packing_array():
+    # `PackingArray._trusted` skips `verify_pa`, which only the greedy
+    # scan's proof stands in for: no other function names it
+    trees = {path.name: parse(path) for path in MODULES}
+    assert {f"{module}:{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for attr in ast.walk(node) if isinstance(attr, ast.Attribute)
+            and attr.attr == "_trusted"
+            and getattr(attr.value, "id", None) == "PackingArray"} == {
+        "arrays.py:greedy_packing_array"}
+    # and it is reached through that name only, not an alias or `cls`
+    source = (PACKAGE / "arrays.py").read_text()
+    assert source.count("._trusted(") == source.count(
+        "PackingArray._trusted(")
