@@ -18,7 +18,8 @@ import numpy as np
 
 from .certify import WitnessCheck, verify_twin
 from .marginals import DECK_TOL, MarginalFamily
-from .states import PartyStructure, PureState, _integer, _text_integer
+from .states import (PartyStructure, PureState, _integer, _seed,
+                     _text_integer, _unchecked)
 
 # Amplitudes this small (after normalization) void the all-nonzero hypothesis.
 AMP_FLOOR = 1e-12
@@ -178,11 +179,7 @@ class PackingArray(_RowArray):
         are stored as the constructor stores them, int and read-only."""
         mat = rows.astype(int)
         mat.setflags(write=False)
-        array = object.__new__(cls)
-        object.__setattr__(array, "rows", mat)
-        object.__setattr__(array, "levels", levels)
-        object.__setattr__(array, "strength", strength)
-        return array
+        return _unchecked(cls, rows=mat, levels=levels, strength=strength)
 
 
 # The strength-2 array on nine qutrit rows whose uniform superposition has
@@ -308,10 +305,11 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     """Greedy packing-array builder: scan candidate rows, keep each one that
     agrees with every kept row in fewer than `strength` positions.
 
-    With an integer `seed` the candidate order is shuffled; with seed=None the
-    scan is lexicographic.  Stops at `max_rows` when given.  The counts are
-    read by `states._integer`: a float, bool or string raises TypeError;
-    `levels` and `max_rows` below 2 raise ValueError.
+    With an integer `seed`, read by `states._seed` (TypeError unless an
+    int, ValueError below 0), the candidate order is shuffled; with
+    seed=None the scan is lexicographic.  Stops at `max_rows` when given.
+    The counts are read by `states._integer`: a float, bool or string
+    raises TypeError; `levels` and `max_rows` below 2 raise ValueError.
 
     The scan visits only the rows it keeps: each one blocks the candidates
     it agrees with in `strength` or more positions, and the scan jumps to
@@ -350,7 +348,7 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
         raise ValueError("candidate space too large for the greedy builder")
     order = np.arange(total)
     if seed is not None:
-        order = np.random.default_rng(seed).permutation(total)
+        order = np.random.default_rng(_seed(seed)).permutation(total)
     # values stay below 2 * total <= 600000, so 32 bits hold every digit,
     # table entry and code
     digits = np.indices((levels,) * num_cols, dtype=np.uint32).reshape(

@@ -29,7 +29,7 @@ from .schmidt import (GAP_TOL, GenericityReport, SchmidtDecomposition,
                       _genericity, _schmidt_factors, _untied,
                       classify_genericity, phase_twist, schmidt_decompose)
 from .states import (PartyStructure, PureState, _cut, _freeze, _integer,
-                     _text_integer, _tolerance, check_subset,
+                     _seed, _text_integer, _tolerance, check_subset,
                      fidelity_up_to_phase)
 
 # Singular values below SVD_TOL times the largest count as zero when deciding
@@ -307,18 +307,22 @@ class GammaSystem:
     def matrix(self) -> np.ndarray:
         """The dense real system, built from the factors on first access.
 
-        With gamma = x + iy, equation r is x (U + V) + i y (U - V) = 0.
+        With gamma = x + iy, equation r is x (U + V) + i y (U - V) = 0:
+        rows [Re(U + V), -Im(U - V)] and [Im(U + V), Re(U - V)], each
+        block written in place into the one array.
         """
         u = np.concatenate([_khatri_rao(f.outer_u, f.inner_u)
                             for f in self.factors])
         v = np.concatenate([_khatri_rao(f.outer_v, f.inner_v)
                             for f in self.factors])
-        a, b = u + v, u - v
-        matrix = np.stack([np.stack([a.real, -b.imag], axis=-1),
-                           np.stack([a.imag, b.real], axis=-1)], axis=1
-                          ).reshape(2 * u.shape[0], 2 * u.shape[1])
-        matrix.setflags(write=False)
-        return matrix
+        rows, cols = u.shape
+        matrix = np.empty((rows, 2, cols, 2), dtype=u.real.dtype)
+        np.add(u.real, v.real, out=matrix[:, 0, :, 0])
+        np.negative(np.subtract(u.imag, v.imag, out=matrix[:, 0, :, 1]),
+                    out=matrix[:, 0, :, 1])
+        np.add(u.imag, v.imag, out=matrix[:, 1, :, 0])
+        np.subtract(u.real, v.real, out=matrix[:, 1, :, 1])
+        return _freeze(matrix.reshape(2 * rows, 2 * cols))
 
 
 def _upper_gram(factors: tuple[SourceFactors, ...],
@@ -451,10 +455,11 @@ def assemble_gamma_system(matrices: CrossCutMatrices) -> GammaSystem:
 class NullSpaceResult:
     """Numerical null space of a phase system.
 
-    `singular_values` are the exact SVD's, in descending order, and empty
-    for a system without unknowns or without equations, which needs no
-    SVD; a system whose factors are all exactly zero gets the SVD's
-    min(rows, columns) zeros without one.  Both arrays are made read-only.
+    `singular_values` are the exact SVD's, in descending order.  Two
+    cases need no SVD: a system without unknowns gets none, and a zero
+    system (no equations, or factors all exactly zero) gets the SVD's
+    min(rows, columns) zeros, none without equations.  Both arrays are
+    made read-only.
     """
 
     null_dim: int
@@ -484,11 +489,12 @@ def _svd_null_space(matrix: np.ndarray, svd_tol: float) -> NullSpaceResult:
 def decide_null_space(system: GammaSystem, *,
                       svd_tol: float = SVD_TOL) -> NullSpaceResult:
     """Numerical null space of the phase system from the exact SVD of the
-    dense matrix.  Three cases need no SVD and build no dense matrix, as
-    its shape is read off the factors: a system without unknowns, one
-    without equations, and one whose factors are all exactly zero (a GHZ
-    cut's, say), so that its matrix is too.  The last gets what the SVD
-    gives a zero matrix, s = 0 and V^T = 1, field for field.
+    dense matrix.  Two cases need no SVD and build no dense matrix, as its
+    shape is read off the factors: a system without unknowns, and a zero
+    system, without equations or with factors all exactly zero (a GHZ
+    cut's, say).  The latter gets what the SVD gives a zero matrix, s = 0
+    and V^T = 1, field for field; its row count is tested on its own, as
+    an equation-free system's factors need not be zero.
     `svd_tol` must lie in (0, 1e-2), else ValueError."""
     _tolerance(svd_tol, "svd_tol")
     n_rows = 2 * sum(f.outer_u.shape[0] * f.inner_u.shape[0]
@@ -496,9 +502,8 @@ def decide_null_space(system: GammaSystem, *,
     n_cols = 2 * system.factors[0].outer_u.shape[1]
     if n_cols == 0:
         return NullSpaceResult(0, None, np.zeros(0))
-    if n_rows == 0:
-        return NullSpaceResult(n_cols, np.eye(n_cols), np.zeros(0))
-    if not any(np.any(f) for source in system.factors for f in source):
+    if n_rows == 0 or not any(np.any(f) for source in system.factors
+                              for f in source):
         return NullSpaceResult(n_cols, np.eye(n_cols),
                                np.zeros(min(n_rows, n_cols)))
     return _svd_null_space(system.matrix, svd_tol)
@@ -762,14 +767,12 @@ def certify_udp(state: PureState, spec: CrossCutSpec,
     emitted witness is verified against the deck of `family`.  The
     tolerances must pass `Tolerances`, and `family` must be defined on the
     state's parties; otherwise ValueError.  `seed` is read by
-    `states._integer` (TypeError) and must be at least 0 (ValueError).
+    `states._seed`: TypeError unless an int, ValueError below 0.
     The verdict is that of `_certify_stack` on a stack of one.
     """
     tol = Tolerances(gap_tol=gap_tol, svd_tol=svd_tol, deck_tol=deck_tol)
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    return _certify_stack([state], spec, family, seeds=(seed,), tol=tol)[0]
+    return _certify_stack([state], spec, family, seeds=(_seed(seed),),
+                          tol=tol)[0]
 
 
 def _exact_verdict(state: PureState, spec: CrossCutSpec,
@@ -978,9 +981,7 @@ def verify_overlap_dependences(structure: PartyStructure, spec: CrossCutSpec,
     else ValueError.  `trials` and `seed` are read by `states._integer`
     (TypeError), and `seed` must be at least 0 (ValueError).
     """
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    trials, seed = _integer(trials, "trials"), _seed(seed)
     if spec.num_parties != structure.num_parties:
         raise ValueError("spec covers a different number of parties")
     da, db, dc, dd = spec.block_dims(structure)

@@ -22,14 +22,8 @@ from .experiments import ExperimentConfig, check_counting_table, run_experiment
 from .hypergraph import is_connected, marginal_number_lower_bound
 from .marginals import MarginalFamily, _deck_gap, compute_deck
 from .schmidt import classify_genericity, schmidt_decompose
-from .states import (_text_integer, load_state, save_state,
+from .states import (_dumps, _text_integer, load_state, save_state,
                      state_to_json_dict)
-
-
-def _dumps(data: dict) -> str:
-    """Strict JSON: a non-finite float raises ValueError (exit 1) instead of
-    leaving as the invalid tokens NaN or Infinity."""
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(data: dict, as_json: bool, human: str | None = None) -> None:

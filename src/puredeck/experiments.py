@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -10,8 +9,12 @@ from pathlib import Path
 
 from .certify import (CrossCutSpec, Tolerances, UdpStatus, _certify_stack,
                       _system_size)
-from .states import (PartyStructure, _checked, _integer,
+from .states import (PartyStructure, _checked, _dumps, _integer, _seed,
                      sample_haar_state)
+
+# `check_counting_table` refuses a table of more rows than this before it
+# builds any; 100,000 rows take about a second and 40 MB.
+TABLE_ROW_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -29,11 +32,11 @@ class ExperimentConfig:
         # `PartyStructure.uniform` below bounds the two dimensions
         for name in ("num_parties", "local_dim"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name, least in (("trials", 1), ("seed", 0)):
-            value = _integer(getattr(self, name), name)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-            object.__setattr__(self, name, value)
+        trials = _integer(self.trials, "trials")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.blocks.num_parties != self.num_parties:
             raise ValueError("block spec covers a different number of parties")
         # dimension-cap check happens here rather than at first sample
@@ -108,7 +111,8 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """`to_json_dict` as strict JSON text (`states._dumps`)."""
+        return _dumps(self.to_json_dict())
 
 
 def run_experiment(config: ExperimentConfig, *, verbose: bool = True) -> ExperimentReport:
@@ -249,10 +253,17 @@ def check_counting_table(max_n: int, max_d: int) -> CountingTable:
     The closed-form worst-case surplus is recomputed by direct counting at the
     extreme splits; any mismatch or non-positive surplus is recorded in the
     table rather than suppressed.  Direct counting is the authority.
+    The table has (max_d - 1) max_n (max_n - 1) / 2 rows, one per (n, d,
+    |A|); more than TABLE_ROW_CAP raise ValueError before any is built.
     """
     max_n, max_d = _integer(max_n, "max_n"), _integer(max_d, "max_d")
     if max_n < 2 or max_d < 2:
         raise ValueError("need max_n >= 2 and max_d >= 2")
+    size = (max_d - 1) * max_n * (max_n - 1) // 2
+    if size > TABLE_ROW_CAP:
+        raise ValueError(f"a counting table to max_n={max_n}, max_d={max_d} "
+                         f"has {size} rows, more than the cap of "
+                         f"{TABLE_ROW_CAP}")
     rows = []
     summaries = []
     for n in range(2, max_n + 1):

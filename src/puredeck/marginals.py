@@ -10,7 +10,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .states import (Marginal, PureState, _cut, _integer, _text_integer,
-                     check_subset)
+                     _unchecked, check_subset)
 
 # Two aligned decks are called equal when no pair of corresponding marginals
 # differs by more than this in Frobenius norm.  Two orders above accumulated
@@ -53,11 +53,8 @@ class MarginalFamily:
         k = _integer(k, "k")
         if k < 1 or k > num_parties:
             raise ValueError(f"k={k} outside 1..{num_parties}")
-        family = object.__new__(cls)
-        object.__setattr__(family, "num_parties", num_parties)
-        object.__setattr__(family, "subsets", tuple(
+        return _unchecked(cls, num_parties=num_parties, subsets=tuple(
             combinations(range(1, num_parties + 1), k)))
-        return family
 
     @classmethod
     def parse(cls, num_parties: int, text: str) -> "MarginalFamily":

@@ -226,10 +226,11 @@ def ghz_state(num_parties: int, local_dim: int = 2,
 def sample_haar_state(structure: PartyStructure, seed) -> PureState:
     """Haar-random pure state: i.i.d. standard complex Gaussians, normalized.
 
-    `seed` may be an integer or a numpy Generator; a fixed integer seed gives
-    a reproducible state.
+    `seed` is a numpy Generator, drawn from, or an integer read by `_seed`;
+    a fixed integer seed gives a reproducible state.
     """
-    rng = np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(_seed(seed)))
     dim = structure.total_dim
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.from_amplitudes(structure, vec, normalize=True)
@@ -288,10 +289,7 @@ class Marginal:
         """Wrap a sorted subset and a freshly computed, unshared complex128
         matrix without the constructor's checks; the matrix is frozen in
         place, not copied."""
-        marg = object.__new__(cls)
-        object.__setattr__(marg, "parties", parties)
-        object.__setattr__(marg, "matrix", _freeze(matrix))
-        return marg
+        return _unchecked(cls, parties=parties, matrix=_freeze(matrix))
 
     @property
     def dim(self) -> int:
@@ -345,6 +343,38 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be int, got {value!r}")
+
+
+def _seed(value) -> int:
+    """A seed read by `_integer` (TypeError), at least 0 (else ValueError)."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    return seed
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass `cls` holding `values` as they
+    are, without its `__post_init__`: the one way past a record's checks,
+    for callers that prove them.  Every field must be given, no other
+    name, else TypeError."""
+    # the field map itself: `fields(cls)` would double the cost of each
+    # trusted marginal of a deck
+    names = cls.__dataclass_fields__
+    if values.keys() != names.keys():
+        raise TypeError(f"{cls.__name__} needs the fields {list(names)}, "
+                        f"got {list(values)}")
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _dumps(data) -> str:
+    """Strict JSON text, indented with sorted keys: a non-finite float
+    raises ValueError instead of leaving as the invalid tokens NaN or
+    Infinity."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _text_integer(text: str, name: str) -> int:
@@ -418,5 +448,5 @@ def load_state(source) -> PureState:
 
 
 def save_state(state: PureState, path) -> None:
-    Path(path).write_text(json.dumps(state_to_json_dict(state), indent=2,
-                                     sort_keys=True))
+    """Write `state_to_json_dict(state)` to `path` as `_dumps` text."""
+    Path(path).write_text(_dumps(state_to_json_dict(state)))

@@ -389,6 +389,9 @@ class TestGreedyPacking:
           "21022121"]),
         ((10, 2, 3), {"seed": 0}, ["0001010100", "1111101001"]),
         ((4, 3, 2), {"max_rows": 5}, ["0000", "0111", "0222", "1012", "1120"]),
+        ((4, 3, 2), {"seed": None},
+         ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102",
+          "2210"]),
         ((8, 3, 4), {"max_rows": 10, "seed": 1},
          ["22221212", "00111122", "12021001", "00220221", "21120002",
           "21011110", "00022012", "01202200", "11102111", "11001222"]),
@@ -413,6 +416,24 @@ class TestGreedyPacking:
         a = greedy_packing_array(4, 3, 2, max_rows=5)
         b = greedy_packing_array(4, 3, 2, max_rows=5)
         np.testing.assert_array_equal(a.rows, b.rows)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"],
+                             ids=["bool", "float", "string"])
+    def test_non_integer_seed_refused(self, seed):
+        # True once shuffled as seed 1
+        with pytest.raises(TypeError, match="seed must be int"):
+            greedy_packing_array(4, 3, 2, seed=seed)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError,
+                           match="seed must be at least 0, got -1"):
+            greedy_packing_array(4, 3, 2, seed=-1)
+
+    def test_numpy_integer_seed_passes(self):
+        want = greedy_packing_array(8, 3, 3, seed=1).rows
+        for seed in (np.int64(1), np.uint8(1)):
+            np.testing.assert_array_equal(
+                greedy_packing_array(8, 3, 3, seed=seed).rows, want)
 
     def test_seeded_reproducibility(self):
         a = greedy_packing_array(6, 2, 3, max_rows=4, seed=11)

@@ -1106,6 +1106,114 @@ class TestZeroSystem:
         assert_same_result(got, _svd_null_space(system.matrix, SVD_TOL))
 
 
+    def test_equation_free_system_with_nonzero_factors(self, monkeypatch):
+        # A=;B=1;C=2;D= on two qubits: nonzero factors that span no rows, so
+        # the all-zero test alone would not see that the system is empty
+        spec = CrossCutSpec.parse("A=;B=1;C=2;D=", 2)
+        psi = sample_haar_state(PartyStructure.uniform(2, 2), 0)
+        system = assemble_gamma_system(build_cross_matrices(
+            schmidt_decompose(psi, spec.ab), spec))
+        assert any(np.any(f) for source in system.factors for f in source)
+        assert all(f.outer_u.shape[0] * f.inner_u.shape[0] == 0
+                   for f in system.factors)
+        calls = spy_on_exact_path(monkeypatch)
+        got = decide_null_space(system)
+        assert calls == [] and "matrix" not in vars(system)
+        # the fields the parent's separate no-equations branch gave
+        assert got.null_dim == 2
+        assert_same_result(got, certify_module.NullSpaceResult(
+            2, np.eye(2), np.zeros(0)))
+        verdict = certify_udp(psi, spec)
+        assert verdict.status == UdpStatus.NOT_UDP_WITNESSED
+        assert verdict.null_dim == 2
+        assert verdict.equation_counts == {"ac": 0, "bd": 0,
+                                           "complex_variables": 1,
+                                           "complex_equations": 0}
+
+
+def stacked_matrix(system):
+    """Oracle: the dense system as first built, from U + V, U - V and three
+    stacked copies."""
+    u = np.concatenate([_khatri_rao(f.outer_u, f.inner_u)
+                        for f in system.factors])
+    v = np.concatenate([_khatri_rao(f.outer_v, f.inner_v)
+                        for f in system.factors])
+    a, b = u + v, u - v
+    return np.stack([np.stack([a.real, -b.imag], axis=-1),
+                     np.stack([a.imag, b.real], axis=-1)], axis=1
+                    ).reshape(2 * u.shape[0], 2 * u.shape[1])
+
+
+def gf5_state():
+    """The state of the GF(5) Reed-Solomon array, rows (a + b x) mod 5 for
+    x = 0..3, with moduli in [0.5, 1.5] and random phases: its exact-path
+    phase system is 960 x 600."""
+    rng = np.random.default_rng(0)
+    rows = [[(a + b * x) % 5 for x in range(4)]
+            for a in range(5) for b in range(5)]
+    amps = rng.uniform(0.5, 1.5, 25) * np.exp(2j * np.pi * rng.random(25))
+    return qoa_state(OrthogonalArray.from_rows(rows, 5, 2), amps).state
+
+
+ONE_ARRAY_CASES = [
+    *((f"{kind}-{n}x{d}", n, d, blocks, kind)
+      for kind in ("haar", "ghz", "lopsided")
+      for n, d, blocks in ((4, 2, "A=1;B=2;C=3;D=4"),
+                           (6, 2, "A=1,2;B=3;C=4;D=5,6"),
+                           (8, 2, "A=1,2;B=3,4;C=5,6;D=7,8"),
+                           (4, 3, "A=1;B=2;C=3;D=4"))),
+    *((f"empty-{blocks}", n, d, blocks, "haar")
+      for n, d, blocks in ((4, 2, "A=1;B=2;C=;D=3,4"),
+                           (4, 2, "A=1,2;B=3;C=4;D="),
+                           (4, 2, "A=1;B=;C=;D=2,3,4"),
+                           (3, 3, "A=1;B=;C=;D=2,3"),
+                           (2, 2, "A=;B=1;C=2;D="))),
+    ("oa-uniform", 4, 3, "A=1;B=2;C=3;D=4", "oa-uniform"),
+    ("oa-random", 4, 3, "A=1;B=2;C=3;D=4", "oa-random"),
+    ("gf5", 4, 5, "A=1;B=2;C=3;D=4", "gf5"),
+]
+
+
+def one_array_system(n, d, blocks, kind):
+    spec = CrossCutSpec.parse(blocks, n)
+    psi = {"haar": lambda: sample_haar_state(PartyStructure.uniform(n, d), 7),
+           "ghz": lambda: ghz_state(n, d),
+           "lopsided": lambda: ghz_state(n, d, 0.6, 0.8),
+           "oa-uniform": lambda: qoa_state(OrthogonalArray.from_rows(
+               OA_9_4_3_2, 3, 2)).state,
+           "oa-random": lambda: oa_state(3),
+           "gf5": gf5_state}[kind]()
+    return assemble_gamma_system(build_cross_matrices(
+        schmidt_decompose(psi, spec.ab), spec))
+
+
+class TestOneArrayMatrix:
+    """`GammaSystem.matrix` writes its four real blocks into one array; it
+    must equal the stacked construction bit for bit, signed zeros too."""
+
+    @pytest.mark.parametrize("name, n, d, blocks, kind", ONE_ARRAY_CASES,
+                             ids=[case[0] for case in ONE_ARRAY_CASES])
+    def test_bit_equal_to_the_stacked_build(self, name, n, d, blocks, kind):
+        system = one_array_system(n, d, blocks, kind)
+        got, want = system.matrix, stacked_matrix(system)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_build_peak_is_about_twice_the_matrix(self):
+        # U and V and the matrix itself, 2.03 times its bytes on this
+        # 960 x 600 system (the stacked build peaked at 4 times)
+        system = one_array_system(4, 5, "A=1;B=2;C=3;D=4", "gf5")
+        tracemalloc.start()
+        try:
+            matrix = system.matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (960, 600)
+        assert peak <= 2.2 * matrix.nbytes
+
+
 class TestGramFastPath:
     DIFFERENTIAL_HAAR = [
         (4, 2, "A=1;B=2;C=3;D=4"),

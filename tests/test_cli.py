@@ -477,6 +477,13 @@ class TestCountingTableCommand:
         assert data["all_closed_forms_match"] is True
         assert len(data["flagged_nonpositive"]) == 1  # the square 6-vs-6 case
 
+    @pytest.mark.parametrize("flags", [("--json",), ()])
+    def test_oversize_table_exits_1(self, capsys, flags):
+        code, out, err = run_cli(capsys, "counting-table", "--max-n", "2000",
+                                 "--max-d", "2000", *flags)
+        assert code == 1 and out == ""
+        assert "has 3996001000 rows, more than the cap of 100000" in err
+
     def test_human_output_flags_square_case(self, capsys):
         code, out, _ = run_cli(capsys, "counting-table", "--max-n", "2",
                                "--max-d", "2")

@@ -2,11 +2,12 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import puredeck.experiments as experiments_module
 from puredeck import (CrossCutSpec, ExperimentConfig, Tolerances,
                       check_counting_table, equations_for_split,
                       run_experiment, worst_case_surplus_closed_form)
@@ -104,6 +105,34 @@ class TestCountingTable:
         with pytest.raises(ValueError):
             equations_for_split(3, 2, 3)
 
+    def test_defaults_have_45_rows(self):
+        table = check_counting_table(6, 4)
+        assert len(table.rows) == 3 * 6 * 5 // 2 == 45
+        assert len(table.summaries) == 5 * 3
+
+    @pytest.mark.parametrize("max_n, max_d, rows", [
+        (2000, 2000, 3996001000), (448, 2, 100128), (2, 100002, 100001),
+        (60, 60, 104430)])
+    def test_oversize_table_refused_before_any_row(self, monkeypatch, max_n,
+                                                   max_d, rows):
+        # --max-n 2000 --max-d 2000 once built rows until memory ran out
+        def refuse(**fields):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(experiments_module, "CountingRow", refuse)
+        with pytest.raises(ValueError, match=f"has {rows} rows, more than "
+                                             f"the cap of 100000"):
+            check_counting_table(max_n, max_d)
+
+    @pytest.mark.parametrize("max_n, max_d", [(2, 100001), (447, 2)])
+    def test_table_at_the_cap_is_built(self, monkeypatch, max_n, max_d):
+        # 100,000 and 99,681 rows pass the cap; the first row is not built
+        # here, to keep the test fast
+        def stop(**fields):
+            raise LookupError("first row")
+        monkeypatch.setattr(experiments_module, "CountingRow", stop)
+        with pytest.raises(LookupError, match="first row"):
+            check_counting_table(max_n, max_d)
+
     def test_json_round_trip(self):
         table = check_counting_table(3, 3)
         data = json.loads(json.dumps(table.to_json_dict()))
@@ -146,6 +175,18 @@ class TestExperiments:
         assert data["counts"]["certified"] == report.counts["certified"]
         assert "timing" in data
         assert json.loads(json.dumps(data)) == data
+
+    def test_report_text_is_strict_json(self, tmp_path):
+        # finite reports read byte for byte as json.dumps(indent=2,
+        # sort_keys=True), the writer before the strict one; a NaN is
+        # refused rather than written as a token strict readers refuse
+        config = ExperimentConfig(4, 2, trials=2, seed=5, blocks=BALANCED_4)
+        report = run_experiment(config, verbose=False)
+        assert report.to_json() == json.dumps(report.to_json_dict(),
+                                              indent=2, sort_keys=True)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                replace(report, runtime_ms=bad).to_json()
 
     def test_output_file_written(self, tmp_path):
         out = tmp_path / "report.json"

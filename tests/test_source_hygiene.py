@@ -4,8 +4,9 @@ function that nothing in the package calls, one home for the certification
 rule, one certification route, one tie rule, one phase-system assembly,
 column order and count, one orthonormality check of the Schmidt rows,
 one lender of the per-thread Gram buffer, one caller of the unchecked
-packing-array wrapper, benchmark layer targets that resolve, every named
-threshold documented in README, and a pinned list of public names."""
+packing-array wrapper, one home each for the seed rule, the unchecked
+record and strict JSON text, benchmark layer targets that resolve, every
+named threshold documented in README, and a pinned list of public names."""
 
 import ast
 import importlib
@@ -375,3 +376,30 @@ def test_one_trusted_packing_array():
     source = (PACKAGE / "arrays.py").read_text()
     assert source.count("._trusted(") == source.count(
         "PackingArray._trusted(")
+
+
+@pytest.mark.parametrize("text, home", [
+    ("seed must be at least 0", "_seed"),
+    ("object.__new__", "_unchecked"),
+    ("allow_nan", "_dumps")], ids=["seed", "unchecked", "json"])
+def test_one_home_for_each_rule(text, home):
+    # the seed rule of every seeded entry point, the one way past a frozen
+    # record's checks, and the strict JSON writer of the CLI, state files
+    # and experiment reports are each written once, in `states`
+    source = (PACKAGE / "states.py").read_text()
+    node = function_node(ast.parse(source), home)
+    named = ast.get_source_segment(source, node).count(text)
+    assert named == 1
+    assert sum(path.read_text().count(text) for path in MODULES) == named
+
+
+def test_every_seeded_entry_and_unchecked_record_uses_its_home():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert callers(trees, "_seed") == {
+        "states.py:sample_haar_state", "arrays.py:greedy_packing_array",
+        "certify.py:certify_udp", "certify.py:verify_overlap_dependences",
+        "experiments.py:__post_init__"}
+    assert callers(trees, "_unchecked") == {
+        "states.py:_trusted", "marginals.py:complete", "arrays.py:_trusted"}
+    assert {"states.py:save_state", "experiments.py:to_json"} <= callers(
+        trees, "_dumps")

@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from puredeck import (DIM_CAP, CrossCutSpec, Marginal, MarginalFamily,
                       ghz_state, inner_product, load_state, partial_trace,
                       sample_haar_state, save_state, state_from_json_dict,
                       state_to_json_dict)
+from puredeck.arrays import PackingArray
 from puredeck.schmidt import classify_genericity, schmidt_decompose
-from puredeck.states import _cut, _uncut
+from puredeck.states import _cut, _dumps, _uncut, _unchecked
 
 NINE_TERM_QUTRIT = {
     "0000": 1 / 3, "0111": 1 / 3, "0222": 1 / 3,
@@ -236,6 +239,35 @@ class TestHaarSampling:
             assert dec.rank == 8
             assert report.full_rank and report.distinct_spectrum
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None],
+                             ids=["bool", "float", "string", "none"])
+    def test_non_integer_seed_refused(self, seed):
+        # True once meant seed 1, and None a fresh state on every call
+        with pytest.raises(TypeError, match="seed must be int"):
+            sample_haar_state(PartyStructure.uniform(2, 2), seed)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError,
+                           match="seed must be at least 0, got -1"):
+            sample_haar_state(PartyStructure.uniform(2, 2), -1)
+
+    def test_numpy_integer_seed_passes(self):
+        st_ = PartyStructure.uniform(3, 2)
+        for seed in (np.int64(7), np.int32(7), np.uint8(7)):
+            np.testing.assert_array_equal(
+                sample_haar_state(st_, seed).amplitudes,
+                sample_haar_state(st_, 7).amplitudes)
+
+    def test_generator_draws_as_before(self):
+        # a Generator is drawn from directly: two standard normal draws of
+        # the dimension each, normalized, and it is left after them
+        st_ = PartyStructure.uniform(3, 3)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            got = sample_haar_state(st_, rng).amplitudes
+            vec = twin.standard_normal(27) + 1j * twin.standard_normal(27)
+            np.testing.assert_array_equal(got, vec / np.linalg.norm(vec))
+
     def test_mean_probability_is_uniform(self):
         # Monte-Carlo oracle: E|amp_k|^2 = 1/4 for two qubits, within 3 SE
         st_ = PartyStructure.uniform(2, 2)
@@ -400,6 +432,32 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="expected 2 digits, got 3"):
             wide.parse_basis_label("111")
 
+    def test_saved_text_is_the_strict_json_of_the_record(self, tmp_path):
+        # byte for byte what json.dumps(indent=2, sort_keys=True) wrote
+        # before the strict writer, for finite amplitudes
+        path = tmp_path / "state.json"
+        for psi in (sample_haar_state(PartyStructure.uniform(3, 3), 17),
+                    ghz_state(4, 2, 0.6, 0.8)):
+            save_state(psi, path)
+            assert path.read_text() == json.dumps(
+                state_to_json_dict(psi), indent=2, sort_keys=True)
+
+    def test_save_refuses_a_non_finite_amplitude(self, tmp_path):
+        # a state bypassing its checks still cannot leave as NaN tokens
+        psi = _unchecked(PureState, structure=PartyStructure.uniform(1, 2),
+                         amplitudes=np.array([math.nan, 1.0], dtype=complex))
+        path = tmp_path / "state.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_state(psi, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dumps_refuses_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _dumps({"x": [1.0, value]})
+        assert _dumps({"b": 1.5, "a": [1]}) == json.dumps(
+            {"b": 1.5, "a": [1]}, indent=2, sort_keys=True)
+
     def test_omitted_entries_are_zero(self):
         data = state_to_json_dict(ghz_state(3))
         assert len(data["amplitudes"]) == 2  # six zero entries dropped
@@ -430,3 +488,50 @@ class TestMarginalType:
         mat[entry] = math.nan
         with pytest.raises(ValueError, match="Hermitian|trace"):
             Marginal((1,), mat)
+
+
+def assert_same_record(got, want):
+    """Field for field: equal values of the same type, and each array's
+    dtype, shape and read-only flag."""
+    assert type(got) is type(want)
+    for field in fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert type(g) is type(w), field.name
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+            assert np.array_equal(g, w), field.name
+            assert g.flags.writeable == w.flags.writeable, field.name
+        else:
+            assert g == w, field.name
+
+
+class TestUncheckedRecords:
+    """`states._unchecked` is the one way past a record's checks; the
+    unchecked constructors built on it store what the checked ones do
+    (`PackingArray._trusted`: `test_arrays.py`,
+    `test_trusted_stores_what_the_constructor_stores`)."""
+
+    def test_every_field_is_needed(self):
+        with pytest.raises(TypeError, match="needs the fields"):
+            _unchecked(Marginal, parties=(1,))
+        with pytest.raises(TypeError, match="needs the fields"):
+            _unchecked(Marginal, parties=(1,), matrix=np.eye(2) / 2,
+                       dim=2)
+        with pytest.raises(TypeError, match="needs the fields"):
+            _unchecked(PackingArray, rows=np.eye(2, dtype=int), levels=2)
+
+    def test_values_are_held_as_given(self):
+        matrix = np.eye(2) / 2
+        marg = _unchecked(Marginal, parties=(1,), matrix=matrix)
+        assert marg.parties == (1,) and marg.matrix is matrix
+
+    def test_trusted_marginal_matches_constructor(self):
+        psi = sample_haar_state(PartyStructure(4, (2, 3, 2, 2)), 3)
+        for keep in ((1,), (2, 4), (1, 2, 3)):
+            trusted = partial_trace(psi, keep)
+            assert_same_record(trusted, Marginal(keep, trusted.matrix))
+
+    def test_complete_family_matches_constructor(self):
+        for n, k in ((1, 1), (4, 2), (6, 3), (7, 7)):
+            assert_same_record(MarginalFamily.complete(n, k), MarginalFamily(
+                n, tuple(combinations(range(1, n + 1), k))))
