@@ -11,14 +11,16 @@ state with exactly the same complete (N-k)-deck.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .certify import WitnessCheck, verify_twin
 from .marginals import DECK_TOL, MarginalFamily
-from .states import (PartyStructure, PureState, _integer, _seed,
+from .states import (PartyStructure, PureState, _freeze, _integer, _seed,
                      _text_integer, _unchecked)
 
 # Amplitudes this small (after normalization) void the all-nonzero hypothesis.
@@ -299,6 +301,49 @@ def non_udp_witness(gstate: GeneralizedQoaState, phases, *,
     return verify_twin(gstate.state, twisted, family, deck_tol=deck_tol)
 
 
+# Bytes of `_greedy_shape` results that `greedy_packing_array` keeps between
+# calls: the shapes (8, 3, 3) and (10, 2, 3) take 0.55 and 0.12 MB, and
+# (10, 3, 1), at 9.3 MB, is built on every call.
+_SHAPE_BYTES = 4 << 20
+_SHAPES: dict[tuple[int, int, int], "_GreedyShape"] = {}
+_SHAPES_LOCK = threading.Lock()
+
+
+class _GreedyShape(NamedTuple):
+    digits: np.ndarray
+    table: np.ndarray | None
+    slots: np.ndarray | None
+    nbytes: int
+
+
+def _greedy_shape(num_cols: int, levels: int, strength: int) -> _GreedyShape:
+    """The part of `greedy_packing_array` that depends on the checked shape
+    alone, as read-only arrays: the digits of every candidate, one column
+    each (num_cols, levels^num_cols), and below strength = num_cols the
+    (column, digit) neighbour-code table and the slots of each column's
+    rows in it; `nbytes` counts all three."""
+    total = levels ** num_cols
+    # values stay below 2 * total <= 600000, so 32 bits hold every digit,
+    # table entry and code
+    digits = _freeze(np.indices((levels,) * num_cols, dtype=np.uint32)
+                     .reshape(num_cols, total))
+    if strength == num_cols:  # a row blocks itself alone: no table
+        return _GreedyShape(digits, None, None, digits.nbytes)
+    shifts = digits[:, np.count_nonzero(digits, axis=0) <= num_cols - strength]
+    place = levels ** np.arange(num_cols - 1, -1, -1, dtype=np.uint32)
+    # table[c, v]: column c's share of the code of each neighbour of a row
+    # whose digit in column c is v, ((v + shift) mod levels) place[c]; with
+    # unsigned wrap-around, a sum below levels minus levels exceeds the sum,
+    # so the smaller of the two products is the one mod levels
+    table = np.arange(levels, dtype=np.uint32)[:, None] + shifts[:, None, :]
+    table *= place[:, None, None]
+    np.minimum(table, table - levels * place[:, None, None], out=table)
+    table = _freeze(table.reshape(num_cols * levels, -1))
+    slots = _freeze(levels * np.arange(num_cols, dtype=np.uint32))
+    return _GreedyShape(digits, table, slots,
+                        digits.nbytes + table.nbytes + slots.nbytes)
+
+
 def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
                          max_rows: int | None = None,
                          seed=None) -> PackingArray:
@@ -316,8 +361,12 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     the next candidate still open.  Those candidates are the kept row plus
     each shift with at most num_cols - strength nonzero digits, mod
     `levels`, so each of their codes is a sum over the columns of one entry
-    per (column, digit) of a table built once.  A kept row then costs one
-    gather and sum over the shifts; a jump costs one search of the open
+    per (column, digit) of a table.  That table, the digits of every
+    candidate and the table's slots depend on the shape alone, so
+    `_greedy_shape` builds them and they are kept between calls within
+    _SHAPE_BYTES; a call makes only the seed's scan order, each
+    candidate's position in it and the open flags.  A kept row then costs
+    one gather and sum over the shifts; a jump costs one search of the open
     flags, which stops at the first open one, so the searches together read
     each flag at most once.  At strength = num_cols a row blocks only
     itself, so the kept rows are the scan order itself, up to `max_rows`.
@@ -349,26 +398,22 @@ def greedy_packing_array(num_cols: int, levels: int, strength: int, *,
     order = np.arange(total)
     if seed is not None:
         order = np.random.default_rng(_seed(seed)).permutation(total)
-    # values stay below 2 * total <= 600000, so 32 bits hold every digit,
-    # table entry and code
-    digits = np.indices((levels,) * num_cols, dtype=np.uint32).reshape(
-        num_cols, total)
+    key = (num_cols, levels, strength)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _greedy_shape(*key)
+        if shape.nbytes <= _SHAPE_BYTES:
+            with _SHAPES_LOCK:  # a shape the cap has no room for empties it
+                if shape.nbytes + sum(kept.nbytes for kept
+                                      in _SHAPES.values()) > _SHAPE_BYTES:
+                    _SHAPES.clear()
+                _SHAPES[key] = shape
+    digits, table, slots, _ = shape
     if strength == num_cols:  # a row blocks itself alone: all are kept
         return PackingArray._trusted(digits[:, order[:max_rows]].T, levels,
                                      strength)
     position = np.empty(total, dtype=np.intp)
     position[order] = np.arange(total)
-    shifts = digits[:, np.count_nonzero(digits, axis=0) <= num_cols - strength]
-    place = levels ** np.arange(num_cols - 1, -1, -1, dtype=np.uint32)
-    # table[c, v]: column c's share of the code of each neighbour of a row
-    # whose digit in column c is v, ((v + shift) mod levels) place[c]; with
-    # unsigned wrap-around, a sum below levels minus levels exceeds the sum,
-    # so the smaller of the two products is the one mod levels
-    table = np.arange(levels, dtype=np.uint32)[:, None] + shifts[:, None, :]
-    table *= place[:, None, None]
-    np.minimum(table, table - levels * place[:, None, None], out=table)
-    table = table.reshape(num_cols * levels, -1)
-    slots = levels * np.arange(num_cols, dtype=np.uint32)
     blocked = np.zeros(total, dtype=bool)  # by position in the scan
     kept = []
     start = 0

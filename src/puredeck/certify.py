@@ -871,11 +871,12 @@ def _certify_stack(states: Iterable[PureState], spec: CrossCutSpec,
         return []
     if spec.num_parties != first.structure.num_parties:
         raise ValueError("spec covers a different number of parties")
-    if family is None:
-        family = spec.verification_family()
+    if family is None:  # its members are the four cuts: each covers itself
+        family, uncovered = spec.verification_family(), []
     elif family.num_parties != spec.num_parties:
         raise ValueError("family defined for a different number of parties")
-    uncovered = _uncovered_cuts(spec, family)
+    else:
+        uncovered = _uncovered_cuts(spec, family)
     size = _stack_size(first.structure, spec)
     verdicts = []
     for head in chain([first], states):
@@ -899,8 +900,11 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     whose shift coefficient c has c n >= 1, n the real unknowns, is
     skipped before its factors are gathered: lambda_min <= tr G / n, so
     its Cholesky must fail.  Every other item gets `_exact_verdict` with
-    its seed.  The stack's rows pass `_orthonormality_defects` once, before
-    the float32 rung, or raise the ValueError `build_cross_matrices` does.
+    its seed.  When some item is undecided, the stack's rows pass
+    `_orthonormality_defects` once, before any rung, or raise the
+    ValueError `build_cross_matrices` does; when none is, as for GHZ and
+    other rank-deficient stacks, no rung reads the rows, and each item's
+    `build_cross_matrices` runs that check on its own decomposition.
 
     Each rung gathers the complex128 factors of the items it decides from
     the Schmidt rows by one kernel, so they and their Grams are the whole
@@ -923,7 +927,6 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     s, left, right = _schmidt_factors(_cut(
         np.stack([state.amplitudes for state in states]),
         structure.local_dims, [p - 1 for p in spec.ab]))
-    _orthonormality_defects(left, right)
     reports = _genericity(s, s.shape[1], tol.gap_tol)
     dims = spec.block_dims(structure)
     counts, rows = _system_size(dims, s.shape[1])
@@ -932,6 +935,8 @@ def _stack_verdicts(states: list[PureState], seeds: Iterator[int],
     tall = 2 * counts["complex_equations"] >= n
     undecided = np.flatnonzero(np.array([r.full_rank for r in reports])
                                & _untied(s) & tall)
+    if undecided.size:  # else each item's `build_cross_matrices` checks
+        _orthonormality_defects(left, right)
     # one item's complex128 overlap products, in bytes
     products = 16 * s.shape[1] ** 2 * sum(d * d for d in dims)
     certified = {}

@@ -114,27 +114,31 @@ class Deck:
         return {"num_parties": self.family.num_parties, "marginals": cards}
 
 
-def _product(state: PureState, subset, buffers: dict) -> np.ndarray:
-    """rho = M M^dagger for the checked `subset`, M being `state` as a
-    dim(subset) x dim(rest) matrix; the only place a marginal is computed.
+def _product(vectors: np.ndarray, dims, subset, buffers: dict) -> np.ndarray:
+    """rho = M M^dagger for the checked `subset`, M being each amplitude
+    vector of `vectors` (..., prod(dims)), over parties of local dimensions
+    `dims`, as a dim(subset) x dim(rest) matrix; leading stack axes are
+    kept, one product per vector.  The only place a marginal is computed.
 
     M, its conjugate and rho are written into arrays that `buffers`, a dict
-    owned by the caller, keeps by shape, so streaming a deck touches no
-    fresh pages after the first marginal of each shape.  The next call with
-    the same dict overwrites rho; a fresh dict gives a rho of its own.
+    owned by the caller, keeps by the shape of M, so streaming a deck
+    touches no fresh pages after the first marginal of each shape.  The
+    next call with the same dict overwrites rho; a fresh dict gives a rho
+    of its own.  A stack's products are one batched `np.matmul`, which
+    runs the gemm of a lone vector on each, so each is that vector's
+    product bit for bit.
     """
-    dims = state.structure.local_dims
     first = [p - 1 for p in subset]
     rows = math.prod(dims[i] for i in first)
-    shape = (rows, state.structure.total_dim // rows)
+    shape = (*vectors.shape[:-1], rows, vectors.shape[-1] // rows)
     if shape not in buffers:
         buffers[shape] = (np.empty(shape, dtype=np.complex128),
                           np.empty(shape, dtype=np.complex128),
-                          np.empty((rows, rows), dtype=np.complex128))
+                          np.empty((*shape[:-1], rows), dtype=np.complex128))
     mat, conj, rho = buffers[shape]
-    _cut(state.amplitudes, dims, first, out=mat)
+    _cut(vectors, dims, first, out=mat)
     np.conjugate(mat, out=conj)
-    return np.matmul(mat, conj.T, out=rho)
+    return np.matmul(mat, conj.swapaxes(-1, -2), out=rho)
 
 
 def _check_parties(state: PureState, family: MarginalFamily) -> None:
@@ -163,7 +167,8 @@ def partial_trace(state: PureState, keep) -> Marginal:
     (`_deck_gap`), so the bound covers them too.
     """
     keep = check_subset(keep, state.structure.num_parties)
-    return Marginal._trusted(keep, _product(state, keep, {}))
+    return Marginal._trusted(keep, _product(
+        state.amplitudes, state.structure.local_dims, keep, {}))
 
 
 def compute_deck(state: PureState, family: MarginalFamily) -> Deck:
@@ -182,13 +187,14 @@ def _deck_gap(reference: PureState, twin: PureState,
     the amplitudes on S at a cost of about |S|^2 per subset K, no more than
     the total dimension, while a dense marginal costs dim(K)^2 dim(rest) =
     dim(K) total_dim.  Otherwise, and so for every pair with no zero
-    amplitude, such as any Haar pair, the two states' marginals are
-    streamed side by side: only one marginal of each is alive at a time, in
-    `_product`'s buffers reused across marginals of one shape.  The
-    arithmetic on that path is that of `deck_distance`, bit for bit: each
-    marginal's product is the same gemm, each reference-minus-twin
-    difference gets one `np.linalg.norm`, and the maximum runs over the
-    whole family, without stopping early.
+    amplitude, such as any Haar pair, the two states are stacked and their
+    marginals on each subset come from one `_product` call: one `_cut`,
+    one conjugate and one batched matmul, in buffers reused across subsets
+    of one shape, so only one marginal of each state is alive at a time.
+    The arithmetic on that path is that of `deck_distance`, bit for bit:
+    each marginal's product is the gemm `partial_trace` runs, each
+    reference-minus-twin difference gets one `np.linalg.norm`, and the
+    maximum runs over the whole family, without stopping early.
     """
     _check_parties(reference, family)
     _check_parties(twin, family)
@@ -200,11 +206,10 @@ def _deck_gap(reference: PureState, twin: PureState,
     if support.size ** 2 <= reference.structure.total_dim:
         return _pair_gap(reference.amplitudes[support],
                          twin.amplitudes[support], support, dims, family)
-    ref_buffers, twin_buffers = {}, {}
+    pair, buffers = np.stack([reference.amplitudes, twin.amplitudes]), {}
     gap = 0.0
     for subset in family.subsets:
-        ref = _product(reference, subset, ref_buffers)
-        mat = _product(twin, subset, twin_buffers)
+        ref, mat = _product(pair, dims, subset, buffers)
         # reference minus twin, written over the twin's spent product
         gap = max(gap, float(np.linalg.norm(np.subtract(ref, mat, out=mat))))
     return gap

@@ -1,7 +1,9 @@
 """Tests for orthogonal/packing arrays and their superposition states."""
 
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import combinations, product
 
@@ -570,6 +572,121 @@ class TestGreedyScan:
         with pytest.raises(ValueError, match=f"{name} must be at least 2, "
                                              f"got {kwargs[name]}"):
             greedy_packing_array(**args)
+
+
+class TestShapeCache:
+    """`greedy_packing_array` keeps the seed-independent part of its scan,
+    `_greedy_shape`, per (num_cols, levels, strength) between calls, within
+    `_SHAPE_BYTES`; the order, positions and open flags are its own."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(arrays_module, "_SHAPES", {})
+        builds, real = [], arrays_module._greedy_shape
+
+        def spy(*key):
+            builds.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(arrays_module, "_greedy_shape", spy)
+        self.builds = builds
+
+    def test_second_seed_builds_no_table(self):
+        first = greedy_packing_array(8, 3, 3, seed=1)
+        for seed in (None, 0, 1, 2):
+            rows = greedy_packing_array(8, 3, 3, seed=seed).rows
+            np.testing.assert_array_equal(rows, full_scan_packing(
+                8, 3, 3, seed=seed))
+        np.testing.assert_array_equal(
+            greedy_packing_array(8, 3, 3, seed=1).rows, first.rows)
+        assert self.builds == [(8, 3, 3)]
+        greedy_packing_array(8, 3, 2, seed=1)
+        assert self.builds == [(8, 3, 3), (8, 3, 2)]
+
+    def test_kept_arrays_are_read_only_and_keyed_by_shape(self):
+        for seed in range(3):
+            greedy_packing_array(10, 2, 3, seed=seed, max_rows=5)
+            greedy_packing_array(4, 3, 4, seed=seed)
+        assert list(arrays_module._SHAPES) == [(10, 2, 3), (4, 3, 4)]
+        for key, shape in arrays_module._SHAPES.items():
+            fresh = arrays_module._greedy_shape(*key)
+            for kept, built in zip(shape, fresh):
+                if isinstance(kept, np.ndarray):
+                    assert not kept.flags.writeable
+                    np.testing.assert_array_equal(kept, built)
+                else:
+                    assert kept == built
+        # at strength = num_cols a row blocks only itself: digits alone
+        assert arrays_module._SHAPES[(4, 3, 4)].table is None
+        with pytest.raises(ValueError, match="read-only"):
+            arrays_module._SHAPES[(10, 2, 3)].table[0, 0] = 1
+
+    def test_refused_seed_builds_nothing(self):
+        for seed in (True, 1.0, -1):
+            with pytest.raises((TypeError, ValueError), match="seed"):
+                greedy_packing_array(8, 3, 3, seed=seed)
+        assert self.builds == [] and arrays_module._SHAPES == {}
+
+    def test_shape_over_the_cap_is_built_per_call(self):
+        assert arrays_module._greedy_shape(10, 3, 1).nbytes \
+            > arrays_module._SHAPE_BYTES
+        self.builds.clear()
+        for seed in (0, 1):
+            greedy_packing_array(10, 3, 1, seed=seed, max_rows=4)
+        assert self.builds == [(10, 3, 1)] * 2
+        assert arrays_module._SHAPES == {}
+
+    def test_kept_bytes_stay_within_the_cap(self, monkeypatch):
+        # a shape that does not fit beside the kept ones replaces them
+        small = arrays_module._greedy_shape(6, 2, 3).nbytes
+        large = arrays_module._greedy_shape(8, 2, 3).nbytes
+        monkeypatch.setattr(arrays_module, "_SHAPE_BYTES", large + small - 1)
+        greedy_packing_array(6, 2, 3, seed=0)
+        greedy_packing_array(8, 2, 3, seed=0)
+        assert list(arrays_module._SHAPES) == [(8, 2, 3)]
+        greedy_packing_array(6, 2, 3, seed=1)
+        assert list(arrays_module._SHAPES) == [(6, 2, 3)]
+
+    def test_threads_share_the_kept_shapes(self, monkeypatch):
+        # four threads on two cores, a short switch interval and a cap that
+        # holds two of the three shapes, so threads keep replacing each
+        # other's shapes: every array is still the full scan's, and the
+        # kept bytes, read under the cache's lock, never exceed the cap
+        shapes = [(3, 2, 2), (4, 2, 2), (3, 3, 2)]
+        built = {key: arrays_module._greedy_shape(*key) for key in shapes}
+        sizes = sorted(shape.nbytes for shape in built.values())
+        monkeypatch.setattr(arrays_module, "_SHAPE_BYTES", sizes[0] + sizes[1])
+        # small shapes, handed out prebuilt: each call spends much of its
+        # time on the kept shapes themselves
+        monkeypatch.setattr(arrays_module, "_greedy_shape",
+                            lambda *key: built[key])
+        serial = {(key, seed): full_scan_packing(*key, seed=seed)
+                  for key in shapes for seed in range(4)}
+
+        def scan(seed):
+            rows, most = [], 0
+            for _ in range(100):
+                for key in shapes:
+                    rows.append((key, greedy_packing_array(*key,
+                                                           seed=seed).rows))
+                    with arrays_module._SHAPES_LOCK:
+                        most = max(most, sum(
+                            shape.nbytes
+                            for shape in arrays_module._SHAPES.values()))
+            return rows, most
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(scan, seed) for seed in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, (rows, most) in enumerate(results):
+            for key, got in rows:
+                np.testing.assert_array_equal(got, serial[(key, seed)])
+            assert most <= arrays_module._SHAPE_BYTES
 
 
 class TestIntegerInputs:

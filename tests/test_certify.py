@@ -594,6 +594,25 @@ class TestOrthonormality:
             UdpStatus.CERTIFIED_UDP, UdpStatus.CERTIFIED_UDP,
             UdpStatus.NOT_UDP_WITNESSED]
 
+    def test_rank_deficient_stack_checks_per_item(self, monkeypatch):
+        # no item is undecided, so no rung reads the stack's rows: only
+        # each item's `build_cross_matrices` checks its own decomposition
+        callers, real = [], certify_module._orthonormality_defects
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(certify_module, "_orthonormality_defects", spy)
+        states = [ghz_state(6, 2, 0.6, 0.8), ghz_state(6),
+                  PureState.basis_state(SIX_QUBIT_STRUCTURE, (0,) * 6)]
+        verdicts = _certify_stack(states, SIX_QUBIT_SPEC, seeds=range(3),
+                                  tol=Tolerances())
+        assert callers == ["build_cross_matrices"] * 3
+        assert [v.status for v in verdicts] == [
+            UdpStatus.NOT_UDP_WITNESSED, UdpStatus.NOT_UDP_WITNESSED,
+            UdpStatus.INCONCLUSIVE]
+
 
 def adjoint_product(x, y):
     return x.conj().T @ y
@@ -1897,6 +1916,36 @@ class TestCertify:
 class TestFamilyCoverage:
     """A trivial null space certifies the spec's four cut marginals; it says
     nothing about a family that does not contain them."""
+
+    @pytest.mark.parametrize("psi", [
+        sample_haar_state(SIX_QUBIT_STRUCTURE, 3), ghz_state(6, 2, 0.6, 0.8),
+        PureState.basis_state(SIX_QUBIT_STRUCTURE, (0,) * 6)],
+        ids=["haar", "ghz", "product"])
+    def test_default_family_needs_no_coverage_check(self, monkeypatch, psi):
+        # the default family's members are the four cuts, so each covers
+        # itself: no bitmask test runs, and the verdict is the one the same
+        # family gets when it is passed explicitly
+        explicit = certify_udp(psi, SIX_QUBIT_SPEC,
+                               SIX_QUBIT_SPEC.verification_family())
+        calls, real = [], certify_module._uncovered_cuts
+        monkeypatch.setattr(certify_module, "_uncovered_cuts", lambda *args: (
+            calls.append(args) or real(*args)))
+        default = certify_udp(psi, SIX_QUBIT_SPEC)
+        assert calls == []
+        assert (default.status, default.null_dim, default.notes,
+                default.equation_counts) == (
+            explicit.status, explicit.null_dim, explicit.notes,
+            explicit.equation_counts)
+        assert (default.witness is None) == (explicit.witness is None)
+        if default.witness is not None:
+            assert np.array_equal(default.witness.amplitudes,
+                                  explicit.witness.amplitudes)
+        # an explicit family that misses a cut is still checked, and named
+        family = MarginalFamily.parse(6, "1,2,3;4,5,6;1,2,4,5")
+        verdict = certify_udp(psi, SIX_QUBIT_SPEC, family)
+        assert len(calls) == 1
+        if verdict.null_dim == 0:
+            assert any("marginals BD;" in note for note in verdict.notes)
 
     def test_uncovered_family_is_not_certified(self):
         from puredeck import counterexample_from_disconnection

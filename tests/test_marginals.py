@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puredeck.marginals as marginals_module
 from puredeck import (Deck, MarginalFamily, PartyStructure, PureState,
                       compute_deck, deck_distance, fidelity_up_to_phase,
                       ghz_state, partial_trace, sample_haar_state)
@@ -231,11 +232,47 @@ class TestStreamedDecks:
         family = MarginalFamily(8, ((1, 2), (3, 4, 5), (2, 7), (6,), (1, 5, 8)))
         buffers = {}
         for subset in family:
-            rho = _product(psi, subset, buffers)
+            rho = _product(psi.amplitudes, psi.structure.local_dims, subset,
+                           buffers)
             mat = reshaped_block(psi, subset)
             assert np.array_equal(rho, mat @ mat.conj().T), subset
             assert rho is buffers[(rho.shape[0], 3 ** 8 // rho.shape[0])][2]
         assert sorted(buffers) == [(3, 2187), (9, 729), (27, 243)]
+
+    def test_stacked_products_equal_each_states_bit_for_bit(self):
+        # one batched product per subset gives each vector's own gemm, on
+        # local dimensions that mix 2 and 3, in one buffer per stacked shape
+        states = [sample_haar_state(self.MIXED, seed) for seed in (3, 4, 5)]
+        stack = np.stack([psi.amplitudes for psi in states])
+        dims = self.MIXED.local_dims
+        buffers = {}
+        for k in range(1, 6):
+            for subset in combinations(range(1, 6), k):
+                rhos = _product(stack, dims, subset, buffers)
+                assert rhos is buffers[(3, *reshaped_block(
+                    states[0], subset).shape)][2]
+                for psi, rho in zip(states, rhos):
+                    alone = _product(psi.amplitudes, dims, subset, {})
+                    assert np.array_equal(rho, alone), subset
+                    assert np.array_equal(
+                        rho, partial_trace(psi, subset).matrix), subset
+        assert all(shape[0] == 3 for shape in buffers)
+
+    def test_dense_gap_forms_both_marginals_in_one_product(self, monkeypatch):
+        family = MarginalFamily.complete(6, 3)
+        a, b = (sample_haar_state(PartyStructure.uniform(6, 2), seed)
+                for seed in (1, 2))
+        shapes, real = [], marginals_module._product
+
+        def spy(vectors, *args):
+            shapes.append(vectors.shape)
+            return real(vectors, *args)
+
+        monkeypatch.setattr(marginals_module, "_product", spy)
+        gap = _deck_gap(a, b, family)
+        assert shapes == [(2, 64)] * len(family)
+        assert gap == deck_distance(compute_deck(a, family),
+                                    compute_deck(b, family))
 
     @pytest.mark.parametrize("structure,k", [
         (PartyStructure(5, (2, 3, 2, 3, 2)), 2),

@@ -4,9 +4,10 @@ function that nothing in the package calls, one home for the certification
 rule, one certification route, one tie rule, one phase-system assembly,
 column order and count, one orthonormality check of the Schmidt rows,
 one lender of the per-thread Gram buffer, one caller of the unchecked
-packing-array wrapper, one home each for the seed rule, the unchecked
-record and strict JSON text, benchmark layer targets that resolve, every
-named threshold documented in README, and a pinned list of public names."""
+packing-array wrapper and of the kept greedy-scan tables, one home each
+for the seed rule, the unchecked record and strict JSON text, benchmark
+layer targets that resolve, every named threshold documented in README,
+and a pinned list of public names."""
 
 import ast
 import importlib
@@ -376,6 +377,17 @@ def test_one_trusted_packing_array():
     source = (PACKAGE / "arrays.py").read_text()
     assert source.count("._trusted(") == source.count(
         "PackingArray._trusted(")
+
+
+def test_one_greedy_shape_caller():
+    # the shape tables `_greedy_shape` builds are kept between calls, read
+    # only, by the greedy scan alone: no other function builds or reads them
+    trees = {path.name: parse(path) for path in MODULES}
+    assert {f"{module}:{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for name in ast.walk(node) if isinstance(name, ast.Name)
+            and name.id in ("_greedy_shape", "_SHAPES")} == {
+        "arrays.py:greedy_packing_array"}
 
 
 @pytest.mark.parametrize("text, home", [

@@ -15,9 +15,10 @@ import pytest
 
 import puredeck.certify as certify_module
 import puredeck.experiments as experiments_module
-from puredeck import (CrossCutSpec, ExperimentConfig, PartyStructure, PureState,
-                      Tolerances, UdpStatus, certify_udp, ghz_state,
-                      run_experiment, sample_haar_state)
+from puredeck import (CrossCutSpec, ExperimentConfig, MarginalFamily,
+                      PartyStructure, PureState, Tolerances, UdpStatus,
+                      certify_udp, ghz_state, run_experiment,
+                      sample_haar_state)
 from puredeck.certify import _certify_stack, _stack_size
 from puredeck.cli import main
 
@@ -240,8 +241,9 @@ class TestDifferential:
 
     def test_one_check_per_call(self, monkeypatch):
         # 200 four-qutrit trials are 19 stacks of at most 11, read by one
-        # kernel call: the default family and its uncovered cuts are
-        # worked out once, not once per stack
+        # kernel call: the default family is worked out once, not once per
+        # stack, and needs no coverage test, as each of its members is a
+        # cut; an explicit family's uncovered cuts are worked out once
         spec = CrossCutSpec.parse("A=1;B=2;C=3;D=4", 4)
         calls = {"_uncovered_cuts": 0, "_schmidt_factors": 0,
                  "verification_family": 0}
@@ -259,8 +261,15 @@ class TestDifferential:
         counted(CrossCutSpec, "verification_family")
         run_experiment(ExperimentConfig(4, 3, trials=200, seed=5, blocks=spec),
                        verbose=False)
-        assert _stack_size(PartyStructure.uniform(4, 3), spec) == 11
-        assert calls == {"_uncovered_cuts": 1, "_schmidt_factors": 19,
+        structure = PartyStructure.uniform(4, 3)
+        assert _stack_size(structure, spec) == 11
+        assert calls == {"_uncovered_cuts": 0, "_schmidt_factors": 19,
+                         "verification_family": 1}
+        _certify_stack((sample_haar_state(structure, seed)
+                        for seed in range(23)), spec,
+                       MarginalFamily.complete(4, 2), seeds=range(23),
+                       tol=TOL)
+        assert calls == {"_uncovered_cuts": 1, "_schmidt_factors": 22,
                          "verification_family": 1}
 
     def test_identity_violation_raises_the_same_error(self, monkeypatch):
@@ -270,6 +279,18 @@ class TestDifferential:
             certify_udp(states[0], SPEC)
         with pytest.raises(ValueError) as stacked:
             _certify_stack(states, SPEC, seeds=range(3), tol=TOL)
+        assert str(stacked.value) == str(per_state.value) == \
+            "Schmidt rows on AB are not orthonormal"
+
+    def test_identity_violation_on_a_rank_deficient_stack(self, monkeypatch):
+        # no item of a GHZ stack reaches a rung, so the stack does not check
+        # its rows; each item's `build_cross_matrices` raises the same error
+        monkeypatch.setattr(certify_module, "TRACE_IDENTITY_TOL", -1.0)
+        states = [ghz_state(6, 2, 0.6, 0.8), ghz_state(6)]
+        with pytest.raises(ValueError) as per_state:
+            certify_udp(states[0], SPEC)
+        with pytest.raises(ValueError) as stacked:
+            _certify_stack(states, SPEC, seeds=range(2), tol=TOL)
         assert str(stacked.value) == str(per_state.value) == \
             "Schmidt rows on AB are not orthonormal"
 
